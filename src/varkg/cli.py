@@ -1,9 +1,12 @@
 """Command-line front end: subcommand dispatch, config merging, manifests.
 
-Every run writes its artifacts plus a manifest.json recording the
-effective configuration, its hash, library versions, the seed, and wall
-time.  CSV output is deterministic: %.17g cells, LF line endings, and a
-finiteness check on every value before it is written.
+One table declares every flag (FLAGS) and one lists the flags each
+subcommand reads with their defaults (COMMANDS).  The two drive argparse,
+the merge of flags over `--config` over defaults, and the manifest.json
+that every run leaves in its outdir, failed runs included: the resolved
+value of each flag, its hash, library versions, exit status, error class
+and wall time.  CSV output is deterministic: %.17g cells, LF line
+endings, and a finiteness check on every value before it is written.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .errors import VarkgError, WrongRegion
+from .errors import InvalidInput, VarkgError, WrongRegion
 from .evolution import (
     BLOWUP_DETECTED,
     energy_drift,
@@ -60,6 +65,50 @@ from .radial_core import (
 )
 
 
+def float_list(text) -> list[float]:
+    """A non-empty comma-separated list of floats, such as "1,1.25,1.5"."""
+    values = [float(tok) for tok in str(text).split(",") if tok.strip()]
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+class Flag(NamedTuple):
+    option: str
+    type: Callable
+    help: str
+
+
+# every flag of every subcommand, keyed by its name in --config and the manifest
+FLAGS = {
+    "outdir": Flag("--outdir", str,
+                   "output directory (the VARKG_OUTDIR environment variable overrides it)"),
+    "seed": Flag("--seed", int, "seed of the random trial profiles"),
+    "p": Flag("--p", float, "exponent of the power nonlinearity |u|^(p-1) u"),
+    "omega": Flag("--omega", float, "frequency of the standing wave"),
+    "N": Flag("--N", int, "space dimension"),
+    "R": Flag("--R", float, "outer radius of the grid"),
+    "M": Flag("--M", int, "number of grid cells"),
+    "bracket_lo": Flag("--bracket-lo", float, "lower end of the shooting bracket for phi(0)"),
+    "bracket_hi": Flag("--bracket-hi", float, "upper end of the shooting bracket for phi(0)"),
+    "profile": Flag("--from", str, "profile CSV written by ground-state"),
+    "alpha": Flag("--alpha", float, "first exponent of the constraint K_{alpha,beta}"),
+    "beta": Flag("--beta", float, "second exponent of the constraint K_{alpha,beta}"),
+    "family_size": Flag("--family-size", int, "number of trial profiles"),
+    "tol": Flag("--tol", float, "relative tolerance against the least-energy level"),
+    "amplitudes": Flag("--amplitudes", float_list,
+                       "comma-separated amplitudes c of the trial profiles c * phi"),
+    "lam": Flag("--lambda", float, "amplitude factor of the initial data lambda * phi(x/mu)"),
+    "mu": Flag("--mu", float, "width factor of the initial data lambda * phi(x/mu)"),
+    "tmax": Flag("--tmax", float, "final time of each evolution"),
+    "blowup_factor": Flag("--blowup-factor", float,
+                          "growth of the H1 norm that counts as blow-up"),
+    "cfl": Flag("--cfl", float, "time step as a fraction of the grid spacing"),
+    "lambda_grid": Flag("--lambda-grid", float_list, "comma-separated amplitude factors"),
+    "mu_grid": Flag("--mu-grid", float_list, "comma-separated width factors"),
+}
+
+
 def _fmt(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
@@ -81,13 +130,16 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(outdir: str, command: str, config: dict, seed: int, wall: float) -> None:
+def _write_manifest(command: str, cfg: SimpleNamespace, status: int, error: str | None,
+                    wall: float) -> None:
+    config = vars(cfg)
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
         "config": config,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seed": seed,
+        "status": status,
+        "error": error,
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -97,56 +149,31 @@ def _write_manifest(outdir: str, command: str, config: dict, seed: int, wall: fl
         "wall_time_s": wall,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    _write_json(os.path.join(cfg.outdir, "manifest.json"), manifest)
 
 
-def _resolve(args, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _outdir(args, config: dict) -> str:
-    path = _resolve(args, config, "outdir", "varkg-out")
-    env = os.environ.get("VARKG_OUTDIR")
-    if env:
-        path = env
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _make_ground_state(p: float, omega: float, dimension: int, outer: float, cells: int,
-                       bracket=(1.0, 4.0)):
-    grid = RadialGrid(dimension, outer, cells)
+def _ground_state(cfg, dimension: int, bracket=(1.0, 4.0)):
+    grid = RadialGrid(dimension, cfg.R, cfg.M)
     if dimension == 1:
-        return closed_form_1d(p, omega, grid)
-    return shoot_radial(p, omega, dimension, grid, bracket=bracket)
+        return closed_form_1d(cfg.p, cfg.omega, grid)
+    return shoot_radial(cfg.p, cfg.omega, dimension, grid, bracket=bracket)
 
 
-def _grid_defaults(dimension: int) -> tuple[float, int]:
-    if dimension == 1:
-        return 80.0, 16000
-    return 40.0, 4000
+def _outer_radius(cfg) -> float:
+    return 80.0 if cfg.N == 1 else 40.0
+
+
+def _cells(cfg) -> int:
+    return 16000 if cfg.N == 1 else 4000
 
 
 # -- subcommand handlers ------------------------------------------------------
 
-def _cmd_ground_state(args, config, outdir):
-    p = _resolve(args, config, "p", 3.0)
-    omega = _resolve(args, config, "omega", 0.0)
-    dim = int(_resolve(args, config, "N", 2))
-    r_default, m_default = _grid_defaults(dim)
-    outer = _resolve(args, config, "R", r_default)
-    cells = int(_resolve(args, config, "M", m_default))
-    lo = _resolve(args, config, "bracket_lo", 1.0)
-    hi = _resolve(args, config, "bracket_hi", 4.0)
-    gs = _make_ground_state(p, omega, dim, outer, cells, bracket=(lo, hi))
-    save_profile(os.path.join(outdir, "profile.csv"), gs.profile)
-    _write_json(os.path.join(outdir, "ground_state.json"), {
-        "p": p, "omega": omega, "N": dim,
+def _cmd_ground_state(cfg):
+    gs = _ground_state(cfg, cfg.N, bracket=(cfg.bracket_lo, cfg.bracket_hi))
+    save_profile(os.path.join(cfg.outdir, "profile.csv"), gs.profile)
+    _write_json(os.path.join(cfg.outdir, "ground_state.json"), {
+        "p": cfg.p, "omega": cfg.omega, "N": cfg.N,
         "phi0": gs.center_value,
         "m": gs.level,
         "nehari_residual": gs.nehari_residual,
@@ -157,17 +184,12 @@ def _cmd_ground_state(args, config, outdir):
     return 0
 
 
-def _cmd_functionals(args, config, outdir):
-    src = _resolve(args, config, "profile", None)
-    if src is None:
+def _cmd_functionals(cfg):
+    if cfg.profile is None:
         print("functionals: --from PROFILE is required", file=sys.stderr)
         return 2
-    p = _resolve(args, config, "p", 3.0)
-    omega = _resolve(args, config, "omega", 0.0)
-    alpha = _resolve(args, config, "alpha", None)
-    beta = _resolve(args, config, "beta", None)
-    v = load_profile(src)
-    nl = PowerKG(p, omega)
+    v = load_profile(cfg.profile)
+    nl = PowerKG(cfg.p, cfg.omega)
     payload = {
         "S": action_S(v, nl),
         "T": kinetic_T(v),
@@ -176,28 +198,23 @@ def _cmd_functionals(args, config, outdir):
         "pohozaev_residual": pohozaev_residual(v, nl),
         "h1_norm_sq": h1_norm_sq(v),
     }
-    if alpha is not None and beta is not None:
-        se = classify_exponents(alpha, beta, p, v.grid.dimension)
-        payload["alpha"], payload["beta"] = alpha, beta
+    if cfg.alpha is not None and cfg.beta is not None:
+        se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, v.grid.dimension)
+        payload["alpha"], payload["beta"] = cfg.alpha, cfg.beta
         payload["region"] = se.region
         payload["K"] = constraint_K(v, nl, se)
-    _write_json(os.path.join(outdir, "functionals.json"), payload)
+    _write_json(os.path.join(cfg.outdir, "functionals.json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
-def _cmd_path(args, config, outdir):
-    src = _resolve(args, config, "profile", None)
-    if src is None:
+def _cmd_path(cfg):
+    if cfg.profile is None:
         print("path: --from PROFILE is required", file=sys.stderr)
         return 2
-    p = _resolve(args, config, "p", 3.0)
-    omega = _resolve(args, config, "omega", 0.0)
-    alpha = _resolve(args, config, "alpha", 1.0)
-    beta = _resolve(args, config, "beta", 0.0)
-    v = load_profile(src)
-    nl = PowerKG(p, omega)
-    se = classify_exponents(alpha, beta, p, v.grid.dimension)
+    v = load_profile(cfg.profile)
+    nl = PowerKG(cfg.p, cfg.omega)
+    se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, v.grid.dimension)
     if se.region == INTERIOR:
         lam_star, projected = project_to_constraint(v, nl, se)
         path = build_path_interior(projected, nl, se)
@@ -205,11 +222,11 @@ def _cmd_path(args, config, outdir):
         lam_star, projected = project_to_constraint(v, nl, se, ray=AMPLITUDE_RAY)
         path = build_path_limit(projected, nl, se)
     else:
-        raise WrongRegion(f"({alpha:g},{beta:g}) is not an admissible exponent pair")
-    _write_csv(os.path.join(outdir, "path.csv"), ["t", "action"],
+        raise WrongRegion(f"({cfg.alpha:g},{cfg.beta:g}) is not an admissible exponent pair")
+    _write_csv(os.path.join(cfg.outdir, "path.csv"), ["t", "action"],
                zip(path.t, path.action_values))
-    _write_json(os.path.join(outdir, "path.json"), {
-        "alpha": alpha, "beta": beta, "region": se.region,
+    _write_json(os.path.join(cfg.outdir, "path.json"), {
+        "alpha": cfg.alpha, "beta": cfg.beta, "region": se.region,
         "lambda_star": lam_star,
         "max_action": path.max_action,
         "argmax_t": float(path.t[path.argmax_index]),
@@ -227,80 +244,56 @@ def _member_rows(report):
         yield (i, "" if lam is None else _fmt(lam), "" if s is None else _fmt(s))
 
 
-def _cmd_verify_theorem1(args, config, outdir, seed):
-    p = _resolve(args, config, "p", 3.0)
-    omega = _resolve(args, config, "omega", 0.0)
-    dim = int(_resolve(args, config, "N", 1))
-    r_default, m_default = _grid_defaults(dim)
-    outer = _resolve(args, config, "R", r_default)
-    cells = int(_resolve(args, config, "M", m_default))
-    alpha = _resolve(args, config, "alpha", 1.0)
-    beta = _resolve(args, config, "beta", 0.0)
-    count = int(_resolve(args, config, "family_size", 50))
-    se = classify_exponents(alpha, beta, p, dim)
-    gs = _make_ground_state(p, omega, dim, outer, cells)
+def _cmd_verify_theorem1(cfg):
+    se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, cfg.N)
+    gs = _ground_state(cfg, cfg.N)
     m_ref = least_energy(gs)
-    family = default_trial_family(gs, count=count, seed=seed)
+    family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
-    _write_csv(os.path.join(outdir, "theorem1_members.csv"),
+    _write_csv(os.path.join(cfg.outdir, "theorem1_members.csv"),
                ["index", "lambda_star", "action"], _member_rows(report))
-    _write_json(os.path.join(outdir, "theorem1.json"), {
-        "alpha": alpha, "beta": beta, "region": report.region,
+    _write_json(os.path.join(cfg.outdir, "theorem1.json"), {
+        "alpha": cfg.alpha, "beta": cfg.beta, "region": report.region,
         "min_S": report.min_action, "m_ref": m_ref,
         "argmin_index": report.argmin_index,
         "failures": len(report.failures),
         "pass": report.passed,
     })
-    print(f"theorem-1 check ({alpha:g},{beta:g}): min S = {report.min_action:.6f}, "
+    print(f"theorem-1 check ({cfg.alpha:g},{cfg.beta:g}): min S = {report.min_action:.6f}, "
           f"m = {m_ref:.6f}, pass = {report.passed}")
     return 0 if report.passed else 1
 
 
-def _cmd_verify_theorem2(args, config, outdir, seed):
-    p = _resolve(args, config, "p", 3.0)
-    omega = _resolve(args, config, "omega", 0.0)
-    outer = _resolve(args, config, "R", 40.0)
-    cells = int(_resolve(args, config, "M", 4000))
-    alpha = _resolve(args, config, "alpha", 1.0)
-    beta = _resolve(args, config, "beta", 1.0)
-    count = int(_resolve(args, config, "family_size", 20))
-    tol = _resolve(args, config, "tol", 0.01)
-    se = classify_exponents(alpha, beta, p, 2)
-    gs = _make_ground_state(p, omega, 2, outer, cells)
+def _cmd_verify_theorem2(cfg):
+    se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, 2)
+    gs = _ground_state(cfg, 2)
     m_ref = least_energy(gs)
-    family = default_trial_family(gs, count=count, seed=seed)
+    family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
     path = build_path_limit(gs.profile, gs.nonlinearity, se)
-    path_ok = path.admissible and abs(path.max_action - m_ref) <= tol * m_ref
+    path_ok = path.admissible and abs(path.max_action - m_ref) <= cfg.tol * m_ref
     passed = report.passed and path_ok
-    _write_csv(os.path.join(outdir, "theorem2_members.csv"),
+    _write_csv(os.path.join(cfg.outdir, "theorem2_members.csv"),
                ["index", "lambda_star", "action"], _member_rows(report))
-    _write_csv(os.path.join(outdir, "theorem2_path.csv"), ["t", "action"],
+    _write_csv(os.path.join(cfg.outdir, "theorem2_path.csv"), ["t", "action"],
                zip(path.t, path.action_values))
-    _write_json(os.path.join(outdir, "theorem2.json"), {
-        "alpha": alpha, "beta": beta, "region": report.region,
+    _write_json(os.path.join(cfg.outdir, "theorem2.json"), {
+        "alpha": cfg.alpha, "beta": cfg.beta, "region": report.region,
         "min_S": report.min_action, "m_ref": m_ref,
         "path_max": path.max_action, "path_admissible": path.admissible,
         "pass": passed,
     })
-    print(f"theorem-2 check ({alpha:g},{beta:g}): min S = {report.min_action:.6f}, "
+    print(f"theorem-2 check ({cfg.alpha:g},{cfg.beta:g}): min S = {report.min_action:.6f}, "
           f"path max = {path.max_action:.6f}, m = {m_ref:.6f}, pass = {passed}")
     return 0 if passed else 1
 
 
-def _cmd_verify_lemma_mint(args, config, outdir, seed):
-    p = _resolve(args, config, "p", 3.0)
-    omega = _resolve(args, config, "omega", 0.0)
-    outer = _resolve(args, config, "R", 40.0)
-    cells = int(_resolve(args, config, "M", 4000))
-    amps_raw = _resolve(args, config, "amplitudes", "1,1.1,1.25,1.5,1.75,2")
-    tol = _resolve(args, config, "tol", 0.01)
-    amplitudes = [float(tok) for tok in str(amps_raw).split(",") if tok.strip()]
-    gs = _make_ground_state(p, omega, 2, outer, cells)
+def _cmd_verify_lemma_mint(cfg):
+    gs = _ground_state(cfg, 2)
     m_ref = least_energy(gs)
     q = gs.profile
-    rng = np.random.default_rng(seed)
-    family = [GridFunction(q.grid, c * q.values) for c in amplitudes]
+    rng = np.random.default_rng(cfg.seed)
+    family = [GridFunction(q.grid, c * q.values) for c in cfg.amplitudes]
     for _ in range(4):
         eps = rng.uniform(0.05, 0.2)
         width = rng.uniform(1.0, 3.0)
@@ -308,17 +301,17 @@ def _cmd_verify_lemma_mint(args, config, outdir, seed):
         family.append(GridFunction(q.grid, q.values * bump))
     report = verify_T_min_over_P(family, gs.nonlinearity, m_ref)
     amp_devs = [abs(report.kinetics[i] - m_ref) / m_ref
-                for i in range(len(amplitudes)) if report.kinetics[i] is not None]
-    scaling_ok = len(amp_devs) == len(amplitudes) and max(amp_devs) <= tol
+                for i in range(len(cfg.amplitudes)) if report.kinetics[i] is not None]
+    scaling_ok = len(amp_devs) == len(cfg.amplitudes) and max(amp_devs) <= cfg.tol
     passed = report.passed and scaling_ok
-    _write_csv(os.path.join(outdir, "lemma_minT_members.csv"),
+    _write_csv(os.path.join(cfg.outdir, "lemma_minT_members.csv"),
                ["index", "lambda0", "kinetic"],
                ((i, "" if report.lambdas[i] is None else _fmt(report.lambdas[i]),
                  "" if report.kinetics[i] is None else _fmt(report.kinetics[i]))
                 for i in range(report.members_total)))
-    _write_json(os.path.join(outdir, "lemma_minT.json"), {
+    _write_json(os.path.join(cfg.outdir, "lemma_minT.json"), {
         "m_ref": m_ref, "min_T": report.min_kinetic,
-        "amplitude_members": len(amplitudes),
+        "amplitude_members": len(cfg.amplitudes),
         "max_amplitude_deviation": max(amp_devs) if amp_devs else None,
         "pass": passed,
     })
@@ -332,26 +325,17 @@ def _trajectory_rows(traj):
                rec.h1_norm, "1" if rec.in_invariant_set else "0")
 
 
-def _cmd_evolve(args, config, outdir):
-    p = _resolve(args, config, "p", 3.0)
-    omega = _resolve(args, config, "omega", 0.0)
-    outer = _resolve(args, config, "R", 80.0)
-    cells = int(_resolve(args, config, "M", 4000))
-    lam = _resolve(args, config, "lam", 1.05)
-    mu = _resolve(args, config, "mu", 1.05)
-    t_max = _resolve(args, config, "tmax", 20.0)
-    factor = _resolve(args, config, "blowup_factor", 5.0)
-    cfl = _resolve(args, config, "cfl", 0.4)
-    gs = _make_ground_state(p, omega, 2, outer, cells)
-    u0, report = make_initial_data(gs, lam, mu)
+def _cmd_evolve(cfg):
+    gs = _ground_state(cfg, 2)
+    u0, report = make_initial_data(gs, cfg.lam, cfg.mu)
     v0 = GridFunction.zeros(u0.grid)
-    traj = evolve(u0, v0, gs.nonlinearity, t_max, blowup_factor=factor,
-                  m_ref=report["m_ref"], cfl=cfl)
-    _write_csv(os.path.join(outdir, "trajectory.csv"),
+    traj = evolve(u0, v0, gs.nonlinearity, cfg.tmax, blowup_factor=cfg.blowup_factor,
+                  m_ref=report["m_ref"], cfl=cfg.cfl)
+    _write_csv(os.path.join(cfg.outdir, "trajectory.csv"),
                ["t", "E", "S", "P", "T", "H1", "in_I"], _trajectory_rows(traj))
     drift_end = -1 if traj.termination == BLOWUP_DETECTED else None
     payload = {
-        "lambda": lam, "mu": mu,
+        "lambda": cfg.lam, "mu": cfg.mu,
         "initial": report,
         "termination": traj.termination,
         "t_final": traj.records[-1].t,
@@ -363,40 +347,30 @@ def _cmd_evolve(args, config, outdir):
         monitor = invariant_monitor(traj)
         payload["min_P"] = monitor.min_p
         payload["in_I_throughout"] = monitor.in_set_throughout
-    _write_json(os.path.join(outdir, "evolve.json"), payload)
+    _write_json(os.path.join(cfg.outdir, "evolve.json"), payload)
     print(f"evolution: termination = {traj.termination} at t = {traj.records[-1].t:.4f}")
     return 0
 
 
-def _cmd_instability_sweep(args, config, outdir):
-    p = _resolve(args, config, "p", 3.0)
-    omega = _resolve(args, config, "omega", 0.0)
-    outer = _resolve(args, config, "R", 80.0)
-    cells = int(_resolve(args, config, "M", 4000))
-    t_max = _resolve(args, config, "tmax", 20.0)
-    factor = _resolve(args, config, "blowup_factor", 5.0)
-    lam_raw = _resolve(args, config, "lambda_grid", "1.02,1.05,1.1")
-    mu_raw = _resolve(args, config, "mu_grid", "1.0,1.05")
-    lams = [float(tok) for tok in str(lam_raw).split(",") if tok.strip()]
-    mus = [float(tok) for tok in str(mu_raw).split(",") if tok.strip()]
-    gs = _make_ground_state(p, omega, 2, outer, cells)
+def _cmd_instability_sweep(cfg):
+    gs = _ground_state(cfg, 2)
     rows = []
-    for lam in lams:
-        for mu in mus:
+    for lam in cfg.lambda_grid:
+        for mu in cfg.mu_grid:
             u0, report = make_initial_data(gs, lam, mu)
             v0 = GridFunction.zeros(u0.grid)
-            traj = evolve(u0, v0, gs.nonlinearity, t_max, blowup_factor=factor,
+            traj = evolve(u0, v0, gs.nonlinearity, cfg.tmax, blowup_factor=cfg.blowup_factor,
                           m_ref=report["m_ref"])
             escape = traj.records[-1].t if traj.termination == BLOWUP_DETECTED else None
             rows.append((lam, mu, "1" if report["in_invariant_set"] else "0",
                          traj.termination, "" if escape is None else _fmt(escape)))
-    _write_csv(os.path.join(outdir, "sweep.csv"),
+    _write_csv(os.path.join(cfg.outdir, "sweep.csv"),
                ["lambda", "mu", "in_I_initial", "termination", "t_escape"], rows)
     print(f"instability sweep: {len(rows)} runs written")
     return 0
 
 
-def _cmd_selftest(args, config, outdir):
+def _cmd_selftest(cfg):
     checks = []
 
     def check(name, value, expected, tol):
@@ -425,69 +399,100 @@ def _cmd_selftest(args, config, outdir):
     return 0 if passed else 1
 
 
+class Command(NamedTuple):
+    handler: Callable
+    summary: str
+    # flag name -> default; a callable default is computed from the flags before it
+    defaults: dict
+
+
+def _command(handler, summary, **defaults) -> Command:
+    return Command(handler, summary, {"outdir": "varkg-out", **defaults})
+
+
+NONLINEARITY = {"p": 3.0, "omega": 0.0}
+
+COMMANDS = {
+    "ground-state": _command(
+        _cmd_ground_state, "compute a ground-state profile",
+        **NONLINEARITY, N=2, R=_outer_radius, M=_cells, bracket_lo=1.0, bracket_hi=4.0),
+    "functionals": _command(
+        _cmd_functionals, "evaluate S, T, P, K on a stored profile",
+        profile=None, **NONLINEARITY, alpha=None, beta=None),
+    "path": _command(
+        _cmd_path, "project a profile and build its mountain-pass path",
+        profile=None, **NONLINEARITY, alpha=1.0, beta=0.0),
+    "verify-theorem1": _command(
+        _cmd_verify_theorem1, "minimize S over an interior constraint",
+        **NONLINEARITY, N=1, R=_outer_radius, M=_cells, alpha=1.0, beta=0.0,
+        family_size=50, seed=0),
+    "verify-theorem2": _command(
+        _cmd_verify_theorem2, "limit-pair minimization plus glued path",
+        **NONLINEARITY, R=40.0, M=4000, alpha=1.0, beta=1.0, family_size=20, tol=0.01,
+        seed=0),
+    "verify-lemma-minT": _command(
+        _cmd_verify_lemma_mint, "kinetic minimum over the P >= 0 set",
+        **NONLINEARITY, R=40.0, M=4000, amplitudes=[1.0, 1.1, 1.25, 1.5, 1.75, 2.0],
+        tol=0.01, seed=0),
+    "evolve": _command(
+        _cmd_evolve, "run one radial evolution",
+        **NONLINEARITY, R=80.0, M=4000, lam=1.05, mu=1.05, tmax=20.0, blowup_factor=5.0,
+        cfl=0.4),
+    "instability-sweep": _command(
+        _cmd_instability_sweep, "evolve over a (lambda, mu) grid",
+        **NONLINEARITY, R=80.0, M=4000, tmax=20.0, blowup_factor=5.0,
+        lambda_grid=[1.02, 1.05, 1.1], mu_grid=[1.0, 1.05]),
+    "selftest": _command(_cmd_selftest, "closed-form oracle suite"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varkg",
         description="Variational toolkit for radial nonlinear Klein-Gordon standing waves")
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
+    parser.add_argument("--config",
+                        help="JSON object of flag values, read as the flags' text would be; "
+                             "flags on the command line win")
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        sp.add_argument("--outdir")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--omega", type=float)
-        sp.add_argument("--R", type=float)
-        sp.add_argument("--M", type=int)
-        return sp
-
-    sp = add("ground-state", help="compute a ground-state profile")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--bracket-lo", dest="bracket_lo", type=float)
-    sp.add_argument("--bracket-hi", dest="bracket_hi", type=float)
-
-    sp = add("functionals", help="evaluate S, T, P, K on a stored profile")
-    sp.add_argument("--from", dest="profile")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-
-    sp = add("path", help="project a profile and build its mountain-pass path")
-    sp.add_argument("--from", dest="profile")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-
-    sp = add("verify-theorem1", help="minimize S over an interior constraint")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--family-size", dest="family_size", type=int)
-
-    sp = add("verify-theorem2", help="limit-pair minimization plus glued path")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--family-size", dest="family_size", type=int)
-    sp.add_argument("--tol", type=float)
-
-    sp = add("verify-lemma-minT", help="kinetic minimum over the P >= 0 set")
-    sp.add_argument("--amplitudes")
-    sp.add_argument("--tol", type=float)
-
-    sp = add("evolve", help="run one radial evolution")
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--tmax", type=float)
-    sp.add_argument("--blowup-factor", dest="blowup_factor", type=float)
-    sp.add_argument("--cfl", type=float)
-
-    sp = add("instability-sweep", help="evolve over a (lambda, mu) grid")
-    sp.add_argument("--lambda-grid", dest="lambda_grid")
-    sp.add_argument("--mu-grid", dest="mu_grid")
-    sp.add_argument("--tmax", type=float)
-    sp.add_argument("--blowup-factor", dest="blowup_factor", type=float)
-
-    add("selftest", help="closed-form oracle suite")
+    for name, spec in COMMANDS.items():
+        sp = sub.add_parser(name, help=spec.summary)
+        for key in spec.defaults:
+            flag = FLAGS[key]
+            sp.add_argument(flag.option, dest=key, type=flag.type, help=flag.help)
     return parser
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise InvalidInput(f"cannot read config {path}: {err}") from None
+    if not isinstance(config, dict):
+        raise InvalidInput("config must be a JSON object")
+    return config
+
+
+def _resolve(spec: Command, args: argparse.Namespace, config: dict) -> SimpleNamespace:
+    """Each flag of the subcommand from the command line, else the config, else its default.
+
+    A config value goes through the flag's type as its text, so {"p": 3}
+    and {"p": "3"} both mean --p 3; JSON null counts as absent.
+    """
+    cfg = SimpleNamespace()
+    for key, default in spec.defaults.items():
+        value = getattr(args, key)
+        if value is None and config.get(key) is not None:
+            flag = FLAGS[key]
+            try:
+                value = flag.type(str(config[key]))
+            except ValueError:
+                raise InvalidInput(f"config value {key}={config[key]!r} is not a valid "
+                                   f"{flag.type.__name__} for {flag.option}") from None
+        if value is None:
+            value = default(cfg) if callable(default) else default
+        setattr(cfg, key, value)
+    return cfg
 
 
 def run(argv=None) -> int:
@@ -496,45 +501,29 @@ def run(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    config = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"varkg: cannot read config {args.config}: {err}", file=sys.stderr)
-            return 2
-        if not isinstance(config, dict):
-            print("varkg: config must be a JSON object", file=sys.stderr)
-            return 2
-    seed = int(_resolve(args, config, "seed", 0))
-    outdir = _outdir(args, config)
-    handlers = {
-        "ground-state": lambda: _cmd_ground_state(args, config, outdir),
-        "functionals": lambda: _cmd_functionals(args, config, outdir),
-        "path": lambda: _cmd_path(args, config, outdir),
-        "verify-theorem1": lambda: _cmd_verify_theorem1(args, config, outdir, seed),
-        "verify-theorem2": lambda: _cmd_verify_theorem2(args, config, outdir, seed),
-        "verify-lemma-minT": lambda: _cmd_verify_lemma_mint(args, config, outdir, seed),
-        "evolve": lambda: _cmd_evolve(args, config, outdir),
-        "instability-sweep": lambda: _cmd_instability_sweep(args, config, outdir),
-        "selftest": lambda: _cmd_selftest(args, config, outdir),
-    }
+    spec = COMMANDS[args.command]
+    try:
+        cfg = _resolve(spec, args, _read_config(args.config) if args.config else {})
+    except InvalidInput as err:
+        print(f"varkg: InvalidInput: {err}", file=sys.stderr)
+        return 2
+    cfg.outdir = os.environ.get("VARKG_OUTDIR") or cfg.outdir
+    os.makedirs(cfg.outdir, exist_ok=True)
+    status, error = 1, None
     started = time.perf_counter()
     try:
-        status = handlers[args.command]()
+        status = spec.handler(cfg)
     except FileNotFoundError as err:
         print(f"varkg: {err}", file=sys.stderr)
-        return 2
+        status, error = 2, type(err).__name__
     except VarkgError as err:
         print(f"varkg: {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
-    wall = time.perf_counter() - started
-    effective = dict(config)
-    effective.update({key: value for key, value in sorted(vars(args).items())
-                      if key not in ("command", "config") and value is not None})
-    effective.update({"command": args.command, "seed": seed})
-    _write_manifest(outdir, args.command, effective, seed, wall)
+        error = type(err).__name__
+    except Exception as err:
+        error = type(err).__name__
+        raise
+    finally:
+        _write_manifest(args.command, cfg, status, error, time.perf_counter() - started)
     return status
 
 

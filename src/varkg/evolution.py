@@ -192,6 +192,8 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
         raise InvalidParameter(f"t_max must be positive and finite, got {t_max!r}")
     if not (blowup_factor > 1.0):
         raise InvalidParameter("blowup_factor must exceed 1")
+    if not (cfl > 0.0) or not math.isfinite(cfl):
+        raise InvalidParameter(f"cfl must be positive and finite, got {cfl!r}")
     grid = u0.grid
     h = grid.spacing
     n_steps = max(1, math.ceil(t_max / (cfl * h)))

@@ -62,7 +62,7 @@ class PowerKG:
 
 @dataclass(frozen=True)
 class GeneralG:
-    """User-registered nonlinearity given by g, its primitive G, and mass rho.
+    """General nonlinearity given by g, its primitive G, and mass rho.
 
     G must vanish at 0 and behave like -(rho/2) s^2 near 0; both are
     checked numerically at construction (s = 1e-3, 1e-4, 1e-5).  The
@@ -91,29 +91,13 @@ class GeneralG:
 
 Nonlinearity = Union[PowerKG, GeneralG]
 
-_REGISTRY: dict[str, GeneralG] = {}
-
-
-def register_general(nl: GeneralG) -> GeneralG:
-    """Register a general nonlinearity under its name for CLI lookup."""
-    _REGISTRY[nl.name] = nl
-    return nl
-
-
-def get_general(name: str) -> GeneralG:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise Unsupported(f"no registered nonlinearity named {name!r}") from None
-
-
 # pure mass term: the linear Klein-Gordon limit, handy for evolution checks
-LINEAR_KG = register_general(GeneralG(
+LINEAR_KG = GeneralG(
     name="linear_kg",
     g=lambda s: -s,
     G=lambda s: -0.5 * s**2,
     rho=1.0,
-))
+)
 
 
 def check_subcritical(p: float, dimension: int) -> None:

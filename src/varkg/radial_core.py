@@ -227,8 +227,11 @@ def load_profile(path) -> GridFunction:
         header = f.readline().strip()
         if not header.startswith("#"):
             raise InvalidInput(f"missing grid header in {path}")
-        fields = dict(part.split("=") for part in header[1:].split())
-        grid = RadialGrid(int(fields["N"]), float(fields["R"]), int(fields["M"]))
+        try:
+            fields = dict(part.split("=") for part in header[1:].split())
+            grid = RadialGrid(int(fields["N"]), float(fields["R"]), int(fields["M"]))
+        except (KeyError, ValueError):
+            raise InvalidInput(f"malformed grid header {header!r} in {path}") from None
         columns = f.readline().strip().split(",")
         rows = [line.strip().split(",") for line in f if line.strip()]
     if len(rows) != grid.cells + 1:

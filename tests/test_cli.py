@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from varkg import RadialGrid, closed_form_1d, save_profile
 from varkg.cli import run
@@ -28,6 +29,24 @@ def test_config_errors(tmp_path, capsys):
     listy.write_text("[1, 2]")
     assert run(["--config", str(listy), "selftest"]) == 2
     capsys.readouterr()
+    for value in ({"M": "abc"}, {"p": "x"}):
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps(value))
+        out = tmp_path / "never"
+        assert run(["--config", str(typed), "ground-state", "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("varkg: InvalidInput: ")
+        assert not out.exists()
+
+
+def test_config_values_read_as_flag_text(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"p": "3", "alpha": 1, "beta": "0", "M": "ignored"}))
+    assert run(["--config", str(config), "functionals", "--outdir", str(tmp_path)]) == 2
+    manifest = read_json(tmp_path / "manifest.json")
+    assert manifest["config"] == {"outdir": str(tmp_path), "profile": None, "p": 3.0,
+                                  "omega": 0.0, "alpha": 1.0, "beta": 0.0}
+    assert (manifest["status"], manifest["error"]) == (2, None)
+    capsys.readouterr()
 
 
 def test_selftest_passes(tmp_path, capsys):
@@ -38,7 +57,16 @@ def test_selftest_passes(tmp_path, capsys):
     assert "FAIL" not in out.replace("PASS/FAIL", "")
     manifest = read_json(tmp_path / "manifest.json")
     assert manifest["command"] == "selftest"
+    assert manifest["config"] == {"outdir": str(tmp_path)}
+    assert (manifest["status"], manifest["error"]) == (0, None)
     assert "config_hash" in manifest and "versions" in manifest
+
+
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["selftest", "--p", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --p 3" in capsys.readouterr().err
 
 
 def test_ground_state_artifacts(tmp_path, capsys):
@@ -53,6 +81,7 @@ def test_ground_state_artifacts(tmp_path, capsys):
     assert len(profile) == 1003  # two header lines plus M+1 nodes
     manifest = read_json(tmp_path / "manifest.json")
     assert manifest["config"]["M"] == 1000
+    assert manifest["config"]["bracket_lo"] == 1.0  # defaults are recorded too
     capsys.readouterr()
 
 
@@ -95,6 +124,9 @@ def test_path_rejects_invalid_pair(tmp_path, capsys):
     assert run(["path", "--from", str(src), "--alpha", "1", "--beta", "2",
                 "--outdir", str(tmp_path)]) == 1
     assert "WrongRegion" in capsys.readouterr().err
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "WrongRegion")
+    assert manifest["config"]["beta"] == 2.0
 
 
 def test_evolve_is_deterministic(tmp_path, capsys):

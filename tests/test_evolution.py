@@ -144,6 +144,13 @@ def test_evolve_input_validation(nl3):
         evolve(zero, other, nl3, t_max=1.0)
 
 
+@pytest.mark.parametrize("cfl", [0.0, -1.0, math.nan, math.inf])
+def test_evolve_rejects_bad_cfl(nl3, cfl):
+    zero = GridFunction.zeros(RadialGrid(2, 10.0, 100))
+    with pytest.raises(InvalidParameter, match="cfl"):
+        evolve(zero, zero, nl3, t_max=1.0, cfl=cfl)
+
+
 def test_initial_data_at_unity_is_boundary(townes):
     u, report = make_initial_data(townes, 1.0, 1.0)
     assert np.array_equal(u.values, townes.profile.values)

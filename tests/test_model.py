@@ -32,7 +32,6 @@ from varkg import (
     pohozaev_residual,
     power_integral,
 )
-from varkg.model import get_general, register_general
 
 
 def test_power_kg_validation():
@@ -114,15 +113,6 @@ def test_constraint_is_linear_in_exponents(townes, nl3):
 def test_energy_matches_action_at_rest(townes, nl3):
     zero = GridFunction(townes.grid, np.zeros(townes.grid.cells + 1))
     assert energy_E(townes.profile, zero, nl3) == action_S(townes.profile, nl3)
-
-
-def test_general_nonlinearity_registry():
-    nl = GeneralG(name="cubic_test", g=lambda s: -s + s**3,
-                  G=lambda s: -0.5 * s**2 + 0.25 * s**4, rho=1.0)
-    register_general(nl)
-    assert get_general("cubic_test") is nl
-    with pytest.raises(Unsupported):
-        get_general("no_such_model")
 
 
 def test_general_nonlinearity_validation():

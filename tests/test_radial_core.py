@@ -148,6 +148,15 @@ def test_load_rejects_missing_header(tmp_path):
         load_profile(path)
 
 
+@pytest.mark.parametrize("header", ["# N=2 R=x M=10", "# N2 R=1 M=10", "# N=2 R=1"])
+def test_load_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"{0.1 * i:.17g},0\n" for i in range(11))
+    path.write_text(f"{header}\nr,value\n{rows}")
+    with pytest.raises(InvalidInput, match="malformed grid header"):
+        load_profile(path)
+
+
 def test_strauss_profile_shape_and_bound(townes):
     ratios = strauss_decay_profile(townes.profile)
     assert ratios.shape == (townes.grid.cells - 1,)
