@@ -52,6 +52,7 @@ from .ground_state import (
     shoot_radial,
 )
 from .model import (
+    AMPLITUDE_RAY,
     INTERIOR,
     INVALID,
     LIMIT,
@@ -66,13 +67,14 @@ from .model import (
     dynamic_pair,
     energy_E,
     kinetic_T,
+    moments,
     nehari_K,
     pohozaev_P,
     pohozaev_residual,
     power_integral,
+    ray_exponents,
 )
 from .paths import (
-    AMPLITUDE_RAY,
     KineticReport,
     MinimizationReport,
     PathSample,

@@ -35,20 +35,8 @@ from .evolution import (
     make_initial_data,
 )
 from .ground_state import closed_form_1d, least_energy, shoot_radial
-from .model import (
-    INTERIOR,
-    LIMIT,
-    PowerKG,
-    action_S,
-    classify_exponents,
-    constraint_K,
-    kinetic_T,
-    nehari_K,
-    pohozaev_P,
-    pohozaev_residual,
-)
+from .model import AMPLITUDE_RAY, INTERIOR, LIMIT, PowerKG, classify_exponents, moments
 from .paths import (
-    AMPLITUDE_RAY,
     build_path_interior,
     build_path_limit,
     default_trial_family,
@@ -56,13 +44,7 @@ from .paths import (
     verify_T_min_over_P,
     verify_min_on_constraint,
 )
-from .radial_core import (
-    GridFunction,
-    RadialGrid,
-    h1_norm_sq,
-    load_profile,
-    save_profile,
-)
+from .radial_core import GridFunction, RadialGrid, load_profile, save_profile
 
 
 def float_list(text) -> list[float]:
@@ -190,19 +172,21 @@ def _cmd_functionals(cfg):
         return 2
     v = load_profile(cfg.profile)
     nl = PowerKG(cfg.p, cfg.omega)
+    n = v.grid.dimension
+    m = moments(v, nl)
     payload = {
-        "S": action_S(v, nl),
-        "T": kinetic_T(v),
-        "P": pohozaev_P(v, nl),
-        "nehari_K": nehari_K(v, nl),
-        "pohozaev_residual": pohozaev_residual(v, nl),
-        "h1_norm_sq": h1_norm_sq(v),
+        "S": m.action(nl),
+        "T": m.kinetic,
+        "P": m.potential(nl),
+        "nehari_K": m.nehari(nl),
+        "pohozaev_residual": m.pohozaev_residual(nl, n),
+        "h1_norm_sq": m.h1,
     }
     if cfg.alpha is not None and cfg.beta is not None:
-        se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, v.grid.dimension)
+        se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, n)
         payload["alpha"], payload["beta"] = cfg.alpha, cfg.beta
         payload["region"] = se.region
-        payload["K"] = constraint_K(v, nl, se)
+        payload["K"] = m.constraint(nl, se, n)
     _write_json(os.path.join(cfg.outdir, "functionals.json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -385,10 +369,11 @@ def _cmd_selftest(cfg):
     m = least_energy(gs)
     print(f"m = {m:.6f}")
     check("S(phi)", m, 4.0 / 3.0, 1e-4)
-    check("T(phi)", kinetic_T(gs.profile), 2.0 / 3.0, 1e-4)
-    check("P(phi)", pohozaev_P(gs.profile, nl), -2.0 / 3.0, 1e-4)
-    check("K(phi)", nehari_K(gs.profile, nl), 0.0, 1e-4)
-    check("pohozaev_residual(phi)", pohozaev_residual(gs.profile, nl), 0.0, 1e-4)
+    phi = moments(gs.profile, nl)
+    check("T(phi)", phi.kinetic, 2.0 / 3.0, 1e-4)
+    check("P(phi)", phi.potential(nl), -2.0 / 3.0, 1e-4)
+    check("K(phi)", phi.nehari(nl), 0.0, 1e-4)
+    check("pohozaev_residual(phi)", phi.pohozaev_residual(nl, grid.dimension), 0.0, 1e-4)
     se = classify_exponents(1.0, 0.0, 3.0, 1)
     path = build_path_interior(gs.profile, nl, se)
     check("path max action", path.max_action, m, 1e-3)

@@ -22,21 +22,13 @@ from .errors import (
     Unsupported,
 )
 from .ground_state import GroundState, least_energy
-from .model import (
-    ScalingExponents,
-    action_S,
-    dynamic_pair,
-    energy_E,
-    kinetic_T,
-    pohozaev_P,
-)
+from .model import ScalingExponents, dynamic_pair, moments
 from .paths import rescale
 from .radial_core import (
     SPHERE_SURFACE,
     GridFunction,
     RadialGrid,
     _derivative_kernel,
-    h1_norm_sq,
     require_same_grid,
 )
 
@@ -165,14 +157,11 @@ def discrete_energy(u: GridFunction, v: GridFunction, nl) -> float:
 
 def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
             nl, m_ref: float | None) -> TrajectoryRecord:
-    gu = GridFunction(grid, u)
     energy = _discrete_energy(u, v, grid, nl)
-    action = action_S(gu, nl)
-    p_val = pohozaev_P(gu, nl)
-    kin = kinetic_T(gu)
-    h1 = math.sqrt(h1_norm_sq(gu))
+    m = moments(GridFunction(grid, u), nl)
+    p_val = m.potential(nl)
     in_set = m_ref is not None and energy < m_ref and p_val > 0.0
-    return TrajectoryRecord(t, energy, action, p_val, kin, h1, in_set)
+    return TrajectoryRecord(t, energy, m.action(nl), p_val, m.kinetic, math.sqrt(m.h1), in_set)
 
 
 def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
@@ -268,11 +257,12 @@ def make_initial_data(gs: GroundState, lam: float, mu: float,
     stretched = rescale(base, 1.0 / mu, ScalingExponents(0.0, 1.0, ""))
     u = GridFunction(base.grid, lam * stretched.values)
     m_ref = least_energy(gs)
-    zero = GridFunction.zeros(base.grid)
-    energy = energy_E(u, zero, nl)
-    p_val = pohozaev_P(u, nl)
+    m = moments(u, nl)
+    action = m.action(nl)
+    p_val = m.potential(nl)
+    energy = action  # E(u, 0) = S(u): the data start at rest
     report = {
-        "action": action_S(u, nl),
+        "action": action,
         "p_value": p_val,
         "energy": energy,
         "m_ref": m_ref,

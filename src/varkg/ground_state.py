@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, InvalidInput
-from .model import (
-    PowerKG,
-    action_S,
-    check_subcritical,
-    nehari_K,
-    pohozaev_residual,
-)
-from .radial_core import GridFunction, RadialGrid, h1_norm_sq
+from .model import PowerKG, check_subcritical, moments
+from .radial_core import GridFunction, RadialGrid
 
 # invariant tolerances, relative to the natural scale of each identity
 ODE_RESIDUAL_TOL = 1e-4        # times phi(0)^p
@@ -86,9 +80,10 @@ def _validate(profile: GridFunction, nl: PowerKG) -> GroundState:
     if ode_res > ODE_RESIDUAL_TOL * a**nl.p:
         raise ConvergenceError(
             f"equation residual {ode_res:.3e} exceeds {ODE_RESIDUAL_TOL:.0e} * phi(0)^p")
-    h1 = h1_norm_sq(profile)
-    kn = nehari_K(profile, nl)
-    pz = pohozaev_residual(profile, nl)
+    m = moments(profile, nl)
+    h1 = m.h1
+    kn = m.nehari(nl)
+    pz = m.pohozaev_residual(nl, profile.grid.dimension)
     if abs(kn) > CONSTRAINT_TOL * h1:
         raise ConvergenceError(f"Nehari residual {kn:.3e} too large for H1 norm {h1:.3e}")
     if abs(pz) > CONSTRAINT_TOL * h1:
@@ -96,7 +91,7 @@ def _validate(profile: GridFunction, nl: PowerKG) -> GroundState:
     return GroundState(
         profile=profile,
         nonlinearity=nl,
-        level=action_S(profile, nl),
+        level=m.action(nl),
         center_value=a,
         ode_residual=ode_res,
         nehari_residual=kn,

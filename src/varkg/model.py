@@ -10,13 +10,18 @@ power family.  Rescalings v_lambda(x) = lambda^alpha v(lambda^beta x)
 differentiate the action into the two-parameter constraint functional
 K_{alpha,beta}; admissible exponent pairs split into an interior region
 and its limit boundary, classified here with exact comparisons.
+
+Every functional is a linear form in three moments of v, the squared
+gradient and L2 norms and the potential integral, so the moments are
+computed once (`moments`) and each form is written once, on `Moments`.
+Along a ray the moments scale by the powers `ray_exponents` gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -119,14 +124,29 @@ class ScalingExponents:
     region: str
 
 
+AMPLITUDE_RAY = ScalingExponents(1.0, 0.0, INTERIOR)
+
+
+def ray_exponents(alpha: float, beta: float, p: float,
+                  dimension: int) -> tuple[float, float, float]:
+    """Powers of lambda by which (||grad v||^2, ||v||^2, ||v||_{p+1}^{p+1})
+    scale along v_lambda = lambda^a v(lambda^b x): 2a - b(N-2), 2a - bN and
+    a(p+1) - bN, with (a, b) = (alpha, beta)."""
+    return (2.0 * alpha - beta * (dimension - 2),
+            2.0 * alpha - beta * dimension,
+            alpha * (p + 1.0) - beta * dimension)
+
+
 def classify_exponents(alpha: float, beta: float, p: float, dimension: int) -> ScalingExponents:
     """Classify an exponent pair for the power p in the given dimension.
 
     Interior:  beta < 0,  alpha (p-1) - 2 beta >= 0,  2 alpha - beta (N-2) > 0
            or  beta >= 0, alpha (p-1) - 2 beta >= 0,  2 alpha - beta N > 0.
     Limit: same families with the strict inequality degenerating to
-    equality (beta != 0).  Comparisons are exact; callers who need fuzz
-    must round their exponents first.
+    equality (beta != 0).  The conditions compare ray exponents (alpha (p-1)
+    - 2 beta is the power one minus the gradient one), so an interior pair
+    scales all three moments by positive powers.  Comparisons are exact;
+    callers who need fuzz must round their exponents first.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise InvalidInput("exponents must be finite")
@@ -134,14 +154,12 @@ def classify_exponents(alpha: float, beta: float, p: float, dimension: int) -> S
         raise InvalidInput(f"power must satisfy p > 1, got {p!r}")
     if dimension not in (1, 2, 3):
         raise InvalidInput(f"dimension must be 1, 2, or 3, got {dimension!r}")
-    slope_ok = alpha * (p - 1) - 2.0 * beta >= 0.0
-    grad_coef = 2.0 * alpha - beta * (dimension - 2)
-    mass_coef = 2.0 * alpha - beta * dimension
+    grad_exp, mass_exp, pot_exp = ray_exponents(alpha, beta, p, dimension)
     region = INVALID
-    if slope_ok:
-        if beta < 0 and grad_coef > 0 or beta >= 0 and mass_coef > 0:
+    if pot_exp >= grad_exp:
+        if beta < 0 and grad_exp > 0 or beta >= 0 and mass_exp > 0:
             region = INTERIOR
-        elif beta < 0 and grad_coef == 0 or beta > 0 and mass_coef == 0:
+        elif beta < 0 and grad_exp == 0 or beta > 0 and mass_exp == 0:
             region = LIMIT
     return ScalingExponents(float(alpha), float(beta), region)
 
@@ -157,70 +175,109 @@ def power_integral(v: GridFunction, q: float) -> float:
     return out
 
 
-def _g_integral_general(v: GridFunction, nl: GeneralG) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = nl.G(np.abs(v.values))
-    out = float(np.sum(v.grid.weights * vals))
-    if not math.isfinite(out):
-        raise NumericalOverflow("int G(v) left the representable range")
-    return out
+class Moments(NamedTuple):
+    """The three integrals every functional here is a linear form in.
+
+    grad = ||grad v||^2 and l2 = ||v||^2; pot = ||v||_{p+1}^{p+1} for the
+    power family and int G(|v|) for a general nonlinearity.  The forms take
+    the nonlinearity the moments were built for (and N where they need it).
+    """
+
+    grad: float
+    l2: float
+    pot: float
+
+    @property
+    def h1(self) -> float:
+        """||v||_H1^2 = ||v||^2 + ||grad v||^2."""
+        return self.l2 + self.grad
+
+    @property
+    def kinetic(self) -> float:
+        """T = (1/2) ||grad v||^2."""
+        return 0.5 * self.grad
+
+    def potential(self, nl: Nonlinearity) -> float:
+        """P = int G(v) = -(m0/2) ||v||^2 + ||v||_{p+1}^{p+1} / (p+1) for the power family."""
+        if isinstance(nl, PowerKG):
+            return -0.5 * nl.mass * self.l2 + self.pot / (nl.p + 1.0)
+        return self.pot
+
+    def action(self, nl: Nonlinearity) -> float:
+        """S = T - P; for the power family the three-term form
+        (1/2)||grad v||^2 + (m0/2)||v||^2 - ||v||_{p+1}^{p+1} / (p+1)."""
+        if isinstance(nl, PowerKG):
+            return 0.5 * self.grad + 0.5 * nl.mass * self.l2 - self.pot / (nl.p + 1.0)
+        return self.kinetic - self.pot
+
+    def constraint(self, nl: Nonlinearity, se: ScalingExponents, dimension: int) -> float:
+        """K_{alpha,beta} = d/dlambda S(v_lambda) at lambda = 1 (power family only).
+
+        With (a, b, c) the ray exponents this is
+        (a/2) ||grad v||^2 + (b m0 / 2) ||v||^2 - (c/(p+1)) ||v||_{p+1}^{p+1};
+        the region label is not consulted.
+        """
+        if not isinstance(nl, PowerKG):
+            raise Unsupported("the scaling constraint is implemented for the power family only")
+        a, b, c = ray_exponents(se.alpha, se.beta, nl.p, dimension)
+        return 0.5 * a * self.grad + 0.5 * b * nl.mass * self.l2 - c / (nl.p + 1.0) * self.pot
+
+    def nehari(self, nl: Nonlinearity) -> float:
+        """K_{1,0}; the dimension drops out of the amplitude ray's exponents."""
+        return self.constraint(nl, AMPLITUDE_RAY, 1)
+
+    def pohozaev_residual(self, nl: Nonlinearity, dimension: int) -> float:
+        """((N-2)/2) ||grad v||^2 - N P; vanishes at solutions."""
+        return 0.5 * (dimension - 2) * self.grad - dimension * self.potential(nl)
+
+    def scaled(self, lam: float, se: ScalingExponents, p: float, dimension: int) -> "Moments":
+        """Exact moments of lambda^alpha v(lambda^beta x) on the whole space."""
+        a, b, c = ray_exponents(se.alpha, se.beta, p, dimension)
+        # tuple.__new__ skips NamedTuple's slow constructor; projections scan 321 lambdas
+        return tuple.__new__(Moments, (self.grad * lam**a, self.l2 * lam**b, self.pot * lam**c))
+
+
+def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
+    """The gradient, L2 and potential moments of v (on |v| for complex v)."""
+    if isinstance(nl, PowerKG):
+        pot = power_integral(v, nl.p + 1.0)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pot = float(np.sum(v.grid.weights * nl.G(np.abs(v.values))))
+        if not math.isfinite(pot):
+            raise NumericalOverflow("int G(v) left the representable range")
+    return Moments(grad_norm_sq(v), l2_norm_sq(v), pot)
 
 
 def pohozaev_P(v: GridFunction, nl: Nonlinearity) -> float:
     """P(v) = int G(v) dx, evaluated on |v| for complex inputs."""
-    if isinstance(nl, PowerKG):
-        return (-0.5 * nl.mass * l2_norm_sq(v)
-                + power_integral(v, nl.p + 1.0) / (nl.p + 1.0))
-    return _g_integral_general(v, nl)
+    return moments(v, nl).potential(nl)
 
 
 def kinetic_T(v: GridFunction) -> float:
-    """T(v) = (1/2) ||grad v||^2."""
-    return 0.5 * grad_norm_sq(v)
+    """T(v) = (1/2) ||grad v||^2; needs the gradient moment only."""
+    return Moments(grad_norm_sq(v), 0.0, 0.0).kinetic
 
 
 def action_S(v: GridFunction, nl: Nonlinearity) -> float:
-    """S(v) = (1/2) ||grad v||^2 - int G(v).
-
-    For the power family this is the three-term form
-    (1/2)||grad v||^2 + (m0/2)||v||^2 - ||v||_{p+1}^{p+1} / (p+1).
-    """
-    if isinstance(nl, PowerKG):
-        return (0.5 * grad_norm_sq(v) + 0.5 * nl.mass * l2_norm_sq(v)
-                - power_integral(v, nl.p + 1.0) / (nl.p + 1.0))
-    return kinetic_T(v) - _g_integral_general(v, nl)
+    """S(v) = (1/2) ||grad v||^2 - int G(v)."""
+    return moments(v, nl).action(nl)
 
 
 def constraint_K(v: GridFunction, nl: Nonlinearity, se: ScalingExponents) -> float:
-    """K_{alpha,beta}(v): derivative of S along the (alpha, beta) rescaling.
-
-    Power family only; the closed form is
-
-        ((2a - b(N-2))/2) ||grad v||^2 + ((2a - bN) m0 / 2) ||v||^2
-        - ((a(p+1) - bN)/(p+1)) ||v||_{p+1}^{p+1}
-
-    with (a, b) = (alpha, beta).  Defined for every exponent pair; the
-    region label is not consulted.
-    """
-    if not isinstance(nl, PowerKG):
-        raise Unsupported("the scaling constraint is implemented for the power family only")
-    n = v.grid.dimension
-    grad_coef = 0.5 * (2.0 * se.alpha - se.beta * (n - 2))
-    mass_coef = 0.5 * (2.0 * se.alpha - se.beta * n) * nl.mass
-    power_coef = (se.alpha * (nl.p + 1.0) - se.beta * n) / (nl.p + 1.0)
-    return (grad_coef * grad_norm_sq(v) + mass_coef * l2_norm_sq(v)
-            - power_coef * power_integral(v, nl.p + 1.0))
+    """K_{alpha,beta}(v): derivative of S along the (alpha, beta) rescaling
+    (power family only; closed form in Moments.constraint)."""
+    return moments(v, nl).constraint(nl, se, v.grid.dimension)
 
 
 def nehari_K(v: GridFunction, nl: Nonlinearity) -> float:
     """K_{1,0}(v): the amplitude-scaling (Nehari) constraint value."""
-    return constraint_K(v, nl, ScalingExponents(1.0, 0.0, INTERIOR))
+    return moments(v, nl).nehari(nl)
 
 
 def pohozaev_residual(v: GridFunction, nl: Nonlinearity) -> float:
     """((N-2)/2) ||grad v||^2 - N int G(v); vanishes at solutions."""
-    n = v.grid.dimension
-    return 0.5 * (n - 2) * grad_norm_sq(v) - n * pohozaev_P(v, nl)
+    return moments(v, nl).pohozaev_residual(nl, v.grid.dimension)
 
 
 def energy_E(u: GridFunction, v: GridFunction, nl: Nonlinearity) -> float:

@@ -1,11 +1,14 @@
 """Scaling families, constraint projections, and mountain-pass paths.
 
 The central object is the two-parameter rescaling v_lambda = lambda^alpha
-v(lambda^beta x).  Along any such ray the action is an explicit three-term
-power law in lambda, so every evaluation here has two routes: resample the
-profile on the grid and integrate, or scale the three base integrals
-exactly.  The discrete route is preferred; the algebraic route takes over
-when the rescaled profile no longer fits the grid.
+v(lambda^beta x).  Every functional is a linear form in the moments of
+model.Moments, and along a ray each moment is a power of lambda, so the
+moments of v_lambda have two sources: the moments of the profile resampled
+on the grid, or the base moments scaled exactly (Moments.scaled).  The
+resampled moments are preferred; the scaled ones take over when the
+rescaled profile no longer fits the grid, and they locate the bracket of
+every constraint projection.  This module does no arithmetic of its own
+on the moments.
 """
 
 from __future__ import annotations
@@ -31,30 +34,25 @@ from .errors import (
     WrongRegion,
 )
 from .model import (
+    AMPLITUDE_RAY,
     INTERIOR,
     LIMIT,
+    Moments,
     PowerKG,
     ScalingExponents,
-    action_S,
     classify_exponents,
     constraint_K,
     kinetic_T,
+    moments,
     pohozaev_P,
-    power_integral,
 )
-from .radial_core import (
-    GridFunction,
-    grad_norm_sq,
-    h1_norm_sq,
-    l2_norm_sq,
-)
+from .radial_core import GridFunction, l2_norm_sq
 
 # |K| <= tol * ||v||_H1^2 counts as "on the constraint"; matches the
 # Nehari tolerance a validated ground state is allowed to carry
 ON_CONSTRAINT_TOL = 1e-3
 PROJECTION_TOL = 1e-8          # residual bound for projections, same relative scale
 C_SEARCH_CAP = 2.0**30
-AMPLITUDE_RAY = ScalingExponents(1.0, 0.0, INTERIOR)
 
 
 def rescale(v: GridFunction, lam: float, se: ScalingExponents,
@@ -92,52 +90,19 @@ def rescale(v: GridFunction, lam: float, se: ScalingExponents,
     return GridFunction(grid, new_vals)
 
 
-# -- scaling algebra ----------------------------------------------------------
-#
-# base integrals (||grad v||^2, ||v||^2, ||v||_{p+1}^{p+1}) scale along the
-# ray with exponents a = 2a-b(N-2), b = 2a-bN, c = a(p+1)-bN.
-
-def _ray_exponents(se: ScalingExponents, p: float, dimension: int) -> tuple[float, float, float]:
-    a = 2.0 * se.alpha - se.beta * (dimension - 2)
-    b = 2.0 * se.alpha - se.beta * dimension
-    c = se.alpha * (p + 1.0) - se.beta * dimension
-    return a, b, c
-
-
-def _triple(v: GridFunction, nl: PowerKG) -> tuple[float, float, float]:
-    return grad_norm_sq(v), l2_norm_sq(v), power_integral(v, nl.p + 1.0)
-
-
-def _scale_triple(triple: tuple[float, float, float], lam: float,
-                  se: ScalingExponents, p: float, dimension: int) -> tuple[float, float, float]:
-    a, b, c = _ray_exponents(se, p, dimension)
-    return triple[0] * lam**a, triple[1] * lam**b, triple[2] * lam**c
-
-
-def _action_of(triple: tuple[float, float, float], nl: PowerKG) -> float:
-    return 0.5 * triple[0] + 0.5 * nl.mass * triple[1] - triple[2] / (nl.p + 1.0)
-
-
-def _constraint_of(triple: tuple[float, float, float], nl: PowerKG,
-                   se: ScalingExponents, dimension: int) -> float:
-    a, b, c = _ray_exponents(se, nl.p, dimension)
-    return 0.5 * a * triple[0] + 0.5 * b * nl.mass * triple[1] - c / (nl.p + 1.0) * triple[2]
-
-
-def _triple_at(v: GridFunction, nl: PowerKG, se: ScalingExponents,
-               lam: float) -> tuple[float, float, float]:
-    """Base integrals of v_lambda: discrete when representable, exact otherwise."""
+def _moments_at(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) -> Moments:
+    """Moments of v_lambda: resampled when representable, scaled base moments otherwise."""
     try:
-        return _triple(rescale(v, lam, se), nl)
+        return moments(rescale(v, lam, se), nl)
     except TruncationOverflow:
-        return _scale_triple(_triple(v, nl), lam, se, nl.p, v.grid.dimension)
+        return moments(v, nl).scaled(lam, se, nl.p, v.grid.dimension)
 
 
 def family_action(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) -> float:
     """S(v_lambda); lam = 0 gives the zero function, hence 0."""
     if lam == 0.0:
         return 0.0
-    return _action_of(_triple_at(v, nl, se, lam), nl)
+    return _moments_at(v, nl, se, lam).action(nl)
 
 
 def action_profile(v: GridFunction, nl: PowerKG, se: ScalingExponents,
@@ -181,13 +146,13 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     if ray is None:
         ray = se
     n = v.grid.dimension
-    base = _triple(v, nl)
-    h1 = h1_norm_sq(v)
+    base = moments(v, nl)
+    h1 = base.h1
     if h1 == 0.0:
         raise InvalidInput("cannot project the zero function")
 
     def k_algebra(lam: float) -> float:
-        return _constraint_of(_scale_triple(base, lam, ray, nl.p, n), nl, se, n)
+        return base.scaled(lam, ray, nl.p, n).constraint(nl, se, n)
 
     lams = np.geomspace(1e-4, 1e4, 321)
     kvals = np.array([k_algebra(lam) for lam in lams])
@@ -330,8 +295,9 @@ def _refine_argmax(ts: list, ss: list, evaluate, rel_tol: float = 1e-6,
 
 
 def _require_on_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> None:
-    residual = constraint_K(v, nl, se)
-    if abs(residual) > ON_CONSTRAINT_TOL * h1_norm_sq(v):
+    m = moments(v, nl)
+    residual = m.constraint(nl, se, v.grid.dimension)
+    if abs(residual) > ON_CONSTRAINT_TOL * m.h1:
         raise NotOnConstraint(
             f"K_({se.alpha:g},{se.beta:g}) = {residual:.3e} is not zero at this profile")
 
@@ -394,17 +360,14 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     if _region_of(se, nl, grid.dimension) != LIMIT:
         raise WrongRegion(f"({se.alpha:g},{se.beta:g}) is not a limit pair here")
     _require_on_constraint(v, nl, se)
-    p1 = nl.p + 1.0
-
-    def amp_action(triple: tuple[float, float, float], t: float) -> float:
-        quad = 0.5 * triple[0] + 0.5 * nl.mass * triple[1]
-        return t * t * quad - t**p1 * triple[2] / p1
+    n = grid.dimension
 
     # lambda0: the amplitude segment toward v_{lambda0} must rise monotonically
     lam0 = 0.5
     for _ in range(40):
-        triple0 = _triple_at(v, nl, se, lam0)
-        svals = [amp_action(triple0, t) for t in np.linspace(0.0, 1.0, 65)]
+        m_lam0 = _moments_at(v, nl, se, lam0)
+        svals = [m_lam0.scaled(t, AMPLITUDE_RAY, nl.p, n).action(nl)
+                 for t in np.linspace(0.0, 1.0, 65)]
         if np.all(np.diff(svals) > 0.0):
             break
         lam0 *= 0.5
@@ -414,10 +377,9 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     # C: ray endpoint with either negative action or nonpositive Nehari value
     big_c = 2.0
     while True:
-        triple_c = _triple_at(v, nl, se, big_c)
-        s_c = _action_of(triple_c, nl)
-        nehari_c = triple_c[0] + nl.mass * triple_c[1] - triple_c[2]
-        if s_c < 0.0 or nehari_c <= 0.0:
+        m_c = _moments_at(v, nl, se, big_c)
+        s_c = m_c.action(nl)
+        if s_c < 0.0 or m_c.nehari(nl) <= 0.0:
             break
         big_c *= 2.0
         if big_c > C_SEARCH_CAP:
@@ -427,7 +389,7 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     t_end = 1.0
     if s_c >= 0.0:
         t_end = 2.0
-        while amp_action(triple_c, t_end) >= 0.0:
+        while m_c.scaled(t_end, AMPLITUDE_RAY, nl.p, n).action(nl) >= 0.0:
             t_end *= 2.0
             if t_end > C_SEARCH_CAP:
                 raise NoNegativeEndpoint("final amplitude segment never turns negative")
@@ -439,11 +401,12 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents,
 
     def evaluate(t: float) -> float:
         if t <= t_a:
-            return amp_action(triple0, t / t_a)
+            return m_lam0.scaled(t / t_a, AMPLITUDE_RAY, nl.p, n).action(nl)
         if t <= t_b:
             lam = lam0 * math.exp(log_ratio * (t - t_a) / (t_b - t_a))
-            return _action_of(_triple_at(v, nl, se, lam), nl)
-        return amp_action(triple_c, 1.0 + (t_end - 1.0) * (t - t_b) / (1.0 - t_b))
+            return family_action(v, nl, se, lam)
+        amp = 1.0 + (t_end - 1.0) * (t - t_b) / (1.0 - t_b)
+        return m_c.scaled(amp, AMPLITUDE_RAY, nl.p, n).action(nl)
 
     per = max(samples, 64)
     ts = list(np.linspace(0.0, t_a, per))
@@ -573,14 +536,13 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
             actions.append(None)
             continue
         lambdas.append(lam_star)
-        actions.append(action_S(projected, nl))
+        m = moments(projected, nl)
+        actions.append(m.action(nl))
         if region == INTERIOR:
-            # the ray profile of the projected triple transforms exactly
+            # the ray profile of the projected moments transforms exactly
             # under scaling; the resampled map would fold interpolation
             # error into the peak location for strongly compressed members
-            base_proj = _triple(projected, nl)
-            profile = [_action_of(_scale_triple(base_proj, lam, se, nl.p, dimension), nl)
-                       for lam in lam_grid]
+            profile = [m.scaled(lam, se, nl.p, dimension).action(nl) for lam in lam_grid]
             cells_off.append(abs(int(np.argmax(profile)) - unity_cell))
     evaluated = [(s, i) for i, s in enumerate(actions) if s is not None]
     if not evaluated:
@@ -633,8 +595,9 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
         tol = 1e-3 * abs(m_ref)
     lambdas, kinetics, skipped, failures = [], [], [], []
     for i, trial in enumerate(trials):
-        band = boundary_tol * h1_norm_sq(trial)
-        p_val = pohozaev_P(trial, nl)
+        m = moments(trial, nl)
+        band = boundary_tol * m.h1
+        p_val = m.potential(nl)
         if p_val < -band:
             skipped.append(i)
             lambdas.append(None)
@@ -642,7 +605,7 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
             continue
         if p_val <= band:
             lambdas.append(None)
-            kinetics.append(kinetic_T(trial))
+            kinetics.append(m.kinetic)
             continue
         try:
             lam0, projected = project_to_P_zero(trial, nl)

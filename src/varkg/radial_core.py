@@ -236,10 +236,16 @@ def load_profile(path) -> GridFunction:
         rows = [line.strip().split(",") for line in f if line.strip()]
     if len(rows) != grid.cells + 1:
         raise InvalidInput(f"expected {grid.cells + 1} rows, got {len(rows)}")
-    if columns == ["r", "re", "im"]:
-        vals = np.array([complex(float(a), float(b)) for _, a, b in rows])
-    elif columns == ["r", "value"]:
-        vals = np.array([float(a) for _, a in rows])
-    else:
+    if columns not in (["r", "re", "im"], ["r", "value"]):
         raise InvalidInput(f"unrecognized column layout {columns!r}")
-    return GridFunction(grid, vals)
+    try:
+        # a non-numeric cell, or rows of unequal length
+        table = np.array([[float(cell) for cell in row] for row in rows])
+    except ValueError:
+        raise InvalidInput(f"malformed data row in {path}") from None
+    if table.shape[1] != len(columns):
+        raise InvalidInput(f"data rows of {path} have {table.shape[1]} cells, "
+                           f"expected {len(columns)}")
+    if len(columns) == 3:
+        return GridFunction(grid, np.array([complex(a, b) for _, a, b in table]))
+    return GridFunction(grid, table[:, 1])

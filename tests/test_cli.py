@@ -114,6 +114,17 @@ def test_functionals_and_path_roundtrip(tmp_path, capsys):
 def test_functionals_requires_source(tmp_path, capsys):
     assert run(["functionals", "--outdir", str(tmp_path)]) == 2
     assert "--from" in capsys.readouterr().err
+    grid = RadialGrid(1, 25.0, 500)
+    src = tmp_path / "phi.csv"
+    save_profile(str(src), closed_form_1d(3.0, 0.0, grid).profile)
+    lines = src.read_text().splitlines()
+    lines[5] = "0.2,abc"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "bad"
+    assert run(["functionals", "--from", str(src), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("varkg: InvalidInput: ")
+    manifest = read_json(out / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "InvalidInput")
 
 
 def test_path_rejects_invalid_pair(tmp_path, capsys):

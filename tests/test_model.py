@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varkg import (
     GeneralG,
@@ -27,10 +29,13 @@ from varkg import (
     h1_norm_sq,
     kinetic_T,
     l2_norm_sq,
+    moments,
     nehari_K,
     pohozaev_P,
     pohozaev_residual,
     power_integral,
+    ray_exponents,
+    rescale,
 )
 
 
@@ -171,3 +176,55 @@ def test_complex_modulus_equality(nl3):
     w = GridFunction(g, np.abs(vals))
     assert pohozaev_P(v, nl3) == pohozaev_P(w, nl3)
     assert action_S(v, nl3) == action_S(w, nl3)
+
+
+@st.composite
+def exponent_cases(draw, max_beta, p_range):
+    """(alpha, beta, p, N): a free pair, or one on the gradient edge
+    2 alpha = beta (N-2) (beta < 0) or the mass edge 2 alpha = beta N (beta > 0)."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    p = draw(st.floats(*p_range, exclude_min=True, exclude_max=True))
+    beta = draw(st.floats(-max_beta, max_beta))
+    family = draw(st.sampled_from(("free", "gradient edge", "mass edge")))
+    if family == "free":
+        alpha = draw(st.floats(-2.0 * max_beta, 3.0 * max_beta))
+    elif family == "gradient edge":
+        beta = -abs(beta)
+        alpha = beta * (n - 2) / 2.0
+    else:
+        beta = abs(beta)
+        alpha = beta * n / 2.0
+    return alpha, beta, p, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=exponent_cases(4.0, (1.0, 9.0)))
+def test_region_fixes_signs_of_ray_exponents(case):
+    # build_path_interior relies on the first: its ray starts at the zero function
+    region = classify_exponents(*case).region
+    grad_exp, mass_exp, pot_exp = ray_exponents(*case)
+    if region == INTERIOR:
+        assert grad_exp > 0.0 and mass_exp > 0.0 and pot_exp > 0.0
+    if region == LIMIT:
+        assert grad_exp == 0.0 or mass_exp == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=exponent_cases(1.0, (1.0, 5.0)), lam=st.floats(0.5, 2.0),
+       amp=st.floats(0.1, 5.0), width=st.floats(0.5, 3.0))
+def test_scaled_moments_match_resampling(case, lam, amp, width):
+    # |beta| <= 1 keeps the stretch lambda^beta in [1/2, 2], so a Gaussian
+    # of width <= 3 loses no measurable mass past R = 20 and the narrowest
+    # resampled one (width 1/4) still spans 50 cells.  Measured worst
+    # relative difference: 6.0e-4 (the potential moment, N = 3, p -> 5,
+    # width 1/2 compressed twofold; 3.8e-4 over 13,000 random cases), so
+    # the tolerance is 1.5e-3.
+    alpha, beta, p, n = case
+    se = classify_exponents(alpha, beta, p, n)
+    assume(se.region != INVALID)
+    v = GridFunction.sample(RadialGrid(n, 20.0, 4000),
+                            lambda r: amp * np.exp(-((r / width) ** 2)))
+    nl = PowerKG(p)
+    resampled = moments(rescale(v, lam, se), nl)
+    scaled = moments(v, nl).scaled(lam, se, p, n)
+    assert np.allclose(resampled, scaled, rtol=1.5e-3, atol=0.0)

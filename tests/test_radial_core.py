@@ -157,6 +157,17 @@ def test_load_rejects_malformed_header(tmp_path, header):
         load_profile(path)
 
 
+@pytest.mark.parametrize("bad_row", ["0.5,abc", "0.5,0,1", "0.5"])
+def test_load_rejects_malformed_row(tmp_path, bad_row):
+    # a non-numeric cell, a row with an extra cell, a row missing its value
+    lines = [f"{0.25 * i:.17g},{math.exp(-0.25 * i):.17g}" for i in range(16)] + ["4,0"]
+    lines[2] = bad_row
+    path = tmp_path / "bad.csv"
+    path.write_text("# N=2 R=4 M=16\nr,value\n" + "\n".join(lines) + "\n")
+    with pytest.raises(InvalidInput, match="data row"):
+        load_profile(path)
+
+
 def test_strauss_profile_shape_and_bound(townes):
     ratios = strauss_decay_profile(townes.profile)
     assert ratios.shape == (townes.grid.cells - 1,)
