@@ -1,16 +1,17 @@
 """Radial wave dynamics u_tt = lap(u) + g(u) with invariant-set tracking.
 
-The integrator is the kick-drift-kick leapfrog on the radial grid, with
-the symmetric origin stencil and a homogeneous Dirichlet edge.  Blow-up
-is operationalized as escape of the H1 norm past a fixed multiple of its
-initial value; radiation reaching the outer boundary and loss of
-finiteness are separate recorded terminations, never silent states.
+The integrator is the kick-drift-kick leapfrog on one conservative radial
+operator per grid (Strauss & Vazquez, J. Comput. Phys. 28, 1978) with a
+homogeneous Dirichlet edge.  Blow-up is escape of the H1 norm past a
+fixed multiple of its initial value; radiation reaching the outer boundary
+and loss of finiteness are separate recorded terminations, never silent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     Unsupported,
 )
 from .ground_state import GroundState, least_energy
-from .model import ScalingExponents, dynamic_pair, moments
+from .model import GeneralG, ScalingExponents, dynamic_pair, moments
 from .paths import rescale
 from .radial_core import (
     SPHERE_SURFACE,
@@ -38,6 +39,7 @@ NON_FINITE = "NonFinite"
 BOUNDARY_CONTAMINATION = "BoundaryContamination"
 
 DEFAULT_CFL = 0.4
+RECORD_INTERVAL = 0.05    # time between diagnostic records, rounded to whole steps
 BOUNDARY_ZONE = 0.1       # outer fraction of the domain watched for contamination
 BOUNDARY_FRACTION = 0.01  # H1-norm fraction allowed to ARRIVE in that zone: the
                           # guard fires on growth past the initial fraction, so
@@ -80,18 +82,30 @@ class Trajectory:
     m_ref: float | None
 
 
-def radial_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Second-order radial Laplacian; the origin uses the symmetric stencil
-    lap(0) = 2N (u_1 - u_0)/h^2 and the Dirichlet edge is held at zero."""
-    h = grid.spacing
+@lru_cache(maxsize=8)
+def _operator(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float]:
+    """The grid's conservative operator: face[i] = surf r_{i+1/2}^(N-1) / h
+    weighs u_{i+1} - u_i, cell[i] = surf (r_{i+1/2}^N - r_{i-1/2}^N) / N is
+    the shell of node i ([0, h/2] and [R - h/2, R] at the ends), and stiffness
+    is the Gershgorin bound on -lap, cell-weighted symmetric, on free nodes."""
     n = grid.dimension
-    lap = np.zeros_like(values)
-    lap[0] = 2.0 * n * (values[1] - values[0]) / h**2
-    centered = values[2:] - 2.0 * values[1:-1] + values[:-2]
-    lap[1:-1] = centered / h**2
-    if n > 1:
-        lap[1:-1] += (n - 1) / grid.r[1:-1] * (values[2:] - values[:-2]) / (2.0 * h)
-    return lap
+    surf = SPHERE_SURFACE[n]
+    edges = np.concatenate(([0.0], grid.r[:-1] + 0.5 * grid.spacing, [grid.outer_radius]))
+    face = surf * edges[1:-1] ** (n - 1) / grid.spacing
+    cell = surf * np.diff(edges**n) / n
+    s = 1.0 / np.sqrt(cell)
+    s[-1] = 0.0  # the Dirichlet node is not free
+    pair = face * (s[1:] + s[:-1])
+    stiffness = float((s[:-1] * (pair + np.append(0.0, pair[:-1]))).max())
+    return face, cell, stiffness
+
+
+def radial_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Flux difference over cell measure (see _operator), zero at the Dirichlet
+    edge: -cell * lap(u) is the exact gradient of the energy's face term."""
+    face, cell, _ = _operator(grid)
+    flux = np.append(0.0, face * np.diff(values))  # nothing crosses the origin
+    return np.append(np.diff(flux) / cell[:-1], 0.0)
 
 
 def _acceleration(values: np.ndarray, grid: RadialGrid, g) -> np.ndarray:
@@ -100,17 +114,29 @@ def _acceleration(values: np.ndarray, grid: RadialGrid, g) -> np.ndarray:
     return acc
 
 
-def step(state: EvolutionState, dt: float, nl, cfl: float = DEFAULT_CFL) -> EvolutionState:
-    """One kick-drift-kick leapfrog step."""
-    h = state.grid.spacing
-    if not (0.0 < dt <= cfl * h):
-        raise InvalidParameter(f"dt = {dt:g} violates dt <= {cfl:g} * h = {cfl * h:g}")
+def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, nl, n_steps: int):
+    """Advance (u, v) in place by kick-drift-kick steps, yielding the count
+    after each; a dt outside (0, 2/sqrt(stiffness + mass)] raises first."""
+    bound = 2.0 / math.sqrt(_operator(grid)[2] + (nl.rho if isinstance(nl, GeneralG) else 1.0))
+    if not (0.0 < dt <= bound):
+        raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
+                               f"(0, {bound:g}], i.e. cfl <= {bound / grid.spacing:.4g}")
     g, _ = dynamic_pair(nl)
-    vh = state.v + 0.5 * dt * _acceleration(state.u, state.grid, g)
-    u1 = state.u + dt * vh
-    u1[-1] = 0.0
-    v1 = vh + 0.5 * dt * _acceleration(u1, state.grid, g)
-    return EvolutionState(state.grid, u1, v1, state.t + dt)
+    acc = _acceleration(u, grid, g)
+    for k in range(1, n_steps + 1):
+        v += 0.5 * dt * acc
+        u += dt * v
+        u[-1] = 0.0
+        acc = _acceleration(u, grid, g)
+        v += 0.5 * dt * acc
+        yield k
+
+
+def step(state: EvolutionState, dt: float, nl) -> EvolutionState:
+    """One kick-drift-kick leapfrog step; a dt past the stability bound raises."""
+    u, v = np.array(state.u, dtype=float), np.array(state.v, dtype=float)
+    next(_leapfrog(u, v, dt, state.grid, nl, 1))
+    return EvolutionState(state.grid, u, v, state.t + dt)
 
 
 def _outer_fraction(u: np.ndarray, grid: RadialGrid, outer: np.ndarray) -> float:
@@ -123,30 +149,14 @@ def _outer_fraction(u: np.ndarray, grid: RadialGrid, outer: np.ndarray) -> float
 
 
 def _discrete_energy(u: np.ndarray, v: np.ndarray, grid: RadialGrid, nl) -> float:
-    """Energy of the semi-discrete system the integrator actually solves.
-
-    The gradient term lives on cell faces and the potential on nodes
-    weighted by finite-volume cell measures; with the dimension-2 radial
-    stencil (which coincides with the conservative flux form) this
-    quantity is exactly conserved by the spatial discretization, so the
-    leapfrog keeps it within a bounded O(dt^2) oscillation even when a
-    focusing core outruns the mesh.  It agrees with energy_E to O(h^2)
-    on resolved fields.
-    """
+    """Energy of the semi-discrete system on the operator's faces and cells,
+    conserved in every dimension (its gradient is -cell * (lap + g)) up to the
+    leapfrog's bounded O(dt^2) oscillation.  It is energy_E to O(h^2)."""
     _, big_g = dynamic_pair(nl)
-    h = grid.spacing
-    n = grid.dimension
-    surf = SPHERE_SURFACE[n]
-    r_face = grid.r[:-1] + 0.5 * h
-    du = np.diff(u) / h
-    grad_term = 0.5 * surf * h * float((r_face ** (n - 1) * du * du).sum())
-    cell = np.empty(grid.cells + 1)
-    cell[1:-1] = surf * grid.r[1:-1] ** (n - 1) * h
-    cell[0] = surf * (0.5 * h) ** n / n
-    cell[-1] = 0.5 * surf * grid.outer_radius ** (n - 1) * h
-    kinetic = 0.5 * float((cell * v * v).sum())
-    potential = -float((cell * big_g(u)).sum())
-    return kinetic + grad_term + potential
+    face, cell, _ = _operator(grid)
+    du = np.diff(u)
+    nodal = cell * (0.5 * v * v - big_g(u))
+    return float(nodal.sum()) + 0.5 * float((face * du * du).sum())
 
 
 def discrete_energy(u: GridFunction, v: GridFunction, nl) -> float:
@@ -166,13 +176,13 @@ def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
 
 def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
            blowup_factor: float = 5.0, m_ref: float | None = None,
-           diag_stride: int | None = None, cfl: float = DEFAULT_CFL) -> Trajectory:
+           cfl: float = DEFAULT_CFL) -> Trajectory:
     """Integrate to t_max or to the first recorded termination event.
 
-    Diagnostics (energy, action, P, T, H1 norm, invariant-set flag) are
-    taken every diag_stride steps; the three event checks (finiteness,
-    H1 escape past blowup_factor times its initial value, outer-boundary
-    contamination) run at those same times.
+    dt <= cfl * h divides t_max and must pass the leapfrog's stability bound.
+    Diagnostics (energy, action, P, T, H1 norm, invariant-set flag) and the
+    event checks (finiteness, H1 escape past blowup_factor times its start
+    value, boundary contamination) run every RECORD_INTERVAL, in steps.
     """
     require_same_grid(u0, v0)
     if u0.is_complex or v0.is_complex:
@@ -184,15 +194,11 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     if not (cfl > 0.0) or not math.isfinite(cfl):
         raise InvalidParameter(f"cfl must be positive and finite, got {cfl!r}")
     grid = u0.grid
-    h = grid.spacing
-    n_steps = max(1, math.ceil(t_max / (cfl * h)))
+    n_steps = max(1, math.ceil(t_max / (cfl * grid.spacing)))
     dt = t_max / n_steps
-    if diag_stride is None:
-        diag_stride = max(1, round(0.05 / dt))
-    g, _ = dynamic_pair(nl)
+    stride = max(1, round(RECORD_INTERVAL / dt))
 
-    u = u0.values.copy()
-    v = v0.values.copy()
+    u, v = np.array(u0.values, dtype=float), np.array(v0.values, dtype=float)
     records = [_record(grid, u, v, 0.0, nl, m_ref)]
     h1_init = records[0].h1_norm
     outer = grid.r >= (1.0 - BOUNDARY_ZONE) * grid.outer_radius
@@ -202,14 +208,8 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     # losing finiteness is a recorded event; silence the intermediate
     # overflow warnings on the way to its detection
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = _acceleration(u, grid, g)
-        for k in range(1, n_steps + 1):
-            vh = v + 0.5 * dt * acc
-            u = u + dt * vh
-            u[-1] = 0.0
-            acc = _acceleration(u, grid, g)
-            v = vh + 0.5 * dt * acc
-            if k % diag_stride != 0 and k != n_steps:
+        for k in _leapfrog(u, v, dt, grid, nl, n_steps):
+            if k % stride != 0 and k != n_steps:
                 continue
             t = k * dt
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):

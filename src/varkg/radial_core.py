@@ -53,12 +53,15 @@ class RadialGrid:
         self.outer_radius = float(outer_radius)
         self.cells = int(cells)
         self.spacing = self.outer_radius / self.cells
+        try:
+            measure = self.domain_measure()
+        except OverflowError:
+            raise InvalidInput(f"radius {outer_radius!r} overflows the domain measure") from None
         self.r = np.linspace(0.0, self.outer_radius, self.cells + 1)
         self.weights = self._build_weights()
         self.r.setflags(write=False)
         self.weights.setflags(write=False)
-        measure = self.domain_measure()
-        if abs(float(self.weights.sum()) - measure) > 1e-12 * measure:
+        if not abs(float(self.weights.sum()) - measure) <= 1e-12 * measure:
             raise InvalidInput("quadrature weights fail to reproduce the domain measure")
 
     def _build_weights(self) -> np.ndarray:
@@ -222,20 +225,30 @@ def save_profile(path, v: GridFunction) -> None:
 
 
 def load_profile(path) -> GridFunction:
-    """Read a grid function written by save_profile."""
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if not header.startswith("#"):
-            raise InvalidInput(f"missing grid header in {path}")
-        try:
-            fields = dict(part.split("=") for part in header[1:].split())
-            grid = RadialGrid(int(fields["N"]), float(fields["R"]), int(fields["M"]))
-        except (KeyError, ValueError):
-            raise InvalidInput(f"malformed grid header {header!r} in {path}") from None
-        columns = f.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    if len(rows) != grid.cells + 1:
-        raise InvalidInput(f"expected {grid.cells + 1} rows, got {len(rows)}")
+    """Read a grid function written by save_profile.
+
+    Anything else raises InvalidInput: bytes that are not UTF-8, a
+    malformed header or data row, or a row count other than the header's
+    M + 1, which is checked before the grid is built.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            lines = [line.strip() for line in f]
+    except UnicodeDecodeError:
+        raise InvalidInput(f"{path} is not UTF-8 text") from None
+    header = lines[0] if lines else ""
+    if not header.startswith("#"):
+        raise InvalidInput(f"missing grid header in {path}")
+    try:
+        fields = dict(part.split("=") for part in header[1:].split())
+        dimension, outer, cells = int(fields["N"]), float(fields["R"]), int(fields["M"])
+    except (KeyError, ValueError):
+        raise InvalidInput(f"malformed grid header {header!r} in {path}") from None
+    rows = [line.split(",") for line in lines[2:] if line]
+    if len(rows) != cells + 1:
+        raise InvalidInput(f"expected {cells + 1} rows, got {len(rows)}")
+    grid = RadialGrid(dimension, outer, cells)
+    columns = lines[1].split(",")
     if columns not in (["r", "re", "im"], ["r", "value"]):
         raise InvalidInput(f"unrecognized column layout {columns!r}")
     try:

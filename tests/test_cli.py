@@ -127,6 +127,27 @@ def test_functionals_requires_source(tmp_path, capsys):
     assert (manifest["status"], manifest["error"]) == (1, "InvalidInput")
 
 
+def test_functionals_rejects_undecodable_profile(tmp_path, capsys):
+    src = tmp_path / "binary.csv"
+    src.write_bytes(b"\xff\xfe# N=1 R=25 M=500\n")
+    out = tmp_path / "bad"
+    assert run(["functionals", "--from", str(src), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("varkg: InvalidInput: ")
+    manifest = read_json(out / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "InvalidInput")
+
+
+def test_evolve_rejects_unstable_cfl(tmp_path, capsys):
+    # cfl = 1.2 used to end in BlowupDetected at t = 0.34 on this
+    # sub-threshold data: numerical instability reported as physics
+    assert run(["evolve", "--lambda", "0.95", "--mu", "1", "--cfl", "1.2",
+                "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("varkg: InvalidParameter: ")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "InvalidParameter")
+    assert not (tmp_path / "evolve.json").exists()
+
+
 def test_path_rejects_invalid_pair(tmp_path, capsys):
     grid = RadialGrid(1, 25.0, 500)
     gs = closed_form_1d(3.0, 0.0, grid)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import j0
 
 from varkg import (
@@ -31,6 +34,8 @@ from varkg import (
     radial_laplacian,
     step,
 )
+
+from varkg.radial_core import SPHERE_SURFACE
 
 from oracle_townes import J0_FIRST_ZERO
 
@@ -265,3 +270,56 @@ def test_energy_drift_end_slicing(nl3):
     assert abs(partial) <= abs(full) + 1e-15
     with pytest.raises(InvalidInput):
         energy_drift(traj, end=1)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_energy_drift_falls_as_dt_squared(dimension):
+    # the discrete energy is conserved by the spatial scheme in every
+    # dimension, so only the leapfrog's O(dt^2) oscillation is left
+    grid = RadialGrid(dimension, 20.0, 400)
+    gauss = GridFunction.sample(grid, lambda r: np.exp(-r**2))
+    zero = GridFunction.zeros(grid)
+    drift = [abs(energy_drift(evolve(gauss, zero, LINEAR_KG, t_max=5.0, cfl=cfl)))
+             for cfl in (0.4, 0.1)]
+    assert drift[0] / drift[1] >= 12.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimension=st.sampled_from([1, 2, 3]), data=st.data())
+def test_laplacian_sums_by_parts(dimension, data):
+    # sum cell w lap(u) = -sum face du dw for w vanishing at the edge, with
+    # the face weights and shell volumes of the conservative operator
+    cells = data.draw(st.integers(16, 64))
+    grid = RadialGrid(dimension, data.draw(st.floats(0.5, 50.0)), cells)
+    u = data.draw(arrays(float, cells + 1, elements=st.floats(-1.0, 1.0)))
+    w = data.draw(arrays(float, cells + 1, elements=st.floats(-1.0, 1.0)))
+    w[-1] = 0.0
+    h = grid.spacing
+    surf = SPHERE_SURFACE[dimension]
+    edges = np.concatenate(([0.0], grid.r[:-1] + 0.5 * h, [grid.outer_radius]))
+    face = surf * edges[1:-1] ** (dimension - 1) / h
+    cell = surf * np.diff(edges**dimension) / dimension
+    lhs = cell * w * radial_laplacian(u, grid)
+    rhs = -face * np.diff(u) * np.diff(w)
+    scale = np.abs(lhs).sum() + np.abs(rhs).sum()
+    assert abs(lhs.sum() - rhs.sum()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dimension, stable, unstable",
+                         [(1, 0.94, 0.96), (2, 0.85, 0.87), (3, 0.74, 0.76)])
+def test_step_bound_follows_the_operator(dimension, stable, unstable):
+    # Gershgorin on the symmetrized operator plus unit mass: about 0.95 h,
+    # 0.86 h and 0.75 h, set by the rows next to the origin
+    grid = RadialGrid(dimension, 10.0, 200)
+    state = EvolutionState(grid, np.exp(-grid.r**2), np.zeros(201), 0.0)
+    step(state, stable * grid.spacing, LINEAR_KG)
+    with pytest.raises(InvalidParameter, match="stability"):
+        step(state, unstable * grid.spacing, LINEAR_KG)
+
+
+def test_evolve_rejects_cfl_past_stability_bound(nl3):
+    zero = GridFunction.zeros(RadialGrid(2, 80.0, 4000))
+    with pytest.raises(InvalidParameter, match="stability"):
+        evolve(zero, zero, nl3, t_max=1.0, cfl=1.2)
+    for cfl in (0.4, 0.1, 0.01):
+        assert evolve(zero, zero, nl3, t_max=0.05, cfl=cfl).termination == REACHED_TMAX

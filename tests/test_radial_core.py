@@ -1,10 +1,15 @@
 """Grids, quadrature, grid functions, and profile round-trips."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from varkg import radial_core
 from varkg import (
     GridFunction,
     GridMismatch,
@@ -180,3 +185,95 @@ def test_strauss_profile_shape_and_bound(townes):
 def test_strauss_rejects_dimension_one(phi_1d):
     with pytest.raises(Unsupported):
         strauss_decay_profile(phi_1d.profile)
+
+
+def test_grid_rejects_overflowing_measure():
+    # R^N overflows outright, or only inside the weight moments (which
+    # used to leave NaN weights behind)
+    with np.errstate(all="ignore"):
+        for dimension, outer in ((3, 1e300), (3, 1e102), (1, 1e308)):
+            with pytest.raises(InvalidInput):
+                RadialGrid(dimension, outer, 16)
+
+
+def test_load_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\xfe# N=2 R=4 M=16\nr,value\n")
+    with pytest.raises(InvalidInput, match="UTF-8"):
+        load_profile(path)
+
+
+def test_load_checks_row_count_before_building_the_grid(tmp_path, monkeypatch):
+    lines = [f"{0.25 * i:.17g},0" for i in range(17)]
+    path = tmp_path / "huge.csv"
+    path.write_text(f"# N=2 R=4 M={10**12}\nr,value\n" + "\n".join(lines) + "\n")
+
+    def no_grid(*args):
+        raise AssertionError(f"grid built for a header its rows contradict: {args}")
+
+    monkeypatch.setattr(radial_core, "RadialGrid", no_grid)
+    with pytest.raises(InvalidInput, match="rows"):
+        load_profile(path)
+
+
+def _load_or_reject(path, data):
+    """Load raw bytes as a profile; InvalidInput is the only allowed failure."""
+    path.write_bytes(bytes(data))
+    try:
+        v = load_profile(path)
+    except InvalidInput:
+        return
+    assert v.values.shape == (v.grid.cells + 1,)
+
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(data=st.binary(max_size=600)
+       | st.binary(max_size=600).map(lambda tail: b"# N=1 R=4 M=16\nr,value\n" + tail))
+def test_load_fuzz_raw_bytes(tmp_path, data):
+    _load_or_reject(tmp_path / "fuzz.csv", data)
+
+
+TOKENS = [b",", b"\n", b"\r", b"=", b"#", b" ", b"nan", b"inf", b"1e400", b"-", b"j",
+          b"\xff", b"\x00", b"M=17", b"R=0", b"N=4", b"r,re,im", b"0,0"]
+
+
+@st.composite
+def mutated_profiles(draw):
+    """save_profile text of a random profile (M <= 64), then 1-3 edits."""
+    dimension = draw(st.sampled_from([1, 2, 3]))
+    grid = RadialGrid(dimension, draw(st.floats(0.5, 50.0)), draw(st.integers(16, 64)))
+    values = draw(st.floats(-2.0, 2.0)) * np.exp(-grid.r**2)
+    if draw(st.booleans()):
+        values = values * (1.0 + 0.5j)
+    if dimension >= 2:
+        values[-1] = 0.0
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "p.csv")
+        save_profile(path, GridFunction(grid, values))
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["delete", "insert", "replace", "line"]))
+        if kind == "delete":
+            del data[i:i + draw(st.integers(1, 40))]
+        elif kind == "insert":
+            data[i:i] = draw(st.sampled_from(TOKENS) | st.binary(min_size=1, max_size=6))
+        elif kind == "replace" and i < len(data):
+            data[i] = draw(st.integers(0, 255))
+        elif kind == "line":
+            lines = data.split(b"\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k:k + 1] = draw(st.sampled_from([[], [lines[k], lines[k]]]))
+            data = bytearray(b"\n".join(lines))
+    return data
+
+
+@FUZZ
+@given(data=mutated_profiles())
+def test_load_fuzz_mutated_profiles(tmp_path, data):
+    _load_or_reject(tmp_path / "fuzz.csv", data)
