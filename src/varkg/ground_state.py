@@ -123,6 +123,15 @@ def _classify_shot(a: float, p: float, m0: float, grid: RadialGrid, record: bool
     goes negative, "diverge" when it exceeds twice the amplitude, "end"
     at r = R; values holds node samples up to index filled-1 when
     record is true.
+
+    A shot that is not recorded stops with status "turn" at its first
+    turning point, where psi = phi' > 0 while phi > 0; such a shot can
+    never cross zero (Berestycki, Lions & Peletier 1981).  The ODE energy
+    E = psi^2/2 - m0 phi^2/2 + phi^(p+1)/(p+1) does not increase in r.  At
+    the turn phi'' >= 0 gives phi^(p-1) <= m0, so E <= F(phi) < 0 there,
+    whereas E >= 0 wherever phi = 0.  Only "cross" labels a shot above
+    the critical amplitude; "turn", "diverge" and "end" all label it below.
+    The recorded shot always marches on to "cross", "diverge" or "end".
     """
     n = grid.dimension
     h = grid.spacing
@@ -172,6 +181,8 @@ def _classify_shot(a: float, p: float, m0: float, grid: RadialGrid, record: bool
                 return "cross", vals, filled
             if phi > upper:
                 return "diverge", vals, filled
+            if psi > 0.0 and phi > 0.0 and not record:
+                return "turn", vals, filled
         if record:
             vals[i] = phi
         filled = i + 1

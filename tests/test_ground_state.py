@@ -1,9 +1,12 @@
 """Ground-state constructors: closed form in 1d, radial shooting in 2d/3d."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varkg import (
     BracketError,
@@ -21,6 +24,7 @@ from varkg import (
     power_integral,
     shoot_radial,
 )
+from varkg.ground_state import _classify_shot
 
 from oracle_townes import TOWNES_CENTER, TOWNES_L2, TOWNES_LEVEL, N3_CENTER
 
@@ -124,3 +128,54 @@ def test_equation_residual_small_on_profiles(phi_1d, townes, ground_n3):
         assert equation_residual(gs.profile, gs.nonlinearity) \
             <= 1e-4 * gs.center_value**3
         assert gs.ode_residual == equation_residual(gs.profile, gs.nonlinearity)
+
+
+SHOT_GRID_R, SHOT_GRID_M = 30.0, 1200
+
+
+@functools.lru_cache(maxsize=None)
+def _critical_amplitude(n, p, omega):
+    """Bisection on the labels of full recorded marches, no early exit."""
+    m0 = 1.0 - omega**2
+    grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
+    lo, hi = 0.2, 6.5
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        status, _, _ = _classify_shot(mid, p, m0, grid, record=True)
+        if status == "cross":
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@st.composite
+def shot_cases(draw):
+    n = draw(st.sampled_from((2, 3)))
+    p = draw(st.sampled_from((2.0, 3.0, 4.0)))  # all subcritical for N <= 3
+    omega = draw(st.sampled_from((0.0, 0.6)))
+    a_star = _critical_amplitude(n, p, omega)
+    # uniform over [a*/2, 3a*/2], or within 10^-14 .. 0.3 of a* relative,
+    # where shots turn late on a small remainder and the rule is tightest
+    near = draw(st.booleans())
+    if near:
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        a = a_star * (1.0 + sign * 10.0 ** -draw(st.floats(0.5, 14.0)))
+    else:
+        a = a_star * draw(st.floats(0.5, 1.5))
+    return n, p, omega, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shot_cases())
+def test_turning_point_exit_agrees_with_full_march(case):
+    # a shot that turns while positive can never cross zero: the early
+    # exit must label every shot exactly as the recorded march does
+    n, p, omega, a = case
+    m0 = 1.0 - omega**2
+    grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
+    early, _, _ = _classify_shot(a, p, m0, grid, record=False)
+    full, values, filled = _classify_shot(a, p, m0, grid, record=True)
+    assert (early == "cross") == (full == "cross")
+    if early != "cross":
+        assert np.all(values[:filled] >= 0.0)
