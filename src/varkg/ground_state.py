@@ -117,7 +117,7 @@ def closed_form_1d(p: float, omega: float, grid: RadialGrid) -> GroundState:
 
 
 def _classify_shot(a: float, p: float, m0: float, grid: RadialGrid, record: bool):
-    """March the radial ODE outward from amplitude a with fixed-step RK4.
+    """March the radial ODE outward from amplitude a, one RK4 step per cell.
 
     Returns (status, values, filled): status is "cross" when the solution
     goes negative, "diverge" when it exceeds twice the amplitude, "end"
@@ -135,7 +135,6 @@ def _classify_shot(a: float, p: float, m0: float, grid: RadialGrid, record: bool
     """
     n = grid.dimension
     h = grid.spacing
-    step = 0.25 * h
     pm1 = p - 1.0
     nm1 = float(n - 1)
     upper = 2.0 * a
@@ -153,40 +152,38 @@ def _classify_shot(a: float, p: float, m0: float, grid: RadialGrid, record: bool
         vals[0] = a
         vals[1] = phi
     filled = 2
-    status = "end"
 
     for i in range(2, grid.cells + 1):
-        for _ in range(4):
-            # one RK4 substep of (phi' = psi, psi' = m0 phi - |phi|^(p-1) phi - (n-1) psi / r)
-            k1p = psi
-            k1s = m0 * phi - abs(phi) ** pm1 * phi - nm1 * psi / r
-            rh = r + 0.5 * step
-            p2 = phi + 0.5 * step * k1p
-            s2 = psi + 0.5 * step * k1s
-            k2p = s2
-            k2s = m0 * p2 - abs(p2) ** pm1 * p2 - nm1 * s2 / rh
-            p3 = phi + 0.5 * step * k2p
-            s3 = psi + 0.5 * step * k2s
-            k3p = s3
-            k3s = m0 * p3 - abs(p3) ** pm1 * p3 - nm1 * s3 / rh
-            r2 = r + step
-            p4 = phi + step * k3p
-            s4 = psi + step * k3s
-            k4p = s4
-            k4s = m0 * p4 - abs(p4) ** pm1 * p4 - nm1 * s4 / r2
-            phi += step * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-            psi += step * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
-            r = r2
-            if phi < 0.0:
-                return "cross", vals, filled
-            if phi > upper:
-                return "diverge", vals, filled
-            if psi > 0.0 and phi > 0.0 and not record:
-                return "turn", vals, filled
+        # one RK4 step of (phi' = psi, psi' = m0 phi - |phi|^(p-1) phi - (n-1) psi / r)
+        k1p = psi
+        k1s = m0 * phi - abs(phi) ** pm1 * phi - nm1 * psi / r
+        rh = r + 0.5 * h
+        p2 = phi + 0.5 * h * k1p
+        s2 = psi + 0.5 * h * k1s
+        k2p = s2
+        k2s = m0 * p2 - abs(p2) ** pm1 * p2 - nm1 * s2 / rh
+        p3 = phi + 0.5 * h * k2p
+        s3 = psi + 0.5 * h * k2s
+        k3p = s3
+        k3s = m0 * p3 - abs(p3) ** pm1 * p3 - nm1 * s3 / rh
+        r2 = r + h
+        p4 = phi + h * k3p
+        s4 = psi + h * k3s
+        k4p = s4
+        k4s = m0 * p4 - abs(p4) ** pm1 * p4 - nm1 * s4 / r2
+        phi += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        psi += h * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
+        r = r2
+        if phi < 0.0:
+            return "cross", vals, filled
+        if phi > upper:
+            return "diverge", vals, filled
+        if psi > 0.0 and phi > 0.0 and not record:
+            return "turn", vals, filled
         if record:
             vals[i] = phi
         filled = i + 1
-    return status, vals, filled
+    return "end", vals, filled
 
 
 def shoot_radial(p: float, omega: float, dimension: int, grid: RadialGrid,

@@ -179,3 +179,17 @@ def test_turning_point_exit_agrees_with_full_march(case):
     assert (early == "cross") == (full == "cross")
     if early != "cross":
         assert np.all(values[:filled] >= 0.0)
+
+
+@pytest.mark.parametrize("fixture, level, center", [
+    ("townes", 5.850031350752629, 2.2062008645983653),       # N=2 R=40 M=4000
+    ("townes_fine", 5.850344029300934, 2.2062008646490754),  # N=2 R=40 M=8000
+    ("ground_n3", 18.89423775758382, 4.337387679770657),     # N=3 R=30 M=3000
+])
+def test_level_pinned_to_four_substep_march(request, fixture, level, center):
+    # the reference values come from the march with four RK4 substeps per
+    # cell; one step per cell must leave the level to roundoff and phi(0)
+    # well inside the benchmark's 1e-6 check
+    gs = request.getfixturevalue(fixture)
+    assert abs(gs.level - level) <= 1e-10 * level
+    assert abs(gs.center_value - center) <= 1e-6 * center
