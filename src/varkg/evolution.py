@@ -276,15 +276,8 @@ class InvariantReport:
     """Invariant-set diagnostics over a trajectory's records."""
 
     in_set_throughout: bool
-    first_violation_time: float | None
     min_p: float
-    min_p_time: float
     min_kinetic: float
-    records_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return self.in_set_throughout and self.min_p > 0.0
 
 
 def invariant_monitor(traj: Trajectory) -> InvariantReport:
@@ -292,9 +285,10 @@ def invariant_monitor(traj: Trajectory) -> InvariantReport:
 
     The record that raised a termination event is excluded: past the
     escape (or contamination) threshold the state is outside the regime
-    the membership flags describe.  The reported min_p is the observed
-    positive lower bound on P; the kinetic minimum is included because
-    membership forces T >= m."""
+    the membership flags describe.  in_set_throughout says whether every
+    remaining record is inside the set; min_p is the observed lower bound
+    on P over them, and min_kinetic the kinetic minimum, which membership
+    forces to be at least m."""
     if not traj.records:
         raise PreconditionFailed("trajectory has no records")
     if traj.m_ref is None:
@@ -304,20 +298,10 @@ def invariant_monitor(traj: Trajectory) -> InvariantReport:
     records = traj.records
     if traj.termination in (BLOWUP_DETECTED, BOUNDARY_CONTAMINATION) and len(records) > 1:
         records = records[:-1]
-    first_violation = None
-    for rec in records:
-        if not rec.in_invariant_set:
-            first_violation = rec.t
-            break
-    min_p_rec = min(records, key=lambda rec: rec.p_value)
-    min_kin = min(rec.kinetic for rec in records)
     return InvariantReport(
-        in_set_throughout=first_violation is None,
-        first_violation_time=first_violation,
-        min_p=min_p_rec.p_value,
-        min_p_time=min_p_rec.t,
-        min_kinetic=min_kin,
-        records_checked=len(records),
+        in_set_throughout=all(rec.in_invariant_set for rec in records),
+        min_p=min(rec.p_value for rec in records),
+        min_kinetic=min(rec.kinetic for rec in records),
     )
 
 

@@ -231,13 +231,15 @@ class PathSample:
     """A sampled path t -> gamma(t) with its action values.
 
     Admissibility means gamma(0) = 0 and S(gamma(1)) < 0: exactly the
-    competitor class of the mountain-pass level.
+    competitor class of the mountain-pass level.  end is gamma(1) on the
+    grid, or None when gamma(1) does not fit on it; the action values
+    then come from the scaled moments.
     """
 
     t: np.ndarray
     action_values: np.ndarray
     start: GridFunction
-    end: GridFunction
+    end: GridFunction | None
     argmax_index: int
     starts_at_zero: bool
     negative_endpoint: bool
@@ -294,6 +296,16 @@ def _refine_argmax(ts: list, ss: list, evaluate, rel_tol: float = 1e-6,
     return t_arr, s_arr
 
 
+def _endpoint(v: GridFunction, lam: float, se: ScalingExponents,
+              amp: float = 1.0) -> GridFunction | None:
+    """amp * v_lambda on v's grid, or None when v_lambda spills past r = R."""
+    try:
+        end = rescale(v, lam, se)
+    except TruncationOverflow:
+        return None
+    return GridFunction(v.grid, amp * end.values)
+
+
 def _require_on_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> None:
     m = moments(v, nl)
     residual = m.constraint(nl, se, v.grid.dimension)
@@ -336,7 +348,7 @@ def build_path_interior(v: GridFunction, nl: PowerKG, se: ScalingExponents,
         t=t_arr,
         action_values=s_arr,
         start=GridFunction.zeros(grid),
-        end=rescale(v, big_c, se),
+        end=_endpoint(v, big_c, se),
         argmax_index=int(np.argmax(s_arr)),
         starts_at_zero=True,
         negative_endpoint=bool(s_arr[-1] < 0.0),
@@ -416,12 +428,11 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     ss = [evaluate(tt) for tt in ts]
     t_arr, s_arr = _refine_argmax(ts, ss, evaluate)
 
-    end_values = t_end * rescale(v, big_c, se).values
     return PathSample(
         t=t_arr,
         action_values=s_arr,
         start=GridFunction.zeros(grid),
-        end=GridFunction(grid, end_values),
+        end=_endpoint(v, big_c, se, t_end),
         argmax_index=int(np.argmax(s_arr)),
         starts_at_zero=True,
         negative_endpoint=bool(s_arr[-1] < 0.0),

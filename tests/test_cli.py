@@ -111,6 +111,23 @@ def test_functionals_and_path_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_path_limit_pair_whose_endpoint_spills_past_the_grid(tmp_path, capsys):
+    # at lambda = 2 the (1, -2) ray pushes 7.4e-6 of the L2 mass past r = 25;
+    # the path values fall back to the scaled moments, so the endpoint that
+    # cannot be resampled must not fail the command
+    gs_dir = tmp_path / "gs"
+    assert run(["ground-state", "--N", "1", "--p", "3", "--omega", "0", "--R", "25",
+                "--M", "2000", "--outdir", str(gs_dir)]) == 0
+    out = tmp_path / "path"
+    assert run(["path", "--from", str(gs_dir / "profile.csv"), "--p", "3", "--omega", "0",
+                "--alpha", "1", "--beta", "-2", "--outdir", str(out)]) == 0
+    report = read_json(out / "path.json")
+    assert report["region"] == "Limit"
+    assert report["admissible"] is True
+    assert report["endpoint_action"] < 0.0
+    capsys.readouterr()
+
+
 def test_functionals_requires_source(tmp_path, capsys):
     assert run(["functionals", "--outdir", str(tmp_path)]) == 2
     assert "--from" in capsys.readouterr().err
