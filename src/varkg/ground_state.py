@@ -21,6 +21,7 @@ from .radial_core import GridFunction, RadialGrid
 ODE_RESIDUAL_TOL = 1e-4        # times phi(0)^p
 CONSTRAINT_TOL = 1e-3          # times ||phi||_H1^2
 DECAY_FLOOR = 1e-10            # profile must dip below this before r = R
+BRACKET_DOUBLINGS = 8          # times shoot_radial may double a non-crossing upper end
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,12 @@ def _classify_shot(a: float, p: float, m0: float, grid: RadialGrid, record: bool
     r = h
     phi = a + c2 * r * r + c4 * r**4
     psi = 2.0 * c2 * r + 4.0 * c4 * r**3
+    if c2 < 0.0 and phi >= a:
+        # the ODE makes phi fall from a when c2 < 0; the series has left
+        # its range at r = h
+        raise InvalidInput(
+            f"grid spacing {h:.3g} is too coarse for the series start at amplitude "
+            f"{a:.6g}; use more cells")
 
     vals = np.empty(grid.cells + 1) if record else None
     if record:
@@ -191,7 +198,9 @@ def shoot_radial(p: float, omega: float, dimension: int, grid: RadialGrid,
     """Bisection shooting on the center amplitude.
 
     The bracket must straddle the critical amplitude: its lower end
-    classifies as non-crossing and its upper end crosses zero.  The
+    classifies as non-crossing and its upper end crosses zero.  An upper
+    end that does not cross becomes the lower end and is doubled, up to
+    BRACKET_DOUBLINGS times; a bracket that already straddles is kept.  The
     returned profile keeps the last non-crossing shot up to its turning
     point and continues with the matched linear-decay tail
     phi(r*) (r*/r)^((N-1)/2) exp(-sqrt(m0)(r - r*)), which restores decay
@@ -208,10 +217,16 @@ def shoot_radial(p: float, omega: float, dimension: int, grid: RadialGrid,
 
     status_lo, _, _ = _classify_shot(lo, p, m0, grid, record=False)
     status_hi, _, _ = _classify_shot(hi, p, m0, grid, record=False)
+    for _ in range(BRACKET_DOUBLINGS):
+        if status_lo == "cross" or status_hi == "cross":
+            break
+        lo, status_lo = hi, status_hi
+        hi *= 2.0
+        status_hi, _, _ = _classify_shot(hi, p, m0, grid, record=False)
     if status_lo == "cross" or status_hi != "cross":
         raise BracketError(
             f"bracket {bracket!r} does not straddle the critical amplitude "
-            f"(lo -> {status_lo}, hi -> {status_hi})")
+            f"(lo -> {status_lo}, hi = {hi:g} -> {status_hi})")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)

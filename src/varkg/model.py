@@ -215,12 +215,14 @@ class Moments(NamedTuple):
 
         With (a, b, c) the ray exponents this is
         (a/2) ||grad v||^2 + (b m0 / 2) ||v||^2 - (c/(p+1)) ||v||_{p+1}^{p+1};
-        the region label is not consulted.
+        the region label is not consulted.  The last term divides
+        c ||v||_{p+1}^{p+1} by p+1 the way `potential` divides ||v||_{p+1}^{p+1},
+        so in dimension 2 K_{0,-1} = -2 P holds bit for bit.
         """
         if not isinstance(nl, PowerKG):
             raise Unsupported("the scaling constraint is implemented for the power family only")
         a, b, c = ray_exponents(se.alpha, se.beta, nl.p, dimension)
-        return 0.5 * a * self.grad + 0.5 * b * nl.mass * self.l2 - c / (nl.p + 1.0) * self.pot
+        return 0.5 * a * self.grad + 0.5 * b * nl.mass * self.l2 - c * self.pot / (nl.p + 1.0)
 
     def nehari(self, nl: Nonlinearity) -> float:
         """K_{1,0}; the dimension drops out of the amplitude ray's exponents."""

@@ -53,16 +53,20 @@ from .radial_core import GridFunction, l2_norm_sq
 ON_CONSTRAINT_TOL = 1e-3
 PROJECTION_TOL = 1e-8          # residual bound for projections, same relative scale
 C_SEARCH_CAP = 2.0**30
+MAX_LOST_MASS = 1e-7           # relative L2 mass a rescaling may push past r = R
+PATH_SAMPLES = 64              # samples per path segment before argmax refinement
+ARGMAX_LAM_GRID = np.geomspace(0.5, 2.0, 33)  # ray profile of an interior projection
+P_BOUNDARY_TOL = 1e-3          # |P| <= tol * ||v||_H1^2 counts as on the P = 0 boundary
+P_ZERO = ScalingExponents(0.0, -1.0, LIMIT)  # K_{0,-1} = -2 P in dimension 2
 
 
-def rescale(v: GridFunction, lam: float, se: ScalingExponents,
-            max_lost_mass: float = 1e-7) -> GridFunction:
+def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
     """lambda^alpha v(lambda^beta x) resampled on v's own grid.
 
     Linear interpolation, zero extension beyond R.  When the rescaled
     profile spills past the domain edge (the part of v beyond radius
     lambda^beta R maps outside), the spilled relative L2 mass must stay
-    below max_lost_mass, else TruncationOverflow.
+    below MAX_LOST_MASS, else TruncationOverflow.
     """
     lam = float(lam)
     if not (lam > 0.0) or not math.isfinite(lam):
@@ -80,10 +84,10 @@ def rescale(v: GridFunction, lam: float, se: ScalingExponents,
             tail = grid.r > cut
             lost = float(np.sum(grid.weights[tail] * v.values[tail] ** 2))
             total = l2_norm_sq(v)
-            if total > 0.0 and lost > max_lost_mass * total:
+            if total > 0.0 and lost > MAX_LOST_MASS * total:
                 raise TruncationOverflow(
                     f"rescaling with lambda={lam:.6g} pushes {lost / total:.3e} of the "
-                    f"L2 mass past r={grid.outer_radius:g} (limit {max_lost_mass:.1e})")
+                    f"L2 mass past r={grid.outer_radius:g} (limit {MAX_LOST_MASS:.1e})")
         new_vals = amp * np.interp(stretch * grid.r, grid.r, v.values, right=0.0)
         if grid.dimension >= 2:
             new_vals[-1] = 0.0
@@ -136,8 +140,11 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
 
     The ray defaults to (alpha, beta) itself.  An explicit ray lets limit
     pairs be projected by amplitude, where the natural ray leaves K's sign
-    unchanged.  The root is located on the exact scaling algebra first and
-    polished on the resampled grid map.  A root that lies exactly on a scan
+    unchanged.  A scan of the exact scaling algebra on geomspace(1e-4, 1e4,
+    321) brackets the root between two scan nodes; one Brent solve on that
+    bracket then finds the root of the resampled grid map.  When quadrature
+    error moves the grid map's root past a node, a 33-point rescan around
+    the two nodes brackets it instead.  A root that lies exactly on a scan
     node is returned too; a profile already on the constraint gives
     lambda = 1.  Exact zeros of K are never taken as roots by themselves:
     NoRoot means the nonzero samples of K show no sign change along the
@@ -155,14 +162,11 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
         return base.scaled(lam, ray, nl.p, n).constraint(nl, se, n)
 
     lams = np.geomspace(1e-4, 1e4, 321)
-    kvals = np.array([k_algebra(lam) for lam in lams])
-    bracket = _sign_change(kvals)
+    bracket = _sign_change(np.array([k_algebra(lam) for lam in lams]))
     if bracket is None:
         raise NoRoot(
             f"K_({se.alpha:g},{se.beta:g}) has no sign change along the "
             f"({ray.alpha:g},{ray.beta:g}) ray of this profile")
-    i, j = bracket
-    lam_alg = brentq(k_algebra, lams[i], lams[j], xtol=1e-14, rtol=8.9e-16)
 
     def k_discrete(lam: float) -> float:
         try:
@@ -170,13 +174,11 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
         except TruncationOverflow:
             return k_algebra(lam)
 
-    lo, hi = lam_alg / 4.0, lam_alg * 4.0
-    klo, khi = k_discrete(lo), k_discrete(hi)
-    if _sign_change(np.array([klo, khi])) is None:
-        # quadrature error can shift a marginal root; rescan the bracket
-        scan = np.geomspace(lo, hi, 33)
-        kscan = np.array([k_discrete(lam) for lam in scan])
-        bracket = _sign_change(kscan)
+    lo, hi = lams[bracket[0]], lams[bracket[1]]
+    if _sign_change(np.array([k_discrete(lo), k_discrete(hi)])) is None:
+        # quadrature error can shift a marginal root; rescan around the nodes
+        scan = np.geomspace(lo / 4.0, hi * 4.0, 33)
+        bracket = _sign_change(np.array([k_discrete(lam) for lam in scan]))
         if bracket is None:
             raise NoRoot("constraint map loses its sign change on the grid")
         lo, hi = scan[bracket[0]], scan[bracket[1]]
@@ -192,36 +194,18 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
 def project_to_P_zero(v: GridFunction, nl: PowerKG) -> tuple[float, GridFunction]:
     """Shrink v_lambda = lambda v(lambda x) until P vanishes (dimension 2).
 
-    P is invariant in the L2 term and homogeneous of degree p-1 in lambda
-    for the potential term, so P(v) > 0 pins the root in (0, 1).
+    In dimension 2, P = -K_{0,-1}/2 exactly, so P = 0 is the constraint of
+    the limit pair (0, -1), projected along the L2-invariant ray (1, 1) by
+    project_to_constraint.  P(v) > 0 pins the root in (0, 1).
     """
-    grid = v.grid
-    if grid.dimension != 2:
+    if v.grid.dimension != 2:
         raise Unsupported("the P = 0 projection uses the L2-invariant scaling of dimension 2")
     p0 = pohozaev_P(v, nl)
     if p0 == 0.0:
         return 1.0, v
     if p0 < 0.0:
         raise PreconditionFailed(f"P(v) = {p0:.3e} <= 0; nothing to project")
-    se = ScalingExponents(1.0, 1.0, LIMIT)
-
-    def p_of(lam: float) -> float:
-        return pohozaev_P(rescale(v, lam, se), nl)
-
-    lo = 0.5
-    for _ in range(60):
-        if p_of(lo) <= 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise ConvergenceError("P stays positive down to lambda = 2^-60")
-    lam0 = brentq(p_of, lo, 1.0, xtol=1e-14, rtol=8.9e-16)
-    projected = rescale(v, lam0, se)
-    residual = pohozaev_P(projected, nl)
-    if abs(residual) > PROJECTION_TOL * l2_norm_sq(v):
-        raise ConvergenceError(
-            f"P residual {residual:.3e} exceeds {PROJECTION_TOL:.0e} * L2 norm")
-    return lam0, projected
+    return project_to_constraint(v, nl, P_ZERO, ray=ScalingExponents(1.0, 1.0, LIMIT))
 
 
 # -- mountain-pass paths ------------------------------------------------------
@@ -318,8 +302,7 @@ def _region_of(se: ScalingExponents, nl: PowerKG, dimension: int) -> str:
     return classify_exponents(se.alpha, se.beta, nl.p, dimension).region
 
 
-def build_path_interior(v: GridFunction, nl: PowerKG, se: ScalingExponents,
-                        samples: int = 64) -> PathSample:
+def build_path_interior(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample:
     """The ray path gamma(t) = v_{tC} for an interior exponent pair.
 
     All three scaling exponents are positive in the interior region, so the
@@ -341,7 +324,7 @@ def build_path_interior(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     def evaluate(t: float) -> float:
         return family_action(v, nl, se, t * big_c)
 
-    ts = list(np.linspace(0.0, 1.0, max(samples, 64)))
+    ts = list(np.linspace(0.0, 1.0, PATH_SAMPLES))
     ss = [evaluate(tt) for tt in ts]
     t_arr, s_arr = _refine_argmax(ts, ss, evaluate)
     return PathSample(
@@ -355,8 +338,7 @@ def build_path_interior(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     )
 
 
-def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents,
-                     samples: int = 64) -> PathSample:
+def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample:
     """Glued path for a limit exponent pair.
 
     One scaling exponent vanishes in the limit region, so the ray alone
@@ -420,11 +402,10 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents,
         amp = 1.0 + (t_end - 1.0) * (t - t_b) / (1.0 - t_b)
         return m_c.scaled(amp, AMPLITUDE_RAY, nl.p, n).action(nl)
 
-    per = max(samples, 64)
-    ts = list(np.linspace(0.0, t_a, per))
-    ts += list(np.linspace(t_a, t_b, per))[1:]
+    ts = list(np.linspace(0.0, t_a, PATH_SAMPLES))
+    ts += list(np.linspace(t_a, t_b, PATH_SAMPLES))[1:]
     if three:
-        ts += list(np.linspace(t_b, 1.0, per))[1:]
+        ts += list(np.linspace(t_b, 1.0, PATH_SAMPLES))[1:]
     ss = [evaluate(tt) for tt in ts]
     t_arr, s_arr = _refine_argmax(ts, ss, evaluate)
 
@@ -512,13 +493,12 @@ class MinimizationReport:
 
 
 def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: float,
-                             tol: float | None = None,
-                             lam_grid=None) -> MinimizationReport:
+                             tol: float | None = None) -> MinimizationReport:
     """Project every trial onto the K_{alpha,beta} = 0 set and minimize S.
 
     Interior pairs are projected along their own ray and each projected
-    member's scaling profile is checked to peak at lambda = 1 (within one
-    grid cell).  Limit pairs are projected by amplitude, where the K map
+    member's scaling profile on ARGMAX_LAM_GRID is checked to peak at
+    lambda = 1 (within one grid cell).  Limit pairs are projected by amplitude, where the K map
     always changes sign; their ray profile is flat in the critical power
     case, so no argmax check applies.
     """
@@ -532,10 +512,7 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
     if tol is None:
         tol = 1e-3 * abs(m_ref)
     ray = None if region == INTERIOR else AMPLITUDE_RAY
-    if lam_grid is None:
-        lam_grid = np.geomspace(0.5, 2.0, 33)
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    unity_cell = int(np.argmin(np.abs(lam_grid - 1.0)))
+    unity_cell = int(np.argmin(np.abs(ARGMAX_LAM_GRID - 1.0)))
 
     lambdas, actions, failures, cells_off = [], [], [], []
     for i, trial in enumerate(trials):
@@ -553,7 +530,7 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
             # the ray profile of the projected moments transforms exactly
             # under scaling; the resampled map would fold interpolation
             # error into the peak location for strongly compressed members
-            profile = [m.scaled(lam, se, nl.p, dimension).action(nl) for lam in lam_grid]
+            profile = [m.scaled(lam, se, nl.p, dimension).action(nl) for lam in ARGMAX_LAM_GRID]
             cells_off.append(abs(int(np.argmax(profile)) - unity_cell))
     evaluated = [(s, i) for i, s in enumerate(actions) if s is not None]
     if not evaluated:
@@ -577,7 +554,7 @@ class KineticReport:
     members_total: int
     lambdas: tuple           # P-projection parameter; None for on-boundary members
     kinetics: tuple          # T after projection; None for skipped members
-    skipped: tuple           # member indices with P < -boundary_tol (outside the set)
+    skipped: tuple           # member indices with P below the boundary band (outside the set)
     failures: tuple
     min_kinetic: float
     argmin_index: int
@@ -588,12 +565,11 @@ class KineticReport:
 
 
 def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
-                        tol: float | None = None,
-                        boundary_tol: float = 1e-3) -> KineticReport:
+                        tol: float | None = None) -> KineticReport:
     """Check m = min{T(v) : v != 0, P(v) >= 0} on a trial family.
 
     Members with P > 0 are scaled down to the P = 0 boundary first (that
-    only lowers T), members within boundary_tol * ||v||_H1^2 of the
+    only lowers T), members within P_BOUNDARY_TOL * ||v||_H1^2 of the
     boundary are taken as they stand, and members with P < 0 lie outside
     the constraint set and are skipped.
     """
@@ -607,7 +583,7 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
     lambdas, kinetics, skipped, failures = [], [], [], []
     for i, trial in enumerate(trials):
         m = moments(trial, nl)
-        band = boundary_tol * m.h1
+        band = P_BOUNDARY_TOL * m.h1
         p_val = m.potential(nl)
         if p_val < -band:
             skipped.append(i)
@@ -620,7 +596,8 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
             continue
         try:
             lam0, projected = project_to_P_zero(trial, nl)
-        except (PreconditionFailed, Unsupported, ConvergenceError, TruncationOverflow) as err:
+        except (PreconditionFailed, Unsupported, NoRoot, ConvergenceError,
+                TruncationOverflow) as err:
             failures.append((i, type(err).__name__))
             lambdas.append(None)
             kinetics.append(None)

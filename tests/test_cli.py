@@ -228,6 +228,17 @@ def test_verify_theorem1_quick(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_theorem1_in_three_dimensions(tmp_path, capsys):
+    # the default shooting bracket (1, 4) lies below the N = 3 critical
+    # amplitude 4.34; shooting doubles its upper end
+    assert run(["verify-theorem1", "--N", "3", "--p", "3", "--alpha", "1", "--beta", "0",
+                "--family-size", "3", "--outdir", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "theorem1.json")
+    assert payload["pass"] is True
+    assert payload["failures"] == 0
+    capsys.readouterr()
+
+
 def test_outdir_env_override(tmp_path, monkeypatch, capsys):
     preferred = tmp_path / "env-out"
     ignored = tmp_path / "flag-out"

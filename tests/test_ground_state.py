@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from varkg import (
     BracketError,
     ConvergenceError,
+    InvalidInput,
     InvalidMass,
     RadialGrid,
     action_S,
@@ -115,6 +116,22 @@ def test_bad_bracket_raises():
     grid = RadialGrid(2, 40.0, 2000)
     with pytest.raises(BracketError):
         shoot_radial(3.0, 0.0, 2, grid, bracket=(5.0, 9.0))
+
+
+def test_non_crossing_upper_end_is_doubled(ground_n3):
+    # the N = 3 critical amplitude 4.34 lies above the default bracket (1, 4)
+    gs = shoot_radial(3.0, 0.0, 3, RadialGrid(3, 30.0, 3000))
+    assert np.isclose(gs.center_value, ground_n3.center_value, rtol=1e-12, atol=0)
+    assert np.isclose(gs.level, ground_n3.level, rtol=1e-10, atol=0)
+
+
+def test_coarse_series_start_blames_the_grid():
+    # at amplitude 8, p = 5 the series start at r = h = 0.04 gives
+    # phi(h) = 21.7 > phi(0), which the ODE rules out
+    with pytest.raises(InvalidInput, match="too coarse"):
+        shoot_radial(5.0, 0.0, 2, RadialGrid(2, 40.0, 1000), bracket=(1.0, 8.0))
+    gs = shoot_radial(5.0, 0.0, 2, RadialGrid(2, 40.0, 8000), bracket=(1.0, 8.0))
+    assert 1.0 < gs.center_value < 8.0
 
 
 def test_small_domain_rejected():

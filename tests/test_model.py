@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from varkg import (
     GeneralG,
@@ -228,3 +229,22 @@ def test_scaled_moments_match_resampling(case, lam, amp, width):
     resampled = moments(rescale(v, lam, se), nl)
     scaled = moments(v, nl).scaled(lam, se, p, n)
     assert np.allclose(resampled, scaled, rtol=1.5e-3, atol=0.0)
+
+
+P_ZERO_GRID = RadialGrid(2, 10.0, 32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(float, P_ZERO_GRID.cells,
+                     elements=st.just(0.0) | st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3)),
+       p=st.floats(1.0, 9.0, exclude_min=True), omega=st.floats(-0.99, 0.99))
+def test_p_is_minus_half_k_zero_minus_one_in_2d(values, p, omega):
+    # P = -K_{0,-1}/2 in dimension 2, bit for bit: the P = 0 projection is
+    # the (0, -1) constraint projection.  Node magnitudes of at least 1e-3
+    # keep the moments out of the subnormal range, where halving is inexact.
+    v = GridFunction(P_ZERO_GRID, np.append(values, 0.0))
+    nl = PowerKG(p, omega)
+    m = moments(v, nl)
+    se = classify_exponents(0.0, -1.0, p, 2)
+    assert se.region == LIMIT
+    assert m.constraint(nl, se, 2) == -2.0 * m.potential(nl)

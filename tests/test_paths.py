@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from varkg import (
     AMPLITUDE_RAY,
@@ -27,11 +28,13 @@ from varkg import (
     build_path_limit,
     classify_exponents,
     closed_form_1d,
+    constraint_K,
     default_trial_family,
     family_action,
     kinetic_T,
     l2_norm_sq,
     least_energy,
+    moments,
     mountain_pass_estimate,
     project_to_P_zero,
     project_to_constraint,
@@ -39,6 +42,7 @@ from varkg import (
     verify_T_min_over_P,
     verify_min_on_constraint,
 )
+from varkg.paths import PROJECTION_TOL
 
 WIDTH_RAY = ScalingExponents(0.0, 1.0, "")
 
@@ -157,6 +161,22 @@ def test_reprojection_returns_unity(dimension, pair, nl3):
     _, w = project_to_constraint(_gaussian(dimension), nl3, se)
     lam_again, _ = project_to_constraint(w, nl3, se)
     assert np.isclose(lam_again, 1.0, rtol=0, atol=1e-6)
+
+
+def test_projection_rescans_when_grid_root_passes_a_scan_node(nl3):
+    # on this coarse grid the resampled map's root lies 0.6% below the
+    # algebra root, on the other side of the scan node 2.2387, so the two
+    # nodes that bracket the algebra root do not bracket the grid map's
+    g = RadialGrid(2, 20.0, 400)
+    v = GridFunction.sample(g, lambda r: 1.051 * np.exp(-r**2))
+    se = se_of(2.0, 1.0, 2)
+    base = moments(v, nl3)
+    lam_alg = brentq(lambda lam: base.scaled(lam, se, 3.0, 2).constraint(nl3, se, 2),
+                     1e-3, 1e3)
+    lam_star, w = project_to_constraint(v, nl3, se)
+    nodes = np.geomspace(1e-4, 1e4, 321)
+    assert np.any((nodes > lam_star) & (nodes < lam_alg))
+    assert abs(constraint_K(w, nl3, se)) <= PROJECTION_TOL * moments(w, nl3).h1
 
 
 def test_reprojection_on_limit_ray_has_no_root(nl3):
