@@ -65,6 +65,7 @@ from .model import (
     classify_exponents,
     constraint_K,
     dynamic_pair,
+    flow_nonlinearity,
     energy_E,
     kinetic_T,
     moments,

@@ -138,7 +138,7 @@ def _ground_state(cfg, dimension: int, bracket=(1.0, 4.0)):
     grid = RadialGrid(dimension, cfg.R, cfg.M)
     if dimension == 1:
         return closed_form_1d(cfg.p, cfg.omega, grid)
-    return shoot_radial(cfg.p, cfg.omega, dimension, grid, bracket=bracket)
+    return shoot_radial(PowerKG(cfg.p, cfg.omega), grid, bracket=bracket)
 
 
 def _outer_radius(cfg) -> float:

@@ -23,7 +23,7 @@ from .errors import (
     Unsupported,
 )
 from .ground_state import GroundState, least_energy
-from .model import GeneralG, ScalingExponents, dynamic_pair, moments
+from .model import ScalingExponents, flow_nonlinearity, moments
 from .paths import rescale
 from .radial_core import (
     SPHERE_SURFACE,
@@ -117,11 +117,12 @@ def _acceleration(values: np.ndarray, grid: RadialGrid, g) -> np.ndarray:
 def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, nl, n_steps: int):
     """Advance (u, v) in place by kick-drift-kick steps, yielding the count
     after each; a dt outside (0, 2/sqrt(stiffness + mass)] raises first."""
-    bound = 2.0 / math.sqrt(_operator(grid)[2] + (nl.rho if isinstance(nl, GeneralG) else 1.0))
+    flow = flow_nonlinearity(nl)
+    bound = 2.0 / math.sqrt(_operator(grid)[2] + flow.mass)
     if not (0.0 < dt <= bound):
         raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
                                f"(0, {bound:g}], i.e. cfl <= {bound / grid.spacing:.4g}")
-    g, _ = dynamic_pair(nl)
+    g = flow.g
     acc = _acceleration(u, grid, g)
     for k in range(1, n_steps + 1):
         v += 0.5 * dt * acc
@@ -152,10 +153,9 @@ def _discrete_energy(u: np.ndarray, v: np.ndarray, grid: RadialGrid, nl) -> floa
     """Energy of the semi-discrete system on the operator's faces and cells,
     conserved in every dimension (its gradient is -cell * (lap + g)) up to the
     leapfrog's bounded O(dt^2) oscillation.  It is energy_E to O(h^2)."""
-    _, big_g = dynamic_pair(nl)
     face, cell, _ = _operator(grid)
     du = np.diff(u)
-    nodal = cell * (0.5 * v * v - big_g(u))
+    nodal = cell * (0.5 * v * v - flow_nonlinearity(nl).G(u))
     return float(nodal.sum()) + 0.5 * float((face * du * du).sum())
 
 
@@ -183,7 +183,10 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     Diagnostics (energy, action, P, T, H1 norm, invariant-set flag) and the
     event checks (finiteness, H1 escape past blowup_factor times its start
     value, boundary contamination) run every RECORD_INTERVAL, in steps.
+    They are taken with the flow's nonlinearity (see flow_nonlinearity),
+    so E and S agree on data at rest.
     """
+    nl = flow_nonlinearity(nl)
     require_same_grid(u0, v0)
     if u0.is_complex or v0.is_complex:
         raise InvalidInput("evolution is real-valued")
@@ -240,13 +243,19 @@ def make_initial_data(gs: GroundState, lam: float, mu: float,
 
     lam = mu = 1 on the ground state's own grid reproduces the profile
     bit-for-bit, so E equals the reference level exactly and the boundary
-    case lands outside the open invariant set by construction.
+    case lands outside the open invariant set by construction.  The real
+    radial flow carries standing waves only at omega = 0, so a ground state
+    whose nonlinearity differs from its flow's (see flow_nonlinearity) is
+    rejected: its S, P and m would use a mass the flow does not.
     """
     if gs.grid.dimension != 2:
         raise Unsupported("instability data construction is specific to dimension 2")
     if not (lam > 0.0 and mu > 0.0):
         raise InvalidParameter("lam and mu must be positive")
     nl = gs.nonlinearity
+    if flow_nonlinearity(nl) != nl:
+        raise Unsupported("the real radial flow carries standing waves only at omega = 0, "
+                          f"got {nl!r}")
     base = gs.profile
     if grid is not None and grid != gs.grid:
         if grid.dimension != 2:

@@ -1,9 +1,10 @@
-"""Ground states of -Delta(phi) + m0 phi = |phi|^(p-1) phi.
+"""Ground states of -Delta(phi) = g(phi) for any nonlinearity.
 
-Dimension 1 has the closed-form solitary profile; dimensions 2 and 3 use
-radial shooting on the amplitude phi(0).  Both constructors validate the
-same invariants: small ODE residual, vanishing Nehari and Pohozaev
-combinations, positivity, and monotone decay.
+Dimension 1 has the closed-form solitary profile of the power family;
+radial shooting on the amplitude phi(0) solves any nonlinearity in any
+dimension.  Both constructors validate the same invariants: small ODE
+residual, vanishing Nehari (power family) and Pohozaev combinations,
+positivity, and monotone decay.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, InvalidInput
-from .model import PowerKG, check_subcritical, moments
+from .model import Nonlinearity, PowerKG, check_subcritical, moments
 from .radial_core import GridFunction, RadialGrid
 
 # invariant tolerances, relative to the natural scale of each identity
-ODE_RESIDUAL_TOL = 1e-4        # times phi(0)^p
+ODE_RESIDUAL_TOL = 1e-4        # times g(phi(0)) + m0 phi(0), i.e. phi(0)^p for powers
 CONSTRAINT_TOL = 1e-3          # times ||phi||_H1^2
 DECAY_FLOOR = 1e-10            # profile must dip below this before r = R
 BRACKET_DOUBLINGS = 8          # times shoot_radial may double a non-crossing upper end
@@ -26,14 +27,17 @@ BRACKET_DOUBLINGS = 8          # times shoot_radial may double a non-crossing up
 
 @dataclass(frozen=True)
 class GroundState:
-    """A validated least-energy profile together with its diagnostics."""
+    """A validated least-energy profile together with its diagnostics.
+
+    nehari_residual is None for a general nonlinearity (see _validate).
+    """
 
     profile: GridFunction
-    nonlinearity: PowerKG
+    nonlinearity: Nonlinearity
     level: float
     center_value: float
     ode_residual: float
-    nehari_residual: float
+    nehari_residual: float | None
     pohozaev_residual: float
 
     @property
@@ -46,8 +50,8 @@ def least_energy(gs: GroundState) -> float:
     return gs.level
 
 
-def equation_residual(v: GridFunction, nl: PowerKG) -> float:
-    """Max norm of -lap(phi) + m0 phi - |phi|^(p-1) phi over interior nodes.
+def equation_residual(v: GridFunction, nl: Nonlinearity) -> float:
+    """Max norm of -lap(phi) - g(phi) over interior nodes.
 
     Fourth-order stencils keep the measurement error well below the
     acceptance tolerance on production grids; a radial profile is even in
@@ -65,12 +69,18 @@ def equation_residual(v: GridFunction, nl: PowerKG) -> float:
     lap = d2
     if g.dimension > 1:
         lap = lap + (g.dimension - 1) / g.r[1:-1] * d1
-    mid = v.values[1:-1]
-    res = -lap + nl.mass * mid - np.abs(mid) ** (nl.p - 1.0) * mid
+    res = -lap - nl.g(v.values[1:-1])
     return float(np.abs(res).max())
 
 
-def _validate(profile: GridFunction, nl: PowerKG) -> GroundState:
+def _validate(profile: GridFunction, nl: Nonlinearity) -> GroundState:
+    """Check a candidate profile and wrap it with its diagnostics.
+
+    The Nehari identity int g(phi) phi = ||grad phi||^2 is checked only
+    where Moments.nehari is defined, the power family: for a general g,
+    int g(phi) phi is not one of the three moments.  The Pohozaev identity
+    holds for every g.
+    """
     vals = profile.values
     a = float(vals[0])
     if a <= 0 or np.any(vals < 0):
@@ -78,14 +88,15 @@ def _validate(profile: GridFunction, nl: PowerKG) -> GroundState:
     if np.any(np.diff(vals) > 0):
         raise ConvergenceError("ground-state profile must decay monotonically")
     ode_res = equation_residual(profile, nl)
-    if ode_res > ODE_RESIDUAL_TOL * a**nl.p:
+    if ode_res > ODE_RESIDUAL_TOL * (nl.g(a) + nl.mass * a):
         raise ConvergenceError(
-            f"equation residual {ode_res:.3e} exceeds {ODE_RESIDUAL_TOL:.0e} * phi(0)^p")
+            f"equation residual {ode_res:.3e} exceeds {ODE_RESIDUAL_TOL:.0e} * "
+            "(g(phi(0)) + m0 phi(0))")
     m = moments(profile, nl)
     h1 = m.h1
-    kn = m.nehari(nl)
+    kn = m.nehari(nl) if isinstance(nl, PowerKG) else None
     pz = m.pohozaev_residual(nl, profile.grid.dimension)
-    if abs(kn) > CONSTRAINT_TOL * h1:
+    if kn is not None and abs(kn) > CONSTRAINT_TOL * h1:
         raise ConvergenceError(f"Nehari residual {kn:.3e} too large for H1 norm {h1:.3e}")
     if abs(pz) > CONSTRAINT_TOL * h1:
         raise ConvergenceError(f"Pohozaev residual {pz:.3e} too large for H1 norm {h1:.3e}")
@@ -117,7 +128,7 @@ def closed_form_1d(p: float, omega: float, grid: RadialGrid) -> GroundState:
     return _validate(profile, nl)
 
 
-def _classify_shot(a: float, p: float, m0: float, grid: RadialGrid, record: bool):
+def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
     """March the radial ODE outward from amplitude a, one RK4 step per cell.
 
     Returns (status, values, filled): status is "cross" when the solution
@@ -125,28 +136,31 @@ def _classify_shot(a: float, p: float, m0: float, grid: RadialGrid, record: bool
     at r = R; values holds node samples up to index filled-1 when
     record is true.
 
-    A shot that is not recorded stops with status "turn" at its first
-    turning point, where psi = phi' > 0 while phi > 0; such a shot can
-    never cross zero (Berestycki, Lions & Peletier 1981).  The ODE energy
-    E = psi^2/2 - m0 phi^2/2 + phi^(p+1)/(p+1) does not increase in r.  At
-    the turn phi'' >= 0 gives phi^(p-1) <= m0, so E <= F(phi) < 0 there,
-    whereas E >= 0 wherever phi = 0.  Only "cross" labels a shot above
-    the critical amplitude; "turn", "diverge" and "end" all label it below.
-    The recorded shot always marches on to "cross", "diverge" or "end".
+    The march carries (phi, chi) with chi = -phi', so each stage reads
+    g(phi) - (N-1) chi / r with no negation.  A shot that is not recorded
+    stops with status "turn" at a turning point, where chi < 0 while
+    phi > 0, if its ODE energy E = chi^2/2 + G(phi) is negative there.
+    E does not increase in r (dE/dr = -(N-1) chi^2 / r), and E >= 0
+    wherever phi = 0, so such a shot can never cross zero, whatever g is.
+    For the power family E < 0 at every turn (Berestycki, Lions & Peletier
+    1981).  Only "cross" labels a shot above the critical amplitude;
+    "turn", "diverge" and "end" all label it below.  The recorded shot
+    always marches on to "cross", "diverge" or "end".
     """
+    g, big_g = nl.g, nl.G
     n = grid.dimension
     h = grid.spacing
-    pm1 = p - 1.0
+    hh = 0.5 * h
     nm1 = float(n - 1)
     upper = 2.0 * a
 
     # series start past the coordinate singularity:
     # phi ~ a + c2 r^2 + c4 r^4 with Delta(r^k) = k(k+N-2) r^(k-2)
-    c2 = (m0 * a - a**p) / (2.0 * n)
-    c4 = c2 * (m0 - p * a**pm1) / (4.0 * (n + 2.0))
+    c2 = -g(a) / (2.0 * n)
+    c4 = -c2 * nl.dg(a) / (4.0 * (n + 2.0))
     r = h
     phi = a + c2 * r * r + c4 * r**4
-    psi = 2.0 * c2 * r + 4.0 * c4 * r**3
+    chi = -(2.0 * c2 * r + 4.0 * c4 * r**3)
     if c2 < 0.0 and phi >= a:
         # the ODE makes phi fall from a when c2 < 0; the series has left
         # its range at r = h
@@ -158,44 +172,40 @@ def _classify_shot(a: float, p: float, m0: float, grid: RadialGrid, record: bool
     if record:
         vals[0] = a
         vals[1] = phi
-    filled = 2
 
     for i in range(2, grid.cells + 1):
-        # one RK4 step of (phi' = psi, psi' = m0 phi - |phi|^(p-1) phi - (n-1) psi / r)
-        k1p = psi
-        k1s = m0 * phi - abs(phi) ** pm1 * phi - nm1 * psi / r
-        rh = r + 0.5 * h
-        p2 = phi + 0.5 * h * k1p
-        s2 = psi + 0.5 * h * k1s
-        k2p = s2
-        k2s = m0 * p2 - abs(p2) ** pm1 * p2 - nm1 * s2 / rh
-        p3 = phi + 0.5 * h * k2p
-        s3 = psi + 0.5 * h * k2s
-        k3p = s3
-        k3s = m0 * p3 - abs(p3) ** pm1 * p3 - nm1 * s3 / rh
-        r2 = r + h
-        p4 = phi + h * k3p
-        s4 = psi + h * k3s
-        k4p = s4
-        k4s = m0 * p4 - abs(p4) ** pm1 * p4 - nm1 * s4 / r2
-        phi += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        psi += h * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
-        r = r2
+        # one RK4 step of (phi' = -chi, chi' = g(phi) - (n-1) chi / r)
+        k1 = g(phi) - nm1 * chi / r
+        rh = r + hh
+        p2 = phi - hh * chi
+        x2 = chi + hh * k1
+        k2 = g(p2) - nm1 * x2 / rh
+        p3 = phi - hh * x2
+        x3 = chi + hh * k2
+        k3 = g(p3) - nm1 * x3 / rh
+        r += h
+        p4 = phi - h * x3
+        x4 = chi + h * k3
+        k4 = g(p4) - nm1 * x4 / r
+        phi -= h * (chi + 2.0 * x2 + 2.0 * x3 + x4) / 6.0
+        chi += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if phi < 0.0:
-            return "cross", vals, filled
+            return "cross", vals, i
         if phi > upper:
-            return "diverge", vals, filled
-        if psi > 0.0 and phi > 0.0 and not record:
-            return "turn", vals, filled
+            return "diverge", vals, i
+        if chi < 0.0 and phi > 0.0 and not record and 0.5 * chi * chi + big_g(phi) < 0.0:
+            return "turn", vals, i
         if record:
             vals[i] = phi
-        filled = i + 1
-    return "end", vals, filled
+    return "end", vals, grid.cells + 1
 
 
-def shoot_radial(p: float, omega: float, dimension: int, grid: RadialGrid,
+def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
                  bracket: tuple[float, float] = (1.0, 4.0)) -> GroundState:
-    """Bisection shooting on the center amplitude.
+    """Bisection shooting on the center amplitude of -Delta(phi) = g(phi).
+
+    Any nonlinearity shoots the same way, in the grid's dimension; a
+    power must also be subcritical there (check_subcritical).
 
     The bracket must straddle the critical amplitude: its lower end
     classifies as non-crossing and its upper end crosses zero.  An upper
@@ -206,23 +216,22 @@ def shoot_radial(p: float, omega: float, dimension: int, grid: RadialGrid,
     phi(r*) (r*/r)^((N-1)/2) exp(-sqrt(m0)(r - r*)), which restores decay
     past the double-precision resolution limit of the bisection itself.
     """
-    if grid.dimension != dimension:
-        raise InvalidInput(f"grid dimension {grid.dimension} != requested {dimension}")
-    nl = PowerKG(p, omega)
-    check_subcritical(p, dimension)
+    dimension = grid.dimension
+    if isinstance(nl, PowerKG):
+        check_subcritical(nl.p, dimension)
     m0 = nl.mass
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise InvalidInput(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
 
-    status_lo, _, _ = _classify_shot(lo, p, m0, grid, record=False)
-    status_hi, _, _ = _classify_shot(hi, p, m0, grid, record=False)
+    status_lo, _, _ = _classify_shot(lo, nl, grid, record=False)
+    status_hi, _, _ = _classify_shot(hi, nl, grid, record=False)
     for _ in range(BRACKET_DOUBLINGS):
         if status_lo == "cross" or status_hi == "cross":
             break
         lo, status_lo = hi, status_hi
         hi *= 2.0
-        status_hi, _, _ = _classify_shot(hi, p, m0, grid, record=False)
+        status_hi, _, _ = _classify_shot(hi, nl, grid, record=False)
     if status_lo == "cross" or status_hi != "cross":
         raise BracketError(
             f"bracket {bracket!r} does not straddle the critical amplitude "
@@ -232,7 +241,7 @@ def shoot_radial(p: float, omega: float, dimension: int, grid: RadialGrid,
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # bracket collapsed to adjacent doubles
-        status, _, _ = _classify_shot(mid, p, m0, grid, record=False)
+        status, _, _ = _classify_shot(mid, nl, grid, record=False)
         if status == "cross":
             hi = mid
         else:
@@ -242,7 +251,7 @@ def shoot_radial(p: float, omega: float, dimension: int, grid: RadialGrid,
     else:
         raise ConvergenceError("bisection failed to collapse the amplitude bracket")
 
-    status, vals, filled = _classify_shot(lo, p, m0, grid, record=True)
+    status, vals, filled = _classify_shot(lo, nl, grid, record=True)
     if status == "cross":
         raise ConvergenceError("final shot crossed zero; bracket degenerated")
     kept = vals[:filled]

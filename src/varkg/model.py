@@ -1,15 +1,17 @@
 """Nonlinearities, scaling exponents, and the variational functionals.
 
-The stationary problem is -Delta(v) + (1 - omega^2) v = |v|^(p-1) v, the
-Euler-Lagrange equation of the action
+The stationary problem is -Delta(v) = g(v), the Euler-Lagrange equation
+of the action
 
     S(v) = (1/2) ||grad v||^2 - int G(v),
 
-with G(s) = -(m0/2) s^2 + |s|^(p+1)/(p+1) and m0 = 1 - omega^2 for the
-power family.  Rescalings v_lambda(x) = lambda^alpha v(lambda^beta x)
-differentiate the action into the two-parameter constraint functional
-K_{alpha,beta}; admissible exponent pairs split into an interior region
-and its limit boundary, classified here with exact comparisons.
+with G' = g.  Each nonlinearity carries g, G and its mass m0 = -g'(0),
+and every consumer reads them there: the power family's
+g(s) = -m0 s + |s|^(p-1) s, m0 = 1 - omega^2, is written only in PowerKG.
+Rescalings v_lambda(x) = lambda^alpha v(lambda^beta x) differentiate the
+action into the two-parameter constraint functional K_{alpha,beta};
+admissible exponent pairs split into an interior region and its limit
+boundary, classified here with exact comparisons.
 
 Every functional is a linear form in three moments of v, the squared
 gradient and L2 norms and the potential integral, so the moments are
@@ -20,7 +22,7 @@ Along a ray the moments scale by the powers `ray_exponents` gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -38,6 +40,11 @@ from .radial_core import (
     require_same_grid,
 )
 
+# GeneralG checks g = G' by a centred difference of G at these points
+G_PRIME_POINTS = np.array([0.25, 0.5, 1.0, 1.5])
+G_PRIME_STEP = 1e-5
+G_PRIME_TOL = 1e-6
+
 INTERIOR = "Interior"
 LIMIT = "Limit"
 INVALID = "Invalid"
@@ -45,20 +52,44 @@ INVALID = "Invalid"
 
 @dataclass(frozen=True)
 class PowerKG:
-    """Power nonlinearity |s|^(p-1) s with frequency parameter omega.
+    """Power nonlinearity g(s) = -m0 s + |s|^(p-1) s with frequency omega.
 
     The frequency enters only through the mass m0 = 1 - omega^2 of the
-    stationary equation; |omega| < 1 keeps the mass positive.
+    stationary equation; |omega| < 1 keeps the mass positive.  g, its
+    derivative dg and its primitive G are plain closures, callable on
+    floats and numpy arrays.
     """
 
     p: float
     omega: float = 0.0
+    g: Callable = field(init=False, repr=False, compare=False)
+    dg: Callable = field(init=False, repr=False, compare=False)
+    G: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 1):
             raise InvalidInput(f"power must satisfy p > 1, got {self.p!r}")
         if not (math.isfinite(self.omega) and abs(self.omega) < 1):
             raise InvalidMass(f"frequency must satisfy |omega| < 1, got {self.omega!r}")
+        p, m0, pm1, pp1 = self.p, self.mass, self.p - 1.0, self.p + 1.0
+        neg_m0 = -m0
+
+        def g(s):
+            return neg_m0 * s + abs(s) ** pm1 * s
+
+        def dg(s):
+            return neg_m0 + p * abs(s) ** pm1
+
+        def big_g(s):
+            return -0.5 * m0 * s**2 + abs(s) ** pp1 / pp1
+
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "dg", dg)
+        object.__setattr__(self, "G", big_g)
+
+    def __reduce__(self):
+        # the closures do not pickle; rebuild them from (p, omega)
+        return PowerKG, (self.p, self.omega)
 
     @property
     def mass(self) -> float:
@@ -69,15 +100,21 @@ class PowerKG:
 class GeneralG:
     """General nonlinearity given by g, its primitive G, and mass rho.
 
-    G must vanish at 0 and behave like -(rho/2) s^2 near 0; both are
-    checked numerically at construction (s = 1e-3, 1e-4, 1e-5).  The
-    callables must accept numpy arrays.
+    G must vanish at 0 and behave like -(rho/2) s^2 near 0, and g must be
+    its derivative; all three are checked numerically at construction
+    (G near 0 at s = 1e-3, 1e-4, 1e-5; g against a centred difference of G
+    at G_PRIME_POINTS).  Shooting marches with g and exits on the sign of
+    an energy built from G, so an inconsistent pair would mislabel shots
+    silently.  Shooting calls g on floats, the quadratures and the flow
+    call g and G on numpy arrays; the callables must accept both.  dg,
+    the derivative of g for the series start, is a centred difference.
     """
 
     name: str
     g: Callable[[np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
     rho: float
+    dg: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho > 0):
@@ -92,6 +129,20 @@ class GeneralG:
                 raise InvalidInput(
                     "G(s) + (rho/2) s^2 does not vanish faster than s^2 near 0")
             prev = ratio
+        s = G_PRIME_POINTS
+        slope = (self.G(s + G_PRIME_STEP) - self.G(s - G_PRIME_STEP)) / (2.0 * G_PRIME_STEP)
+        gs = self.g(s)
+        if not np.all(np.abs(gs - slope) <= G_PRIME_TOL * np.maximum(1.0, np.abs(gs))):
+            raise InvalidInput("g is not the derivative of G")
+
+        def dg(s):
+            return (self.g(s + G_PRIME_STEP) - self.g(s - G_PRIME_STEP)) / (2.0 * G_PRIME_STEP)
+
+        object.__setattr__(self, "dg", dg)
+
+    @property
+    def mass(self) -> float:
+        return self.rho
 
 
 Nonlinearity = Union[PowerKG, GeneralG]
@@ -292,21 +343,17 @@ def energy_E(u: GridFunction, v: GridFunction, nl: Nonlinearity) -> float:
     return 0.5 * l2_norm_sq(v) + action_S(u, nl)
 
 
-def dynamic_pair(nl: Nonlinearity):
-    """Vectorized (g, G) used by the time integrator.
+def flow_nonlinearity(nl: Nonlinearity) -> Nonlinearity:
+    """The nonlinearity the time integrator uses.
 
-    The evolution convention fixes unit mass for the power family:
-    g(u) = -u + |u|^(p-1) u, so a frequency-omega standing-wave profile
-    supplies initial data while the flow itself never sees omega.
+    The evolution convention fixes unit mass for the power family, so the
+    flow of PowerKG(p, omega) is PowerKG(p): a frequency-omega profile
+    could supply initial data while the flow itself never sees omega.
     """
-    if isinstance(nl, PowerKG):
-        pm1 = nl.p - 1.0
+    return PowerKG(nl.p) if isinstance(nl, PowerKG) else nl
 
-        def g(u):
-            return -u + np.abs(u) ** pm1 * u
 
-        def big_g(s):
-            return -0.5 * s**2 + np.abs(s) ** (pm1 + 2.0) / (pm1 + 2.0)
-
-        return g, big_g
-    return nl.g, nl.G
+def dynamic_pair(nl: Nonlinearity):
+    """Vectorized (g, G) of the flow (see flow_nonlinearity)."""
+    flow = flow_nonlinearity(nl)
+    return flow.g, flow.G

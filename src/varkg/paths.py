@@ -344,7 +344,9 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> Path
     One scaling exponent vanishes in the limit region, so the ray alone
     neither starts at zero nor turns the action negative.  The path glues
     up to three pieces: the amplitude segment t v_{lambda0} (lambda0 halved
-    until its action is strictly increasing), the ray from lambda0 out to C,
+    until its Nehari value is positive: dS(t v)/dt = t [(||grad v||^2 +
+    m0 ||v||^2) - t^(p-1) ||v||_{p+1}^{p+1}] is then positive on (0, 1], so
+    the segment's action rises strictly), the ray from lambda0 out to C,
     and, when the ray action never crosses zero, a final amplitude segment
     t v_C.  C is grown until either S(v_C) < 0 or the Nehari value of v_C
     is nonpositive; the latter makes the final segment monotone decreasing,
@@ -360,13 +362,11 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> Path
     lam0 = 0.5
     for _ in range(40):
         m_lam0 = _moments_at(v, nl, se, lam0)
-        svals = [m_lam0.scaled(t, AMPLITUDE_RAY, nl.p, n).action(nl)
-                 for t in np.linspace(0.0, 1.0, 65)]
-        if np.all(np.diff(svals) > 0.0):
+        if m_lam0.nehari(nl) > 0.0:
             break
         lam0 *= 0.5
     else:
-        raise GluingFailed("no lambda0 with a monotone amplitude segment in 40 halvings")
+        raise GluingFailed("no lambda0 with a positive Nehari value in 40 halvings")
 
     # C: ray endpoint with either negative action or nonpositive Nehari value
     big_c = 2.0

@@ -15,6 +15,7 @@ from varkg import (
     GeneralG,
     GridFunction,
     LINEAR_KG,
+    PowerKG,
     RadialGrid,
     action_S,
     build_path_interior,
@@ -97,8 +98,8 @@ def test_acceptance_1_closed_form_oracle():
 
 def test_acceptance_2_shooting_cross_validation():
     with Budget("shooting", 30.0) as budget:
-        gs = shoot_radial(3.0, 0.0, 2, RadialGrid(2, 40.0, 4000))
-        fine = shoot_radial(3.0, 0.0, 2, RadialGrid(2, 40.0, 8000))
+        gs = shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 40.0, 4000))
+        fine = shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 40.0, 8000))
         l2 = l2_norm_sq(gs.profile)
         grad_ratio = grad_norm_sq(gs.profile) / l2
         power_ratio = power_integral(gs.profile, 4.0) / l2
@@ -257,7 +258,7 @@ def test_acceptance_7_integrator_order():
 
 def test_acceptance_8_instability_experiment():
     with Budget("instability", 300.0) as budget:
-        gs = shoot_radial(3.0, 0.0, 2, RadialGrid(2, 80.0, 4000))
+        gs = shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 80.0, 4000))
         nl = gs.nonlinearity
         m = least_energy(gs)
         u0, membership = make_initial_data(gs, 1.05, 1.05)

@@ -165,6 +165,19 @@ def test_evolve_rejects_unstable_cfl(tmp_path, capsys):
     assert not (tmp_path / "evolve.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--omega", "0.5", "--R", "40", "--M", "1000", "--tmax", "2"],
+    ["instability-sweep", "--omega", "0.5", "--R", "40", "--M", "1000", "--tmax", "2",
+     "--lambda-grid", "0.95", "--mu-grid", "1.0"],
+])
+def test_evolutions_reject_nonzero_frequency(tmp_path, capsys, argv):
+    # the flow has unit mass while S, P and m of the data would use 1 - omega^2
+    assert run([*argv, "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("varkg: Unsupported: ")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "Unsupported")
+
+
 def test_path_rejects_invalid_pair(tmp_path, capsys):
     grid = RadialGrid(1, 25.0, 500)
     gs = closed_form_1d(3.0, 0.0, grid)

@@ -19,6 +19,7 @@ from varkg import (
     InvalidParameter,
     LINEAR_KG,
     NON_FINITE,
+    PowerKG,
     PreconditionFailed,
     REACHED_TMAX,
     RadialGrid,
@@ -32,6 +33,7 @@ from varkg import (
     least_energy,
     make_initial_data,
     radial_laplacian,
+    shoot_radial,
     step,
 )
 
@@ -218,6 +220,37 @@ def test_unstable_data_blows_up(townes, nl3):
     # the conserved energy stays put while the records remain meaningful
     # (coarse dt here; the dt^2 scaling itself is covered elsewhere)
     assert abs(energy_drift(traj, end=len(traj.records) - 1)) <= 5e-2
+
+
+def test_two_term_g_instability_experiment(cubic_quintic_ground):
+    # acceptance 8 for g = -s + s^3 + s^5/100, not a power: dilated data
+    # with E < m and P > 0 stay in that set and escape; lambda < 1 data
+    # start outside it and stay bounded
+    gs = cubic_quintic_ground
+    nl = gs.nonlinearity
+    m = least_energy(gs)
+    u, report = make_initial_data(gs, 1.05, 1.05)
+    assert report["in_invariant_set"]
+    traj = evolve(u, GridFunction.zeros(u.grid), nl, t_max=40.0,
+                  blowup_factor=5.0, m_ref=m, cfl=0.01)
+    assert traj.termination == BLOWUP_DETECTED
+    monitor = invariant_monitor(traj)
+    assert monitor.in_set_throughout
+    assert monitor.min_p >= 0.5 * traj.records[0].p_value
+    u, report = make_initial_data(gs, 0.95, 0.95)
+    assert not report["in_invariant_set"]
+    traj = evolve(u, GridFunction.zeros(u.grid), nl, t_max=20.0, m_ref=m)
+    assert traj.termination == REACHED_TMAX
+    assert not any(rec.in_invariant_set for rec in traj.records)
+
+
+def test_records_use_the_flow_mass():
+    # the flow of PowerKG(3, 0.5) has unit mass; records at m0 = 0.75
+    # gave S = 4.38 against E = 5.85 at rest
+    gs = shoot_radial(PowerKG(3.0, 0.5), RadialGrid(2, 40.0, 1000))
+    traj = evolve(gs.profile, GridFunction.zeros(gs.grid), gs.nonlinearity, t_max=0.1)
+    rec = traj.records[0]
+    assert abs(rec.energy - rec.action) <= 1e-3 * rec.action
 
 
 def test_monitor_preconditions(townes, nl3):

@@ -13,6 +13,7 @@ from varkg import (
     ConvergenceError,
     InvalidInput,
     InvalidMass,
+    PowerKG,
     RadialGrid,
     action_S,
     closed_form_1d,
@@ -21,12 +22,14 @@ from varkg import (
     kinetic_T,
     l2_norm_sq,
     least_energy,
+    moments,
     pohozaev_P,
     power_integral,
     shoot_radial,
 )
-from varkg.ground_state import _classify_shot
+from varkg.ground_state import CONSTRAINT_TOL, _classify_shot
 
+from general_g import CUBIC, CUBIC_QUINTIC
 from oracle_townes import TOWNES_CENTER, TOWNES_L2, TOWNES_LEVEL, N3_CENTER
 
 
@@ -82,7 +85,7 @@ def test_frequency_scaling_collapse(townes):
     omega = 0.6
     m0 = 1.0 - omega**2
     root = math.sqrt(m0)
-    gs = shoot_radial(3.0, omega, 2, RadialGrid(2, 40.0, 4000))
+    gs = shoot_radial(PowerKG(3.0, omega), RadialGrid(2, 40.0, 4000))
     predicted = root * np.interp(root * gs.grid.r, townes.grid.r,
                                  townes.profile.values)
     diff = np.abs(gs.profile.values - predicted).max()
@@ -92,20 +95,20 @@ def test_frequency_scaling_collapse(townes):
 def test_extreme_frequency_scaling():
     omega = 0.99
     m0 = 1.0 - omega**2
-    gs = shoot_radial(3.0, omega, 2, RadialGrid(2, 200.0, 8000),
+    gs = shoot_radial(PowerKG(3.0, omega), RadialGrid(2, 200.0, 8000),
                       bracket=(0.05, 0.6))
     assert np.isclose(gs.center_value, math.sqrt(m0) * TOWNES_CENTER, rtol=5e-3)
 
 
 def test_one_d_shooting_matches_closed_form():
     grid = RadialGrid(1, 25.0, 2500)
-    shot = shoot_radial(3.0, 0.0, 1, grid)
+    shot = shoot_radial(PowerKG(3.0, 0.0), grid)
     exact = closed_form_1d(3.0, 0.0, grid)
     assert np.abs(shot.profile.values - exact.profile.values).max() <= 1e-6
 
 
 def test_mesh_convergence_of_level():
-    levels = [least_energy(shoot_radial(3.0, 0.0, 2, RadialGrid(2, 40.0, m)))
+    levels = [least_energy(shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 40.0, m)))
               for m in (1000, 2000, 4000)]
     change_coarse = abs(levels[1] - levels[0])
     change_fine = abs(levels[2] - levels[1])
@@ -115,12 +118,12 @@ def test_mesh_convergence_of_level():
 def test_bad_bracket_raises():
     grid = RadialGrid(2, 40.0, 2000)
     with pytest.raises(BracketError):
-        shoot_radial(3.0, 0.0, 2, grid, bracket=(5.0, 9.0))
+        shoot_radial(PowerKG(3.0, 0.0), grid, bracket=(5.0, 9.0))
 
 
 def test_non_crossing_upper_end_is_doubled(ground_n3):
     # the N = 3 critical amplitude 4.34 lies above the default bracket (1, 4)
-    gs = shoot_radial(3.0, 0.0, 3, RadialGrid(3, 30.0, 3000))
+    gs = shoot_radial(PowerKG(3.0, 0.0), RadialGrid(3, 30.0, 3000))
     assert np.isclose(gs.center_value, ground_n3.center_value, rtol=1e-12, atol=0)
     assert np.isclose(gs.level, ground_n3.level, rtol=1e-10, atol=0)
 
@@ -129,15 +132,15 @@ def test_coarse_series_start_blames_the_grid():
     # at amplitude 8, p = 5 the series start at r = h = 0.04 gives
     # phi(h) = 21.7 > phi(0), which the ODE rules out
     with pytest.raises(InvalidInput, match="too coarse"):
-        shoot_radial(5.0, 0.0, 2, RadialGrid(2, 40.0, 1000), bracket=(1.0, 8.0))
-    gs = shoot_radial(5.0, 0.0, 2, RadialGrid(2, 40.0, 8000), bracket=(1.0, 8.0))
+        shoot_radial(PowerKG(5.0, 0.0), RadialGrid(2, 40.0, 1000), bracket=(1.0, 8.0))
+    gs = shoot_radial(PowerKG(5.0, 0.0), RadialGrid(2, 40.0, 8000), bracket=(1.0, 8.0))
     assert 1.0 < gs.center_value < 8.0
 
 
 def test_small_domain_rejected():
     # sqrt(2) sech(20) is above the decay floor, so R = 20 cannot confine it
     with pytest.raises(ConvergenceError):
-        shoot_radial(3.0, 0.0, 1, RadialGrid(1, 20.0, 2000))
+        shoot_radial(PowerKG(3.0, 0.0), RadialGrid(1, 20.0, 2000))
 
 
 def test_equation_residual_small_on_profiles(phi_1d, townes, ground_n3):
@@ -150,15 +153,19 @@ def test_equation_residual_small_on_profiles(phi_1d, townes, ground_n3):
 SHOT_GRID_R, SHOT_GRID_M = 30.0, 1200
 
 
+# all powers are subcritical for N <= 3; the two-term g is not a power
+SHOT_NONLINEARITIES = tuple(PowerKG(p, omega) for p in (2.0, 3.0, 4.0)
+                            for omega in (0.0, 0.6)) + (CUBIC_QUINTIC,)
+
+
 @functools.lru_cache(maxsize=None)
-def _critical_amplitude(n, p, omega):
+def _critical_amplitude(n, nl):
     """Bisection on the labels of full recorded marches, no early exit."""
-    m0 = 1.0 - omega**2
     grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
     lo, hi = 0.2, 6.5
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        status, _, _ = _classify_shot(mid, p, m0, grid, record=True)
+        status, _, _ = _classify_shot(mid, nl, grid, record=True)
         if status == "cross":
             hi = mid
         else:
@@ -169,9 +176,8 @@ def _critical_amplitude(n, p, omega):
 @st.composite
 def shot_cases(draw):
     n = draw(st.sampled_from((2, 3)))
-    p = draw(st.sampled_from((2.0, 3.0, 4.0)))  # all subcritical for N <= 3
-    omega = draw(st.sampled_from((0.0, 0.6)))
-    a_star = _critical_amplitude(n, p, omega)
+    nl = draw(st.sampled_from(SHOT_NONLINEARITIES))
+    a_star = _critical_amplitude(n, nl)
     # uniform over [a*/2, 3a*/2], or within 10^-14 .. 0.3 of a* relative,
     # where shots turn late on a small remainder and the rule is tightest
     near = draw(st.booleans())
@@ -180,7 +186,7 @@ def shot_cases(draw):
         a = a_star * (1.0 + sign * 10.0 ** -draw(st.floats(0.5, 14.0)))
     else:
         a = a_star * draw(st.floats(0.5, 1.5))
-    return n, p, omega, a
+    return n, nl, a
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,11 +194,10 @@ def shot_cases(draw):
 def test_turning_point_exit_agrees_with_full_march(case):
     # a shot that turns while positive can never cross zero: the early
     # exit must label every shot exactly as the recorded march does
-    n, p, omega, a = case
-    m0 = 1.0 - omega**2
+    n, nl, a = case
     grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
-    early, _, _ = _classify_shot(a, p, m0, grid, record=False)
-    full, values, filled = _classify_shot(a, p, m0, grid, record=True)
+    early, _, _ = _classify_shot(a, nl, grid, record=False)
+    full, values, filled = _classify_shot(a, nl, grid, record=True)
     assert (early == "cross") == (full == "cross")
     if early != "cross":
         assert np.all(values[:filled] >= 0.0)
@@ -210,3 +215,19 @@ def test_level_pinned_to_four_substep_march(request, fixture, level, center):
     gs = request.getfixturevalue(fixture)
     assert abs(gs.level - level) <= 1e-10 * level
     assert abs(gs.center_value - center) <= 1e-6 * center
+
+
+def test_cubic_as_general_g_matches_power(townes):
+    gs = shoot_radial(CUBIC, RadialGrid(2, 40.0, 4000))
+    assert abs(gs.level - townes.level) <= 1e-12 * townes.level
+    assert abs(gs.center_value - townes.center_value) <= 1e-12 * townes.center_value
+    assert gs.nehari_residual is None
+
+
+def test_two_term_ground_state_has_level_equal_kinetic(cubic_quintic_ground):
+    # N = 2 Pohozaev: P = 0 at the ground state, so S = T (Berestycki,
+    # Gallouet & Kavian 1983) within the tolerance _validate applies to -2P
+    gs = cubic_quintic_ground
+    m = moments(gs.profile, CUBIC_QUINTIC)
+    assert gs.level == m.action(CUBIC_QUINTIC)
+    assert 2.0 * abs(gs.level - m.kinetic) <= CONSTRAINT_TOL * m.h1

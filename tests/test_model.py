@@ -1,5 +1,7 @@
 """Nonlinearity models, exponent classification, and the static functionals."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -51,6 +53,12 @@ def test_power_kg_validation():
         PowerKG(3.0, 1.0)
     with pytest.raises(InvalidMass):
         PowerKG(3.0, -1.2)
+
+
+def test_power_kg_pickles_with_its_closures():
+    nl = pickle.loads(pickle.dumps(PowerKG(3.0, 0.6)))
+    assert nl == PowerKG(3.0, 0.6)
+    assert abs(nl.g(2.0) - (-0.64 * 2.0 + 8.0)) <= 1e-14
 
 
 def test_check_subcritical():
@@ -129,6 +137,14 @@ def test_general_nonlinearity_validation():
     with pytest.raises(InvalidInput):
         # quadratic coefficient disagrees with the declared mass
         GeneralG(name="bad_mass_term", g=lambda s: -s, G=lambda s: -0.25 * s**2, rho=1.0)
+
+
+def test_general_nonlinearity_rejects_g_that_is_not_G_prime():
+    # G' = -s + 2 s^3, so shots would be marched with one nonlinearity and
+    # their turning-point energy measured with another
+    with pytest.raises(InvalidInput, match="derivative"):
+        GeneralG(name="mismatched", g=lambda s: -s + s**3,
+                 G=lambda s: -0.5 * s**2 + 0.5 * s**4, rho=1.0)
 
 
 def test_linear_kg_functionals():
