@@ -94,6 +94,7 @@ from .paths import (
 from .radial_core import (
     GridFunction,
     RadialGrid,
+    brent,
     grad_norm_sq,
     h1_norm_sq,
     l2_norm_sq,

@@ -23,7 +23,6 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import InvalidInput, VarkgError, WrongRegion
@@ -125,7 +124,6 @@ def _write_manifest(command: str, cfg: SimpleNamespace, status: int, error: str 
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "varkg": __version__,
         },
         "wall_time_s": wall,

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceError,
@@ -46,7 +45,7 @@ from .model import (
     moments,
     pohozaev_P,
 )
-from .radial_core import GridFunction, l2_norm_sq
+from .radial_core import GridFunction, brent, l2_norm_sq
 
 # |K| <= tol * ||v||_H1^2 counts as "on the constraint"; matches the
 # Nehari tolerance a validated ground state is allowed to carry
@@ -182,7 +181,7 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
         if bracket is None:
             raise NoRoot("constraint map loses its sign change on the grid")
         lo, hi = scan[bracket[0]], scan[bracket[1]]
-    lam_star = brentq(k_discrete, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    lam_star = brent(k_discrete, lo, hi, xtol=1e-14, rtol=8.9e-16)
     projected = rescale(v, lam_star, ray)
     residual = constraint_K(projected, nl, se)
     if abs(residual) > PROJECTION_TOL * h1:

@@ -1,10 +1,11 @@
-"""Radial grids, measure-weighted quadrature, and discrete norms.
+"""Radial grids, measure-weighted quadrature, discrete norms, and a root finder.
 
 Everything downstream works with radially symmetric functions on a
 truncated domain: a uniform grid on [0, R] whose quadrature weights fold
 in the surface measure of the sphere in dimension N.  Dimension 1 means
 even functions on the symmetric interval [-R, R], and the weights count
-both half-lines.
+both half-lines.  The scalar root finder (brent) lives here, the lowest
+module that both the projections and the shooting import.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidInput, Unsupported
+from .errors import ConvergenceError, GridMismatch, InvalidInput, NoRoot, Unsupported
 
 SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -262,3 +263,67 @@ def load_profile(path) -> GridFunction:
     if len(columns) == 3:
         return GridFunction(grid, np.array([complex(a, b) for _, a, b in table]))
     return GridFunction(grid, table[:, 1])
+
+
+def brent(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f between lo and hi by Brent's method (Brent 1973, ch. 4).
+
+    Either end may come first.  The steps follow the decision sequence of
+    scipy's brentq.c, so with the same tolerances the iterates are the
+    same floats and f is called as often: a root on an end is returned
+    as is, and otherwise the result x satisfies |x - x*| <= xtol +
+    rtol |x| for a sign change x* of f.  NoRoot when f(lo) and f(hi) are
+    nonzero and of one sign; ConvergenceError when f returns a
+    non-finite value or maxiter iterations pass without convergence.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise ConvergenceError(f"root finder: f({x!r}) = {fx!r} is not finite")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoRoot(f"f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to inf or NaN, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(f"root finder did not converge in {maxiter} iterations "
+                           f"(last iterate {xcur!r})")

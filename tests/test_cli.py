@@ -1,17 +1,47 @@
 """End-to-end checks of the command-line front end."""
 
+import functools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from varkg import RadialGrid, closed_form_1d, save_profile
+import varkg
+from varkg import RadialGrid, brent, closed_form_1d, save_profile
 from varkg.cli import run
 
 
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # importing scipy.optimize once took most of every command's start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(varkg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("VARKG_OUTDIR", None)
+    code = ("import sys\n"
+            "from varkg.cli import run\n"
+            f"assert run(['selftest', '--outdir', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "selftest: PASS" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_root_finder_failure_is_a_typed_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("varkg.paths.brent", functools.partial(brent, maxiter=1))
+    assert run(["selftest", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("varkg: ConvergenceError: root finder")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "ConvergenceError")
 
 
 def test_usage_without_subcommand(capsys):

@@ -8,14 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from varkg import radial_core
 from varkg import (
+    ConvergenceError,
     GridFunction,
     GridMismatch,
     InvalidInput,
+    NoRoot,
     RadialGrid,
     Unsupported,
+    brent,
     grad_norm_sq,
     h1_norm_sq,
     l2_norm_sq,
@@ -277,3 +281,90 @@ def mutated_profiles(draw):
 @given(data=mutated_profiles())
 def test_load_fuzz_mutated_profiles(tmp_path, data):
     _load_or_reject(tmp_path / "fuzz.csv", data)
+
+
+# -- root finder --------------------------------------------------------------
+
+XTOL, RTOL = 1e-14, 8.9e-16  # the tolerances of project_to_constraint
+
+
+def counted(f):
+    """f with a call counter in its .calls attribute."""
+    def wrapper(x):
+        wrapper.calls += 1
+        return f(x)
+    wrapper.calls = 0
+    return wrapper
+
+
+@st.composite
+def monotone_brackets(draw):
+    """(f, lo, hi): a smooth strictly monotone f with a root inside, either end first."""
+    root = draw(st.floats(-10.0, 10.0))
+    slope = draw(st.floats(1e-3, 1e3))
+    cubic = draw(st.floats(0.0, 1.0))
+    scale = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.integers(-200, 200))
+    shape = draw(st.sampled_from([
+        lambda y: math.tanh(slope * y) + cubic * y**3,
+        lambda y: math.atan(slope * y) + cubic * y,
+        lambda y: y**3 + cubic * y,
+    ]))
+    lo = root - draw(st.floats(1e-6, 20.0))
+    hi = root + draw(st.floats(1e-6, 20.0))
+    if draw(st.booleans()):
+        lo, hi = hi, lo
+    return (lambda x: scale * shape(x - root)), lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=monotone_brackets())
+def test_brent_matches_scipy_brentq(case):
+    # same decision sequence as brentq.c: the same root to the bit, after
+    # the same number of calls of f; a triple root can exhaust both
+    f, lo, hi = case
+    ours, theirs = counted(f), counted(f)
+    try:
+        expected = brentq(theirs, lo, hi, xtol=XTOL, rtol=RTOL)
+    except RuntimeError:
+        with pytest.raises(ConvergenceError):
+            brent(ours, lo, hi, XTOL, RTOL)
+    else:
+        root = brent(ours, lo, hi, XTOL, RTOL)
+        assert root == expected
+        assert type(root) is float
+    assert ours.calls == theirs.calls
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0, 5.0), (5.0, 2.0), (-1.0, 2.0), (2.0, -1.0)])
+def test_brent_returns_a_root_on_an_end(lo, hi):
+    ours, theirs = counted(lambda x: x - 2.0), counted(lambda x: x - 2.0)
+    assert brent(ours, lo, hi, XTOL, RTOL) == 2.0
+    assert brentq(theirs, lo, hi, xtol=XTOL, rtol=RTOL) == 2.0
+    assert ours.calls == theirs.calls == 2
+
+
+def test_brent_raises_when_iterations_run_out():
+    f = counted(lambda x: x**3 - 2.0)
+    with pytest.raises(ConvergenceError, match="3 iterations"):
+        brent(f, 0.0, 10.0, XTOL, RTOL, maxiter=3)
+    assert f.calls == 5
+    with pytest.raises(RuntimeError):  # scipy's bare error in the same place
+        brentq(lambda x: x**3 - 2.0, 0.0, 10.0, xtol=XTOL, rtol=RTOL, maxiter=3)
+    assert brent(f, 0.0, 10.0, XTOL, RTOL) == brentq(lambda x: x**3 - 2.0, 0.0, 10.0,
+                                                     xtol=XTOL, rtol=RTOL)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,  # NaN inside the bracket
+    lambda x: math.nan if x == 0.0 else x - 0.5,         # NaN on an end
+    lambda x: x - 0.5 if x in (0.0, 1.0) else math.inf,
+])
+def test_brent_rejects_non_finite_values(f):
+    with pytest.raises(ConvergenceError, match="not finite"):
+        brent(f, 0.0, 1.0, XTOL, RTOL)
+
+
+@pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: -1.0 - x * x])
+def test_brent_needs_a_sign_change(f):
+    with pytest.raises(NoRoot):
+        brent(f, -1.0, 2.0, XTOL, RTOL)
