@@ -350,8 +350,6 @@ def test_brent_raises_when_iterations_run_out():
     assert f.calls == 5
     with pytest.raises(RuntimeError):  # scipy's bare error in the same place
         brentq(lambda x: x**3 - 2.0, 0.0, 10.0, xtol=XTOL, rtol=RTOL, maxiter=3)
-    assert brent(f, 0.0, 10.0, XTOL, RTOL) == brentq(lambda x: x**3 - 2.0, 0.0, 10.0,
-                                                     xtol=XTOL, rtol=RTOL)
 
 
 @pytest.mark.parametrize("f", [
