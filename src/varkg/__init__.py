@@ -80,8 +80,7 @@ from .paths import (
     MinimizationReport,
     PathSample,
     action_profile,
-    build_path_interior,
-    build_path_limit,
+    build_path,
     default_trial_family,
     family_action,
     mountain_pass_estimate,

@@ -34,10 +34,9 @@ from .evolution import (
     make_initial_data,
 )
 from .ground_state import closed_form_1d, least_energy, shoot_radial
-from .model import AMPLITUDE_RAY, INTERIOR, LIMIT, PowerKG, classify_exponents, moments
+from .model import AMPLITUDE_RAY, LIMIT, PowerKG, ScalingExponents, classify_exponents, moments
 from .paths import (
-    build_path_interior,
-    build_path_limit,
+    build_path,
     default_trial_family,
     project_to_constraint,
     verify_T_min_over_P,
@@ -181,10 +180,9 @@ def _cmd_functionals(cfg):
         "h1_norm_sq": m.h1,
     }
     if cfg.alpha is not None and cfg.beta is not None:
-        se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, n)
         payload["alpha"], payload["beta"] = cfg.alpha, cfg.beta
-        payload["region"] = se.region
-        payload["K"] = m.constraint(nl, se, n)
+        payload["region"] = classify_exponents(cfg.alpha, cfg.beta, cfg.p, n)
+        payload["K"] = m.constraint(nl, ScalingExponents(cfg.alpha, cfg.beta), n)
     _write_json(os.path.join(cfg.outdir, "functionals.json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -196,19 +194,14 @@ def _cmd_path(cfg):
         return 2
     v = load_profile(cfg.profile)
     nl = PowerKG(cfg.p, cfg.omega)
-    se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, v.grid.dimension)
-    if se.region == INTERIOR:
-        lam_star, projected = project_to_constraint(v, nl, se)
-        path = build_path_interior(projected, nl, se)
-    elif se.region == LIMIT:
-        lam_star, projected = project_to_constraint(v, nl, se, ray=AMPLITUDE_RAY)
-        path = build_path_limit(projected, nl, se)
-    else:
-        raise WrongRegion(f"({cfg.alpha:g},{cfg.beta:g}) is not an admissible exponent pair")
+    se = ScalingExponents(cfg.alpha, cfg.beta)
+    lam_star, projected = project_to_constraint(v, nl, se)
+    path = build_path(projected, nl, se)
     _write_csv(os.path.join(cfg.outdir, "path.csv"), ["t", "action"],
                zip(path.t, path.action_values))
     _write_json(os.path.join(cfg.outdir, "path.json"), {
-        "alpha": cfg.alpha, "beta": cfg.beta, "region": se.region,
+        "alpha": cfg.alpha, "beta": cfg.beta,
+        "region": classify_exponents(cfg.alpha, cfg.beta, cfg.p, v.grid.dimension),
         "lambda_star": lam_star,
         "max_action": path.max_action,
         "argmax_t": float(path.t[path.argmax_index]),
@@ -227,7 +220,7 @@ def _member_rows(report):
 
 
 def _cmd_verify_theorem1(cfg):
-    se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, cfg.N)
+    se = ScalingExponents(cfg.alpha, cfg.beta)
     gs = _ground_state(cfg, cfg.N)
     m_ref = least_energy(gs)
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
@@ -247,12 +240,14 @@ def _cmd_verify_theorem1(cfg):
 
 
 def _cmd_verify_theorem2(cfg):
-    se = classify_exponents(cfg.alpha, cfg.beta, cfg.p, 2)
+    se = ScalingExponents(cfg.alpha, cfg.beta)
     gs = _ground_state(cfg, 2)
     m_ref = least_energy(gs)
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
-    path = build_path_limit(gs.profile, gs.nonlinearity, se)
+    if report.region != LIMIT:
+        raise WrongRegion(f"({cfg.alpha:g},{cfg.beta:g}) is not a limit pair here")
+    path = build_path(gs.profile, gs.nonlinearity, se)
     path_ok = path.admissible and abs(path.max_action - m_ref) <= cfg.tol * m_ref
     passed = report.passed and path_ok
     _write_csv(os.path.join(cfg.outdir, "theorem2_members.csv"),
@@ -372,10 +367,9 @@ def _cmd_selftest(cfg):
     check("P(phi)", phi.potential(nl), -2.0 / 3.0, 1e-4)
     check("K(phi)", phi.nehari(nl), 0.0, 1e-4)
     check("pohozaev_residual(phi)", phi.pohozaev_residual(nl, grid.dimension), 0.0, 1e-4)
-    se = classify_exponents(1.0, 0.0, 3.0, 1)
-    path = build_path_interior(gs.profile, nl, se)
+    path = build_path(gs.profile, nl, AMPLITUDE_RAY)
     check("path max action", path.max_action, m, 1e-3)
-    lam_star, _ = project_to_constraint(gs.profile, nl, se)
+    lam_star, _ = project_to_constraint(gs.profile, nl, AMPLITUDE_RAY)
     check("projection idempotence", lam_star, 1.0, 1e-6)
     passed = all(checks)
     print(f"selftest: {'PASS' if passed else 'FAIL'} ({sum(checks)}/{len(checks)})")

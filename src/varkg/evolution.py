@@ -237,16 +237,15 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     return Trajectory(tuple(records), termination, final, m_ref)
 
 
-def make_initial_data(gs: GroundState, lam: float, mu: float,
-                      grid: RadialGrid | None = None) -> tuple[GridFunction, dict]:
+def make_initial_data(gs: GroundState, lam: float, mu: float) -> tuple[GridFunction, dict]:
     """Dilated-rescaled profile lam * phi(x/mu) with its membership report.
 
-    lam = mu = 1 on the ground state's own grid reproduces the profile
-    bit-for-bit, so E equals the reference level exactly and the boundary
-    case lands outside the open invariant set by construction.  The real
-    radial flow carries standing waves only at omega = 0, so a ground state
-    whose nonlinearity differs from its flow's (see flow_nonlinearity) is
-    rejected: its S, P and m would use a mass the flow does not.
+    lam = mu = 1 reproduces the profile bit-for-bit, so E equals the
+    reference level exactly and the boundary case lands outside the open
+    invariant set by construction.  The real radial flow carries standing
+    waves only at omega = 0, so a ground state whose nonlinearity differs
+    from its flow's (see flow_nonlinearity) is rejected: its S, P and m
+    would use a mass the flow does not.
     """
     if gs.grid.dimension != 2:
         raise Unsupported("instability data construction is specific to dimension 2")
@@ -256,15 +255,8 @@ def make_initial_data(gs: GroundState, lam: float, mu: float,
     if flow_nonlinearity(nl) != nl:
         raise Unsupported("the real radial flow carries standing waves only at omega = 0, "
                           f"got {nl!r}")
-    base = gs.profile
-    if grid is not None and grid != gs.grid:
-        if grid.dimension != 2:
-            raise Unsupported("target grid must be two-dimensional")
-        vals = np.interp(grid.r, gs.grid.r, base.values, right=0.0)
-        vals[-1] = 0.0
-        base = GridFunction(grid, vals)
-    stretched = rescale(base, 1.0 / mu, ScalingExponents(0.0, 1.0, ""))
-    u = GridFunction(base.grid, lam * stretched.values)
+    stretched = rescale(gs.profile, 1.0 / mu, ScalingExponents(0.0, 1.0))
+    u = GridFunction(stretched.grid, lam * stretched.values)
     m_ref = least_energy(gs)
     m = moments(u, nl)
     action = m.action(nl)

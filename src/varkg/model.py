@@ -164,18 +164,17 @@ def check_subcritical(p: float, dimension: int) -> None:
 
 @dataclass(frozen=True)
 class ScalingExponents:
-    """Exponent pair (alpha, beta) with its region label.
+    """Exponent pair (alpha, beta) of the rescaling lambda^alpha v(lambda^beta x).
 
-    Build through classify_exponents; the label is one of Interior,
-    Limit, or Invalid per the admissibility conditions below.
+    Its region depends on the power and the dimension as well; ask
+    classify_exponents.
     """
 
     alpha: float
     beta: float
-    region: str
 
 
-AMPLITUDE_RAY = ScalingExponents(1.0, 0.0, INTERIOR)
+AMPLITUDE_RAY = ScalingExponents(1.0, 0.0)
 
 
 def ray_exponents(alpha: float, beta: float, p: float,
@@ -188,8 +187,9 @@ def ray_exponents(alpha: float, beta: float, p: float,
             alpha * (p + 1.0) - beta * dimension)
 
 
-def classify_exponents(alpha: float, beta: float, p: float, dimension: int) -> ScalingExponents:
-    """Classify an exponent pair for the power p in the given dimension.
+def classify_exponents(alpha: float, beta: float, p: float, dimension: int) -> str:
+    """Region (INTERIOR, LIMIT or INVALID) of an exponent pair for the power p
+    in the given dimension.
 
     Interior:  beta < 0,  alpha (p-1) - 2 beta >= 0,  2 alpha - beta (N-2) > 0
            or  beta >= 0, alpha (p-1) - 2 beta >= 0,  2 alpha - beta N > 0.
@@ -206,13 +206,12 @@ def classify_exponents(alpha: float, beta: float, p: float, dimension: int) -> S
     if dimension not in (1, 2, 3):
         raise InvalidInput(f"dimension must be 1, 2, or 3, got {dimension!r}")
     grad_exp, mass_exp, pot_exp = ray_exponents(alpha, beta, p, dimension)
-    region = INVALID
     if pot_exp >= grad_exp:
         if beta < 0 and grad_exp > 0 or beta >= 0 and mass_exp > 0:
-            region = INTERIOR
-        elif beta < 0 and grad_exp == 0 or beta > 0 and mass_exp == 0:
-            region = LIMIT
-    return ScalingExponents(float(alpha), float(beta), region)
+            return INTERIOR
+        if beta < 0 and grad_exp == 0 or beta > 0 and mass_exp == 0:
+            return LIMIT
+    return INVALID
 
 
 def power_integral(v: GridFunction, q: float) -> float:
@@ -265,8 +264,8 @@ class Moments(NamedTuple):
         """K_{alpha,beta} = d/dlambda S(v_lambda) at lambda = 1 (power family only).
 
         With (a, b, c) the ray exponents this is
-        (a/2) ||grad v||^2 + (b m0 / 2) ||v||^2 - (c/(p+1)) ||v||_{p+1}^{p+1};
-        the region label is not consulted.  The last term divides
+        (a/2) ||grad v||^2 + (b m0 / 2) ||v||^2 - (c/(p+1)) ||v||_{p+1}^{p+1}
+        for any pair, admissible or not.  The last term divides
         c ||v||_{p+1}^{p+1} by p+1 the way `potential` divides ||v||_{p+1}^{p+1},
         so in dimension 2 K_{0,-1} = -2 P holds bit for bit.
         """
@@ -283,9 +282,13 @@ class Moments(NamedTuple):
         """((N-2)/2) ||grad v||^2 - N P; vanishes at solutions."""
         return 0.5 * (dimension - 2) * self.grad - dimension * self.potential(nl)
 
-    def scaled(self, lam: float, se: ScalingExponents, p: float, dimension: int) -> "Moments":
-        """Exact moments of lambda^alpha v(lambda^beta x) on the whole space."""
-        a, b, c = ray_exponents(se.alpha, se.beta, p, dimension)
+    def scaled(self, lam: float, se: ScalingExponents, nl: Nonlinearity,
+               dimension: int) -> "Moments":
+        """Exact moments of lambda^alpha v(lambda^beta x) on the whole space
+        (power family only: int G(v) of a general g is no power of lambda)."""
+        if not isinstance(nl, PowerKG):
+            raise Unsupported("scaled moments are implemented for the power family only")
+        a, b, c = ray_exponents(se.alpha, se.beta, nl.p, dimension)
         # tuple.__new__ skips NamedTuple's slow constructor; projections scan 321 lambdas
         return tuple.__new__(Moments, (self.grad * lam**a, self.l2 * lam**b, self.pot * lam**c))
 

@@ -8,7 +8,8 @@ on the grid, or the base moments scaled exactly (Moments.scaled).  The
 resampled moments are preferred; the scaled ones take over when the
 rescaled profile no longer fits the grid, and they locate the bracket of
 every constraint projection.  This module does no arithmetic of its own
-on the moments.
+on the moments.  The region of a pair (classify_exponents) picks the
+projection ray and the mountain-pass path.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .errors import (
 from .model import (
     AMPLITUDE_RAY,
     INTERIOR,
-    LIMIT,
+    INVALID,
     Moments,
+    Nonlinearity,
     PowerKG,
     ScalingExponents,
     classify_exponents,
@@ -54,9 +56,22 @@ PROJECTION_TOL = 1e-8          # residual bound for projections, same relative s
 C_SEARCH_CAP = 2.0**30
 MAX_LOST_MASS = 1e-7           # relative L2 mass a rescaling may push past r = R
 PATH_SAMPLES = 64              # samples per path segment before argmax refinement
+ARGMAX_REL_TOL = 1e-6          # refinement stops once the path maximum moves less than this
+ARGMAX_ROUNDS = 12             # refinement rounds at most
 ARGMAX_LAM_GRID = np.geomspace(0.5, 2.0, 33)  # ray profile of an interior projection
 P_BOUNDARY_TOL = 1e-3          # |P| <= tol * ||v||_H1^2 counts as on the P = 0 boundary
-P_ZERO = ScalingExponents(0.0, -1.0, LIMIT)  # K_{0,-1} = -2 P in dimension 2
+P_ZERO = ScalingExponents(0.0, -1.0)  # a limit pair; K_{0,-1} = -2 P in dimension 2
+
+
+def _region(se: ScalingExponents, nl: Nonlinearity, dimension: int) -> str:
+    """The region of (alpha, beta) for nl's power in this dimension.
+
+    Regions, rays and paths rest on moments that scale by powers of
+    lambda, which holds for the power family only.
+    """
+    if not isinstance(nl, PowerKG):
+        raise Unsupported("exponent regions are defined for the power family only")
+    return classify_exponents(se.alpha, se.beta, nl.p, dimension)
 
 
 def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
@@ -98,7 +113,7 @@ def _moments_at(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) 
     try:
         return moments(rescale(v, lam, se), nl)
     except TruncationOverflow:
-        return moments(v, nl).scaled(lam, se, nl.p, v.grid.dimension)
+        return moments(v, nl).scaled(lam, se, nl, v.grid.dimension)
 
 
 def family_action(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) -> float:
@@ -137,28 +152,33 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
                           ray: ScalingExponents | None = None) -> tuple[float, GridFunction]:
     """Root of lambda -> K_{alpha,beta}(v_lambda) along a scaling ray.
 
-    The ray defaults to (alpha, beta) itself.  An explicit ray lets limit
-    pairs be projected by amplitude, where the natural ray leaves K's sign
-    unchanged.  A scan of the exact scaling algebra on geomspace(1e-4, 1e4,
-    321) brackets the root between two scan nodes; one Brent solve on that
-    bracket then finds the root of the resampled grid map.  When quadrature
-    error moves the grid map's root past a node, a 33-point rescan around
-    the two nodes brackets it instead.  A root that lies exactly on a scan
-    node is returned too; a profile already on the constraint gives
-    lambda = 1.  Exact zeros of K are never taken as roots by themselves:
-    NoRoot means the nonzero samples of K show no sign change along the
-    ray.
+    The region picks the ray: an interior pair is projected along its own
+    ray, a limit pair by amplitude (AMPLITUDE_RAY), because its own ray
+    leaves K's sign unchanged, and an invalid pair raises WrongRegion.  An
+    explicit ray overrides that choice.  A scan of the exact scaling
+    algebra on geomspace(1e-4, 1e4, 321) brackets the root between two
+    scan nodes; one Brent solve on that bracket then finds the root of the
+    resampled grid map.  When quadrature error moves the grid map's root
+    past a node, a 33-point rescan around the two nodes brackets it
+    instead.  A root that lies exactly on a scan node is returned too; a
+    profile already on the constraint gives lambda = 1.  Exact zeros of K
+    are never taken as roots by themselves: NoRoot means the nonzero
+    samples of K show no sign change along the ray.  The projected profile
+    w must satisfy |K(w)| <= PROJECTION_TOL ||w||_H1^2, else
+    ConvergenceError.
     """
-    if ray is None:
-        ray = se
     n = v.grid.dimension
+    if ray is None:
+        region = _region(se, nl, n)
+        if region == INVALID:
+            raise WrongRegion(f"({se.alpha:g},{se.beta:g}) is not an admissible exponent pair")
+        ray = se if region == INTERIOR else AMPLITUDE_RAY
     base = moments(v, nl)
-    h1 = base.h1
-    if h1 == 0.0:
+    if base.h1 == 0.0:
         raise InvalidInput("cannot project the zero function")
 
     def k_algebra(lam: float) -> float:
-        return base.scaled(lam, ray, nl.p, n).constraint(nl, se, n)
+        return base.scaled(lam, ray, nl, n).constraint(nl, se, n)
 
     lams = np.geomspace(1e-4, 1e4, 321)
     bracket = _sign_change(np.array([k_algebra(lam) for lam in lams]))
@@ -183,10 +203,11 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
         lo, hi = scan[bracket[0]], scan[bracket[1]]
     lam_star = brent(k_discrete, lo, hi, xtol=1e-14, rtol=8.9e-16)
     projected = rescale(v, lam_star, ray)
-    residual = constraint_K(projected, nl, se)
-    if abs(residual) > PROJECTION_TOL * h1:
+    m = moments(projected, nl)
+    residual = m.constraint(nl, se, n)
+    if abs(residual) > PROJECTION_TOL * m.h1:
         raise ConvergenceError(
-            f"projection residual {residual:.3e} exceeds {PROJECTION_TOL:.0e} * H1 norm")
+            f"projection residual {residual:.3e} exceeds {PROJECTION_TOL:.0e} * its H1 norm")
     return lam_star, projected
 
 
@@ -204,7 +225,7 @@ def project_to_P_zero(v: GridFunction, nl: PowerKG) -> tuple[float, GridFunction
         return 1.0, v
     if p0 < 0.0:
         raise PreconditionFailed(f"P(v) = {p0:.3e} <= 0; nothing to project")
-    return project_to_constraint(v, nl, P_ZERO, ray=ScalingExponents(1.0, 1.0, LIMIT))
+    return project_to_constraint(v, nl, P_ZERO, ray=ScalingExponents(1.0, 1.0))
 
 
 # -- mountain-pass paths ------------------------------------------------------
@@ -251,12 +272,11 @@ class PathSample:
         return float(self.action_values[self.argmax_index])
 
 
-def _refine_argmax(ts: list, ss: list, evaluate, rel_tol: float = 1e-6,
-                   rounds: int = 12) -> tuple[np.ndarray, np.ndarray]:
+def _refine_argmax(ts: list, ss: list, evaluate) -> tuple[np.ndarray, np.ndarray]:
     """Quadruple the sampling density around the running argmax until the
-    maximum stabilizes to rel_tol (relative)."""
+    maximum stabilizes to ARGMAX_REL_TOL (relative)."""
     current = max(ss)
-    for _ in range(rounds):
+    for _ in range(ARGMAX_ROUNDS):
         j = int(np.argmax(ss))
         lo = ts[max(j - 1, 0)]
         hi = ts[min(j + 1, len(ts) - 1)]
@@ -270,23 +290,11 @@ def _refine_argmax(ts: list, ss: list, evaluate, rel_tol: float = 1e-6,
         ts[:] = list(np.asarray(ts)[order])
         ss[:] = list(np.asarray(ss)[order])
         new = max(ss)
-        if abs(new - current) <= rel_tol * max(abs(new), 1e-300):
+        if abs(new - current) <= ARGMAX_REL_TOL * max(abs(new), 1e-300):
             current = new
             break
         current = new
-    t_arr = np.asarray(ts, dtype=float)
-    s_arr = np.asarray(ss, dtype=float)
-    return t_arr, s_arr
-
-
-def _endpoint(v: GridFunction, lam: float, se: ScalingExponents,
-              amp: float = 1.0) -> GridFunction | None:
-    """amp * v_lambda on v's grid, or None when v_lambda spills past r = R."""
-    try:
-        end = rescale(v, lam, se)
-    except TruncationOverflow:
-        return None
-    return GridFunction(v.grid, amp * end.values)
+    return np.asarray(ts, dtype=float), np.asarray(ss, dtype=float)
 
 
 def _require_on_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> None:
@@ -297,22 +305,13 @@ def _require_on_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents) -
             f"K_({se.alpha:g},{se.beta:g}) = {residual:.3e} is not zero at this profile")
 
 
-def _region_of(se: ScalingExponents, nl: PowerKG, dimension: int) -> str:
-    return classify_exponents(se.alpha, se.beta, nl.p, dimension).region
-
-
-def build_path_interior(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample:
-    """The ray path gamma(t) = v_{tC} for an interior exponent pair.
+def _ray_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
+    """The ray path gamma(t) = v_{tC} of an interior exponent pair.
 
     All three scaling exponents are positive in the interior region, so the
     ray starts at 0; C is doubled until the action at the endpoint is
     negative.  On the constraint the action along the ray peaks at lambda=1.
     """
-    grid = v.grid
-    if _region_of(se, nl, grid.dimension) != INTERIOR:
-        raise WrongRegion(f"({se.alpha:g},{se.beta:g}) is not an interior pair here")
-    _require_on_constraint(v, nl, se)
-
     big_c = 2.0
     while family_action(v, nl, se, big_c) >= 0.0:
         big_c *= 2.0
@@ -323,22 +322,11 @@ def build_path_interior(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> P
     def evaluate(t: float) -> float:
         return family_action(v, nl, se, t * big_c)
 
-    ts = list(np.linspace(0.0, 1.0, PATH_SAMPLES))
-    ss = [evaluate(tt) for tt in ts]
-    t_arr, s_arr = _refine_argmax(ts, ss, evaluate)
-    return PathSample(
-        t=t_arr,
-        action_values=s_arr,
-        start=GridFunction.zeros(grid),
-        end=_endpoint(v, big_c, se),
-        argmax_index=int(np.argmax(s_arr)),
-        starts_at_zero=True,
-        negative_endpoint=bool(s_arr[-1] < 0.0),
-    )
+    return evaluate, list(np.linspace(0.0, 1.0, PATH_SAMPLES)), big_c, 1.0, ()
 
 
-def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample:
-    """Glued path for a limit exponent pair.
+def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
+    """The glued path of a limit exponent pair.
 
     One scaling exponent vanishes in the limit region, so the ray alone
     neither starts at zero nor turns the action negative.  The path glues
@@ -351,11 +339,7 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> Path
     is nonpositive; the latter makes the final segment monotone decreasing,
     so it certainly reaches negative action.
     """
-    grid = v.grid
-    if _region_of(se, nl, grid.dimension) != LIMIT:
-        raise WrongRegion(f"({se.alpha:g},{se.beta:g}) is not a limit pair here")
-    _require_on_constraint(v, nl, se)
-    n = grid.dimension
+    n = v.grid.dimension
 
     # lambda0: the amplitude segment toward v_{lambda0} must rise monotonically
     lam0 = 0.5
@@ -382,7 +366,7 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> Path
     t_end = 1.0
     if s_c >= 0.0:
         t_end = 2.0
-        while m_c.scaled(t_end, AMPLITUDE_RAY, nl.p, n).action(nl) >= 0.0:
+        while m_c.scaled(t_end, AMPLITUDE_RAY, nl, n).action(nl) >= 0.0:
             t_end *= 2.0
             if t_end > C_SEARCH_CAP:
                 raise NoNegativeEndpoint("final amplitude segment never turns negative")
@@ -394,29 +378,51 @@ def build_path_limit(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> Path
 
     def evaluate(t: float) -> float:
         if t <= t_a:
-            return m_lam0.scaled(t / t_a, AMPLITUDE_RAY, nl.p, n).action(nl)
+            return m_lam0.scaled(t / t_a, AMPLITUDE_RAY, nl, n).action(nl)
         if t <= t_b:
             lam = lam0 * math.exp(log_ratio * (t - t_a) / (t_b - t_a))
             return family_action(v, nl, se, lam)
         amp = 1.0 + (t_end - 1.0) * (t - t_b) / (1.0 - t_b)
-        return m_c.scaled(amp, AMPLITUDE_RAY, nl.p, n).action(nl)
+        return m_c.scaled(amp, AMPLITUDE_RAY, nl, n).action(nl)
 
     ts = list(np.linspace(0.0, t_a, PATH_SAMPLES))
     ts += list(np.linspace(t_a, t_b, PATH_SAMPLES))[1:]
     if three:
         ts += list(np.linspace(t_b, 1.0, PATH_SAMPLES))[1:]
+    return evaluate, ts, big_c, t_end, (t_a, t_b) if three else (t_a,)
+
+
+def build_path(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample:
+    """A mountain-pass path through v, which must lie on K_{alpha,beta} = 0.
+
+    The region picks the path: the ray path of an interior pair, the glued
+    path of a limit pair; an invalid pair raises WrongRegion.  The samples
+    are refined around the maximum.  The endpoint is None when it spills
+    past r = R.
+    """
+    region = _region(se, nl, v.grid.dimension)
+    if region == INVALID:
+        raise WrongRegion(f"({se.alpha:g},{se.beta:g}) is not an admissible exponent pair")
+    _require_on_constraint(v, nl, se)
+    # a recipe gives t -> S(gamma(t)), the first samples of t, C, amp
+    # (gamma(1) = amp * v_C) and the segment breaks
+    recipe = _ray_path if region == INTERIOR else _glued_path
+    evaluate, ts, big_c, amp, segment_breaks = recipe(v, nl, se)
     ss = [evaluate(tt) for tt in ts]
     t_arr, s_arr = _refine_argmax(ts, ss, evaluate)
-
+    try:
+        end = GridFunction(v.grid, amp * rescale(v, big_c, se).values)
+    except TruncationOverflow:
+        end = None
     return PathSample(
         t=t_arr,
         action_values=s_arr,
-        start=GridFunction.zeros(grid),
-        end=_endpoint(v, big_c, se, t_end),
+        start=GridFunction.zeros(v.grid),
+        end=end,
         argmax_index=int(np.argmax(s_arr)),
         starts_at_zero=True,
         negative_endpoint=bool(s_arr[-1] < 0.0),
-        segment_breaks=(t_a, t_b) if three else (t_a,),
+        segment_breaks=segment_breaks,
     )
 
 
@@ -444,7 +450,7 @@ def default_trial_family(gs, count: int = 50, seed: int = 0) -> list[GridFunctio
     rng = np.random.default_rng(seed)
     members = [v]
     n_width = (count - 1) // 2
-    width_ray = ScalingExponents(0.0, 1.0, "")
+    width_ray = ScalingExponents(0.0, 1.0)
     for w in np.geomspace(0.5, 2.0, n_width):
         members.append(rescale(v, float(w), width_ray))
     r = grid.r
@@ -495,28 +501,27 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
                              tol: float | None = None) -> MinimizationReport:
     """Project every trial onto the K_{alpha,beta} = 0 set and minimize S.
 
-    Interior pairs are projected along their own ray and each projected
-    member's scaling profile on ARGMAX_LAM_GRID is checked to peak at
-    lambda = 1 (within one grid cell).  Limit pairs are projected by amplitude, where the K map
-    always changes sign; their ray profile is flat in the critical power
-    case, so no argmax check applies.
+    Each member is projected along the ray its region picks (see
+    project_to_constraint).  For an interior pair each projected member's
+    scaling profile on ARGMAX_LAM_GRID is checked to peak at lambda = 1
+    (within one grid cell).  A limit pair's ray profile is flat in the
+    critical power case, so no argmax check applies.
     """
     trials = list(trials)
     if not trials:
         raise InvalidParameter("empty trial family")
     dimension = trials[0].grid.dimension
-    region = _region_of(se, nl, dimension)
-    if region not in (INTERIOR, LIMIT):
+    region = _region(se, nl, dimension)
+    if region == INVALID:
         raise WrongRegion(f"({se.alpha:g},{se.beta:g}) classifies as {region}")
     if tol is None:
         tol = 1e-3 * abs(m_ref)
-    ray = None if region == INTERIOR else AMPLITUDE_RAY
     unity_cell = int(np.argmin(np.abs(ARGMAX_LAM_GRID - 1.0)))
 
     lambdas, actions, failures, cells_off = [], [], [], []
     for i, trial in enumerate(trials):
         try:
-            lam_star, projected = project_to_constraint(trial, nl, se, ray=ray)
+            lam_star, projected = project_to_constraint(trial, nl, se)
         except (NoRoot, TruncationOverflow, ConvergenceError, InvalidInput) as err:
             failures.append((i, type(err).__name__))
             lambdas.append(None)
@@ -529,7 +534,7 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
             # the ray profile of the projected moments transforms exactly
             # under scaling; the resampled map would fold interpolation
             # error into the peak location for strongly compressed members
-            profile = [m.scaled(lam, se, nl.p, dimension).action(nl) for lam in ARGMAX_LAM_GRID]
+            profile = [m.scaled(lam, se, nl, dimension).action(nl) for lam in ARGMAX_LAM_GRID]
             cells_off.append(abs(int(np.argmax(profile)) - unity_cell))
     evaluated = [(s, i) for i, s in enumerate(actions) if s is not None]
     if not evaluated:

@@ -18,8 +18,8 @@ from varkg import (
     PowerKG,
     RadialGrid,
     action_S,
-    build_path_interior,
-    build_path_limit,
+    ScalingExponents,
+    build_path,
     classify_exponents,
     closed_form_1d,
     default_trial_family,
@@ -123,8 +123,8 @@ def test_acceptance_3_interior_minimization_sweep(townes, nl3):
         family = default_trial_family(townes, count=50, seed=0)
         reports = []
         for alpha, beta in INTERIOR_PAIRS:
-            se = classify_exponents(alpha, beta, 3.0, 2)
-            assert se.region == "Interior"
+            assert classify_exponents(alpha, beta, 3.0, 2) == "Interior"
+            se = ScalingExponents(alpha, beta)
             reports.append(verify_min_on_constraint(
                 family, nl3, se, m, tol=1e-3 * m))
         all_pass = all(rep.passed for rep in reports)
@@ -156,9 +156,9 @@ def test_acceptance_4_limit_paths(townes, nl3):
         paths = []
         details = []
         for alpha, beta in ((1.0, 1.0), (0.0, -1.0)):
-            se = classify_exponents(alpha, beta, 3.0, 2)
-            assert se.region == "Limit"
-            path = build_path_limit(townes.profile, nl3, se)
+            assert classify_exponents(alpha, beta, 3.0, 2) == "Limit"
+            se = ScalingExponents(alpha, beta)
+            path = build_path(townes.profile, nl3, se)
             first = path.action_values[path.t <= path.segment_breaks[0]]
             rising = bool(np.all(np.diff(first) > 0.0))
             paths.append(path)
@@ -210,12 +210,12 @@ def test_acceptance_6_mountain_pass_sandwich(townes, nl3):
         m = least_energy(townes)
         paths = []
         for alpha, beta in ((1.0, 0.0), (1.0, -1.0), (2.0, -1.0)):
-            se = classify_exponents(alpha, beta, 3.0, 2)
+            se = ScalingExponents(alpha, beta)
             _, projected = project_to_constraint(townes.profile, nl3, se)
-            paths.append(build_path_interior(projected, nl3, se))
+            paths.append(build_path(projected, nl3, se))
         for alpha, beta in ((1.0, 1.0), (0.0, -1.0)):
-            se = classify_exponents(alpha, beta, 3.0, 2)
-            paths.append(build_path_limit(townes.profile, nl3, se))
+            se = ScalingExponents(alpha, beta)
+            paths.append(build_path(townes.profile, nl3, se))
         estimate = mountain_pass_estimate(paths)
         rel = abs(estimate - m) / m
     ok = rel <= 0.01 and budget.elapsed < 60.0

@@ -181,10 +181,6 @@ def test_initial_data_below_unity_leaves_set(townes):
 
 
 def test_initial_data_resample_and_guards(townes, phi_1d):
-    target = RadialGrid(2, 40.0, 2000)
-    u, report = make_initial_data(townes, 1.0, 1.0, grid=target)
-    assert u.grid is target
-    assert np.isclose(report["energy"], report["m_ref"], rtol=1e-3)
     with pytest.raises(InvalidParameter):
         make_initial_data(townes, 0.0, 1.0)
     with pytest.raises(Unsupported):

@@ -72,18 +72,18 @@ def test_check_subcritical():
 def test_classification_regions():
     # amplitude ray is interior in every dimension
     for n in (1, 2, 3):
-        assert classify_exponents(1.0, 0.0, 3.0, n).region == INTERIOR
+        assert classify_exponents(1.0, 0.0, 3.0, n) == INTERIOR
     # N = 2, p = 3 landscape
-    assert classify_exponents(1.0, -1.0, 3.0, 2).region == INTERIOR
-    assert classify_exponents(1.0, 0.5, 3.0, 2).region == INTERIOR
-    assert classify_exponents(1.0, 1.0, 3.0, 2).region == LIMIT
-    assert classify_exponents(0.0, -1.0, 3.0, 2).region == LIMIT
-    assert classify_exponents(1.0, 2.0, 3.0, 2).region == INVALID
-    assert classify_exponents(0.0, 0.0, 3.0, 2).region == INVALID
+    assert classify_exponents(1.0, -1.0, 3.0, 2) == INTERIOR
+    assert classify_exponents(1.0, 0.5, 3.0, 2) == INTERIOR
+    assert classify_exponents(1.0, 1.0, 3.0, 2) == LIMIT
+    assert classify_exponents(0.0, -1.0, 3.0, 2) == LIMIT
+    assert classify_exponents(1.0, 2.0, 3.0, 2) == INVALID
+    assert classify_exponents(0.0, 0.0, 3.0, 2) == INVALID
     # N = 3 distinguishes the two boundary families
-    assert classify_exponents(1.5, 1.0, 3.0, 3).region == LIMIT
-    assert classify_exponents(1.0, 1.0, 3.0, 3).region == INVALID
-    assert classify_exponents(-0.4, -1.0, 3.0, 3).region == INTERIOR
+    assert classify_exponents(1.5, 1.0, 3.0, 3) == LIMIT
+    assert classify_exponents(1.0, 1.0, 3.0, 3) == INVALID
+    assert classify_exponents(-0.4, -1.0, 3.0, 3) == INTERIOR
 
 
 def test_classification_rejects_bad_arguments():
@@ -117,7 +117,7 @@ def test_constraint_is_linear_in_exponents(townes, nl3):
     poh = pohozaev_residual(v, nl3)
     scale = h1_norm_sq(v)
     for alpha, beta in ((1.0, 1.0), (0.3, -0.7), (2.0, -1.0), (0.0, -1.0), (1.5, 1.0)):
-        se = ScalingExponents(alpha, beta, INTERIOR)
+        se = ScalingExponents(alpha, beta)
         k = constraint_K(v, nl3, se)
         assert np.isclose(k, alpha * neh - beta * poh, rtol=0, atol=1e-9 * scale)
         # at a validated ground state every member of the span is small
@@ -217,8 +217,8 @@ def exponent_cases(draw, max_beta, p_range):
 @settings(max_examples=300, deadline=None)
 @given(case=exponent_cases(4.0, (1.0, 9.0)))
 def test_region_fixes_signs_of_ray_exponents(case):
-    # build_path_interior relies on the first: its ray starts at the zero function
-    region = classify_exponents(*case).region
+    # the interior ray path relies on the first: its ray starts at the zero function
+    region = classify_exponents(*case)
     grad_exp, mass_exp, pot_exp = ray_exponents(*case)
     if region == INTERIOR:
         assert grad_exp > 0.0 and mass_exp > 0.0 and pot_exp > 0.0
@@ -237,13 +237,13 @@ def test_scaled_moments_match_resampling(case, lam, amp, width):
     # width 1/2 compressed twofold; 3.8e-4 over 13,000 random cases), so
     # the tolerance is 1.5e-3.
     alpha, beta, p, n = case
-    se = classify_exponents(alpha, beta, p, n)
-    assume(se.region != INVALID)
+    assume(classify_exponents(alpha, beta, p, n) != INVALID)
+    se = ScalingExponents(alpha, beta)
     v = GridFunction.sample(RadialGrid(n, 20.0, 4000),
                             lambda r: amp * np.exp(-((r / width) ** 2)))
     nl = PowerKG(p)
     resampled = moments(rescale(v, lam, se), nl)
-    scaled = moments(v, nl).scaled(lam, se, p, n)
+    scaled = moments(v, nl).scaled(lam, se, nl, n)
     assert np.allclose(resampled, scaled, rtol=1.5e-3, atol=0.0)
 
 
@@ -261,6 +261,6 @@ def test_p_is_minus_half_k_zero_minus_one_in_2d(values, p, omega):
     v = GridFunction(P_ZERO_GRID, np.append(values, 0.0))
     nl = PowerKG(p, omega)
     m = moments(v, nl)
-    se = classify_exponents(0.0, -1.0, p, 2)
-    assert se.region == LIMIT
+    assert classify_exponents(0.0, -1.0, p, 2) == LIMIT
+    se = ScalingExponents(0.0, -1.0)
     assert m.constraint(nl, se, 2) == -2.0 * m.potential(nl)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 from scipy.optimize import brentq
 
+from general_g import CUBIC_QUINTIC
+from test_model import exponent_cases
 from varkg import (
     AMPLITUDE_RAY,
+    INVALID,
     EmptyConstraintSample,
     GridFunction,
     InvalidInput,
@@ -16,6 +20,7 @@ from varkg import (
     NoRoot,
     NotOnConstraint,
     PathSample,
+    PowerKG,
     PreconditionFailed,
     RadialGrid,
     ScalingExponents,
@@ -24,8 +29,7 @@ from varkg import (
     WrongRegion,
     action_S,
     action_profile,
-    build_path_interior,
-    build_path_limit,
+    build_path,
     classify_exponents,
     closed_form_1d,
     constraint_K,
@@ -36,6 +40,7 @@ from varkg import (
     least_energy,
     moments,
     mountain_pass_estimate,
+    pohozaev_P,
     project_to_P_zero,
     project_to_constraint,
     rescale,
@@ -44,11 +49,7 @@ from varkg import (
 )
 from varkg.paths import PROJECTION_TOL
 
-WIDTH_RAY = ScalingExponents(0.0, 1.0, "")
-
-
-def se_of(alpha, beta, dimension):
-    return classify_exponents(alpha, beta, 3.0, dimension)
+WIDTH_RAY = ScalingExponents(0.0, 1.0)
 
 
 def test_rescale_identity_and_amplitude(phi_1d):
@@ -63,7 +64,7 @@ def test_rescale_identity_and_amplitude(phi_1d):
 def test_rescale_l2_invariance_in_2d(townes):
     # lambda v(lambda x) preserves the L2 norm in dimension 2
     v = townes.profile
-    se = ScalingExponents(1.0, 1.0, "")
+    se = ScalingExponents(1.0, 1.0)
     for lam in (0.5, 0.8, 1.25, 2.0):
         w = rescale(v, lam, se)
         assert np.isclose(l2_norm_sq(w), l2_norm_sq(v), rtol=1e-3)
@@ -112,7 +113,7 @@ def test_action_profile_of_zero(nl3, grid_1d):
 def test_flat_critical_ray(townes, nl3):
     # lambda v(lambda x) leaves S nearly constant at the 2d ground state
     m = least_energy(townes)
-    se = ScalingExponents(1.0, 1.0, "")
+    se = ScalingExponents(1.0, 1.0)
     for lam, s in action_profile(townes.profile, nl3, se, [0.5, 1.0, 2.0]):
         assert np.isclose(s, m, rtol=1e-2)
 
@@ -139,9 +140,9 @@ def test_projection_no_root(townes, nl3):
     vals = np.exp(-g.r**2)
     vals[-1] = 0.0
     gauss = GridFunction(g, vals)
-    se = se_of(1.0, 1.0, 2)
+    se = ScalingExponents(1.0, 1.0)
     with pytest.raises(NoRoot):
-        project_to_constraint(gauss, nl3, se)
+        project_to_constraint(gauss, nl3, se, ray=se)
     with pytest.raises(InvalidInput):
         project_to_constraint(GridFunction.zeros(g), nl3, AMPLITUDE_RAY)
 
@@ -157,10 +158,99 @@ def _gaussian(dimension):
 @pytest.mark.parametrize("pair", [(1.0, 0.0), (2.0, 1.0)], ids=["amplitude", "interior"])
 def test_reprojection_returns_unity(dimension, pair, nl3):
     # the root of the second projection sits on the scan node lambda = 1
-    se = se_of(*pair, dimension)
+    se = ScalingExponents(*pair)
     _, w = project_to_constraint(_gaussian(dimension), nl3, se)
     lam_again, _ = project_to_constraint(w, nl3, se)
     assert np.isclose(lam_again, 1.0, rtol=0, atol=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=exponent_cases(1.0, (1.000001, 5.0)))
+def test_projection_idempotent_along_the_region_ray(case):
+    # the default ray: the pair's own for an interior pair, the amplitude
+    # ray for a limit pair (drawn on both edges).  As p -> 1 the potential
+    # moment nears the L2 moment and the root fixes lambda only to about
+    # 1e-16 / (p - 1), hence the floor on p; subnormal exponents leave K
+    # no precision.  A first projection may find no root, or one whose
+    # profile spills past R.
+    alpha, beta, p, n = case
+    assume(classify_exponents(alpha, beta, p, n) != INVALID)
+    assume(all(x == 0.0 or abs(x) >= 1e-300 for x in (alpha, beta)))
+    nl, se = PowerKG(p), ScalingExponents(alpha, beta)
+    try:
+        _, w = project_to_constraint(_gaussian(n), nl, se)
+    except (NoRoot, TruncationOverflow):
+        assume(False)
+    lam_again, again = project_to_constraint(w, nl, se)
+    assert abs(lam_again - 1.0) <= 1e-6
+    m = moments(again, nl)
+    assert abs(m.constraint(nl, se, n)) <= PROJECTION_TOL * m.h1
+
+
+def test_projection_residual_is_relative_to_the_projected_profile():
+    # the root lies at amplitude 156^2, so |K| there is roundoff of the
+    # projected profile's norm (1.5e9), not of the input's (2.5)
+    nl, se = PowerKG(1.0703125), ScalingExponents(2.0, 0.0)
+    lam, w = project_to_constraint(_gaussian(1), nl, se)
+    m = moments(w, nl)
+    assert lam > 100.0
+    assert abs(m.constraint(nl, se, 1)) <= PROJECTION_TOL * m.h1
+
+
+def test_limit_pair_projects_by_amplitude(nl3):
+    v = _gaussian(2)
+    se = ScalingExponents(1.0, 1.0)
+    lam, w = project_to_constraint(v, nl3, se)
+    lam_amp, w_amp = project_to_constraint(v, nl3, se, ray=AMPLITUDE_RAY)
+    assert lam == lam_amp
+    assert np.array_equal(w.values, w_amp.values)
+
+
+def test_invalid_pair_raises_wrong_region(townes, nl3):
+    se = ScalingExponents(1.0, 2.0)
+    with pytest.raises(WrongRegion):
+        project_to_constraint(townes.profile, nl3, se)
+    with pytest.raises(WrongRegion):
+        build_path(townes.profile, nl3, se)
+
+
+def test_build_path_picks_the_path_from_the_region(townes, nl3):
+    assert build_path(townes.profile, nl3, AMPLITUDE_RAY).segment_breaks == ()
+    assert build_path(townes.profile, nl3, ScalingExponents(1.0, 1.0)).segment_breaks != ()
+
+
+def _general_g_profile():
+    # 3 exp(-r^2) in the plane: int G(v) > 0 for the cubic-quintic G
+    g = RadialGrid(2, 20.0, 400)
+    vals = 3.0 * np.exp(-g.r**2)
+    vals[-1] = 0.0
+    return GridFunction(g, vals)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda v: project_to_constraint(v, CUBIC_QUINTIC, AMPLITUDE_RAY),
+    lambda v: project_to_constraint(v, CUBIC_QUINTIC, AMPLITUDE_RAY, ray=AMPLITUDE_RAY),
+    lambda v: project_to_P_zero(v, CUBIC_QUINTIC),
+    lambda v: verify_min_on_constraint([v], CUBIC_QUINTIC, AMPLITUDE_RAY, 1.0),
+    lambda v: build_path(v, CUBIC_QUINTIC, AMPLITUDE_RAY),
+    lambda v: build_path(v, CUBIC_QUINTIC, ScalingExponents(1.0, 1.0)),
+    lambda v: family_action(v, CUBIC_QUINTIC, WIDTH_RAY, 0.01),
+], ids=["project", "project-explicit-ray", "P-zero", "minimization", "interior-path",
+        "limit-path", "family-action-past-R"])
+def test_general_nonlinearity_is_unsupported(entry):
+    # regions, rays and scaled moments need moments that scale by powers
+    v = _general_g_profile()
+    assert pohozaev_P(v, CUBIC_QUINTIC) > 0.0
+    with pytest.raises(Unsupported):
+        entry(v)
+
+
+def test_kinetic_minimum_records_general_nonlinearity_as_unsupported():
+    v = _general_g_profile()
+    zero = GridFunction.zeros(v.grid)
+    report = verify_T_min_over_P([v, zero], CUBIC_QUINTIC, 1.0)
+    assert report.failures == ((0, "Unsupported"),)
+    assert report.kinetics == (None, 0.0)
 
 
 def test_projection_rescans_when_grid_root_passes_a_scan_node(nl3):
@@ -169,9 +259,9 @@ def test_projection_rescans_when_grid_root_passes_a_scan_node(nl3):
     # nodes that bracket the algebra root do not bracket the grid map's
     g = RadialGrid(2, 20.0, 400)
     v = GridFunction.sample(g, lambda r: 1.051 * np.exp(-r**2))
-    se = se_of(2.0, 1.0, 2)
+    se = ScalingExponents(2.0, 1.0)
     base = moments(v, nl3)
-    lam_alg = brentq(lambda lam: base.scaled(lam, se, 3.0, 2).constraint(nl3, se, 2),
+    lam_alg = brentq(lambda lam: base.scaled(lam, se, nl3, 2).constraint(nl3, se, 2),
                      1e-3, 1e3)
     lam_star, w = project_to_constraint(v, nl3, se)
     nodes = np.geomspace(1e-4, 1e4, 321)
@@ -182,17 +272,17 @@ def test_projection_rescans_when_grid_root_passes_a_scan_node(nl3):
 def test_reprojection_on_limit_ray_has_no_root(nl3):
     # along the pair's own ray K(v_lambda) = lambda^2 K(v), and K(v) is zero
     # up to roundoff: zero samples with no sign change are not a root
-    se = se_of(1.0, 1.0, 2)
+    se = ScalingExponents(1.0, 1.0)
     _, w = project_to_constraint(_gaussian(2), nl3, se, ray=AMPLITUDE_RAY)
     with pytest.raises(NoRoot):
-        project_to_constraint(w, nl3, se)
+        project_to_constraint(w, nl3, se, ray=se)
 
 
 def test_limit_sweep_projects_members_on_the_constraint(nl3):
     # the ground state and the unit-width member lie on the constraint
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 80.0, 16000))
     family = default_trial_family(gs, count=200, seed=0)
-    report = verify_min_on_constraint(family, nl3, se_of(1.0, -2.0, 1),
+    report = verify_min_on_constraint(family, nl3, ScalingExponents(1.0, -2.0),
                                       least_energy(gs))
     assert report.failures == ()
 
@@ -216,7 +306,7 @@ def test_p_zero_projection_scaling(townes, nl3):
 
 
 def test_interior_path_on_the_line(phi_1d, nl3):
-    path = build_path_interior(phi_1d.profile, nl3, AMPLITUDE_RAY)
+    path = build_path(phi_1d.profile, nl3, AMPLITUDE_RAY)
     assert path.admissible
     assert np.isclose(path.max_action, 4.0 / 3.0, rtol=0, atol=1e-3)
     assert action_S(path.end, nl3) <= -10.0
@@ -226,37 +316,32 @@ def test_interior_path_on_the_line(phi_1d, nl3):
 
 def test_interior_path_negative_beta(townes, nl3):
     m = least_energy(townes)
-    path = build_path_interior(townes.profile, nl3, se_of(1.0, -1.0, 2))
+    path = build_path(townes.profile, nl3, ScalingExponents(1.0, -1.0))
     assert path.admissible
     assert np.isclose(path.max_action, m, rtol=0, atol=1e-2 * m)
 
 
 def test_interior_path_guards(phi_1d, townes, nl3, ground_n3):
     with pytest.raises(WrongRegion):
-        build_path_interior(townes.profile, nl3, se_of(1.0, 1.0, 2))
+        build_path(townes.profile, nl3, ScalingExponents(1.0, 2.0))
     off = GridFunction(phi_1d.grid, 2.0 * phi_1d.profile.values)
     with pytest.raises(NotOnConstraint):
-        build_path_interior(off, nl3, AMPLITUDE_RAY)
+        build_path(off, nl3, AMPLITUDE_RAY)
     # interior pair whose ray action grows without bound
     with pytest.raises(NoNegativeEndpoint):
-        build_path_interior(ground_n3.profile, nl3, se_of(-0.4, -1.0, 3))
+        build_path(ground_n3.profile, nl3, ScalingExponents(-0.4, -1.0))
 
 
 def test_limit_paths(townes, nl3):
     m = least_energy(townes)
     for alpha, beta in ((1.0, 1.0), (0.0, -1.0)):
-        path = build_path_limit(townes.profile, nl3, se_of(alpha, beta, 2))
+        path = build_path(townes.profile, nl3, ScalingExponents(alpha, beta))
         assert path.admissible
         assert np.isclose(path.max_action, m, rtol=0, atol=0.05)
         assert len(path.segment_breaks) in (1, 2)
         # first glued segment t -> S(t v_lambda0) must rise monotonically
         first = path.action_values[path.t <= path.segment_breaks[0]]
         assert np.all(np.diff(first) > 0.0)
-
-
-def test_limit_path_guards(phi_1d, nl3):
-    with pytest.raises(WrongRegion):
-        build_path_limit(phi_1d.profile, nl3, AMPLITUDE_RAY)
 
 
 def test_path_sample_validation(grid_1d):
@@ -276,7 +361,7 @@ def test_path_sample_validation(grid_1d):
 
 
 def test_mountain_pass_estimate_on_line(phi_1d, nl3):
-    paths = [build_path_interior(phi_1d.profile, nl3, se_of(a, b, 1))
+    paths = [build_path(phi_1d.profile, nl3, ScalingExponents(a, b))
              for a, b in ((1.0, 0.0), (2.0, 0.0), (1.0, -1.0))]
     assert np.isclose(mountain_pass_estimate(paths), 4.0 / 3.0,
                       rtol=0, atol=1e-3)
@@ -307,7 +392,7 @@ def test_minimization_perturbed_member_is_larger(townes, nl3):
     bump = GridFunction(townes.grid,
                         townes.profile.values * (1.0 + 0.1 * np.exp(-r**2)))
     report = verify_min_on_constraint([bump, townes.profile], nl3,
-                                      se_of(1.0, 1.0, 2), m, tol=0.05)
+                                      ScalingExponents(1.0, 1.0), m, tol=0.05)
     assert report.passed
     assert report.argmin_index == 1
     assert report.actions[0] - report.actions[1] >= 1e-4
@@ -318,7 +403,7 @@ def test_minimization_guards(phi_1d, nl3):
         verify_min_on_constraint([], nl3, AMPLITUDE_RAY, 1.0)
     with pytest.raises(WrongRegion):
         verify_min_on_constraint([phi_1d.profile], nl3,
-                                 ScalingExponents(1.0, 2.0, ""), 1.0)
+                                 ScalingExponents(1.0, 2.0), 1.0)
     zero = GridFunction.zeros(phi_1d.grid)
     with pytest.raises(EmptyConstraintSample):
         verify_min_on_constraint([zero], nl3, AMPLITUDE_RAY, 1.0)
