@@ -64,7 +64,6 @@ from .model import (
     check_subcritical,
     classify_exponents,
     constraint_K,
-    dynamic_pair,
     flow_nonlinearity,
     energy_E,
     kinetic_T,

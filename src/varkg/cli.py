@@ -34,7 +34,15 @@ from .evolution import (
     make_initial_data,
 )
 from .ground_state import closed_form_1d, least_energy, shoot_radial
-from .model import AMPLITUDE_RAY, LIMIT, PowerKG, ScalingExponents, classify_exponents, moments
+from .model import (
+    AMPLITUDE_RAY,
+    INVALID,
+    LIMIT,
+    PowerKG,
+    ScalingExponents,
+    classify_exponents,
+    moments,
+)
 from .paths import (
     build_path,
     default_trial_family,
@@ -138,6 +146,18 @@ def _ground_state(cfg, dimension: int, bracket=(1.0, 4.0)):
     return shoot_radial(PowerKG(cfg.p, cfg.omega), grid, bracket=bracket)
 
 
+def _usable_region(cfg, dimension: int) -> str:
+    """The region of (alpha, beta), asked before any solve; an invalid pair
+    raises WrongRegion.  The grid and nonlinearity flags are checked first,
+    in the order the solve checks them."""
+    RadialGrid(dimension, cfg.R, cfg.M)
+    PowerKG(cfg.p, cfg.omega)
+    region = classify_exponents(cfg.alpha, cfg.beta, cfg.p, dimension)
+    if region == INVALID:
+        raise WrongRegion(f"({cfg.alpha:g},{cfg.beta:g}) classifies as {region}")
+    return region
+
+
 def _outer_radius(cfg) -> float:
     return 80.0 if cfg.N == 1 else 40.0
 
@@ -221,6 +241,7 @@ def _member_rows(report):
 
 def _cmd_verify_theorem1(cfg):
     se = ScalingExponents(cfg.alpha, cfg.beta)
+    _usable_region(cfg, cfg.N)
     gs = _ground_state(cfg, cfg.N)
     m_ref = least_energy(gs)
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
@@ -241,12 +262,12 @@ def _cmd_verify_theorem1(cfg):
 
 def _cmd_verify_theorem2(cfg):
     se = ScalingExponents(cfg.alpha, cfg.beta)
+    if _usable_region(cfg, 2) != LIMIT:
+        raise WrongRegion(f"({cfg.alpha:g},{cfg.beta:g}) is not a limit pair here")
     gs = _ground_state(cfg, 2)
     m_ref = least_energy(gs)
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
-    if report.region != LIMIT:
-        raise WrongRegion(f"({cfg.alpha:g},{cfg.beta:g}) is not a limit pair here")
     path = build_path(gs.profile, gs.nonlinearity, se)
     path_ok = path.admissible and abs(path.max_action - m_ref) <= cfg.tol * m_ref
     passed = report.passed and path_ok

@@ -22,7 +22,7 @@ from .radial_core import GridFunction, RadialGrid
 ODE_RESIDUAL_TOL = 1e-4        # times g(phi(0)) + m0 phi(0), i.e. phi(0)^p for powers
 CONSTRAINT_TOL = 1e-3          # times ||phi||_H1^2
 DECAY_FLOOR = 1e-10            # profile must dip below this before r = R
-BRACKET_DOUBLINGS = 8          # times shoot_radial may double a non-crossing upper end
+BRACKET_DOUBLINGS = 8          # times shoot_radial may move a bracket end by a factor 2
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,12 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     power must also be subcritical there (check_subcritical).
 
     The bracket must straddle the critical amplitude: its lower end
-    classifies as non-crossing and its upper end crosses zero.  An upper
-    end that does not cross becomes the lower end and is doubled, up to
-    BRACKET_DOUBLINGS times; a bracket that already straddles is kept.  The
-    returned profile keeps the last non-crossing shot up to its turning
-    point and continues with the matched linear-decay tail
+    classifies as non-crossing and its upper end crosses zero.  A lower
+    end that crosses becomes the upper end and is halved, and an upper end
+    that does not cross becomes the lower end and is doubled, up to
+    BRACKET_DOUBLINGS moves in all; a bracket that already straddles is
+    kept.  The returned profile keeps the last non-crossing shot up to its
+    turning point and continues with the matched linear-decay tail
     phi(r*) (r*/r)^((N-1)/2) exp(-sqrt(m0)(r - r*)), which restores decay
     past the double-precision resolution limit of the bisection itself.
     """
@@ -227,11 +228,16 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     status_lo, _, _ = _classify_shot(lo, nl, grid, record=False)
     status_hi, _, _ = _classify_shot(hi, nl, grid, record=False)
     for _ in range(BRACKET_DOUBLINGS):
-        if status_lo == "cross" or status_hi == "cross":
+        if status_lo == "cross":
+            hi, status_hi = lo, status_lo
+            lo *= 0.5
+            status_lo, _, _ = _classify_shot(lo, nl, grid, record=False)
+        elif status_hi != "cross":
+            lo, status_lo = hi, status_hi
+            hi *= 2.0
+            status_hi, _, _ = _classify_shot(hi, nl, grid, record=False)
+        else:
             break
-        lo, status_lo = hi, status_hi
-        hi *= 2.0
-        status_hi, _, _ = _classify_shot(hi, nl, grid, record=False)
     if status_lo == "cross" or status_hi != "cross":
         raise BracketError(
             f"bracket {bracket!r} does not straddle the critical amplitude "

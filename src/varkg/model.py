@@ -282,15 +282,15 @@ class Moments(NamedTuple):
         """((N-2)/2) ||grad v||^2 - N P; vanishes at solutions."""
         return 0.5 * (dimension - 2) * self.grad - dimension * self.potential(nl)
 
-    def scaled(self, lam: float, se: ScalingExponents, nl: Nonlinearity,
+    def scaled(self, lam: float | np.ndarray, se: ScalingExponents, nl: Nonlinearity,
                dimension: int) -> "Moments":
-        """Exact moments of lambda^alpha v(lambda^beta x) on the whole space
-        (power family only: int G(v) of a general g is no power of lambda)."""
+        """Exact moments of lambda^alpha v(lambda^beta x) on the whole space,
+        elementwise over an array of lam (power family only: int G(v) of a
+        general g is no power of lambda)."""
         if not isinstance(nl, PowerKG):
             raise Unsupported("scaled moments are implemented for the power family only")
         a, b, c = ray_exponents(se.alpha, se.beta, nl.p, dimension)
-        # tuple.__new__ skips NamedTuple's slow constructor; projections scan 321 lambdas
-        return tuple.__new__(Moments, (self.grad * lam**a, self.l2 * lam**b, self.pot * lam**c))
+        return Moments(self.grad * lam**a, self.l2 * lam**b, self.pot * lam**c)
 
 
 def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
@@ -354,9 +354,3 @@ def flow_nonlinearity(nl: Nonlinearity) -> Nonlinearity:
     could supply initial data while the flow itself never sees omega.
     """
     return PowerKG(nl.p) if isinstance(nl, PowerKG) else nl
-
-
-def dynamic_pair(nl: Nonlinearity):
-    """Vectorized (g, G) of the flow (see flow_nonlinearity)."""
-    flow = flow_nonlinearity(nl)
-    return flow.g, flow.G

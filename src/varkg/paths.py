@@ -42,7 +42,6 @@ from .model import (
     PowerKG,
     ScalingExponents,
     classify_exponents,
-    constraint_K,
     kinetic_T,
     moments,
     pohozaev_P,
@@ -59,6 +58,7 @@ PATH_SAMPLES = 64              # samples per path segment before argmax refineme
 ARGMAX_REL_TOL = 1e-6          # refinement stops once the path maximum moves less than this
 ARGMAX_ROUNDS = 12             # refinement rounds at most
 ARGMAX_LAM_GRID = np.geomspace(0.5, 2.0, 33)  # ray profile of an interior projection
+SCAN_LAMBDAS = np.geomspace(1e-4, 1e4, 321)   # algebra scan that brackets every projection
 P_BOUNDARY_TOL = 1e-3          # |P| <= tol * ||v||_H1^2 counts as on the P = 0 boundary
 P_ZERO = ScalingExponents(0.0, -1.0)  # a limit pair; K_{0,-1} = -2 P in dimension 2
 
@@ -132,15 +132,17 @@ def action_profile(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     return [(float(lam), family_action(v, nl, se, float(lam))) for lam in lams]
 
 
-def _sign_change(samples: np.ndarray) -> tuple[int, int] | None:
-    """Indices (i, j) of the first pair of consecutive nonzero samples with
-    opposite signs, or None.
+def _sign_change(samples) -> tuple[int, int] | None:
+    """Indices (i, j) of the first pair of consecutive finite nonzero
+    samples with opposite signs, or None.
 
     Exact zeros are skipped rather than taken as roots: a root on a node
     is bracketed by its nonzero neighbours, while a K that is zero only by
-    roundoff brackets nothing.
+    roundoff brackets nothing.  Non-finite samples (an overflowed scan
+    node) carry no sign and are skipped the same way.
     """
-    nonzero = np.flatnonzero(samples)
+    samples = np.asarray(samples, dtype=float)
+    nonzero = np.flatnonzero(np.isfinite(samples) & (samples != 0.0))
     signs = np.sign(samples[nonzero])
     flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
     if flips.size == 0:
@@ -156,8 +158,8 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     ray, a limit pair by amplitude (AMPLITUDE_RAY), because its own ray
     leaves K's sign unchanged, and an invalid pair raises WrongRegion.  An
     explicit ray overrides that choice.  A scan of the exact scaling
-    algebra on geomspace(1e-4, 1e4, 321) brackets the root between two
-    scan nodes; one Brent solve on that bracket then finds the root of the
+    algebra over SCAN_LAMBDAS brackets the root between two finite scan
+    nodes; one Brent solve on that bracket then finds the root of the
     resampled grid map.  When quadrature error moves the grid map's root
     past a node, a 33-point rescan around the two nodes brackets it
     instead.  A root that lies exactly on a scan node is returned too; a
@@ -165,7 +167,10 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     are never taken as roots by themselves: NoRoot means the nonzero
     samples of K show no sign change along the ray.  The projected profile
     w must satisfy |K(w)| <= PROJECTION_TOL ||w||_H1^2, else
-    ConvergenceError.
+    ConvergenceError.  K is linear in (alpha, beta), so a pair below 1/2
+    in both components is lifted by a power of two (exact) before the
+    scan, the solve and the residual check; subnormal exponents would
+    leave K no precision.
     """
     n = v.grid.dimension
     if ray is None:
@@ -176,35 +181,33 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     base = moments(v, nl)
     if base.h1 == 0.0:
         raise InvalidInput("cannot project the zero function")
+    _, exp2 = math.frexp(max(abs(se.alpha), abs(se.beta)))
+    k_pair = se
+    if exp2 < 0:
+        k_pair = ScalingExponents(math.ldexp(se.alpha, -exp2), math.ldexp(se.beta, -exp2))
 
-    def k_algebra(lam: float) -> float:
-        return base.scaled(lam, ray, nl, n).constraint(nl, se, n)
-
-    lams = np.geomspace(1e-4, 1e4, 321)
-    bracket = _sign_change(np.array([k_algebra(lam) for lam in lams]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = _sign_change(base.scaled(SCAN_LAMBDAS, ray, nl, n).constraint(nl, k_pair, n))
     if bracket is None:
         raise NoRoot(
             f"K_({se.alpha:g},{se.beta:g}) has no sign change along the "
             f"({ray.alpha:g},{ray.beta:g}) ray of this profile")
 
     def k_discrete(lam: float) -> float:
-        try:
-            return constraint_K(rescale(v, lam, ray), nl, se)
-        except TruncationOverflow:
-            return k_algebra(lam)
+        return _moments_at(v, nl, ray, lam).constraint(nl, k_pair, n)
 
-    lo, hi = lams[bracket[0]], lams[bracket[1]]
-    if _sign_change(np.array([k_discrete(lo), k_discrete(hi)])) is None:
+    lo, hi = SCAN_LAMBDAS[bracket[0]], SCAN_LAMBDAS[bracket[1]]
+    if _sign_change([k_discrete(lo), k_discrete(hi)]) is None:
         # quadrature error can shift a marginal root; rescan around the nodes
         scan = np.geomspace(lo / 4.0, hi * 4.0, 33)
-        bracket = _sign_change(np.array([k_discrete(lam) for lam in scan]))
+        bracket = _sign_change([k_discrete(lam) for lam in scan])
         if bracket is None:
             raise NoRoot("constraint map loses its sign change on the grid")
         lo, hi = scan[bracket[0]], scan[bracket[1]]
     lam_star = brent(k_discrete, lo, hi, xtol=1e-14, rtol=8.9e-16)
     projected = rescale(v, lam_star, ray)
     m = moments(projected, nl)
-    residual = m.constraint(nl, se, n)
+    residual = m.constraint(nl, k_pair, n)
     if abs(residual) > PROJECTION_TOL * m.h1:
         raise ConvergenceError(
             f"projection residual {residual:.3e} exceeds {PROJECTION_TOL:.0e} * its H1 norm")
@@ -534,7 +537,7 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
             # the ray profile of the projected moments transforms exactly
             # under scaling; the resampled map would fold interpolation
             # error into the peak location for strongly compressed members
-            profile = [m.scaled(lam, se, nl, dimension).action(nl) for lam in ARGMAX_LAM_GRID]
+            profile = m.scaled(ARGMAX_LAM_GRID, se, nl, dimension).action(nl)
             cells_off.append(abs(int(np.argmax(profile)) - unity_cell))
     evaluated = [(s, i) for i, s in enumerate(actions) if s is not None]
     if not evaluated:

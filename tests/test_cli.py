@@ -221,6 +221,26 @@ def test_path_rejects_invalid_pair(tmp_path, capsys):
     assert manifest["config"]["beta"] == 2.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify-theorem1", "--N", "2", "--alpha", "1", "--beta", "2"],
+     "(1,2) classifies as Invalid"),
+    (["verify-theorem2", "--alpha", "1", "--beta", "2"], "(1,2) classifies as Invalid"),
+    (["verify-theorem2", "--alpha", "1", "--beta", "0"], "(1,0) is not a limit pair here"),
+])
+def test_unusable_pair_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                  argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the pair was checked")
+
+    for name in ("shoot_radial", "closed_form_1d", "verify_min_on_constraint",
+                 "project_to_constraint"):
+        monkeypatch.setattr(f"varkg.cli.{name}", no_work)
+    assert run([*argv, "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"varkg: WrongRegion: {message}\n"
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "WrongRegion")
+
+
 def test_evolve_is_deterministic(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"R": 25.0, "M": 1000, "tmax": 5.0,

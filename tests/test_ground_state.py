@@ -116,9 +116,12 @@ def test_mesh_convergence_of_level():
 
 
 def test_bad_bracket_raises():
-    grid = RadialGrid(2, 40.0, 2000)
-    with pytest.raises(BracketError):
-        shoot_radial(PowerKG(3.0, 0.0), grid, bracket=(5.0, 9.0))
+    # a crossing lower end is halved at most 8 times, and 600 / 2^8 = 2.34
+    # still lies above the critical amplitude 2.206; the fine grid keeps
+    # the series start valid at amplitude 1200
+    grid = RadialGrid(2, 10.0, 10000)
+    with pytest.raises(BracketError, match="lo -> cross"):
+        shoot_radial(PowerKG(3.0, 0.0), grid, bracket=(600.0, 1200.0))
 
 
 def test_non_crossing_upper_end_is_doubled(ground_n3):
@@ -126,6 +129,18 @@ def test_non_crossing_upper_end_is_doubled(ground_n3):
     gs = shoot_radial(PowerKG(3.0, 0.0), RadialGrid(3, 30.0, 3000))
     assert np.isclose(gs.center_value, ground_n3.center_value, rtol=1e-12, atol=0)
     assert np.isclose(gs.level, ground_n3.level, rtol=1e-10, atol=0)
+
+
+def test_crossing_lower_end_is_halved():
+    # at omega = 0.9 the critical amplitude 0.96 lies below the default
+    # bracket (1, 4): the lower end crosses and is halved
+    grid = RadialGrid(2, 80.0, 8000)
+    gs = shoot_radial(PowerKG(3.0, 0.9), grid)
+    assert np.isclose(gs.center_value, 0.9616606617, rtol=1e-10, atol=0)
+    explicit = shoot_radial(PowerKG(3.0, 0.9), grid, bracket=(0.5, 4.0))
+    assert np.isclose(gs.center_value, explicit.center_value, rtol=1e-10, atol=0)
+    with pytest.raises(ConvergenceError, match="enlarge the domain"):
+        shoot_radial(PowerKG(3.0, 0.9), RadialGrid(2, 30.0, 3000))
 
 
 def test_coarse_series_start_blames_the_grid():

@@ -26,8 +26,8 @@ from varkg import (
     check_subcritical,
     classify_exponents,
     constraint_K,
-    dynamic_pair,
     energy_E,
+    flow_nonlinearity,
     grad_norm_sq,
     h1_norm_sq,
     kinetic_T,
@@ -40,6 +40,7 @@ from varkg import (
     ray_exponents,
     rescale,
 )
+from varkg.model import Moments
 
 
 def test_power_kg_validation():
@@ -159,17 +160,17 @@ def test_linear_kg_functionals():
         nehari_K(v, LINEAR_KG)
 
 
-def test_dynamic_pair_conventions():
+def test_flow_nonlinearity_conventions():
     # the flow sees unit mass; omega only shapes initial data
-    g1, big_g1 = dynamic_pair(PowerKG(3.0, 0.0))
-    g2, big_g2 = dynamic_pair(PowerKG(3.0, 0.7))
+    flow1 = flow_nonlinearity(PowerKG(3.0, 0.0))
+    flow2 = flow_nonlinearity(PowerKG(3.0, 0.7))
     u = np.linspace(-2.0, 2.0, 9)
-    assert np.array_equal(g1(u), g2(u))
-    assert np.allclose(g1(u), -u + u**3, rtol=0, atol=1e-15)
-    assert np.allclose(big_g1(u), -0.5 * u**2 + 0.25 * u**4, rtol=0, atol=1e-15)
-    g3, big_g3 = dynamic_pair(LINEAR_KG)
-    assert g3 is LINEAR_KG.g
-    assert big_g3 is LINEAR_KG.G
+    assert np.array_equal(flow1.g(u), flow2.g(u))
+    assert np.allclose(flow1.g(u), -u + u**3, rtol=0, atol=1e-15)
+    assert np.allclose(flow1.G(u), -0.5 * u**2 + 0.25 * u**4, rtol=0, atol=1e-15)
+    flow3 = flow_nonlinearity(LINEAR_KG)
+    assert flow3.g is LINEAR_KG.g
+    assert flow3.G is LINEAR_KG.G
 
 
 def test_power_integral_guards():
@@ -243,8 +244,24 @@ def test_scaled_moments_match_resampling(case, lam, amp, width):
                             lambda r: amp * np.exp(-((r / width) ** 2)))
     nl = PowerKG(p)
     resampled = moments(rescale(v, lam, se), nl)
-    scaled = moments(v, nl).scaled(lam, se, nl, n)
+    base = moments(v, nl)
+    scaled = base.scaled(lam, se, nl, n)
     assert np.allclose(resampled, scaled, rtol=1.5e-3, atol=0.0)
+    # an array of lambdas scales as the scalar calls do: each power of
+    # lambda within 1 ulp (numpy's vector pow may differ from the scalar
+    # one in the last bit), so K keeps its sign unless roundoff decides it
+    lams = np.array([lam, 1.0, 1.0 / lam])
+    unit = Moments(1.0, 1.0, 1.0)
+    powers = np.array(unit.scaled(lams, se, nl, n))
+    k_vector = base.scaled(lams, se, nl, n).constraint(nl, se, n)
+    for i, one in enumerate(lams):
+        np.testing.assert_array_max_ulp(powers[:, i], np.array(unit.scaled(one, se, nl, n)),
+                                        maxulp=1)
+        at_one = base.scaled(one, se, nl, n)
+        k_scalar = at_one.constraint(nl, se, n)
+        roundoff = 1e-13 * (1.0 + abs(alpha) + abs(beta)) * (p + 1.0) * sum(at_one)
+        if abs(k_scalar) > roundoff:
+            assert np.sign(k_vector[i]) == np.sign(k_scalar)
 
 
 P_ZERO_GRID = RadialGrid(2, 10.0, 32)

@@ -1,6 +1,7 @@
 """Scaling families, mountain-pass paths, and the variational verifications."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from varkg import (
     verify_T_min_over_P,
     verify_min_on_constraint,
 )
-from varkg.paths import PROJECTION_TOL
+from varkg.paths import PROJECTION_TOL, _sign_change
 
 WIDTH_RAY = ScalingExponents(0.0, 1.0)
 
@@ -170,12 +171,10 @@ def test_projection_idempotent_along_the_region_ray(case):
     # the default ray: the pair's own for an interior pair, the amplitude
     # ray for a limit pair (drawn on both edges).  As p -> 1 the potential
     # moment nears the L2 moment and the root fixes lambda only to about
-    # 1e-16 / (p - 1), hence the floor on p; subnormal exponents leave K
-    # no precision.  A first projection may find no root, or one whose
-    # profile spills past R.
+    # 1e-16 / (p - 1), hence the floor on p.  A first projection may find
+    # no root, or one whose profile spills past R.
     alpha, beta, p, n = case
     assume(classify_exponents(alpha, beta, p, n) != INVALID)
-    assume(all(x == 0.0 or abs(x) >= 1e-300 for x in (alpha, beta)))
     nl, se = PowerKG(p), ScalingExponents(alpha, beta)
     try:
         _, w = project_to_constraint(_gaussian(n), nl, se)
@@ -185,6 +184,32 @@ def test_projection_idempotent_along_the_region_ray(case):
     assert abs(lam_again - 1.0) <= 1e-6
     m = moments(again, nl)
     assert abs(m.constraint(nl, se, n)) <= PROJECTION_TOL * m.h1
+
+
+def test_subnormal_pair_is_lifted_before_projecting():
+    # K_{-0,-5e-324} is K_{0,-1} times 5e-324: by amplitude the root of
+    # both is lambda = 9/4 (p = 2, N = 2); unlifted, K kept no precision
+    nl, se = PowerKG(2.0), ScalingExponents(-0.0, -5e-324)
+    lam, w = project_to_constraint(_gaussian(2), nl, se)
+    assert np.isclose(lam, 9.0 / 4.0, rtol=1e-4, atol=0)
+    lam_again, _ = project_to_constraint(w, nl, se)
+    assert lam_again == 1.0
+
+
+def test_sign_change_skips_non_finite_samples():
+    assert _sign_change([1.0, math.nan, -1.0]) == (0, 2)
+    assert _sign_change([1.0, math.inf, 0.0, -2.0]) == (0, 3)
+    assert _sign_change([math.nan, 1.0, math.nan]) is None
+
+
+def test_overflowing_scan_nodes_warn_nothing(townes, nl3):
+    # along the (100, 1) ray the algebra overflows to inf - inf at the
+    # far scan nodes; those nodes are skipped without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, w = project_to_constraint(townes.profile, nl3, ScalingExponents(100.0, 1.0))
+    m = moments(w, nl3)
+    assert abs(m.constraint(nl3, ScalingExponents(100.0, 1.0), 2)) <= PROJECTION_TOL * m.h1
 
 
 def test_projection_residual_is_relative_to_the_projected_profile():
