@@ -60,17 +60,12 @@ from .model import (
     GeneralG,
     PowerKG,
     ScalingExponents,
-    action_S,
     check_subcritical,
     classify_exponents,
-    constraint_K,
     flow_nonlinearity,
     energy_E,
     kinetic_T,
     moments,
-    nehari_K,
-    pohozaev_P,
-    pohozaev_residual,
     power_integral,
     ray_exponents,
 )

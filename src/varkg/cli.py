@@ -187,22 +187,22 @@ def _cmd_functionals(cfg):
     if cfg.profile is None:
         print("functionals: --from PROFILE is required", file=sys.stderr)
         return 2
+    if (cfg.alpha is None) != (cfg.beta is None):
+        raise InvalidInput("--alpha and --beta must be given together")
     v = load_profile(cfg.profile)
-    nl = PowerKG(cfg.p, cfg.omega)
-    n = v.grid.dimension
-    m = moments(v, nl)
+    m = moments(v, PowerKG(cfg.p, cfg.omega))
     payload = {
-        "S": m.action(nl),
+        "S": m.action(),
         "T": m.kinetic,
-        "P": m.potential(nl),
-        "nehari_K": m.nehari(nl),
-        "pohozaev_residual": m.pohozaev_residual(nl, n),
+        "P": m.potential(),
+        "nehari_K": m.nehari(),
+        "pohozaev_residual": m.pohozaev_residual(),
         "h1_norm_sq": m.h1,
     }
-    if cfg.alpha is not None and cfg.beta is not None:
+    if cfg.alpha is not None:
         payload["alpha"], payload["beta"] = cfg.alpha, cfg.beta
-        payload["region"] = classify_exponents(cfg.alpha, cfg.beta, cfg.p, n)
-        payload["K"] = m.constraint(nl, ScalingExponents(cfg.alpha, cfg.beta), n)
+        payload["region"] = classify_exponents(cfg.alpha, cfg.beta, cfg.p, m.dimension)
+        payload["K"] = m.constraint(ScalingExponents(cfg.alpha, cfg.beta))
     _write_json(os.path.join(cfg.outdir, "functionals.json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -377,17 +377,16 @@ def _cmd_selftest(cfg):
         print(f"{name} = {value:.6f} (expected {expected:.6f}, tol {tol:g}) "
               f"{'PASS' if ok else 'FAIL'}")
 
-    grid = RadialGrid(1, 20.0, 40000)
-    gs = closed_form_1d(3.0, 0.0, grid)
+    gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 20.0, 40000))
     nl = gs.nonlinearity
     m = least_energy(gs)
     print(f"m = {m:.6f}")
     check("S(phi)", m, 4.0 / 3.0, 1e-4)
     phi = moments(gs.profile, nl)
     check("T(phi)", phi.kinetic, 2.0 / 3.0, 1e-4)
-    check("P(phi)", phi.potential(nl), -2.0 / 3.0, 1e-4)
-    check("K(phi)", phi.nehari(nl), 0.0, 1e-4)
-    check("pohozaev_residual(phi)", phi.pohozaev_residual(nl, grid.dimension), 0.0, 1e-4)
+    check("P(phi)", phi.potential(), -2.0 / 3.0, 1e-4)
+    check("K(phi)", phi.nehari(), 0.0, 1e-4)
+    check("pohozaev_residual(phi)", phi.pohozaev_residual(), 0.0, 1e-4)
     path = build_path(gs.profile, nl, AMPLITUDE_RAY)
     check("path max action", path.max_action, m, 1e-3)
     lam_star, _ = project_to_constraint(gs.profile, nl, AMPLITUDE_RAY)

@@ -169,9 +169,9 @@ def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
             nl, m_ref: float | None) -> TrajectoryRecord:
     energy = _discrete_energy(u, v, grid, nl)
     m = moments(GridFunction(grid, u), nl)
-    p_val = m.potential(nl)
+    p_val = m.potential()
     in_set = m_ref is not None and energy < m_ref and p_val > 0.0
-    return TrajectoryRecord(t, energy, m.action(nl), p_val, m.kinetic, math.sqrt(m.h1), in_set)
+    return TrajectoryRecord(t, energy, m.action(), p_val, m.kinetic, math.sqrt(m.h1), in_set)
 
 
 def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
@@ -259,8 +259,8 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> tuple[GridFunct
     u = GridFunction(stretched.grid, lam * stretched.values)
     m_ref = least_energy(gs)
     m = moments(u, nl)
-    action = m.action(nl)
-    p_val = m.potential(nl)
+    action = m.action()
+    p_val = m.potential()
     energy = action  # E(u, 0) = S(u): the data start at rest
     report = {
         "action": action,

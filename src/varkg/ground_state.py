@@ -94,8 +94,8 @@ def _validate(profile: GridFunction, nl: Nonlinearity) -> GroundState:
             "(g(phi(0)) + m0 phi(0))")
     m = moments(profile, nl)
     h1 = m.h1
-    kn = m.nehari(nl) if isinstance(nl, PowerKG) else None
-    pz = m.pohozaev_residual(nl, profile.grid.dimension)
+    kn = m.nehari() if isinstance(nl, PowerKG) else None
+    pz = m.pohozaev_residual()
     if kn is not None and abs(kn) > CONSTRAINT_TOL * h1:
         raise ConvergenceError(f"Nehari residual {kn:.3e} too large for H1 norm {h1:.3e}")
     if abs(pz) > CONSTRAINT_TOL * h1:
@@ -103,7 +103,7 @@ def _validate(profile: GridFunction, nl: Nonlinearity) -> GroundState:
     return GroundState(
         profile=profile,
         nonlinearity=nl,
-        level=m.action(nl),
+        level=m.action(),
         center_value=a,
         ode_residual=ode_res,
         nehari_residual=kn,

@@ -15,7 +15,9 @@ boundary, classified here with exact comparisons.
 
 Every functional is a linear form in three moments of v, the squared
 gradient and L2 norms and the potential integral, so the moments are
-computed once (`moments`) and each form is written once, on `Moments`.
+computed once (`moments`, which records the nonlinearity and dimension
+they belong to) and each form is written once, on `Moments`: S is
+`moments(v, nl).action()`, K_{alpha,beta} is `.constraint(se)`, and so on.
 Along a ray the moments scale by the powers `ray_exponents` gives.
 """
 
@@ -226,16 +228,20 @@ def power_integral(v: GridFunction, q: float) -> float:
 
 
 class Moments(NamedTuple):
-    """The three integrals every functional here is a linear form in.
+    """The three integrals every functional here is a linear form in, with
+    the nonlinearity and the dimension they were taken for.
 
     grad = ||grad v||^2 and l2 = ||v||^2; pot = ||v||_{p+1}^{p+1} for the
-    power family and int G(|v|) for a general nonlinearity.  The forms take
-    the nonlinearity the moments were built for (and N where they need it).
+    power family and int G(|v|) for a general nonlinearity.  The forms read
+    nl and dimension from here, so no form can be asked with another
+    nonlinearity than the moments were built for.
     """
 
     grad: float
     l2: float
     pot: float
+    nl: Nonlinearity | None
+    dimension: int
 
     @property
     def h1(self) -> float:
@@ -247,20 +253,22 @@ class Moments(NamedTuple):
         """T = (1/2) ||grad v||^2."""
         return 0.5 * self.grad
 
-    def potential(self, nl: Nonlinearity) -> float:
+    def potential(self) -> float:
         """P = int G(v) = -(m0/2) ||v||^2 + ||v||_{p+1}^{p+1} / (p+1) for the power family."""
+        nl = self.nl
         if isinstance(nl, PowerKG):
             return -0.5 * nl.mass * self.l2 + self.pot / (nl.p + 1.0)
         return self.pot
 
-    def action(self, nl: Nonlinearity) -> float:
+    def action(self) -> float:
         """S = T - P; for the power family the three-term form
         (1/2)||grad v||^2 + (m0/2)||v||^2 - ||v||_{p+1}^{p+1} / (p+1)."""
+        nl = self.nl
         if isinstance(nl, PowerKG):
             return 0.5 * self.grad + 0.5 * nl.mass * self.l2 - self.pot / (nl.p + 1.0)
         return self.kinetic - self.pot
 
-    def constraint(self, nl: Nonlinearity, se: ScalingExponents, dimension: int) -> float:
+    def constraint(self, se: ScalingExponents) -> float:
         """K_{alpha,beta} = d/dlambda S(v_lambda) at lambda = 1 (power family only).
 
         With (a, b, c) the ray exponents this is
@@ -269,32 +277,36 @@ class Moments(NamedTuple):
         c ||v||_{p+1}^{p+1} by p+1 the way `potential` divides ||v||_{p+1}^{p+1},
         so in dimension 2 K_{0,-1} = -2 P holds bit for bit.
         """
+        nl = self.nl
         if not isinstance(nl, PowerKG):
             raise Unsupported("the scaling constraint is implemented for the power family only")
-        a, b, c = ray_exponents(se.alpha, se.beta, nl.p, dimension)
+        a, b, c = ray_exponents(se.alpha, se.beta, nl.p, self.dimension)
         return 0.5 * a * self.grad + 0.5 * b * nl.mass * self.l2 - c * self.pot / (nl.p + 1.0)
 
-    def nehari(self, nl: Nonlinearity) -> float:
-        """K_{1,0}; the dimension drops out of the amplitude ray's exponents."""
-        return self.constraint(nl, AMPLITUDE_RAY, 1)
+    def nehari(self) -> float:
+        """K_{1,0}, the amplitude-scaling (Nehari) constraint."""
+        return self.constraint(AMPLITUDE_RAY)
 
-    def pohozaev_residual(self, nl: Nonlinearity, dimension: int) -> float:
+    def pohozaev_residual(self) -> float:
         """((N-2)/2) ||grad v||^2 - N P; vanishes at solutions."""
-        return 0.5 * (dimension - 2) * self.grad - dimension * self.potential(nl)
+        n = self.dimension
+        return 0.5 * (n - 2) * self.grad - n * self.potential()
 
-    def scaled(self, lam: float | np.ndarray, se: ScalingExponents, nl: Nonlinearity,
-               dimension: int) -> "Moments":
+    def scaled(self, lam: float | np.ndarray, se: ScalingExponents) -> "Moments":
         """Exact moments of lambda^alpha v(lambda^beta x) on the whole space,
         elementwise over an array of lam (power family only: int G(v) of a
         general g is no power of lambda)."""
+        nl = self.nl
         if not isinstance(nl, PowerKG):
             raise Unsupported("scaled moments are implemented for the power family only")
-        a, b, c = ray_exponents(se.alpha, se.beta, nl.p, dimension)
-        return Moments(self.grad * lam**a, self.l2 * lam**b, self.pot * lam**c)
+        a, b, c = ray_exponents(se.alpha, se.beta, nl.p, self.dimension)
+        return Moments(self.grad * lam**a, self.l2 * lam**b, self.pot * lam**c,
+                       nl, self.dimension)
 
 
 def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
-    """The gradient, L2 and potential moments of v (on |v| for complex v)."""
+    """The gradient, L2 and potential moments of v (on |v| for complex v),
+    tagged with nl and v's dimension; every functional is a form on them."""
     if isinstance(nl, PowerKG):
         pot = power_integral(v, nl.p + 1.0)
     else:
@@ -302,48 +314,22 @@ def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
             pot = float(np.sum(v.grid.weights * nl.G(np.abs(v.values))))
         if not math.isfinite(pot):
             raise NumericalOverflow("int G(v) left the representable range")
-    return Moments(grad_norm_sq(v), l2_norm_sq(v), pot)
-
-
-def pohozaev_P(v: GridFunction, nl: Nonlinearity) -> float:
-    """P(v) = int G(v) dx, evaluated on |v| for complex inputs."""
-    return moments(v, nl).potential(nl)
+    return Moments(grad_norm_sq(v), l2_norm_sq(v), pot, nl, v.grid.dimension)
 
 
 def kinetic_T(v: GridFunction) -> float:
-    """T(v) = (1/2) ||grad v||^2; needs the gradient moment only."""
-    return Moments(grad_norm_sq(v), 0.0, 0.0).kinetic
-
-
-def action_S(v: GridFunction, nl: Nonlinearity) -> float:
-    """S(v) = (1/2) ||grad v||^2 - int G(v)."""
-    return moments(v, nl).action(nl)
-
-
-def constraint_K(v: GridFunction, nl: Nonlinearity, se: ScalingExponents) -> float:
-    """K_{alpha,beta}(v): derivative of S along the (alpha, beta) rescaling
-    (power family only; closed form in Moments.constraint)."""
-    return moments(v, nl).constraint(nl, se, v.grid.dimension)
-
-
-def nehari_K(v: GridFunction, nl: Nonlinearity) -> float:
-    """K_{1,0}(v): the amplitude-scaling (Nehari) constraint value."""
-    return moments(v, nl).nehari(nl)
-
-
-def pohozaev_residual(v: GridFunction, nl: Nonlinearity) -> float:
-    """((N-2)/2) ||grad v||^2 - N int G(v); vanishes at solutions."""
-    return moments(v, nl).pohozaev_residual(nl, v.grid.dimension)
+    """T(v) = (1/2) ||grad v||^2; needs the gradient moment only, so no nonlinearity."""
+    return Moments(grad_norm_sq(v), 0.0, 0.0, None, v.grid.dimension).kinetic
 
 
 def energy_E(u: GridFunction, v: GridFunction, nl: Nonlinearity) -> float:
     """E(u, v) = (1/2) ||v||^2 + S(u); conserved by the flow.
 
-    Matches action_S(u) bit for bit when v vanishes because it is
-    computed as that sum.
+    Matches moments(u, nl).action() bit for bit when v vanishes because it
+    is computed as that sum.
     """
     require_same_grid(u, v)
-    return 0.5 * l2_norm_sq(v) + action_S(u, nl)
+    return 0.5 * l2_norm_sq(v) + moments(u, nl).action()
 
 
 def flow_nonlinearity(nl: Nonlinearity) -> Nonlinearity:

@@ -44,7 +44,6 @@ from .model import (
     classify_exponents,
     kinetic_T,
     moments,
-    pohozaev_P,
 )
 from .radial_core import GridFunction, brent, l2_norm_sq
 
@@ -64,14 +63,18 @@ P_ZERO = ScalingExponents(0.0, -1.0)  # a limit pair; K_{0,-1} = -2 P in dimensi
 
 
 def _region(se: ScalingExponents, nl: Nonlinearity, dimension: int) -> str:
-    """The region of (alpha, beta) for nl's power in this dimension.
+    """The region of (alpha, beta) for nl's power in this dimension,
+    INTERIOR or LIMIT; an invalid pair raises WrongRegion.
 
     Regions, rays and paths rest on moments that scale by powers of
     lambda, which holds for the power family only.
     """
     if not isinstance(nl, PowerKG):
         raise Unsupported("exponent regions are defined for the power family only")
-    return classify_exponents(se.alpha, se.beta, nl.p, dimension)
+    region = classify_exponents(se.alpha, se.beta, nl.p, dimension)
+    if region == INVALID:
+        raise WrongRegion(f"({se.alpha:g},{se.beta:g}) is not an admissible exponent pair")
+    return region
 
 
 def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
@@ -113,14 +116,14 @@ def _moments_at(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) 
     try:
         return moments(rescale(v, lam, se), nl)
     except TruncationOverflow:
-        return moments(v, nl).scaled(lam, se, nl, v.grid.dimension)
+        return moments(v, nl).scaled(lam, se)
 
 
 def family_action(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) -> float:
     """S(v_lambda); lam = 0 gives the zero function, hence 0."""
     if lam == 0.0:
         return 0.0
-    return _moments_at(v, nl, se, lam).action(nl)
+    return _moments_at(v, nl, se, lam).action()
 
 
 def action_profile(v: GridFunction, nl: PowerKG, se: ScalingExponents,
@@ -172,12 +175,8 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     scan, the solve and the residual check; subnormal exponents would
     leave K no precision.
     """
-    n = v.grid.dimension
     if ray is None:
-        region = _region(se, nl, n)
-        if region == INVALID:
-            raise WrongRegion(f"({se.alpha:g},{se.beta:g}) is not an admissible exponent pair")
-        ray = se if region == INTERIOR else AMPLITUDE_RAY
+        ray = se if _region(se, nl, v.grid.dimension) == INTERIOR else AMPLITUDE_RAY
     base = moments(v, nl)
     if base.h1 == 0.0:
         raise InvalidInput("cannot project the zero function")
@@ -187,14 +186,14 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
         k_pair = ScalingExponents(math.ldexp(se.alpha, -exp2), math.ldexp(se.beta, -exp2))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        bracket = _sign_change(base.scaled(SCAN_LAMBDAS, ray, nl, n).constraint(nl, k_pair, n))
+        bracket = _sign_change(base.scaled(SCAN_LAMBDAS, ray).constraint(k_pair))
     if bracket is None:
         raise NoRoot(
             f"K_({se.alpha:g},{se.beta:g}) has no sign change along the "
             f"({ray.alpha:g},{ray.beta:g}) ray of this profile")
 
     def k_discrete(lam: float) -> float:
-        return _moments_at(v, nl, ray, lam).constraint(nl, k_pair, n)
+        return _moments_at(v, nl, ray, lam).constraint(k_pair)
 
     lo, hi = SCAN_LAMBDAS[bracket[0]], SCAN_LAMBDAS[bracket[1]]
     if _sign_change([k_discrete(lo), k_discrete(hi)]) is None:
@@ -207,7 +206,7 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     lam_star = brent(k_discrete, lo, hi, xtol=1e-14, rtol=8.9e-16)
     projected = rescale(v, lam_star, ray)
     m = moments(projected, nl)
-    residual = m.constraint(nl, k_pair, n)
+    residual = m.constraint(k_pair)
     if abs(residual) > PROJECTION_TOL * m.h1:
         raise ConvergenceError(
             f"projection residual {residual:.3e} exceeds {PROJECTION_TOL:.0e} * its H1 norm")
@@ -223,7 +222,7 @@ def project_to_P_zero(v: GridFunction, nl: PowerKG) -> tuple[float, GridFunction
     """
     if v.grid.dimension != 2:
         raise Unsupported("the P = 0 projection uses the L2-invariant scaling of dimension 2")
-    p0 = pohozaev_P(v, nl)
+    p0 = moments(v, nl).potential()
     if p0 == 0.0:
         return 1.0, v
     if p0 < 0.0:
@@ -237,19 +236,16 @@ def project_to_P_zero(v: GridFunction, nl: PowerKG) -> tuple[float, GridFunction
 class PathSample:
     """A sampled path t -> gamma(t) with its action values.
 
-    Admissibility means gamma(0) = 0 and S(gamma(1)) < 0: exactly the
-    competitor class of the mountain-pass level.  end is gamma(1) on the
-    grid, or None when gamma(1) does not fit on it; the action values
-    then come from the scaled moments.
+    Every path here starts at gamma(0) = 0, so admissibility, membership
+    in the competitor class of the mountain-pass level, means
+    S(gamma(1)) < 0.  end is gamma(1) on the grid, or None when gamma(1)
+    does not fit on it; the action values then come from the scaled
+    moments.
     """
 
     t: np.ndarray
     action_values: np.ndarray
-    start: GridFunction
     end: GridFunction | None
-    argmax_index: int
-    starts_at_zero: bool
-    negative_endpoint: bool
     segment_breaks: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -267,8 +263,16 @@ class PathSample:
         object.__setattr__(self, "action_values", s)
 
     @property
+    def argmax_index(self) -> int:
+        return int(np.argmax(self.action_values))
+
+    @property
+    def negative_endpoint(self) -> bool:
+        return bool(self.action_values[-1] < 0.0)
+
+    @property
     def admissible(self) -> bool:
-        return self.starts_at_zero and self.negative_endpoint
+        return self.negative_endpoint
 
     @property
     def max_action(self) -> float:
@@ -302,7 +306,7 @@ def _refine_argmax(ts: list, ss: list, evaluate) -> tuple[np.ndarray, np.ndarray
 
 def _require_on_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> None:
     m = moments(v, nl)
-    residual = m.constraint(nl, se, v.grid.dimension)
+    residual = m.constraint(se)
     if abs(residual) > ON_CONSTRAINT_TOL * m.h1:
         raise NotOnConstraint(
             f"K_({se.alpha:g},{se.beta:g}) = {residual:.3e} is not zero at this profile")
@@ -342,13 +346,11 @@ def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
     is nonpositive; the latter makes the final segment monotone decreasing,
     so it certainly reaches negative action.
     """
-    n = v.grid.dimension
-
     # lambda0: the amplitude segment toward v_{lambda0} must rise monotonically
     lam0 = 0.5
     for _ in range(40):
         m_lam0 = _moments_at(v, nl, se, lam0)
-        if m_lam0.nehari(nl) > 0.0:
+        if m_lam0.nehari() > 0.0:
             break
         lam0 *= 0.5
     else:
@@ -358,8 +360,8 @@ def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
     big_c = 2.0
     while True:
         m_c = _moments_at(v, nl, se, big_c)
-        s_c = m_c.action(nl)
-        if s_c < 0.0 or m_c.nehari(nl) <= 0.0:
+        s_c = m_c.action()
+        if s_c < 0.0 or m_c.nehari() <= 0.0:
             break
         big_c *= 2.0
         if big_c > C_SEARCH_CAP:
@@ -369,7 +371,7 @@ def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
     t_end = 1.0
     if s_c >= 0.0:
         t_end = 2.0
-        while m_c.scaled(t_end, AMPLITUDE_RAY, nl, n).action(nl) >= 0.0:
+        while m_c.scaled(t_end, AMPLITUDE_RAY).action() >= 0.0:
             t_end *= 2.0
             if t_end > C_SEARCH_CAP:
                 raise NoNegativeEndpoint("final amplitude segment never turns negative")
@@ -381,12 +383,12 @@ def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
 
     def evaluate(t: float) -> float:
         if t <= t_a:
-            return m_lam0.scaled(t / t_a, AMPLITUDE_RAY, nl, n).action(nl)
+            return m_lam0.scaled(t / t_a, AMPLITUDE_RAY).action()
         if t <= t_b:
             lam = lam0 * math.exp(log_ratio * (t - t_a) / (t_b - t_a))
             return family_action(v, nl, se, lam)
         amp = 1.0 + (t_end - 1.0) * (t - t_b) / (1.0 - t_b)
-        return m_c.scaled(amp, AMPLITUDE_RAY, nl, n).action(nl)
+        return m_c.scaled(amp, AMPLITUDE_RAY).action()
 
     ts = list(np.linspace(0.0, t_a, PATH_SAMPLES))
     ts += list(np.linspace(t_a, t_b, PATH_SAMPLES))[1:]
@@ -404,8 +406,6 @@ def build_path(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample
     past r = R.
     """
     region = _region(se, nl, v.grid.dimension)
-    if region == INVALID:
-        raise WrongRegion(f"({se.alpha:g},{se.beta:g}) is not an admissible exponent pair")
     _require_on_constraint(v, nl, se)
     # a recipe gives t -> S(gamma(t)), the first samples of t, C, amp
     # (gamma(1) = amp * v_C) and the segment breaks
@@ -417,16 +417,7 @@ def build_path(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample
         end = GridFunction(v.grid, amp * rescale(v, big_c, se).values)
     except TruncationOverflow:
         end = None
-    return PathSample(
-        t=t_arr,
-        action_values=s_arr,
-        start=GridFunction.zeros(v.grid),
-        end=end,
-        argmax_index=int(np.argmax(s_arr)),
-        starts_at_zero=True,
-        negative_endpoint=bool(s_arr[-1] < 0.0),
-        segment_breaks=segment_breaks,
-    )
+    return PathSample(t=t_arr, action_values=s_arr, end=end, segment_breaks=segment_breaks)
 
 
 def mountain_pass_estimate(paths) -> float:
@@ -437,7 +428,7 @@ def mountain_pass_estimate(paths) -> float:
         raise InvalidParameter("need at least one path")
     for path in paths:
         if not path.admissible:
-            raise InvalidInput("every path must start at zero and end at negative action")
+            raise InvalidInput("every path must end at negative action")
     return min(path.max_action for path in paths)
 
 
@@ -513,10 +504,7 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
     trials = list(trials)
     if not trials:
         raise InvalidParameter("empty trial family")
-    dimension = trials[0].grid.dimension
-    region = _region(se, nl, dimension)
-    if region == INVALID:
-        raise WrongRegion(f"({se.alpha:g},{se.beta:g}) classifies as {region}")
+    region = _region(se, nl, trials[0].grid.dimension)
     if tol is None:
         tol = 1e-3 * abs(m_ref)
     unity_cell = int(np.argmin(np.abs(ARGMAX_LAM_GRID - 1.0)))
@@ -532,12 +520,12 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
             continue
         lambdas.append(lam_star)
         m = moments(projected, nl)
-        actions.append(m.action(nl))
+        actions.append(m.action())
         if region == INTERIOR:
             # the ray profile of the projected moments transforms exactly
             # under scaling; the resampled map would fold interpolation
             # error into the peak location for strongly compressed members
-            profile = m.scaled(ARGMAX_LAM_GRID, se, nl, dimension).action(nl)
+            profile = m.scaled(ARGMAX_LAM_GRID, se).action()
             cells_off.append(abs(int(np.argmax(profile)) - unity_cell))
     evaluated = [(s, i) for i, s in enumerate(actions) if s is not None]
     if not evaluated:
@@ -591,7 +579,7 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
     for i, trial in enumerate(trials):
         m = moments(trial, nl)
         band = P_BOUNDARY_TOL * m.h1
-        p_val = m.potential(nl)
+        p_val = m.potential()
         if p_val < -band:
             skipped.append(i)
             lambdas.append(None)

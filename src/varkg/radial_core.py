@@ -4,8 +4,8 @@ Everything downstream works with radially symmetric functions on a
 truncated domain: a uniform grid on [0, R] whose quadrature weights fold
 in the surface measure of the sphere in dimension N.  Dimension 1 means
 even functions on the symmetric interval [-R, R], and the weights count
-both half-lines.  The scalar root finder (brent) lives here, the lowest
-module that both the projections and the shooting import.
+both half-lines.  The scalar root finder (brent) of the constraint
+projections lives here too.
 """
 
 from __future__ import annotations
@@ -229,8 +229,10 @@ def load_profile(path) -> GridFunction:
     """Read a grid function written by save_profile.
 
     Anything else raises InvalidInput: bytes that are not UTF-8, a
-    malformed header or data row, or a row count other than the header's
-    M + 1, which is checked before the grid is built.
+    malformed header or data row, a row count other than the header's
+    M + 1, which is checked before the grid is built, or an r column more
+    than 1e-12 R away from the header's grid (save_profile's %.17g radii
+    read back exactly).
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
@@ -260,6 +262,8 @@ def load_profile(path) -> GridFunction:
     if table.shape[1] != len(columns):
         raise InvalidInput(f"data rows of {path} have {table.shape[1]} cells, "
                            f"expected {len(columns)}")
+    if not np.all(np.abs(table[:, 0] - grid.r) <= 1e-12 * grid.outer_radius):
+        raise InvalidInput(f"r column of {path} does not lie on the header's grid")
     if len(columns) == 3:
         return GridFunction(grid, np.array([complex(a, b) for _, a, b in table]))
     return GridFunction(grid, table[:, 1])

@@ -17,7 +17,6 @@ from varkg import (
     LINEAR_KG,
     PowerKG,
     RadialGrid,
-    action_S,
     ScalingExponents,
     build_path,
     classify_exponents,
@@ -31,10 +30,8 @@ from varkg import (
     l2_norm_sq,
     least_energy,
     make_initial_data,
+    moments,
     mountain_pass_estimate,
-    nehari_K,
-    pohozaev_P,
-    pohozaev_residual,
     power_integral,
     project_to_constraint,
     shoot_radial,
@@ -80,13 +77,13 @@ def test_acceptance_1_closed_form_oracle():
     with Budget("closed form", 5.0) as budget:
         grid = RadialGrid(1, 20.0, 40000)
         gs = closed_form_1d(3.0, 0.0, grid)
-        nl = gs.nonlinearity
+        m = moments(gs.profile, gs.nonlinearity)
         values = {
-            "S": (action_S(gs.profile, nl), 4.0 / 3.0),
+            "S": (m.action(), 4.0 / 3.0),
             "T": (kinetic_T(gs.profile), 2.0 / 3.0),
-            "P": (pohozaev_P(gs.profile, nl), -2.0 / 3.0),
-            "K": (nehari_K(gs.profile, nl), 0.0),
-            "pohozaev_residual": (pohozaev_residual(gs.profile, nl), 0.0),
+            "P": (m.potential(), -2.0 / 3.0),
+            "K": (m.nehari(), 0.0),
+            "pohozaev_residual": (m.pohozaev_residual(), 0.0),
         }
         worst = max(abs(got - want) for got, want in values.values())
     ok = worst <= 1e-4 and budget.elapsed < 5.0
@@ -322,7 +319,7 @@ def test_acceptance_10_modulus_action(nl3):
             if grad_norm_sq(w) > grad_norm_sq(v) + 1e-15:
                 diamagnetic = False
             for nl in (nl3, general):
-                if pohozaev_P(v, nl) != pohozaev_P(w, nl):
+                if moments(v, nl).potential() != moments(w, nl).potential():
                     modulus_exact = False
     ok = diamagnetic and modulus_exact and budget.elapsed < 5.0
     report(10, "modulus action", ok,

@@ -184,6 +184,19 @@ def test_functionals_rejects_undecodable_profile(tmp_path, capsys):
     assert (manifest["status"], manifest["error"]) == (1, "InvalidInput")
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_functionals_needs_both_exponents(tmp_path, capsys, flag):
+    # K needs both exponents: one alone is an error, not a shorter payload
+    src = tmp_path / "phi.csv"
+    save_profile(str(src), closed_form_1d(3.0, 0.0, RadialGrid(1, 25.0, 500)).profile)
+    out = tmp_path / "out"
+    assert run(["functionals", "--from", str(src), flag, "1", "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("varkg: InvalidInput: --alpha and --beta")
+    manifest = read_json(out / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "InvalidInput")
+    assert not (out / "functionals.json").exists()
+
+
 def test_evolve_rejects_unstable_cfl(tmp_path, capsys):
     # cfl = 1.2 used to end in BlowupDetected at t = 0.34 on this
     # sub-threshold data: numerical instability reported as physics

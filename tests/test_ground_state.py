@@ -15,7 +15,6 @@ from varkg import (
     InvalidMass,
     PowerKG,
     RadialGrid,
-    action_S,
     closed_form_1d,
     equation_residual,
     grad_norm_sq,
@@ -23,7 +22,6 @@ from varkg import (
     l2_norm_sq,
     least_energy,
     moments,
-    pohozaev_P,
     power_integral,
     shoot_radial,
 )
@@ -51,7 +49,7 @@ def test_closed_form_rejects_sonic_frequency(grid_1d):
 
 
 def test_level_is_action(phi_1d, nl3):
-    assert least_energy(phi_1d) == action_S(phi_1d.profile, nl3)
+    assert least_energy(phi_1d) == moments(phi_1d.profile, nl3).action()
     assert np.isclose(least_energy(phi_1d), 4.0 / 3.0, rtol=0, atol=1e-5)
 
 
@@ -70,7 +68,7 @@ def test_townes_identities(townes):
     # P = 0 at N=2, so the level is the kinetic energy
     assert np.isclose(least_energy(townes), kinetic_T(townes.profile),
                       rtol=0, atol=1e-3 * least_energy(townes))
-    assert abs(pohozaev_P(townes.profile, townes.nonlinearity)) \
+    assert abs(moments(townes.profile, townes.nonlinearity).potential()) \
         <= 1e-3 * least_energy(townes)
 
 
@@ -244,5 +242,5 @@ def test_two_term_ground_state_has_level_equal_kinetic(cubic_quintic_ground):
     # Gallouet & Kavian 1983) within the tolerance _validate applies to -2P
     gs = cubic_quintic_ground
     m = moments(gs.profile, CUBIC_QUINTIC)
-    assert gs.level == m.action(CUBIC_QUINTIC)
+    assert gs.level == m.action()
     assert 2.0 * abs(gs.level - m.kinetic) <= CONSTRAINT_TOL * m.h1

@@ -28,12 +28,10 @@ from varkg import (
     TruncationOverflow,
     Unsupported,
     WrongRegion,
-    action_S,
     action_profile,
     build_path,
     classify_exponents,
     closed_form_1d,
-    constraint_K,
     default_trial_family,
     family_action,
     kinetic_T,
@@ -41,7 +39,6 @@ from varkg import (
     least_energy,
     moments,
     mountain_pass_estimate,
-    pohozaev_P,
     project_to_P_zero,
     project_to_constraint,
     rescale,
@@ -123,7 +120,7 @@ def test_projection_examples(grid_1d, phi_1d, nl3):
     sech = GridFunction(grid_1d, 1.0 / np.cosh(grid_1d.r))
     lam, w = project_to_constraint(sech, nl3, AMPLITUDE_RAY)
     assert np.isclose(lam, math.sqrt(2.0), rtol=0, atol=1e-6)
-    assert np.isclose(action_S(w, nl3), 4.0 / 3.0, rtol=0, atol=1e-4)
+    assert np.isclose(moments(w, nl3).action(), 4.0 / 3.0, rtol=0, atol=1e-4)
     lam3, _ = project_to_constraint(
         GridFunction(grid_1d, 3.0 * phi_1d.profile.values), nl3, AMPLITUDE_RAY)
     assert np.isclose(lam3, 1.0 / 3.0, rtol=0, atol=1e-6)
@@ -183,7 +180,7 @@ def test_projection_idempotent_along_the_region_ray(case):
     lam_again, again = project_to_constraint(w, nl, se)
     assert abs(lam_again - 1.0) <= 1e-6
     m = moments(again, nl)
-    assert abs(m.constraint(nl, se, n)) <= PROJECTION_TOL * m.h1
+    assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
 
 
 def test_subnormal_pair_is_lifted_before_projecting():
@@ -209,7 +206,7 @@ def test_overflowing_scan_nodes_warn_nothing(townes, nl3):
         warnings.simplefilter("error")
         lam, w = project_to_constraint(townes.profile, nl3, ScalingExponents(100.0, 1.0))
     m = moments(w, nl3)
-    assert abs(m.constraint(nl3, ScalingExponents(100.0, 1.0), 2)) <= PROJECTION_TOL * m.h1
+    assert abs(m.constraint(ScalingExponents(100.0, 1.0))) <= PROJECTION_TOL * m.h1
 
 
 def test_projection_residual_is_relative_to_the_projected_profile():
@@ -219,7 +216,7 @@ def test_projection_residual_is_relative_to_the_projected_profile():
     lam, w = project_to_constraint(_gaussian(1), nl, se)
     m = moments(w, nl)
     assert lam > 100.0
-    assert abs(m.constraint(nl, se, 1)) <= PROJECTION_TOL * m.h1
+    assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
 
 
 def test_limit_pair_projects_by_amplitude(nl3):
@@ -237,6 +234,8 @@ def test_invalid_pair_raises_wrong_region(townes, nl3):
         project_to_constraint(townes.profile, nl3, se)
     with pytest.raises(WrongRegion):
         build_path(townes.profile, nl3, se)
+    with pytest.raises(WrongRegion, match="not an admissible exponent pair"):
+        verify_min_on_constraint([townes.profile], nl3, se, 1.0)
 
 
 def test_build_path_picks_the_path_from_the_region(townes, nl3):
@@ -265,7 +264,7 @@ def _general_g_profile():
 def test_general_nonlinearity_is_unsupported(entry):
     # regions, rays and scaled moments need moments that scale by powers
     v = _general_g_profile()
-    assert pohozaev_P(v, CUBIC_QUINTIC) > 0.0
+    assert moments(v, CUBIC_QUINTIC).potential() > 0.0
     with pytest.raises(Unsupported):
         entry(v)
 
@@ -286,12 +285,12 @@ def test_projection_rescans_when_grid_root_passes_a_scan_node(nl3):
     v = GridFunction.sample(g, lambda r: 1.051 * np.exp(-r**2))
     se = ScalingExponents(2.0, 1.0)
     base = moments(v, nl3)
-    lam_alg = brentq(lambda lam: base.scaled(lam, se, nl3, 2).constraint(nl3, se, 2),
-                     1e-3, 1e3)
+    lam_alg = brentq(lambda lam: base.scaled(lam, se).constraint(se), 1e-3, 1e3)
     lam_star, w = project_to_constraint(v, nl3, se)
     nodes = np.geomspace(1e-4, 1e4, 321)
     assert np.any((nodes > lam_star) & (nodes < lam_alg))
-    assert abs(constraint_K(w, nl3, se)) <= PROJECTION_TOL * moments(w, nl3).h1
+    m = moments(w, nl3)
+    assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
 
 
 def test_reprojection_on_limit_ray_has_no_root(nl3):
@@ -334,9 +333,8 @@ def test_interior_path_on_the_line(phi_1d, nl3):
     path = build_path(phi_1d.profile, nl3, AMPLITUDE_RAY)
     assert path.admissible
     assert np.isclose(path.max_action, 4.0 / 3.0, rtol=0, atol=1e-3)
-    assert action_S(path.end, nl3) <= -10.0
+    assert moments(path.end, nl3).action() <= -10.0
     assert path.t[0] == 0.0 and path.t[-1] == 1.0
-    assert np.all(l2_norm_sq(path.start) == 0.0)
 
 
 def test_interior_path_negative_beta(townes, nl3):
@@ -374,15 +372,16 @@ def test_path_sample_validation(grid_1d):
     good_t = np.linspace(0.0, 1.0, 5)
     good_s = np.zeros(5)
     with pytest.raises(InvalidInput):
-        PathSample(t=good_t[:4], action_values=good_s, start=zero, end=zero,
-                   argmax_index=0, starts_at_zero=True, negative_endpoint=True)
+        PathSample(t=good_t[:4], action_values=good_s, end=zero)
     with pytest.raises(InvalidInput):
-        PathSample(t=good_t + 0.1, action_values=good_s, start=zero, end=zero,
-                   argmax_index=0, starts_at_zero=True, negative_endpoint=True)
+        PathSample(t=good_t + 0.1, action_values=good_s, end=zero)
     with pytest.raises(InvalidInput):
-        PathSample(t=good_t, action_values=good_s + float("nan"), start=zero,
-                   end=zero, argmax_index=0, starts_at_zero=True,
-                   negative_endpoint=True)
+        PathSample(t=good_t, action_values=good_s + float("nan"), end=zero)
+    # the endpoint verdict and the argmax are read off the action values
+    flat = PathSample(t=good_t, action_values=good_s, end=zero)
+    assert not flat.negative_endpoint and not flat.admissible
+    bump = PathSample(t=good_t, action_values=[0.0, 1.0, 3.0, 2.0, -1.0], end=None)
+    assert bump.admissible and bump.argmax_index == 2 and bump.max_action == 3.0
 
 
 def test_mountain_pass_estimate_on_line(phi_1d, nl3):

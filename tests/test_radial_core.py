@@ -150,6 +150,21 @@ def test_save_load_roundtrip_complex(tmp_path):
     assert np.array_equal(w.values, v.values)
 
 
+def test_load_checks_the_r_column_against_the_header(tmp_path):
+    # %.17g radii read back exactly on any grid; a doubled r column does not
+    path = tmp_path / "profile.csv"
+    for dimension, outer, cells in ((1, 1e-3, 16), (2, 40.0, 4000), (3, 1e6, 33)):
+        g = RadialGrid(dimension, outer, cells)
+        save_profile(path, GridFunction.sample(g, lambda r: np.exp(-((r / outer) ** 2))))
+        assert np.array_equal(load_profile(path).grid.r, g.r)
+    lines = path.read_text().splitlines()
+    doubled = [f"{2.0 * float(r):.17g},{value}"
+               for r, value in (line.split(",") for line in lines[2:])]
+    path.write_text("\n".join(lines[:2] + doubled) + "\n")
+    with pytest.raises(InvalidInput, match="r column"):
+        load_profile(path)
+
+
 def test_load_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("r,value\n0,1\n")
