@@ -76,6 +76,7 @@ from .paths import (
     action_profile,
     build_path,
     default_trial_family,
+    exponent_region,
     family_action,
     mountain_pass_estimate,
     project_to_P_zero,

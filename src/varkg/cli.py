@@ -36,7 +36,6 @@ from .evolution import (
 from .ground_state import closed_form_1d, least_energy, shoot_radial
 from .model import (
     AMPLITUDE_RAY,
-    INVALID,
     LIMIT,
     PowerKG,
     ScalingExponents,
@@ -46,6 +45,7 @@ from .model import (
 from .paths import (
     build_path,
     default_trial_family,
+    exponent_region,
     project_to_constraint,
     verify_T_min_over_P,
     verify_min_on_constraint,
@@ -139,23 +139,15 @@ def _write_manifest(command: str, cfg: SimpleNamespace, status: int, error: str 
     _write_json(os.path.join(cfg.outdir, "manifest.json"), manifest)
 
 
-def _ground_state(cfg, dimension: int, bracket=(1.0, 4.0)):
-    grid = RadialGrid(dimension, cfg.R, cfg.M)
-    if dimension == 1:
-        return closed_form_1d(cfg.p, cfg.omega, grid)
-    return shoot_radial(PowerKG(cfg.p, cfg.omega), grid, bracket=bracket)
+def _problem(cfg, dimension: int) -> tuple[RadialGrid, PowerKG]:
+    """The grid and nonlinearity the flags name, checked in that order."""
+    return RadialGrid(dimension, cfg.R, cfg.M), PowerKG(cfg.p, cfg.omega)
 
 
-def _usable_region(cfg, dimension: int) -> str:
-    """The region of (alpha, beta), asked before any solve; an invalid pair
-    raises WrongRegion.  The grid and nonlinearity flags are checked first,
-    in the order the solve checks them."""
-    RadialGrid(dimension, cfg.R, cfg.M)
-    PowerKG(cfg.p, cfg.omega)
-    region = classify_exponents(cfg.alpha, cfg.beta, cfg.p, dimension)
-    if region == INVALID:
-        raise WrongRegion(f"({cfg.alpha:g},{cfg.beta:g}) classifies as {region}")
-    return region
+def _ground_state(grid: RadialGrid, nl: PowerKG, bracket=(1.0, 4.0)):
+    if grid.dimension == 1:
+        return closed_form_1d(nl.p, nl.omega, grid)
+    return shoot_radial(nl, grid, bracket=bracket)
 
 
 def _outer_radius(cfg) -> float:
@@ -169,7 +161,7 @@ def _cells(cfg) -> int:
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_ground_state(cfg):
-    gs = _ground_state(cfg, cfg.N, bracket=(cfg.bracket_lo, cfg.bracket_hi))
+    gs = _ground_state(*_problem(cfg, cfg.N), bracket=(cfg.bracket_lo, cfg.bracket_hi))
     save_profile(os.path.join(cfg.outdir, "profile.csv"), gs.profile)
     _write_json(os.path.join(cfg.outdir, "ground_state.json"), {
         "p": cfg.p, "omega": cfg.omega, "N": cfg.N,
@@ -241,8 +233,9 @@ def _member_rows(report):
 
 def _cmd_verify_theorem1(cfg):
     se = ScalingExponents(cfg.alpha, cfg.beta)
-    _usable_region(cfg, cfg.N)
-    gs = _ground_state(cfg, cfg.N)
+    grid, nl = _problem(cfg, cfg.N)
+    exponent_region(se, nl, cfg.N)  # refuse an invalid pair before the solve
+    gs = _ground_state(grid, nl)
     m_ref = least_energy(gs)
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
@@ -262,9 +255,10 @@ def _cmd_verify_theorem1(cfg):
 
 def _cmd_verify_theorem2(cfg):
     se = ScalingExponents(cfg.alpha, cfg.beta)
-    if _usable_region(cfg, 2) != LIMIT:
+    grid, nl = _problem(cfg, 2)
+    if exponent_region(se, nl, 2) != LIMIT:
         raise WrongRegion(f"({cfg.alpha:g},{cfg.beta:g}) is not a limit pair here")
-    gs = _ground_state(cfg, 2)
+    gs = _ground_state(grid, nl)
     m_ref = least_energy(gs)
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
@@ -287,7 +281,9 @@ def _cmd_verify_theorem2(cfg):
 
 
 def _cmd_verify_lemma_mint(cfg):
-    gs = _ground_state(cfg, 2)
+    if 0.0 in cfg.amplitudes:
+        raise InvalidInput("--amplitudes must be nonzero: the set is {v != 0, P >= 0}")
+    gs = _ground_state(*_problem(cfg, 2))
     m_ref = least_energy(gs)
     q = gs.profile
     rng = np.random.default_rng(cfg.seed)
@@ -324,24 +320,24 @@ def _trajectory_rows(traj):
 
 
 def _cmd_evolve(cfg):
-    gs = _ground_state(cfg, 2)
-    u0, report = make_initial_data(gs, cfg.lam, cfg.mu)
+    gs = _ground_state(*_problem(cfg, 2))
+    u0 = make_initial_data(gs, cfg.lam, cfg.mu)
     v0 = GridFunction.zeros(u0.grid)
     traj = evolve(u0, v0, gs.nonlinearity, cfg.tmax, blowup_factor=cfg.blowup_factor,
-                  m_ref=report["m_ref"], cfl=cfg.cfl)
+                  m_ref=gs.level, cfl=cfg.cfl)
     _write_csv(os.path.join(cfg.outdir, "trajectory.csv"),
                ["t", "E", "S", "P", "T", "H1", "in_I"], _trajectory_rows(traj))
-    drift_end = -1 if traj.termination == BLOWUP_DETECTED else None
+    first = traj.records[0]
     payload = {
         "lambda": cfg.lam, "mu": cfg.mu,
-        "initial": report,
+        "initial": {"action": first.action, "p_value": first.p_value, "energy": first.energy,
+                    "m_ref": traj.m_ref, "in_invariant_set": first.in_invariant_set},
         "termination": traj.termination,
         "t_final": traj.records[-1].t,
         "records": len(traj.records),
-        "energy_drift": energy_drift(traj, end=drift_end)
-        if len(traj.records) > 2 else 0.0,
+        "energy_drift": energy_drift(traj) if len(traj.diagnostic_records) > 1 else 0.0,
     }
-    if report["in_invariant_set"]:
+    if first.in_invariant_set:
         monitor = invariant_monitor(traj)
         payload["min_P"] = monitor.min_p
         payload["in_I_throughout"] = monitor.in_set_throughout
@@ -351,16 +347,16 @@ def _cmd_evolve(cfg):
 
 
 def _cmd_instability_sweep(cfg):
-    gs = _ground_state(cfg, 2)
+    gs = _ground_state(*_problem(cfg, 2))
     rows = []
     for lam in cfg.lambda_grid:
         for mu in cfg.mu_grid:
-            u0, report = make_initial_data(gs, lam, mu)
+            u0 = make_initial_data(gs, lam, mu)
             v0 = GridFunction.zeros(u0.grid)
             traj = evolve(u0, v0, gs.nonlinearity, cfg.tmax, blowup_factor=cfg.blowup_factor,
-                          m_ref=report["m_ref"])
+                          m_ref=gs.level)
             escape = traj.records[-1].t if traj.termination == BLOWUP_DETECTED else None
-            rows.append((lam, mu, "1" if report["in_invariant_set"] else "0",
+            rows.append((lam, mu, "1" if traj.records[0].in_invariant_set else "0",
                          traj.termination, "" if escape is None else _fmt(escape)))
     _write_csv(os.path.join(cfg.outdir, "sweep.csv"),
                ["lambda", "mu", "in_I_initial", "termination", "t_escape"], rows)

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionFailed,
     Unsupported,
 )
-from .ground_state import GroundState, least_energy
+from .ground_state import GroundState
 from .model import ScalingExponents, flow_nonlinearity, moments
 from .paths import rescale
 from .radial_core import (
@@ -81,6 +81,15 @@ class Trajectory:
     final_state: EvolutionState
     m_ref: float | None
 
+    @property
+    def diagnostic_records(self) -> tuple:
+        """The records diagnostics read: all but the one that raised
+        BlowupDetected or BoundaryContamination, past whose threshold the
+        state is outside the regime the diagnostics describe."""
+        if self.termination in (BLOWUP_DETECTED, BOUNDARY_CONTAMINATION):
+            return self.records[:-1]
+        return self.records
+
 
 @lru_cache(maxsize=8)
 def _operator(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float]:
@@ -114,10 +123,10 @@ def _acceleration(values: np.ndarray, grid: RadialGrid, g) -> np.ndarray:
     return acc
 
 
-def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, nl, n_steps: int):
-    """Advance (u, v) in place by kick-drift-kick steps, yielding the count
-    after each; a dt outside (0, 2/sqrt(stiffness + mass)] raises first."""
-    flow = flow_nonlinearity(nl)
+def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow, n_steps: int):
+    """Advance (u, v) in place by kick-drift-kick steps of the flow
+    nonlinearity, yielding the count after each; a dt outside
+    (0, 2/sqrt(stiffness + mass)] raises first."""
     bound = 2.0 / math.sqrt(_operator(grid)[2] + flow.mass)
     if not (0.0 < dt <= bound):
         raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
@@ -136,7 +145,7 @@ def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, nl, n_s
 def step(state: EvolutionState, dt: float, nl) -> EvolutionState:
     """One kick-drift-kick leapfrog step; a dt past the stability bound raises."""
     u, v = np.array(state.u, dtype=float), np.array(state.v, dtype=float)
-    next(_leapfrog(u, v, dt, state.grid, nl, 1))
+    next(_leapfrog(u, v, dt, state.grid, flow_nonlinearity(nl), 1))
     return EvolutionState(state.grid, u, v, state.t + dt)
 
 
@@ -149,26 +158,29 @@ def _outer_fraction(u: np.ndarray, grid: RadialGrid, outer: np.ndarray) -> float
     return math.sqrt(float(density[outer].sum()) / total)
 
 
-def _discrete_energy(u: np.ndarray, v: np.ndarray, grid: RadialGrid, nl) -> float:
-    """Energy of the semi-discrete system on the operator's faces and cells,
-    conserved in every dimension (its gradient is -cell * (lap + g)) up to the
-    leapfrog's bounded O(dt^2) oscillation.  It is energy_E to O(h^2)."""
+def _discrete_energy(u: np.ndarray, v: np.ndarray, grid: RadialGrid, flow) -> float:
+    """Energy of the semi-discrete system of the flow nonlinearity on the
+    operator's faces and cells, conserved in every dimension (its gradient
+    is -cell * (lap + g)) up to the leapfrog's bounded O(dt^2) oscillation.
+    It is energy_E to O(h^2)."""
     face, cell, _ = _operator(grid)
     du = np.diff(u)
-    nodal = cell * (0.5 * v * v - flow_nonlinearity(nl).G(u))
+    nodal = cell * (0.5 * v * v - flow.G(u))
     return float(nodal.sum()) + 0.5 * float((face * du * du).sum())
 
 
 def discrete_energy(u: GridFunction, v: GridFunction, nl) -> float:
     """Conserved energy of the discretized flow; see _discrete_energy."""
     require_same_grid(u, v)
-    return _discrete_energy(u.values, v.values, u.grid, nl)
+    return _discrete_energy(u.values, v.values, u.grid, flow_nonlinearity(nl))
 
 
 def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
-            nl, m_ref: float | None) -> TrajectoryRecord:
-    energy = _discrete_energy(u, v, grid, nl)
-    m = moments(GridFunction(grid, u), nl)
+            flow, m_ref: float | None) -> TrajectoryRecord:
+    """The diagnostics at one record time; the only place that decides
+    membership in {E < m_ref, P > 0}, with E the flow's discrete energy."""
+    energy = _discrete_energy(u, v, grid, flow)
+    m = moments(GridFunction(grid, u), flow)
     p_val = m.potential()
     in_set = m_ref is not None and energy < m_ref and p_val > 0.0
     return TrajectoryRecord(t, energy, m.action(), p_val, m.kinetic, math.sqrt(m.h1), in_set)
@@ -184,9 +196,10 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     event checks (finiteness, H1 escape past blowup_factor times its start
     value, boundary contamination) run every RECORD_INTERVAL, in steps.
     They are taken with the flow's nonlinearity (see flow_nonlinearity),
-    so E and S agree on data at rest.
+    so E and S agree on data at rest.  The first record is that of the
+    data themselves, so its flag is their membership in the invariant set.
     """
-    nl = flow_nonlinearity(nl)
+    flow = flow_nonlinearity(nl)
     require_same_grid(u0, v0)
     if u0.is_complex or v0.is_complex:
         raise InvalidInput("evolution is real-valued")
@@ -202,7 +215,7 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     stride = max(1, round(RECORD_INTERVAL / dt))
 
     u, v = np.array(u0.values, dtype=float), np.array(v0.values, dtype=float)
-    records = [_record(grid, u, v, 0.0, nl, m_ref)]
+    records = [_record(grid, u, v, 0.0, flow, m_ref)]
     h1_init = records[0].h1_norm
     outer = grid.r >= (1.0 - BOUNDARY_ZONE) * grid.outer_radius
     frac_init = _outer_fraction(u, grid, outer)
@@ -211,7 +224,7 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     # losing finiteness is a recorded event; silence the intermediate
     # overflow warnings on the way to its detection
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in _leapfrog(u, v, dt, grid, nl, n_steps):
+        for k in _leapfrog(u, v, dt, grid, flow, n_steps):
             if k % stride != 0 and k != n_steps:
                 continue
             t = k * dt
@@ -219,7 +232,7 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
                 termination = NON_FINITE
                 break
             try:
-                rec = _record(grid, u, v, t, nl, m_ref)
+                rec = _record(grid, u, v, t, flow, m_ref)
             except NumericalOverflow:
                 # finite state whose diagnostics left the representable
                 # range: the same terminal event as literal infinities
@@ -237,15 +250,15 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     return Trajectory(tuple(records), termination, final, m_ref)
 
 
-def make_initial_data(gs: GroundState, lam: float, mu: float) -> tuple[GridFunction, dict]:
-    """Dilated-rescaled profile lam * phi(x/mu) with its membership report.
+def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
+    """The dilated-rescaled profile lam * phi(x/mu).
 
-    lam = mu = 1 reproduces the profile bit-for-bit, so E equals the
-    reference level exactly and the boundary case lands outside the open
-    invariant set by construction.  The real radial flow carries standing
-    waves only at omega = 0, so a ground state whose nonlinearity differs
-    from its flow's (see flow_nonlinearity) is rejected: its S, P and m
-    would use a mass the flow does not.
+    lam = mu = 1 reproduces the profile bit-for-bit.  Membership in the
+    invariant set is read off the trajectory's first record (see evolve).
+    The real radial flow carries standing waves only at omega = 0, so a
+    ground state whose nonlinearity differs from its flow's (see
+    flow_nonlinearity) is rejected: its level m would use a mass the flow
+    does not.
     """
     if gs.grid.dimension != 2:
         raise Unsupported("instability data construction is specific to dimension 2")
@@ -256,20 +269,7 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> tuple[GridFunct
         raise Unsupported("the real radial flow carries standing waves only at omega = 0, "
                           f"got {nl!r}")
     stretched = rescale(gs.profile, 1.0 / mu, ScalingExponents(0.0, 1.0))
-    u = GridFunction(stretched.grid, lam * stretched.values)
-    m_ref = least_energy(gs)
-    m = moments(u, nl)
-    action = m.action()
-    p_val = m.potential()
-    energy = action  # E(u, 0) = S(u): the data start at rest
-    report = {
-        "action": action,
-        "p_value": p_val,
-        "energy": energy,
-        "m_ref": m_ref,
-        "in_invariant_set": bool(energy < m_ref and p_val > 0.0),
-    }
-    return u, report
+    return GridFunction(stretched.grid, lam * stretched.values)
 
 
 @dataclass(frozen=True)
@@ -296,9 +296,7 @@ def invariant_monitor(traj: Trajectory) -> InvariantReport:
         raise PreconditionFailed("trajectory carries no reference level")
     if not traj.records[0].in_invariant_set:
         raise PreconditionFailed("trajectory did not start inside the invariant set")
-    records = traj.records
-    if traj.termination in (BLOWUP_DETECTED, BOUNDARY_CONTAMINATION) and len(records) > 1:
-        records = records[:-1]
+    records = traj.diagnostic_records
     return InvariantReport(
         in_set_throughout=all(rec.in_invariant_set for rec in records),
         min_p=min(rec.p_value for rec in records),
@@ -306,11 +304,10 @@ def invariant_monitor(traj: Trajectory) -> InvariantReport:
     )
 
 
-def energy_drift(traj: Trajectory, end: int | None = None) -> float:
+def energy_drift(traj: Trajectory) -> float:
     """Largest-magnitude signed energy drift (E(t) - E(0))/|E(0)| over the
-    records (absolute drift when E(0) = 0).  Pass end to exclude trailing
-    records, e.g. the escape record of a blow-up run."""
-    records = traj.records if end is None else traj.records[:end]
+    trajectory's diagnostic_records (absolute drift when E(0) = 0)."""
+    records = traj.diagnostic_records
     if len(records) < 2:
         raise InvalidInput("need at least two records to measure drift")
     e0 = records[0].energy

@@ -262,10 +262,13 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
         raise ConvergenceError("final shot crossed zero; bracket degenerated")
     kept = vals[:filled]
     i_star = int(np.argmin(kept))
-    # back off the turning point onto the clean decay segment: near the
-    # turn the shot flattens and r^((N-1)/2) * phi would tick upward
-    rate = 0.5 * math.sqrt(m0) * grid.spacing
-    while i_star > 1 and kept[i_star - 1] - kept[i_star] < rate * kept[i_star]:
+    # back off the minimum onto the clean decay segment, where a cell drops
+    # by about sqrt(m0) h phi: near a turn the shot flattens and
+    # r^((N-1)/2) * phi would tick upward, and a shot diving toward zero
+    # before R falls faster than the decay the tail continues
+    rate = math.sqrt(m0) * grid.spacing
+    while i_star > 1 and not (0.5 * rate * kept[i_star] <= kept[i_star - 1] - kept[i_star]
+                              <= 2.0 * rate * kept[i_star]):
         i_star -= 1
     if i_star <= 1 or kept[i_star] <= 0.0:
         raise ConvergenceError("final shot has no decaying segment")

@@ -62,7 +62,7 @@ P_BOUNDARY_TOL = 1e-3          # |P| <= tol * ||v||_H1^2 counts as on the P = 0 
 P_ZERO = ScalingExponents(0.0, -1.0)  # a limit pair; K_{0,-1} = -2 P in dimension 2
 
 
-def _region(se: ScalingExponents, nl: Nonlinearity, dimension: int) -> str:
+def exponent_region(se: ScalingExponents, nl: Nonlinearity, dimension: int) -> str:
     """The region of (alpha, beta) for nl's power in this dimension,
     INTERIOR or LIMIT; an invalid pair raises WrongRegion.
 
@@ -176,7 +176,7 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     leave K no precision.
     """
     if ray is None:
-        ray = se if _region(se, nl, v.grid.dimension) == INTERIOR else AMPLITUDE_RAY
+        ray = se if exponent_region(se, nl, v.grid.dimension) == INTERIOR else AMPLITUDE_RAY
     base = moments(v, nl)
     if base.h1 == 0.0:
         raise InvalidInput("cannot project the zero function")
@@ -405,7 +405,7 @@ def build_path(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample
     are refined around the maximum.  The endpoint is None when it spills
     past r = R.
     """
-    region = _region(se, nl, v.grid.dimension)
+    region = exponent_region(se, nl, v.grid.dimension)
     _require_on_constraint(v, nl, se)
     # a recipe gives t -> S(gamma(t)), the first samples of t, C, amp
     # (gamma(1) = amp * v_C) and the segment breaks
@@ -504,7 +504,7 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
     trials = list(trials)
     if not trials:
         raise InvalidParameter("empty trial family")
-    region = _region(se, nl, trials[0].grid.dimension)
+    region = exponent_region(se, nl, trials[0].grid.dimension)
     if tol is None:
         tol = 1e-3 * abs(m_ref)
     unity_cell = int(np.argmin(np.abs(ARGMAX_LAM_GRID - 1.0)))
@@ -549,7 +549,7 @@ class KineticReport:
     members_total: int
     lambdas: tuple           # P-projection parameter; None for on-boundary members
     kinetics: tuple          # T after projection; None for skipped members
-    skipped: tuple           # member indices with P below the boundary band (outside the set)
+    skipped: tuple           # member indices outside the set: zero, or P below the boundary band
     failures: tuple
     min_kinetic: float
     argmin_index: int
@@ -566,7 +566,7 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
     Members with P > 0 are scaled down to the P = 0 boundary first (that
     only lowers T), members within P_BOUNDARY_TOL * ||v||_H1^2 of the
     boundary are taken as they stand, and members with P < 0 lie outside
-    the constraint set and are skipped.
+    the constraint set and are skipped, as is the zero function.
     """
     trials = list(trials)
     if not trials:
@@ -580,7 +580,7 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
         m = moments(trial, nl)
         band = P_BOUNDARY_TOL * m.h1
         p_val = m.potential()
-        if p_val < -band:
+        if p_val < -band or m.h1 == 0.0:
             skipped.append(i)
             lambdas.append(None)
             kinetics.append(None)

@@ -258,21 +258,22 @@ def test_acceptance_8_instability_experiment():
         gs = shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 80.0, 4000))
         nl = gs.nonlinearity
         m = least_energy(gs)
-        u0, membership = make_initial_data(gs, 1.05, 1.05)
-        action_ok = abs(membership["action"] - 0.978 * m) <= 1e-3 * m
-        p_ok = abs(membership["p_value"] - 0.73) <= 5e-3
-        inside = membership["in_invariant_set"]
+        u0 = make_initial_data(gs, 1.05, 1.05)
         traj = evolve(u0, GridFunction.zeros(u0.grid), nl, t_max=40.0,
                       blowup_factor=5.0, m_ref=m, cfl=0.01)
+        membership = traj.records[0]
+        action_ok = abs(membership.action - 0.978 * m) <= 1e-3 * m
+        p_ok = abs(membership.p_value - 0.73) <= 5e-3
+        inside = membership.in_invariant_set
         blew_up = traj.termination == BLOWUP_DETECTED
         monitor = invariant_monitor(traj)
-        p0 = traj.records[0].p_value
+        p0 = membership.p_value
         held = monitor.in_set_throughout and monitor.min_p >= 0.5 * p0
-        drift = abs(energy_drift(traj, end=len(traj.records) - 1))
+        drift = abs(energy_drift(traj))
     ok = (inside and action_ok and p_ok and blew_up and held
           and drift <= 1e-3 and budget.elapsed < 300.0)
     report(8, "instability experiment", ok,
-           f"S/m {membership['action'] / m:.4f}, P {membership['p_value']:.3f}, "
+           f"S/m {membership.action / m:.4f}, P {membership.p_value:.3f}, "
            f"escape t {traj.records[-1].t:.2f}, min P/P0 "
            f"{monitor.min_p / p0:.2f}, pre-escape drift {drift:.1e}, "
            f"{budget.elapsed:.0f}s")

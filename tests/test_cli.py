@@ -236,8 +236,9 @@ def test_path_rejects_invalid_pair(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["verify-theorem1", "--N", "2", "--alpha", "1", "--beta", "2"],
-     "(1,2) classifies as Invalid"),
-    (["verify-theorem2", "--alpha", "1", "--beta", "2"], "(1,2) classifies as Invalid"),
+     "(1,2) is not an admissible exponent pair"),
+    (["verify-theorem2", "--alpha", "1", "--beta", "2"],
+     "(1,2) is not an admissible exponent pair"),
     (["verify-theorem2", "--alpha", "1", "--beta", "0"], "(1,0) is not a limit pair here"),
 ])
 def test_unusable_pair_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
@@ -271,6 +272,19 @@ def test_evolve_is_deterministic(tmp_path, capsys):
     assert payload["in_I_throughout"] is True
     assert (out1 / "trajectory.csv").read_text().splitlines()[0] == \
         "t,E,S,P,T,H1,in_I"
+    capsys.readouterr()
+
+
+def test_evolve_initial_block_is_the_first_record(tmp_path, capsys):
+    # a near-point spike: its quadrature action lies below m while the
+    # flow's discrete energy lies above it, so only the first record can
+    # say whether the run starts inside the invariant set
+    assert run(["evolve", "--R", "30", "--M", "1500", "--lambda", "1", "--mu", "1e-9",
+                "--tmax", "1", "--outdir", str(tmp_path)]) == 0
+    initial = read_json(tmp_path / "evolve.json")["initial"]
+    first = (tmp_path / "trajectory.csv").read_text().splitlines()[1].split(",")
+    assert initial["energy"] == float(first[1])
+    assert initial["in_invariant_set"] is (first[6] == "1")
     capsys.readouterr()
 
 
@@ -358,3 +372,15 @@ def test_verify_lemma_mint_artifacts(tmp_path, capsys):
     assert members[0] == "index,lambda0,kinetic"
     assert len(members) == 9  # header plus 4 amplitude and 4 bump members
     capsys.readouterr()
+
+
+def test_verify_lemma_mint_rejects_zero_amplitude(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the amplitudes were checked")
+
+    monkeypatch.setattr("varkg.cli.shoot_radial", no_work)
+    assert run(["verify-lemma-minT", "--amplitudes", "1,0",
+                "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("varkg: InvalidInput: --amplitudes")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "InvalidInput")

@@ -158,26 +158,36 @@ def test_evolve_rejects_bad_cfl(nl3, cfl):
         evolve(zero, zero, nl3, t_max=1.0, cfl=cfl)
 
 
+def initial_record(gs, lam, mu):
+    """make_initial_data(gs, lam, mu) and the first record of its evolution
+    from rest, which decides its membership in {E < m, P > 0}."""
+    u = make_initial_data(gs, lam, mu)
+    traj = evolve(u, GridFunction.zeros(u.grid), gs.nonlinearity, t_max=0.01,
+                  m_ref=least_energy(gs))
+    return u, traj.records[0]
+
+
 def test_initial_data_at_unity_is_boundary(townes):
-    u, report = make_initial_data(townes, 1.0, 1.0)
+    u, rec = initial_record(townes, 1.0, 1.0)
     assert np.array_equal(u.values, townes.profile.values)
-    assert report["energy"] == report["m_ref"]
-    assert report["in_invariant_set"] is False
+    # the flow's discrete energy lies O(h^2) above the quadrature level
+    assert 0.0 < rec.energy - least_energy(townes) <= 1e-3
+    assert rec.in_invariant_set is False
 
 
 def test_initial_data_inside_set(townes):
     m = least_energy(townes)
-    u, report = make_initial_data(townes, 1.05, 1.05)
-    assert report["energy"] < m
-    assert np.isclose(report["action"], 0.9779 * m, rtol=1e-3)
-    assert np.isclose(report["p_value"], 0.729, rtol=0, atol=5e-3)
-    assert report["in_invariant_set"] is True
+    _, rec = initial_record(townes, 1.05, 1.05)
+    assert rec.energy < m
+    assert np.isclose(rec.action, 0.9779 * m, rtol=1e-3)
+    assert np.isclose(rec.p_value, 0.729, rtol=0, atol=5e-3)
+    assert rec.in_invariant_set is True
 
 
 def test_initial_data_below_unity_leaves_set(townes):
-    _, report = make_initial_data(townes, 0.9, 1.0)
-    assert report["p_value"] < 0.0
-    assert report["in_invariant_set"] is False
+    _, rec = initial_record(townes, 0.9, 1.0)
+    assert rec.p_value < 0.0
+    assert rec.in_invariant_set is False
 
 
 def test_initial_data_resample_and_guards(townes, phi_1d):
@@ -202,10 +212,10 @@ def test_discrete_energy_tracks_quadrature(townes, nl3):
 
 def test_unstable_data_blows_up(townes, nl3):
     m = least_energy(townes)
-    u, report = make_initial_data(townes, 1.05, 1.05)
-    assert report["in_invariant_set"]
+    u = make_initial_data(townes, 1.05, 1.05)
     traj = evolve(u, GridFunction.zeros(u.grid), nl3, t_max=20.0,
                   blowup_factor=5.0, m_ref=m, cfl=0.1)
+    assert traj.records[0].in_invariant_set
     assert traj.termination == BLOWUP_DETECTED
     monitor = invariant_monitor(traj)
     # membership persists at every record until the escape
@@ -215,7 +225,7 @@ def test_unstable_data_blows_up(townes, nl3):
     assert monitor.min_kinetic >= m - 1e-3 * m
     # the conserved energy stays put while the records remain meaningful
     # (coarse dt here; the dt^2 scaling itself is covered elsewhere)
-    assert abs(energy_drift(traj, end=len(traj.records) - 1)) <= 5e-2
+    assert abs(energy_drift(traj)) <= 5e-2
 
 
 def test_two_term_g_instability_experiment(cubic_quintic_ground):
@@ -225,16 +235,15 @@ def test_two_term_g_instability_experiment(cubic_quintic_ground):
     gs = cubic_quintic_ground
     nl = gs.nonlinearity
     m = least_energy(gs)
-    u, report = make_initial_data(gs, 1.05, 1.05)
-    assert report["in_invariant_set"]
+    u = make_initial_data(gs, 1.05, 1.05)
     traj = evolve(u, GridFunction.zeros(u.grid), nl, t_max=40.0,
                   blowup_factor=5.0, m_ref=m, cfl=0.01)
+    assert traj.records[0].in_invariant_set
     assert traj.termination == BLOWUP_DETECTED
     monitor = invariant_monitor(traj)
     assert monitor.in_set_throughout
     assert monitor.min_p >= 0.5 * traj.records[0].p_value
-    u, report = make_initial_data(gs, 0.95, 0.95)
-    assert not report["in_invariant_set"]
+    u = make_initial_data(gs, 0.95, 0.95)
     traj = evolve(u, GridFunction.zeros(u.grid), nl, t_max=20.0, m_ref=m)
     assert traj.termination == REACHED_TMAX
     assert not any(rec.in_invariant_set for rec in traj.records)
@@ -275,6 +284,11 @@ def test_boundary_contamination_detected():
     traj = evolve(pulse, GridFunction.zeros(grid), LINEAR_KG, t_max=20.0)
     assert traj.termination == BOUNDARY_CONTAMINATION
     assert traj.records[-1].t < 20.0
+    # the record that raised the event is left out of the diagnostics
+    assert traj.diagnostic_records == traj.records[:-1]
+    e0 = traj.records[0].energy
+    kept = [(rec.energy - e0) / abs(e0) for rec in traj.records[1:-1]]
+    assert energy_drift(traj) == max(kept, key=abs)
 
 
 def test_non_finite_detected(nl3):
@@ -288,17 +302,6 @@ def test_non_finite_detected(nl3):
     assert traj.termination == NON_FINITE
     with pytest.raises(InvalidInput):
         energy_drift(traj)  # only the initial record exists
-
-
-def test_energy_drift_end_slicing(nl3):
-    mode, period = eigenmode(cells=100)
-    traj = evolve(mode, GridFunction.zeros(mode.grid), LINEAR_KG,
-                  t_max=period)
-    full = energy_drift(traj)
-    partial = energy_drift(traj, end=3)
-    assert abs(partial) <= abs(full) + 1e-15
-    with pytest.raises(InvalidInput):
-        energy_drift(traj, end=1)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])

@@ -141,6 +141,18 @@ def test_crossing_lower_end_is_halved():
         shoot_radial(PowerKG(3.0, 0.9), RadialGrid(2, 30.0, 3000))
 
 
+@pytest.mark.parametrize("bracket", [(1.0, 4.0), (0.5, 1.0), (0.5, 4.0)])
+def test_decay_floor_verdict_does_not_depend_on_the_bracket(bracket):
+    # at omega = 0.9 the decay tail is still above the floor at R = 40,
+    # however close to the critical amplitude the bisection stops and
+    # wherever its last shot dives; R = 60 confines it
+    nl = PowerKG(3.0, 0.9)
+    with pytest.raises(ConvergenceError, match="enlarge the domain"):
+        shoot_radial(nl, RadialGrid(2, 40.0, 4000), bracket=bracket)
+    gs = shoot_radial(nl, RadialGrid(2, 60.0, 6000), bracket=bracket)
+    assert np.isclose(gs.center_value, 0.9616606617, rtol=1e-10, atol=0)
+
+
 def test_coarse_series_start_blames_the_grid():
     # at amplitude 8, p = 5 the series start at r = h = 0.04 gives
     # phi(h) = 21.7 > phi(0), which the ODE rules out

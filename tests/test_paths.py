@@ -269,12 +269,16 @@ def test_general_nonlinearity_is_unsupported(entry):
         entry(v)
 
 
-def test_kinetic_minimum_records_general_nonlinearity_as_unsupported():
+def test_kinetic_minimum_records_general_nonlinearity_as_unsupported(cubic_quintic_ground):
+    # the ground state lies on the P = 0 boundary (Pohozaev, N = 2) and is
+    # taken as it stands; the zero function is outside {v != 0, P >= 0}
     v = _general_g_profile()
+    boundary = cubic_quintic_ground.profile
     zero = GridFunction.zeros(v.grid)
-    report = verify_T_min_over_P([v, zero], CUBIC_QUINTIC, 1.0)
+    report = verify_T_min_over_P([v, boundary, zero], CUBIC_QUINTIC, 1.0)
     assert report.failures == ((0, "Unsupported"),)
-    assert report.kinetics == (None, 0.0)
+    assert report.kinetics == (None, kinetic_T(boundary), None)
+    assert report.skipped == (2,)
 
 
 def test_projection_rescans_when_grid_root_passes_a_scan_node(nl3):
@@ -458,8 +462,10 @@ def test_kinetic_minimum_guards(townes, phi_1d, nl3):
     with pytest.raises(Unsupported):
         verify_T_min_over_P([phi_1d.profile], nl3, m)
     shrunk = GridFunction(townes.grid, 0.5 * townes.profile.values)
-    with pytest.raises(EmptyConstraintSample):
-        verify_T_min_over_P([shrunk], nl3, m)
+    zero = GridFunction.zeros(townes.grid)
+    for trials in ([shrunk], [zero]):
+        with pytest.raises(EmptyConstraintSample):
+            verify_T_min_over_P(trials, nl3, m)
 
 
 def test_default_trial_family(townes):
