@@ -48,7 +48,6 @@ from .ground_state import (
     GroundState,
     closed_form_1d,
     equation_residual,
-    least_energy,
     shoot_radial,
 )
 from .model import (
@@ -73,7 +72,6 @@ from .paths import (
     KineticReport,
     MinimizationReport,
     PathSample,
-    action_profile,
     build_path,
     default_trial_family,
     exponent_region,

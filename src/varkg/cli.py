@@ -33,7 +33,7 @@ from .evolution import (
     invariant_monitor,
     make_initial_data,
 )
-from .ground_state import closed_form_1d, least_energy, shoot_radial
+from .ground_state import closed_form_1d, shoot_radial
 from .model import (
     AMPLITUDE_RAY,
     LIMIT,
@@ -236,7 +236,7 @@ def _cmd_verify_theorem1(cfg):
     grid, nl = _problem(cfg, cfg.N)
     exponent_region(se, nl, cfg.N)  # refuse an invalid pair before the solve
     gs = _ground_state(grid, nl)
-    m_ref = least_energy(gs)
+    m_ref = gs.level
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
     _write_csv(os.path.join(cfg.outdir, "theorem1_members.csv"),
@@ -259,7 +259,7 @@ def _cmd_verify_theorem2(cfg):
     if exponent_region(se, nl, 2) != LIMIT:
         raise WrongRegion(f"({cfg.alpha:g},{cfg.beta:g}) is not a limit pair here")
     gs = _ground_state(grid, nl)
-    m_ref = least_energy(gs)
+    m_ref = gs.level
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
     path = build_path(gs.profile, gs.nonlinearity, se)
@@ -284,7 +284,7 @@ def _cmd_verify_lemma_mint(cfg):
     if 0.0 in cfg.amplitudes:
         raise InvalidInput("--amplitudes must be nonzero: the set is {v != 0, P >= 0}")
     gs = _ground_state(*_problem(cfg, 2))
-    m_ref = least_energy(gs)
+    m_ref = gs.level
     q = gs.profile
     rng = np.random.default_rng(cfg.seed)
     family = [GridFunction(q.grid, c * q.values) for c in cfg.amplitudes]
@@ -375,7 +375,7 @@ def _cmd_selftest(cfg):
 
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 20.0, 40000))
     nl = gs.nonlinearity
-    m = least_energy(gs)
+    m = gs.level
     print(f"m = {m:.6f}")
     check("S(phi)", m, 4.0 / 3.0, 1e-4)
     phi = moments(gs.profile, nl)

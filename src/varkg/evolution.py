@@ -30,6 +30,8 @@ from .radial_core import (
     GridFunction,
     RadialGrid,
     _derivative_kernel,
+    grad_norm_sq,
+    l2_norm_sq,
     require_same_grid,
 )
 
@@ -45,6 +47,8 @@ BOUNDARY_FRACTION = 0.01  # H1-norm fraction allowed to ARRIVE in that zone: the
                           # guard fires on growth past the initial fraction, so
                           # data that legitimately lives near the edge (Dirichlet
                           # eigenmodes) is not rejected outright
+RESOLUTION_TOL = 1e-2     # relative error allowed in the resampled moments of
+                          # dilated initial data
 
 
 @dataclass
@@ -201,8 +205,6 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     """
     flow = flow_nonlinearity(nl)
     require_same_grid(u0, v0)
-    if u0.is_complex or v0.is_complex:
-        raise InvalidInput("evolution is real-valued")
     if not (t_max > 0.0) or not math.isfinite(t_max):
         raise InvalidParameter(f"t_max must be positive and finite, got {t_max!r}")
     if not (blowup_factor > 1.0):
@@ -258,7 +260,10 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
     The real radial flow carries standing waves only at omega = 0, so a
     ground state whose nonlinearity differs from its flow's (see
     flow_nonlinearity) is rejected: its level m would use a mass the flow
-    does not.
+    does not.  In dimension 2 phi(x/mu) has the gradient moment of phi and
+    mu^2 times its L2 moment; a mu whose resampled profile misses either
+    by more than RESOLUTION_TOL (relative) is not resolved by the grid and
+    raises InvalidParameter.
     """
     if gs.grid.dimension != 2:
         raise Unsupported("instability data construction is specific to dimension 2")
@@ -269,6 +274,13 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
         raise Unsupported("the real radial flow carries standing waves only at omega = 0, "
                           f"got {nl!r}")
     stretched = rescale(gs.profile, 1.0 / mu, ScalingExponents(0.0, 1.0))
+    got = np.array([grad_norm_sq(stretched), l2_norm_sq(stretched)])
+    exact = np.array([grad_norm_sq(gs.profile), mu * mu * l2_norm_sq(gs.profile)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = float(np.max(np.abs(got - exact) / exact))
+    if not off <= RESOLUTION_TOL:
+        raise InvalidParameter(f"the grid does not resolve mu = {mu:g}: the dilated profile's "
+                               f"moments are off by {off:.3g} (limit {RESOLUTION_TOL:g})")
     return GridFunction(stretched.grid, lam * stretched.values)
 
 

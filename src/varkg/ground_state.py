@@ -29,6 +29,7 @@ BRACKET_DOUBLINGS = 8          # times shoot_radial may move a bracket end by a 
 class GroundState:
     """A validated least-energy profile together with its diagnostics.
 
+    level is the action of the profile, the mountain-pass level m.
     nehari_residual is None for a general nonlinearity (see _validate).
     """
 
@@ -43,11 +44,6 @@ class GroundState:
     @property
     def grid(self) -> RadialGrid:
         return self.profile.grid
-
-
-def least_energy(gs: GroundState) -> float:
-    """The action at the ground state (the mountain-pass level)."""
-    return gs.level
 
 
 def equation_residual(v: GridFunction, nl: Nonlinearity) -> float:

@@ -305,8 +305,9 @@ class Moments(NamedTuple):
 
 
 def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
-    """The gradient, L2 and potential moments of v (on |v| for complex v),
-    tagged with nl and v's dimension; every functional is a form on them."""
+    """The gradient, L2 and potential moments of v, tagged with nl and v's
+    dimension; every functional is a form on them.  G is evaluated on |v|,
+    so a sign-changing v has the potential moment of its modulus."""
     if isinstance(nl, PowerKG):
         pot = power_integral(v, nl.p + 1.0)
     else:

@@ -88,8 +88,6 @@ def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
     lam = float(lam)
     if not (lam > 0.0) or not math.isfinite(lam):
         raise InvalidParameter(f"scaling parameter must be positive and finite, got {lam!r}")
-    if v.is_complex:
-        raise InvalidInput("rescaling is defined for real profiles only")
     grid = v.grid
     amp = lam**se.alpha
     stretch = lam**se.beta
@@ -124,15 +122,6 @@ def family_action(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float
     if lam == 0.0:
         return 0.0
     return _moments_at(v, nl, se, lam).action()
-
-
-def action_profile(v: GridFunction, nl: PowerKG, se: ScalingExponents,
-                   lam_grid) -> list[tuple[float, float]]:
-    """S along the scaling family, as (lambda, S(v_lambda)) pairs."""
-    lams = np.asarray(lam_grid, dtype=float)
-    if lams.size == 0:
-        raise InvalidParameter("lambda grid is empty")
-    return [(float(lam), family_action(v, nl, se, float(lam))) for lam in lams]
 
 
 def _sign_change(samples) -> tuple[int, int] | None:
@@ -267,12 +256,8 @@ class PathSample:
         return int(np.argmax(self.action_values))
 
     @property
-    def negative_endpoint(self) -> bool:
-        return bool(self.action_values[-1] < 0.0)
-
-    @property
     def admissible(self) -> bool:
-        return self.negative_endpoint
+        return bool(self.action_values[-1] < 0.0)
 
     @property
     def max_action(self) -> float:

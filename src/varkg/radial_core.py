@@ -104,8 +104,8 @@ class RadialGrid:
 class GridFunction:
     """Sampled radial function: node values tied to a grid.
 
-    Values may be real or complex and must be finite.  For N >= 2 the
-    outer boundary node must be exactly zero (Dirichlet truncation).
+    Values must be real and finite.  For N >= 2 the outer boundary node
+    must be exactly zero (Dirichlet truncation).
     Instances are immutable; build modified copies through module
     functions rather than mutating values in place.
     """
@@ -113,17 +113,22 @@ class GridFunction:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: RadialGrid, values: np.ndarray):
-        values = np.asarray(values)
+        try:
+            values = np.asarray(values)
+            if values.dtype.kind == "c":
+                raise InvalidInput("grid function values must be real")
+            values = values.astype(float)
+        except (TypeError, ValueError):
+            # ragged nesting, or entries that are not numbers
+            raise InvalidInput("grid function values must be real numbers") from None
         if values.shape != grid.r.shape:
             raise InvalidInput(f"expected {grid.r.shape[0]} node values, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise InvalidInput("node values must be finite")
-        if values.dtype.kind not in "fc":
-            values = values.astype(float)
         if grid.dimension >= 2 and values[-1] != 0.0:
             raise InvalidInput("outer boundary node must be exactly zero for N >= 2")
         self.grid = grid
-        self.values = values.copy()
+        self.values = values
         self.values.setflags(write=False)
 
     @classmethod
@@ -139,10 +144,6 @@ class GridFunction:
     def zeros(cls, grid: RadialGrid) -> "GridFunction":
         return cls(grid, np.zeros(grid.cells + 1))
 
-    @property
-    def is_complex(self) -> bool:
-        return self.values.dtype.kind == "c"
-
     def __repr__(self) -> str:
         return f"GridFunction({self.grid!r}, max|v|={np.abs(self.values).max():.6g})"
 
@@ -153,7 +154,7 @@ def require_same_grid(u: GridFunction, v: GridFunction) -> None:
 
 
 def _l2_kernel(values: np.ndarray, grid: RadialGrid) -> float:
-    return float(np.sum(grid.weights * np.abs(values) ** 2))
+    return float(np.sum(grid.weights * (values * values)))
 
 
 def _derivative_kernel(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -196,8 +197,6 @@ def strauss_decay_profile(v: GridFunction) -> np.ndarray:
     """
     if v.grid.dimension == 1:
         raise Unsupported("decay ratios are defined for N >= 2 only")
-    if v.is_complex:
-        raise InvalidInput("decay ratios are defined for real-valued functions")
     h1 = h1_norm_sq(v)
     if h1 == 0.0:
         raise InvalidInput("zero function has no decay profile")
@@ -210,19 +209,14 @@ def save_profile(path, v: GridFunction) -> None:
     """Write a grid function as CSV with a reconstruction header.
 
     Layout: a `# N=.. R=.. M=..` comment line, a column-name row, then
-    one row per node.  Complex values use three columns (r, re, im).
+    one row per node, with the columns r and value.
     """
     g = v.grid
     with open(path, "w", newline="\n") as f:
         f.write(f"# N={g.dimension} R={g.outer_radius:.17g} M={g.cells}\n")
-        if v.is_complex:
-            f.write("r,re,im\n")
-            for r, z in zip(g.r, v.values):
-                f.write(f"{r:.17g},{z.real:.17g},{z.imag:.17g}\n")
-        else:
-            f.write("r,value\n")
-            for r, x in zip(g.r, v.values):
-                f.write(f"{r:.17g},{x:.17g}\n")
+        f.write("r,value\n")
+        for r, x in zip(g.r, v.values):
+            f.write(f"{r:.17g},{x:.17g}\n")
 
 
 def load_profile(path) -> GridFunction:
@@ -252,7 +246,7 @@ def load_profile(path) -> GridFunction:
         raise InvalidInput(f"expected {cells + 1} rows, got {len(rows)}")
     grid = RadialGrid(dimension, outer, cells)
     columns = lines[1].split(",")
-    if columns not in (["r", "re", "im"], ["r", "value"]):
+    if columns != ["r", "value"]:
         raise InvalidInput(f"unrecognized column layout {columns!r}")
     try:
         # a non-numeric cell, or rows of unequal length
@@ -264,8 +258,6 @@ def load_profile(path) -> GridFunction:
                            f"expected {len(columns)}")
     if not np.all(np.abs(table[:, 0] - grid.r) <= 1e-12 * grid.outer_radius):
         raise InvalidInput(f"r column of {path} does not lie on the header's grid")
-    if len(columns) == 3:
-        return GridFunction(grid, np.array([complex(a, b) for _, a, b in table]))
     return GridFunction(grid, table[:, 1])
 
 

@@ -276,15 +276,26 @@ def test_evolve_is_deterministic(tmp_path, capsys):
 
 
 def test_evolve_initial_block_is_the_first_record(tmp_path, capsys):
-    # a near-point spike: its quadrature action lies below m while the
-    # flow's discrete energy lies above it, so only the first record can
-    # say whether the run starts inside the invariant set
-    assert run(["evolve", "--R", "30", "--M", "1500", "--lambda", "1", "--mu", "1e-9",
+    # just above the ground state: its quadrature action lies below m
+    # (S - m = -2.9e-5) while the flow's discrete energy lies above it
+    # (E_d - m = +1.04e-3), so only the first record can say whether the
+    # run starts inside the invariant set
+    assert run(["evolve", "--R", "30", "--M", "1500", "--lambda", "1.001", "--mu", "1",
                 "--tmax", "1", "--outdir", str(tmp_path)]) == 0
     initial = read_json(tmp_path / "evolve.json")["initial"]
     first = (tmp_path / "trajectory.csv").read_text().splitlines()[1].split(",")
     assert initial["energy"] == float(first[1])
     assert initial["in_invariant_set"] is (first[6] == "1")
+    capsys.readouterr()
+
+
+def test_evolve_refuses_a_width_the_grid_cannot_resolve(tmp_path, capsys):
+    # mu = 1e-9 would shrink the ground state onto one node
+    argv = ["evolve", "--R", "30", "--M", "1500", "--lambda", "1", "--tmax", "1"]
+    assert run([*argv, "--mu", "1e-9", "--outdir", str(tmp_path / "spike")]) == 1
+    assert "varkg: InvalidParameter" in capsys.readouterr().err
+    assert read_json(tmp_path / "spike" / "manifest.json")["error"] == "InvalidParameter"
+    assert run([*argv, "--mu", "0.5", "--outdir", str(tmp_path / "narrow")]) == 0
     capsys.readouterr()
 
 

@@ -20,7 +20,6 @@ from varkg import (
     grad_norm_sq,
     kinetic_T,
     l2_norm_sq,
-    least_energy,
     moments,
     power_integral,
     shoot_radial,
@@ -40,7 +39,7 @@ def test_closed_form_center_values(grid_1d):
 
 def test_closed_form_level_scales_with_mass(grid_1d):
     gs = closed_form_1d(3.0, 0.6, grid_1d)
-    assert np.isclose(least_energy(gs), (4.0 / 3.0) * 0.64**1.5, rtol=0, atol=1e-5)
+    assert np.isclose(gs.level, (4.0 / 3.0) * 0.64**1.5, rtol=0, atol=1e-5)
 
 
 def test_closed_form_rejects_sonic_frequency(grid_1d):
@@ -49,15 +48,15 @@ def test_closed_form_rejects_sonic_frequency(grid_1d):
 
 
 def test_level_is_action(phi_1d, nl3):
-    assert least_energy(phi_1d) == moments(phi_1d.profile, nl3).action()
-    assert np.isclose(least_energy(phi_1d), 4.0 / 3.0, rtol=0, atol=1e-5)
+    assert phi_1d.level == moments(phi_1d.profile, nl3).action()
+    assert np.isclose(phi_1d.level, 4.0 / 3.0, rtol=0, atol=1e-5)
 
 
 def test_townes_against_frozen_oracle(townes):
     assert np.isclose(townes.center_value, TOWNES_CENTER, rtol=0, atol=2e-4)
     l2 = l2_norm_sq(townes.profile)
     assert np.isclose(l2, TOWNES_L2, rtol=5e-4)
-    assert np.isclose(least_energy(townes), TOWNES_LEVEL, rtol=5e-4)
+    assert np.isclose(townes.level, TOWNES_LEVEL, rtol=5e-4)
 
 
 def test_townes_identities(townes):
@@ -66,10 +65,10 @@ def test_townes_identities(townes):
     assert np.isclose(grad_norm_sq(townes.profile) / l2, 1.0, rtol=0, atol=1e-3)
     assert np.isclose(power_integral(townes.profile, 4.0) / l2, 2.0, rtol=0, atol=2e-3)
     # P = 0 at N=2, so the level is the kinetic energy
-    assert np.isclose(least_energy(townes), kinetic_T(townes.profile),
-                      rtol=0, atol=1e-3 * least_energy(townes))
+    assert np.isclose(townes.level, kinetic_T(townes.profile),
+                      rtol=0, atol=1e-3 * townes.level)
     assert abs(moments(townes.profile, townes.nonlinearity).potential()) \
-        <= 1e-3 * least_energy(townes)
+        <= 1e-3 * townes.level
 
 
 def test_n3_pohozaev_identity(ground_n3):
@@ -106,7 +105,7 @@ def test_one_d_shooting_matches_closed_form():
 
 
 def test_mesh_convergence_of_level():
-    levels = [least_energy(shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 40.0, m)))
+    levels = [shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 40.0, m)).level
               for m in (1000, 2000, 4000)]
     change_coarse = abs(levels[1] - levels[0])
     change_fine = abs(levels[2] - levels[1])

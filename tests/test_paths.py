@@ -28,7 +28,6 @@ from varkg import (
     TruncationOverflow,
     Unsupported,
     WrongRegion,
-    action_profile,
     build_path,
     classify_exponents,
     closed_form_1d,
@@ -36,7 +35,6 @@ from varkg import (
     family_action,
     kinetic_T,
     l2_norm_sq,
-    least_energy,
     moments,
     mountain_pass_estimate,
     project_to_P_zero,
@@ -83,37 +81,30 @@ def test_rescale_guards(townes):
         rescale(v, float("inf"), AMPLITUDE_RAY)
     with pytest.raises(TruncationOverflow):
         rescale(v, 0.01, WIDTH_RAY)
-    cplx = GridFunction(v.grid, v.values * (1.0 + 0.0j))
-    with pytest.raises(InvalidInput):
-        rescale(cplx, 2.0, AMPLITUDE_RAY)
 
 
 def test_action_along_amplitude_ray(phi_1d, nl3):
     # S(lambda phi) = (8/3) lambda^2 - (4/3) lambda^4 on the line
     v = phi_1d.profile
-    pairs = action_profile(v, nl3, AMPLITUDE_RAY, [0.5, 1.0, 2.0])
     expected = {0.5: 8.0 / 3.0 * 0.25 - 4.0 / 3.0 * 0.0625,
                 1.0: 4.0 / 3.0,
                 2.0: -32.0 / 3.0}
-    for lam, s in pairs:
-        assert np.isclose(s, expected[lam], rtol=0, atol=1e-4)
+    for lam, s in expected.items():
+        assert np.isclose(family_action(v, nl3, AMPLITUDE_RAY, lam), s, rtol=0, atol=1e-4)
     assert family_action(v, nl3, AMPLITUDE_RAY, 0.0) == 0.0
 
 
 def test_action_profile_of_zero(nl3, grid_1d):
     zero = GridFunction.zeros(grid_1d)
-    pairs = action_profile(zero, nl3, AMPLITUDE_RAY, [0.5, 1.0, 2.0])
-    assert all(s == 0.0 for _, s in pairs)
-    with pytest.raises(InvalidParameter):
-        action_profile(zero, nl3, AMPLITUDE_RAY, [])
+    assert all(family_action(zero, nl3, AMPLITUDE_RAY, lam) == 0.0 for lam in (0.5, 1.0, 2.0))
 
 
 def test_flat_critical_ray(townes, nl3):
     # lambda v(lambda x) leaves S nearly constant at the 2d ground state
-    m = least_energy(townes)
+    m = townes.level
     se = ScalingExponents(1.0, 1.0)
-    for lam, s in action_profile(townes.profile, nl3, se, [0.5, 1.0, 2.0]):
-        assert np.isclose(s, m, rtol=1e-2)
+    for lam in (0.5, 1.0, 2.0):
+        assert np.isclose(family_action(townes.profile, nl3, se, lam), m, rtol=1e-2)
 
 
 def test_projection_examples(grid_1d, phi_1d, nl3):
@@ -311,13 +302,13 @@ def test_limit_sweep_projects_members_on_the_constraint(nl3):
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 80.0, 16000))
     family = default_trial_family(gs, count=200, seed=0)
     report = verify_min_on_constraint(family, nl3, ScalingExponents(1.0, -2.0),
-                                      least_energy(gs))
+                                      gs.level)
     assert report.failures == ()
 
 
 def test_p_zero_projection_scaling(townes, nl3):
     v = townes.profile
-    m = least_energy(townes)
+    m = townes.level
     for c, lam_expected in ((1.1, 1.0 / 1.1), (2.0, 0.5)):
         scaled = GridFunction(v.grid, c * v.values)
         lam0, w = project_to_P_zero(scaled, nl3)
@@ -342,7 +333,7 @@ def test_interior_path_on_the_line(phi_1d, nl3):
 
 
 def test_interior_path_negative_beta(townes, nl3):
-    m = least_energy(townes)
+    m = townes.level
     path = build_path(townes.profile, nl3, ScalingExponents(1.0, -1.0))
     assert path.admissible
     assert np.isclose(path.max_action, m, rtol=0, atol=1e-2 * m)
@@ -360,7 +351,7 @@ def test_interior_path_guards(phi_1d, townes, nl3, ground_n3):
 
 
 def test_limit_paths(townes, nl3):
-    m = least_energy(townes)
+    m = townes.level
     for alpha, beta in ((1.0, 1.0), (0.0, -1.0)):
         path = build_path(townes.profile, nl3, ScalingExponents(alpha, beta))
         assert path.admissible
@@ -383,7 +374,7 @@ def test_path_sample_validation(grid_1d):
         PathSample(t=good_t, action_values=good_s + float("nan"), end=zero)
     # the endpoint verdict and the argmax are read off the action values
     flat = PathSample(t=good_t, action_values=good_s, end=zero)
-    assert not flat.negative_endpoint and not flat.admissible
+    assert not flat.admissible
     bump = PathSample(t=good_t, action_values=[0.0, 1.0, 3.0, 2.0, -1.0], end=None)
     assert bump.admissible and bump.argmax_index == 2 and bump.max_action == 3.0
 
@@ -415,7 +406,7 @@ def test_minimization_on_width_family(grid_1d, nl3):
 
 
 def test_minimization_perturbed_member_is_larger(townes, nl3):
-    m = least_energy(townes)
+    m = townes.level
     r = townes.grid.r
     bump = GridFunction(townes.grid,
                         townes.profile.values * (1.0 + 0.1 * np.exp(-r**2)))
@@ -439,7 +430,7 @@ def test_minimization_guards(phi_1d, nl3):
 
 def test_kinetic_minimum_over_p_set(townes, nl3):
     v = townes.profile
-    m = least_energy(townes)
+    m = townes.level
     trials = [GridFunction(v.grid, c * v.values) for c in (1.0, 1.1, 1.5, 2.0)]
     report = verify_T_min_over_P(trials, nl3, m, tol=0.05)
     assert report.passed
@@ -456,7 +447,7 @@ def test_kinetic_minimum_over_p_set(townes, nl3):
 
 
 def test_kinetic_minimum_guards(townes, phi_1d, nl3):
-    m = least_energy(townes)
+    m = townes.level
     with pytest.raises(InvalidParameter):
         verify_T_min_over_P([], nl3, m)
     with pytest.raises(Unsupported):

@@ -84,6 +84,9 @@ def test_grid_function_validation():
     g = RadialGrid(2, 10.0, 100)
     with pytest.raises(InvalidInput):
         GridFunction(g, np.ones(50))
+    for not_numbers in (["x"] * 101, ["x"] * 50, [[1.0], [1.0, 2.0]]):
+        with pytest.raises(InvalidInput):
+            GridFunction(g, not_numbers)
     ends_nonzero = np.ones(101)
     with pytest.raises(InvalidInput):
         GridFunction(g, ends_nonzero)
@@ -119,13 +122,16 @@ def test_gradient_of_constant_vanishes_in_dimension_one():
     assert grad_norm_sq(v) == 0.0
 
 
-def test_complex_functions_supported():
+def test_complex_values_are_refused():
+    # the paper's arguments run on real profiles; a zero imaginary part is no exception
     g = RadialGrid(2, 6.0, 600)
-    vals = np.exp(-(g.r**2)) * (1.0 + 2.0j)
+    vals = np.exp(-(g.r**2))
     vals[-1] = 0.0
-    v = GridFunction(g, vals)
-    assert v.is_complex
-    assert np.isclose(l2_norm_sq(v), 5.0 * (math.pi / 2.0), rtol=1e-4)
+    for cplx in (vals * (1.0 + 2.0j), vals + 0.0j, list(vals + 0.0j)):
+        with pytest.raises(InvalidInput, match="must be real"):
+            GridFunction(g, cplx)
+    assert GridFunction(g, vals).values.dtype == float
+    assert GridFunction(g, np.zeros(601, dtype=int)).values.dtype == float
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -138,16 +144,37 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(w.values, v.values)
 
 
-def test_save_load_roundtrip_complex(tmp_path):
-    g = RadialGrid(2, 6.0, 50)
-    vals = np.exp(-g.r) * (1.0 + 1.0j)
-    vals[-1] = 0.0
-    v = GridFunction(g, vals)
-    path = tmp_path / "profile_c.csv"
+@st.composite
+def real_profiles(draw):
+    """A grid function on any supported grid with arbitrary finite real values."""
+    dimension = draw(st.sampled_from([1, 2, 3]))
+    cells = draw(st.integers(16, 128))
+    grid = RadialGrid(dimension, draw(st.floats(1e-3, 1e6)), cells)
+    values = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=cells + 1, max_size=cells + 1)))
+    if dimension >= 2:
+        values[-1] = 0.0
+    return GridFunction(grid, values)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(v=real_profiles())
+def test_save_load_roundtrip_property(tmp_path, v):
+    path = tmp_path / "profile.csv"
     save_profile(path, v)
     w = load_profile(path)
-    assert w.is_complex
+    assert w.grid == v.grid
     assert np.array_equal(w.values, v.values)
+
+
+def test_three_column_profile_is_refused(tmp_path):
+    path = tmp_path / "profile_c.csv"
+    g = RadialGrid(2, 6.0, 16)
+    rows = "".join(f"{r:.17g},0,0\n" for r in g.r)
+    path.write_text(f"# N=2 R=6 M=16\nr,re,im\n{rows}")
+    with pytest.raises(InvalidInput, match="column layout"):
+        load_profile(path)
 
 
 def test_load_checks_the_r_column_against_the_header(tmp_path):
@@ -266,8 +293,6 @@ def mutated_profiles(draw):
     dimension = draw(st.sampled_from([1, 2, 3]))
     grid = RadialGrid(dimension, draw(st.floats(0.5, 50.0)), draw(st.integers(16, 64)))
     values = draw(st.floats(-2.0, 2.0)) * np.exp(-grid.r**2)
-    if draw(st.booleans()):
-        values = values * (1.0 + 0.5j)
     if dimension >= 2:
         values[-1] = 0.0
     with tempfile.TemporaryDirectory() as root:

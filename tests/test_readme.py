@@ -4,6 +4,7 @@ import os
 import re
 import shlex
 
+import varkg
 from varkg.cli import COMMANDS, _build_parser
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
@@ -18,6 +19,14 @@ def test_readme_library_example_imports():
     statement = re.search(r"from varkg import \([^)]*\)", _section("## Library example"))
     assert statement is not None
     exec(statement.group(0), {})
+
+
+def test_readme_call_names_are_exported():
+    # prose that names a deleted function, such as `least_energy(gs)`, fails here
+    with open(README, encoding="utf-8") as fh:
+        names = set(re.findall(r"`([A-Za-z_]\w*)\(", fh.read()))
+    assert names
+    assert sorted(name for name in names if not hasattr(varkg, name)) == []
 
 
 def test_readme_command_block_parses():
