@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     InvalidInput,
     InvalidMass,
+    NoRoot,
     NumericalOverflow,
     Unsupported,
 )
@@ -282,6 +283,22 @@ class Moments(NamedTuple):
             raise Unsupported("the scaling constraint is implemented for the power family only")
         a, b, c = ray_exponents(se.alpha, se.beta, nl.p, self.dimension)
         return 0.5 * a * self.grad + 0.5 * b * nl.mass * self.l2 - c * self.pot / (nl.p + 1.0)
+
+    def amplitude_root(self, se: ScalingExponents) -> float:
+        """The lambda > 0 with K_{alpha,beta}(lambda v) = 0 (power family only):
+        K(lambda v) = lambda^2 Q - lambda^(p+1) W, Q the gradient and L2 terms
+        of K and W minus its potential term, so lambda = (Q/W)^(1/(p-1)) (Willem
+        1996, ch. 4).  NoRoot unless Q/W and the root are positive and finite."""
+        quad = self._replace(pot=0.0).constraint(se)
+        power = -self._replace(grad=0.0, l2=0.0).constraint(se)
+        ratio = quad / power if power != 0.0 else math.nan
+        try:
+            lam = ratio ** (1.0 / (self.nl.p - 1.0)) if ratio > 0.0 else math.nan
+        except OverflowError:
+            lam = math.inf
+        if not 0.0 < lam < math.inf:
+            raise NoRoot(f"K_({se.alpha:g},{se.beta:g}) has no root along the amplitude ray")
+        return lam
 
     def nehari(self) -> float:
         """K_{1,0}, the amplitude-scaling (Nehari) constraint."""

@@ -7,9 +7,11 @@ moments of v_lambda have two sources: the moments of the profile resampled
 on the grid, or the base moments scaled exactly (Moments.scaled).  The
 resampled moments are preferred; the scaled ones take over when the
 rescaled profile no longer fits the grid, and they locate the bracket of
-every constraint projection.  This module does no arithmetic of its own
-on the moments.  The region of a pair (classify_exponents) picks the
-projection ray and the mountain-pass path.
+a constraint projection along a stretching ray.  Along the amplitude ray
+the base moments give the root in closed form (Moments.amplitude_root).
+This module does no arithmetic of its own on the moments.  The region of
+a pair (classify_exponents) picks the projection ray and the mountain-pass
+path.
 """
 
 from __future__ import annotations
@@ -149,20 +151,23 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     The region picks the ray: an interior pair is projected along its own
     ray, a limit pair by amplitude (AMPLITUDE_RAY), because its own ray
     leaves K's sign unchanged, and an invalid pair raises WrongRegion.  An
-    explicit ray overrides that choice.  A scan of the exact scaling
-    algebra over SCAN_LAMBDAS brackets the root between two finite scan
-    nodes; one Brent solve on that bracket then finds the root of the
-    resampled grid map.  When quadrature error moves the grid map's root
-    past a node, a 33-point rescan around the two nodes brackets it
-    instead.  A root that lies exactly on a scan node is returned too; a
-    profile already on the constraint gives lambda = 1.  Exact zeros of K
-    are never taken as roots by themselves: NoRoot means the nonzero
-    samples of K show no sign change along the ray.  The projected profile
-    w must satisfy |K(w)| <= PROJECTION_TOL ||w||_H1^2, else
-    ConvergenceError.  K is linear in (alpha, beta), so a pair below 1/2
-    in both components is lifted by a power of two (exact) before the
-    scan, the solve and the residual check; subnormal exponents would
-    leave K no precision.
+    explicit ray overrides that choice.  Along the amplitude ray rescale
+    multiplies the values, so the grid map is the scaling algebra and the
+    root is Moments.amplitude_root, whatever its magnitude; NoRoot unless
+    it is positive and finite.  Along any other ray a scan of the exact
+    scaling algebra over SCAN_LAMBDAS (1e-4 to 1e4) brackets the root
+    between two finite scan nodes; one Brent solve on that bracket then
+    finds the root of the resampled grid map.  When quadrature error moves
+    the grid map's root past a node, a 33-point rescan around the two
+    nodes brackets it instead.  A root that lies exactly on a scan node is
+    returned too; a profile already on the constraint gives lambda = 1.
+    Exact zeros of K are never taken as roots by themselves: NoRoot means
+    the nonzero samples of K show no sign change along the ray.  The
+    projected profile w must satisfy |K(w)| <= PROJECTION_TOL ||w||_H1^2,
+    else ConvergenceError.  K is linear in (alpha, beta), so a pair below
+    1/2 in both components is lifted by a power of two (exact) before the
+    root and the residual check; subnormal exponents would leave K no
+    precision.
     """
     if ray is None:
         ray = se if exponent_region(se, nl, v.grid.dimension) == INTERIOR else AMPLITUDE_RAY
@@ -174,25 +179,28 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     if exp2 < 0:
         k_pair = ScalingExponents(math.ldexp(se.alpha, -exp2), math.ldexp(se.beta, -exp2))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        bracket = _sign_change(base.scaled(SCAN_LAMBDAS, ray).constraint(k_pair))
-    if bracket is None:
-        raise NoRoot(
-            f"K_({se.alpha:g},{se.beta:g}) has no sign change along the "
-            f"({ray.alpha:g},{ray.beta:g}) ray of this profile")
-
-    def k_discrete(lam: float) -> float:
-        return _moments_at(v, nl, ray, lam).constraint(k_pair)
-
-    lo, hi = SCAN_LAMBDAS[bracket[0]], SCAN_LAMBDAS[bracket[1]]
-    if _sign_change([k_discrete(lo), k_discrete(hi)]) is None:
-        # quadrature error can shift a marginal root; rescan around the nodes
-        scan = np.geomspace(lo / 4.0, hi * 4.0, 33)
-        bracket = _sign_change([k_discrete(lam) for lam in scan])
+    if ray == AMPLITUDE_RAY:
+        lam_star = base.amplitude_root(k_pair)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bracket = _sign_change(base.scaled(SCAN_LAMBDAS, ray).constraint(k_pair))
         if bracket is None:
-            raise NoRoot("constraint map loses its sign change on the grid")
-        lo, hi = scan[bracket[0]], scan[bracket[1]]
-    lam_star = brent(k_discrete, lo, hi, xtol=1e-14, rtol=8.9e-16)
+            raise NoRoot(
+                f"K_({se.alpha:g},{se.beta:g}) has no sign change along the "
+                f"({ray.alpha:g},{ray.beta:g}) ray of this profile")
+
+        def k_discrete(lam: float) -> float:
+            return _moments_at(v, nl, ray, lam).constraint(k_pair)
+
+        lo, hi = SCAN_LAMBDAS[bracket[0]], SCAN_LAMBDAS[bracket[1]]
+        if _sign_change([k_discrete(lo), k_discrete(hi)]) is None:
+            # quadrature error can shift a marginal root; rescan around the nodes
+            scan = np.geomspace(lo / 4.0, hi * 4.0, 33)
+            bracket = _sign_change([k_discrete(lam) for lam in scan])
+            if bracket is None:
+                raise NoRoot("constraint map loses its sign change on the grid")
+            lo, hi = scan[bracket[0]], scan[bracket[1]]
+        lam_star = brent(k_discrete, lo, hi, xtol=1e-14, rtol=8.9e-16)
     projected = rescale(v, lam_star, ray)
     m = moments(projected, nl)
     residual = m.constraint(k_pair)

@@ -37,8 +37,13 @@ def test_runtime_loads_no_scipy(tmp_path):
 
 
 def test_root_finder_failure_is_a_typed_exit(tmp_path, capsys, monkeypatch):
+    # an interior pair is projected along its own ray, which takes a Brent
+    # solve; the amplitude ray has its root in closed form
+    src = tmp_path / "phi.csv"
+    save_profile(str(src), closed_form_1d(3.0, 0.0, RadialGrid(1, 25.0, 500)).profile)
     monkeypatch.setattr("varkg.paths.brent", functools.partial(brent, maxiter=1))
-    assert run(["selftest", "--outdir", str(tmp_path)]) == 1
+    assert run(["path", "--from", str(src), "--alpha", "2", "--beta", "1",
+                "--outdir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("varkg: ConvergenceError: root finder")
     manifest = read_json(tmp_path / "manifest.json")
     assert (manifest["status"], manifest["error"]) == (1, "ConvergenceError")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from general_g import CUBIC_QUINTIC
@@ -13,6 +14,7 @@ from test_model import exponent_cases
 from varkg import (
     AMPLITUDE_RAY,
     INVALID,
+    LIMIT,
     EmptyConstraintSample,
     GridFunction,
     InvalidInput,
@@ -43,7 +45,8 @@ from varkg import (
     verify_T_min_over_P,
     verify_min_on_constraint,
 )
-from varkg.paths import PROJECTION_TOL, _sign_change
+from varkg.paths import PROJECTION_TOL, SCAN_LAMBDAS, _sign_change
+from varkg.radial_core import brent
 
 WIDTH_RAY = ScalingExponents(0.0, 1.0)
 
@@ -182,6 +185,98 @@ def test_subnormal_pair_is_lifted_before_projecting():
     assert np.isclose(lam, 9.0 / 4.0, rtol=1e-4, atol=0)
     lam_again, _ = project_to_constraint(w, nl, se)
     assert lam_again == 1.0
+
+
+@pytest.mark.parametrize("amp", [1e-6, 1e6])
+def test_amplitude_roots_beyond_the_scan_window(amp, nl3):
+    # the Nehari root of amp exp(-r^2) is 1.68 / amp, outside the
+    # [1e-4, 1e4] window of SCAN_LAMBDAS, which only the other rays scan
+    v = GridFunction.sample(RadialGrid(1, 20.0, 4000), lambda r: amp * np.exp(-r**2))
+    lam, w = project_to_constraint(v, nl3, AMPLITUDE_RAY)
+    assert np.isclose(lam * amp, 1.6817823194445765, rtol=1e-12, atol=0)
+    m = moments(w, nl3)
+    assert abs(m.nehari()) <= PROJECTION_TOL * m.h1
+
+
+def _grid_solve_by_amplitude(v, nl, se):
+    """The amplitude-ray root as a bracketed solve finds it: an algebra scan
+    over SCAN_LAMBDAS, a 33-point rescan when the resampled grid map loses
+    that bracket, and one Brent solve of the grid map; None when the scan
+    brackets nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_algebra = moments(v, nl).scaled(SCAN_LAMBDAS, AMPLITUDE_RAY).constraint(se)
+    bracket = _sign_change(k_algebra)
+    if bracket is None:
+        return None
+
+    def k_grid(lam):
+        return moments(rescale(v, lam, AMPLITUDE_RAY), nl).constraint(se)
+
+    lo, hi = SCAN_LAMBDAS[bracket[0]], SCAN_LAMBDAS[bracket[1]]
+    if _sign_change([k_grid(lo), k_grid(hi)]) is None:
+        scan = np.geomspace(lo / 4.0, hi * 4.0, 33)
+        bracket = _sign_change([k_grid(lam) for lam in scan])
+        lo, hi = scan[bracket[0]], scan[bracket[1]]
+    return brent(k_grid, lo, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=exponent_cases(1.0, (1.000001, 5.0)), nehari=st.booleans(),
+       amp=st.floats(0.1, 5.0), width=st.floats(0.5, 3.0))
+def test_amplitude_root_matches_the_grid_solve(case, nehari, amp, width):
+    # the pairs whose region ray is the amplitude ray: (1, 0) and the limit
+    # pairs.  Brent stops within 1e-14 + 8.9e-16 lambda of a sign change of
+    # the grid map, and roundoff fixes that sign change (and the closed
+    # form) only to about 1e-16 / (p - 1) relative, as in the idempotence
+    # test above.  Measured worst: 22 times that floor (p = 1.015, N = 1,
+    # lambda = 6309, over 4,900 random cases); the bound allows 64.
+    alpha, beta, p, n = case
+    if nehari:
+        se = AMPLITUDE_RAY
+    else:
+        assume(classify_exponents(alpha, beta, p, n) == LIMIT)
+        # K is linear in the pair: lift it as the projection does (exact)
+        lift = -min(math.frexp(max(abs(alpha), abs(beta)))[1], 0)
+        se = ScalingExponents(math.ldexp(alpha, lift), math.ldexp(beta, lift))
+    nl = PowerKG(p)
+    v = GridFunction.sample(RadialGrid(n, 20.0, 4000),
+                            lambda r: amp * np.exp(-((r / width) ** 2)))
+    lam_grid = _grid_solve_by_amplitude(v, nl, se)
+    assume(lam_grid is not None)
+    lam = moments(v, nl).amplitude_root(se)
+    assert abs(lam - lam_grid) <= 1e-14 + 8.9e-16 * lam_grid + 64 * lam_grid * 1e-16 / (p - 1.0)
+
+
+def test_amplitude_root_without_a_sign_change(nl3):
+    # along the amplitude ray K_{0,1}(lambda v) = lambda^2 Q - lambda^4 W
+    # with Q > 0 > W for this narrow Gaussian in N = 1: positive for every lambda
+    v = GridFunction.sample(RadialGrid(1, 20.0, 4000), lambda r: np.exp(-((r / 0.1) ** 2)))
+    se = ScalingExponents(0.0, 1.0)
+    with pytest.raises(NoRoot):
+        moments(v, nl3).amplitude_root(se)
+    with pytest.raises(NoRoot):
+        project_to_constraint(v, nl3, se, ray=AMPLITUDE_RAY)
+
+
+def test_amplitude_sweep_resamples_each_member_once(nl3, monkeypatch):
+    # along the amplitude ray the root is in closed form: the projection
+    # resamples once, for the projected profile, and solves nothing
+    gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 25.0, 2000))
+    trials = default_trial_family(gs, count=9, seed=0)
+    resampled = []
+
+    def counting_rescale(v, lam, se):
+        resampled.append(se)
+        return rescale(v, lam, se)
+
+    def no_brent(*args, **kwargs):
+        raise AssertionError("the amplitude ray needs no root finder")
+
+    monkeypatch.setattr("varkg.paths.rescale", counting_rescale)
+    monkeypatch.setattr("varkg.paths.brent", no_brent)
+    report = verify_min_on_constraint(trials, nl3, AMPLITUDE_RAY, gs.level)
+    assert report.passed and report.failures == ()
+    assert resampled == [AMPLITUDE_RAY] * len(trials)
 
 
 def test_sign_change_skips_non_finite_samples():
