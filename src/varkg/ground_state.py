@@ -10,13 +10,14 @@ positivity, and monotone decay.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, InvalidInput
 from .model import Nonlinearity, PowerKG, check_subcritical, moments
-from .radial_core import GridFunction, RadialGrid
+from .radial_core import GridFunction, RadialGrid, brent
 
 # invariant tolerances, relative to the natural scale of each identity
 ODE_RESIDUAL_TOL = 1e-4        # times g(phi(0)) + m0 phi(0), i.e. phi(0)^p for powers
@@ -124,13 +125,21 @@ def closed_form_1d(p: float, omega: float, grid: RadialGrid) -> GroundState:
     return _validate(profile, nl)
 
 
+def _escape_radius(r: float, h: float, y: float, y_last: float) -> float:
+    """Where y, negative at r, fell through zero on the chord from r - h; r if y_last <= 0."""
+    return r - h * y / (y - y_last) if y_last > 0.0 else r
+
+
 def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
     """March the radial ODE outward from amplitude a, one RK4 step per cell.
 
-    Returns (status, values, filled): status is "cross" when the solution
-    goes negative, "diverge" when it exceeds twice the amplitude, "end"
-    at r = R; values holds node samples up to index filled-1 when
-    record is true.
+    Returns (status, values, filled, r_esc): status is "cross" when the
+    solution goes negative, "diverge" when it exceeds twice the
+    amplitude, "end" at r = R; values holds node samples up to index
+    filled-1 when record is true.  r_esc is the escape radius: where the
+    linear interpolant of phi (of chi for "turn", of 2a - phi for
+    "diverge") falls through zero inside the cell where the shot
+    escapes, and R for "end".
 
     The march carries (phi, chi) with chi = -phi', so each stage reads
     g(phi) - (N-1) chi / r with no negation.  A shot that is not recorded
@@ -157,9 +166,9 @@ def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
     r = h
     phi = a + c2 * r * r + c4 * r**4
     chi = -(2.0 * c2 * r + 4.0 * c4 * r**3)
-    if c2 < 0.0 and phi >= a:
+    if c2 < 0.0 and phi > a:
         # the ODE makes phi fall from a when c2 < 0; the series has left
-        # its range at r = h
+        # its range at r = h (phi == a is only c2 h^2 rounding away)
         raise InvalidInput(
             f"grid spacing {h:.3g} is too coarse for the series start at amplitude "
             f"{a:.6g}; use more cells")
@@ -183,22 +192,23 @@ def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
         p4 = phi - h * x3
         x4 = chi + h * k3
         k4 = g(p4) - nm1 * x4 / r
+        last_phi, last_chi = phi, chi
         phi -= h * (chi + 2.0 * x2 + 2.0 * x3 + x4) / 6.0
         chi += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if phi < 0.0:
-            return "cross", vals, i
+            return "cross", vals, i, _escape_radius(r, h, phi, last_phi)
         if phi > upper:
-            return "diverge", vals, i
+            return "diverge", vals, i, _escape_radius(r, h, upper - phi, upper - last_phi)
         if chi < 0.0 and phi > 0.0 and not record and 0.5 * chi * chi + big_g(phi) < 0.0:
-            return "turn", vals, i
+            return "turn", vals, i, _escape_radius(r, h, chi, last_chi)
         if record:
             vals[i] = phi
-    return "end", vals, grid.cells + 1
+    return "end", vals, grid.cells + 1, grid.outer_radius
 
 
 def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
                  bracket: tuple[float, float] = (1.0, 4.0)) -> GroundState:
-    """Bisection shooting on the center amplitude of -Delta(phi) = g(phi).
+    """Brent shooting on the center amplitude of -Delta(phi) = g(phi).
 
     Any nonlinearity shoots the same way, in the grid's dimension; a
     power must also be subcritical there (check_subcritical).
@@ -208,10 +218,20 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     end that crosses becomes the upper end and is halved, and an upper end
     that does not cross becomes the lower end and is doubled, up to
     BRACKET_DOUBLINGS moves in all; a bracket that already straddles is
-    kept.  The returned profile keeps the last non-crossing shot up to its
+    kept.  One brent solve then finds the sign change of the signed miss
+    m(a) = -+exp(-2 sqrt(m0) r_esc(a)), negative when the shot crosses
+    zero and positive when it turns, diverges or reaches R, with r_esc
+    the escape radius of _classify_shot.  Near the critical amplitude the
+    escaping mode grows like exp(kr) on a decaying exp(-kr), k = sqrt(m0),
+    so the miss is close to linear in a there.  Its magnitude is floored
+    at the smallest normal double, because exp(-2kR) underflows on a wide
+    grid and brent takes a zero value as a root.  The solve stops when its
+    bracket is narrower than 1e-15 of its upper end, and the final shot is
+    the largest non-crossing amplitude evaluated: the non-crossing end of
+    that bracket.  The returned profile keeps the final shot up to its
     turning point and continues with the matched linear-decay tail
     phi(r*) (r*/r)^((N-1)/2) exp(-sqrt(m0)(r - r*)), which restores decay
-    past the double-precision resolution limit of the bisection itself.
+    past the double-precision resolution limit of the shooting itself.
     """
     dimension = grid.dimension
     if isinstance(nl, PowerKG):
@@ -221,17 +241,26 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     if not (0 < lo < hi):
         raise InvalidInput(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
 
-    status_lo, _, _ = _classify_shot(lo, nl, grid, record=False)
-    status_hi, _, _ = _classify_shot(hi, nl, grid, record=False)
+    decay2 = 2.0 * math.sqrt(m0)
+    shots = {}  # amplitude -> (status, signed miss), one march per amplitude
+
+    def shot(a: float) -> tuple[str, float]:
+        if a not in shots:
+            status, _, _, r_esc = _classify_shot(a, nl, grid, record=False)
+            size = max(math.exp(-decay2 * r_esc), sys.float_info.min)
+            shots[a] = status, -size if status == "cross" else size
+        return shots[a]
+
+    status_lo, status_hi = shot(lo)[0], shot(hi)[0]
     for _ in range(BRACKET_DOUBLINGS):
         if status_lo == "cross":
             hi, status_hi = lo, status_lo
             lo *= 0.5
-            status_lo, _, _ = _classify_shot(lo, nl, grid, record=False)
+            status_lo = shot(lo)[0]
         elif status_hi != "cross":
             lo, status_lo = hi, status_hi
             hi *= 2.0
-            status_hi, _, _ = _classify_shot(hi, nl, grid, record=False)
+            status_hi = shot(hi)[0]
         else:
             break
     if status_lo == "cross" or status_hi != "cross":
@@ -239,21 +268,10 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
             f"bracket {bracket!r} does not straddle the critical amplitude "
             f"(lo -> {status_lo}, hi = {hi:g} -> {status_hi})")
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # bracket collapsed to adjacent doubles
-        status, _, _ = _classify_shot(mid, nl, grid, record=False)
-        if status == "cross":
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    else:
-        raise ConvergenceError("bisection failed to collapse the amplitude bracket")
-
-    status, vals, filled = _classify_shot(lo, nl, grid, record=True)
+    brent(lambda a: shot(a)[1], lo, hi, xtol=0.0, rtol=1e-15)
+    # the final shot is the last bracket's non-crossing end, whichever end brent returns
+    lo = max(a for a, (status, _) in shots.items() if status != "cross")
+    status, vals, filled, _ = _classify_shot(lo, nl, grid, record=True)
     if status == "cross":
         raise ConvergenceError("final shot crossed zero; bracket degenerated")
     kept = vals[:filled]

@@ -120,6 +120,17 @@ def test_ground_state_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ground_state_from_one_ulp_above_the_equilibrium(tmp_path, capsys, townes):
+    # at omega = 0 the amplitude 1 is the equilibrium phi = 1: one ulp above
+    # it c2 h^2 rounds away and phi(h) == phi(0), which the series-start
+    # guard once took for a grid too coarse
+    assert run(["ground-state", "--N", "2", "--p", "3", "--omega", "0", "--R", "40",
+                "--M", "4000", "--bracket-lo", "1.0000000000000002",
+                "--outdir", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "ground_state.json")["phi0"] == townes.center_value
+    capsys.readouterr()
+
+
 def test_functionals_and_path_roundtrip(tmp_path, capsys):
     grid = RadialGrid(1, 25.0, 2000)
     gs = closed_form_1d(3.0, 0.0, grid)

@@ -189,7 +189,7 @@ def _critical_amplitude(n, nl):
     lo, hi = 0.2, 6.5
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        status, _, _ = _classify_shot(mid, nl, grid, record=True)
+        status, _, _, _ = _classify_shot(mid, nl, grid, record=True)
         if status == "cross":
             hi = mid
         else:
@@ -220,11 +220,49 @@ def test_turning_point_exit_agrees_with_full_march(case):
     # exit must label every shot exactly as the recorded march does
     n, nl, a = case
     grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
-    early, _, _ = _classify_shot(a, nl, grid, record=False)
-    full, values, filled = _classify_shot(a, nl, grid, record=True)
+    early, _, _, _ = _classify_shot(a, nl, grid, record=False)
+    full, values, filled, _ = _classify_shot(a, nl, grid, record=True)
     assert (early == "cross") == (full == "cross")
     if early != "cross":
         assert np.all(values[:filled] >= 0.0)
+
+
+@pytest.mark.parametrize("n, nl", [(n, nl) for n in (2, 3) for nl in SHOT_NONLINEARITIES])
+def test_brent_shot_agrees_with_label_bisection(monkeypatch, n, nl):
+    # the coarse oracle grid fails some identity checks, which do not bear
+    # on where the shooting stops: take the grafted profile unvalidated
+    monkeypatch.setattr("varkg.ground_state._validate", lambda profile, nl: profile)
+    a = shoot_radial(nl, RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)).values[0]
+    a_star = _critical_amplitude(n, nl)
+    assert abs(a - a_star) <= 1e-13 * a_star
+
+
+SHOOT_GRIDS = [(RadialGrid(2, 40.0, 4000), (1.0, 4.0)), (RadialGrid(2, 40.0, 8000), (1.0, 4.0)),
+               (RadialGrid(3, 30.0, 3000), (3.0, 6.0)), (RadialGrid(2, 80.0, 4000), (1.0, 4.0))]
+
+
+@pytest.mark.parametrize("grid, bracket", SHOOT_GRIDS)
+def test_shot_count_and_final_bracket(monkeypatch, grid, bracket):
+    shots = []
+
+    def counted(a, nl, grid, record):
+        out = _classify_shot(a, nl, grid, record)
+        shots.append((a, out[0]))
+        return out
+
+    monkeypatch.setattr("varkg.ground_state._classify_shot", counted)
+    a = shoot_radial(PowerKG(3.0, 0.0), grid, bracket=bracket).center_value
+    assert len(shots) <= 28  # bisection took 53-54
+    assert a == max(x for x, status in shots if status != "cross")
+    crossing = min(x for x, status in shots if status == "cross")
+    assert a < crossing <= a + 1e-15 * a
+
+
+def test_miss_never_underflows_on_a_wide_grid():
+    # exp(-2 sqrt(m0) R) underflows to 0.0 at R = 400, and the equilibrium
+    # end a = 1 reaches R: a zero miss there would be taken for the root
+    gs = shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 400.0, 40000))
+    assert abs(gs.center_value - 2.2062008592293427) <= 1e-15 * 2.2062008592293427
 
 
 @pytest.mark.parametrize("fixture, level, center", [
