@@ -28,6 +28,7 @@ from . import __version__
 from .errors import InvalidInput, VarkgError, WrongRegion
 from .evolution import (
     BLOWUP_DETECTED,
+    DEFAULT_CFL,
     energy_drift,
     evolve,
     invariant_monitor,
@@ -430,7 +431,7 @@ COMMANDS = {
     "evolve": _command(
         _cmd_evolve, "run one radial evolution",
         **NONLINEARITY, R=80.0, M=4000, lam=1.05, mu=1.05, tmax=20.0, blowup_factor=5.0,
-        cfl=0.4),
+        cfl=DEFAULT_CFL),
     "instability-sweep": _command(
         _cmd_instability_sweep, "evolve over a (lambda, mu) grid",
         **NONLINEARITY, R=80.0, M=4000, tmax=20.0, blowup_factor=5.0,

@@ -110,39 +110,54 @@ def _operator(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float]:
     s[-1] = 0.0  # the Dirichlet node is not free
     pair = face * (s[1:] + s[:-1])
     stiffness = float((s[:-1] * (pair + np.append(0.0, pair[:-1]))).max())
+    face.flags.writeable = cell.flags.writeable = False  # every caller shares them
     return face, cell, stiffness
+
+
+def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray):
+    """A call writing radial_laplacian of u's current values into out."""
+    face, cell, _ = _operator(grid)
+    flux, out_lo, cell_lo = np.zeros(u.size), out[:-1], cell[:-1]
+    u_hi, u_lo, flux_hi, flux_lo = u[1:], u[:-1], flux[1:], flux[:-1]
+    def laplacian():
+        np.subtract(u_hi, u_lo, out=flux_hi)
+        np.multiply(face, flux_hi, out=flux_hi)
+        np.subtract(flux_hi, flux_lo, out=out_lo)  # flux[0] = 0: nothing crosses the origin
+        np.divide(out_lo, cell_lo, out=out_lo)
+        out[-1] = 0.0
+    return laplacian
 
 
 def radial_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Flux difference over cell measure (see _operator), zero at the Dirichlet
     edge: -cell * lap(u) is the exact gradient of the energy's face term."""
-    face, cell, _ = _operator(grid)
-    flux = np.append(0.0, face * np.diff(values))  # nothing crosses the origin
-    return np.append(np.diff(flux) / cell[:-1], 0.0)
-
-
-def _acceleration(values: np.ndarray, grid: RadialGrid, g) -> np.ndarray:
-    acc = radial_laplacian(values, grid) + g(values)
-    acc[-1] = 0.0
-    return acc
+    out = np.empty(np.size(values))
+    _laplacian_into(np.asarray(values), grid, out)()
+    return out
 
 
 def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow, n_steps: int):
-    """Advance (u, v) in place by kick-drift-kick steps of the flow
-    nonlinearity, yielding the count after each; a dt outside
-    (0, 2/sqrt(stiffness + mass)] raises first."""
+    """Advance (u, v) in place, in buffers made once a run (only flow.g
+    allocates), by kick-drift-kick steps of the flow nonlinearity, yielding
+    the count after each; the operation order is the bit-identity contract.
+    A dt outside (0, 2/sqrt(stiffness + mass)] raises first."""
     bound = 2.0 / math.sqrt(_operator(grid)[2] + flow.mass)
     if not (0.0 < dt <= bound):
         raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
                                f"(0, {bound:g}], i.e. cfl <= {bound / grid.spacing:.4g}")
-    g = flow.g
-    acc = _acceleration(u, grid, g)
+    acc, kick, half = np.empty(u.size), np.empty(u.size), 0.5 * dt
+    laplacian = _laplacian_into(u, grid, acc)
+    def accelerate():
+        laplacian()
+        np.add(acc, flow.g(u), out=acc)
+        acc[-1] = 0.0
+    accelerate()
     for k in range(1, n_steps + 1):
-        v += 0.5 * dt * acc
-        u += dt * v
+        np.add(v, np.multiply(half, acc, out=kick), out=v)
+        np.add(u, np.multiply(dt, v, out=kick), out=u)
         u[-1] = 0.0
-        acc = _acceleration(u, grid, g)
-        v += 0.5 * dt * acc
+        accelerate()
+        np.add(v, np.multiply(half, acc, out=kick), out=v)
         yield k
 
 

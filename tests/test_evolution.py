@@ -36,8 +36,12 @@ from varkg import (
     step,
 )
 
+import varkg.evolution
+from varkg.evolution import _leapfrog, _operator
+from varkg.model import flow_nonlinearity
 from varkg.radial_core import SPHERE_SURFACE
 
+from general_g import CUBIC_QUINTIC
 from oracle_townes import J0_FIRST_ZERO
 
 
@@ -346,6 +350,85 @@ def test_laplacian_sums_by_parts(case):
     scale = np.abs(lhs).sum() + np.abs(rhs).sum()
     # products of subnormals keep no relative precision: hence the absolute floor
     assert abs(lhs.sum() - rhs.sum()) <= 1e-12 * scale + 1e-300
+
+
+def allocating_laplacian(u, grid):
+    """The flux-difference Laplacian as written before it worked in place."""
+    face, cell, _ = _operator(grid)
+    return np.append(np.diff(np.append(0.0, face * np.diff(u))) / cell[:-1], 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=laplacian_cases())
+@example(case=SUBNORMAL_CASE)
+def test_laplacian_is_bit_identical_to_the_allocating_form(case):
+    dimension, outer, u, _ = case
+    grid = RadialGrid(dimension, outer, u.size - 1)
+    assert np.array_equal(radial_laplacian(u, grid), allocating_laplacian(u, grid))
+
+
+def allocating_leapfrog(u, v, dt, grid, g, n_steps):
+    """The kick-drift-kick step as written before it worked in place."""
+    def acceleration(values):
+        acc = allocating_laplacian(values, grid) + g(values)
+        acc[-1] = 0.0
+        return acc
+
+    acc = acceleration(u)
+    for _ in range(n_steps):
+        v += 0.5 * dt * acc
+        u += dt * v
+        u[-1] = 0.0
+        acc = acceleration(u)
+        v += 0.5 * dt * acc
+
+
+@pytest.mark.parametrize("dimension, nl, edge", [
+    (1, PowerKG(3.0), 0.0), (2, PowerKG(3.0), 0.0), (3, PowerKG(3.0), 0.0),
+    (2, CUBIC_QUINTIC, 0.0),
+    (1, PowerKG(3.0), 0.25),  # the edge value starts nonzero: acc[-1] = 0 still
+])
+def test_leapfrog_is_bit_identical_to_the_allocating_form(dimension, nl, edge):
+    grid = RadialGrid(dimension, 10.0, 200)
+    flow = flow_nonlinearity(nl)
+    u = 0.8 * np.exp(-grid.r**2) + edge * grid.r / grid.outer_radius
+    v = 0.3 * grid.r * np.exp(-grid.r**2)
+    want_u, want_v = u.copy(), v.copy()
+    dt = 0.4 * grid.spacing
+    assert list(_leapfrog(u, v, dt, grid, flow, 300)) == list(range(1, 301))
+    allocating_leapfrog(want_u, want_v, dt, grid, flow.g, 300)
+    assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+
+
+def test_operator_arrays_are_read_only():
+    # every run on a grid shares them, so a stray write would corrupt the next
+    face, cell, _ = _operator(RadialGrid(2, 10.0, 100))
+    for shared in (face, cell):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+        with pytest.raises(ValueError):
+            shared *= 2.0
+
+
+@pytest.mark.parametrize("lam, t_max, termination", [(0.9, 1.0, REACHED_TMAX),
+                                                     (1.05, 20.0, BLOWUP_DETECTED)])
+def test_each_record_is_one_record_call(townes, monkeypatch, lam, t_max, termination):
+    # a tracer wraps the module-level _record that evolve looks up per record,
+    # and counts its calls against the records of the run
+    calls = []
+    record = varkg.evolution._record
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(varkg.evolution, "_record", counted)
+    u = make_initial_data(townes, lam, lam)
+    traj = evolve(u, GridFunction.zeros(u.grid), townes.nonlinearity, t_max=t_max,
+                  m_ref=townes.level)
+    assert traj.termination == termination
+    assert len(calls) == len(traj.records) > 2
+    assert calls == [rec.t for rec in traj.records]
 
 
 @pytest.mark.parametrize("dimension, stable, unstable",
