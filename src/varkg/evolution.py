@@ -23,13 +23,12 @@ from .errors import (
     Unsupported,
 )
 from .ground_state import GroundState
-from .model import ScalingExponents, flow_nonlinearity, moments
+from .model import ScalingExponents, _moment_arrays, flow_nonlinearity
 from .paths import rescale
 from .radial_core import (
     SPHERE_SURFACE,
     GridFunction,
     RadialGrid,
-    _derivative_kernel,
     grad_norm_sq,
     l2_norm_sq,
     require_same_grid,
@@ -168,13 +167,12 @@ def step(state: EvolutionState, dt: float, nl) -> EvolutionState:
     return EvolutionState(state.grid, u, v, state.t + dt)
 
 
-def _outer_fraction(u: np.ndarray, grid: RadialGrid, outer: np.ndarray) -> float:
-    du = _derivative_kernel(u, grid)
-    density = grid.weights * (u * u + du * du)
-    total = float(density.sum())
-    if total == 0.0:
+def _outer_fraction(grid: RadialGrid, arrays: tuple, outer: slice) -> float:
+    """Square root of the outer nodes' share of the H1 moment, from _record's arrays."""
+    m, uu, dd = arrays
+    if m.h1 == 0.0:
         return 0.0
-    return math.sqrt(float(density[outer].sum()) / total)
+    return math.sqrt(float((grid.weights[outer] * (uu[outer] + dd[outer])).sum()) / m.h1)
 
 
 def _discrete_energy(u: np.ndarray, v: np.ndarray, grid: RadialGrid, flow) -> float:
@@ -195,14 +193,17 @@ def discrete_energy(u: GridFunction, v: GridFunction, nl) -> float:
 
 
 def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
-            flow, m_ref: float | None) -> TrajectoryRecord:
-    """The diagnostics at one record time; the only place that decides
-    membership in {E < m_ref, P > 0}, with E the flow's discrete energy."""
+            flow, m_ref: float | None) -> tuple[TrajectoryRecord, tuple]:
+    """The diagnostics at one record time, and the _moment_arrays of u for
+    _outer_fraction; the only place that decides membership in
+    {E < m_ref, P > 0}, with E the flow's discrete energy."""
     energy = _discrete_energy(u, v, grid, flow)
-    m = moments(GridFunction(grid, u), flow)
+    arrays = _moment_arrays(u, grid, flow)
+    m = arrays[0]
     p_val = m.potential()
     in_set = m_ref is not None and energy < m_ref and p_val > 0.0
-    return TrajectoryRecord(t, energy, m.action(), p_val, m.kinetic, math.sqrt(m.h1), in_set)
+    return (TrajectoryRecord(t, energy, m.action(), p_val, m.kinetic, math.sqrt(m.h1), in_set),
+            arrays)
 
 
 def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
@@ -232,15 +233,17 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     stride = max(1, round(RECORD_INTERVAL / dt))
 
     u, v = np.array(u0.values, dtype=float), np.array(v0.values, dtype=float)
-    records = [_record(grid, u, v, 0.0, flow, m_ref)]
-    h1_init = records[0].h1_norm
-    outer = grid.r >= (1.0 - BOUNDARY_ZONE) * grid.outer_radius
-    frac_init = _outer_fraction(u, grid, outer)
+    # the zone is the tail of the grid, r >= (1 - BOUNDARY_ZONE) R
+    outer = slice(int(np.searchsorted(grid.r, (1.0 - BOUNDARY_ZONE) * grid.outer_radius)), None)
     termination = REACHED_TMAX
 
     # losing finiteness is a recorded event; silence the intermediate
-    # overflow warnings on the way to its detection
+    # overflow warnings on the way to its detection (data whose own record
+    # overflows raise NumericalOverflow)
     with np.errstate(over="ignore", invalid="ignore"):
+        rec, arrays = _record(grid, u, v, 0.0, flow, m_ref)
+        records, h1_init = [rec], rec.h1_norm
+        frac_init = _outer_fraction(grid, arrays, outer)
         for k in _leapfrog(u, v, dt, grid, flow, n_steps):
             if k % stride != 0 and k != n_steps:
                 continue
@@ -249,7 +252,7 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
                 termination = NON_FINITE
                 break
             try:
-                rec = _record(grid, u, v, t, flow, m_ref)
+                rec, arrays = _record(grid, u, v, t, flow, m_ref)
             except NumericalOverflow:
                 # finite state whose diagnostics left the representable
                 # range: the same terminal event as literal infinities
@@ -259,7 +262,7 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
             if rec.h1_norm > blowup_factor * h1_init:
                 termination = BLOWUP_DETECTED
                 break
-            if _outer_fraction(u, grid, outer) > frac_init + BOUNDARY_FRACTION:
+            if _outer_fraction(grid, arrays, outer) > frac_init + BOUNDARY_FRACTION:
                 termination = BOUNDARY_CONTAMINATION
                 break
 
@@ -278,12 +281,14 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
     does not.  In dimension 2 phi(x/mu) has the gradient moment of phi and
     mu^2 times its L2 moment; a mu whose resampled profile misses either
     by more than RESOLUTION_TOL (relative) is not resolved by the grid and
-    raises InvalidParameter.
+    raises InvalidParameter, as does a lam or mu not positive and finite;
+    lam * phi past the float range raises NumericalOverflow.
     """
     if gs.grid.dimension != 2:
         raise Unsupported("instability data construction is specific to dimension 2")
-    if not (lam > 0.0 and mu > 0.0):
-        raise InvalidParameter("lam and mu must be positive")
+    for name, value in (("lambda", lam), ("mu", mu)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
     nl = gs.nonlinearity
     if flow_nonlinearity(nl) != nl:
         raise Unsupported("the real radial flow carries standing waves only at omega = 0, "
@@ -296,6 +301,8 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
     if not off <= RESOLUTION_TOL:
         raise InvalidParameter(f"the grid does not resolve mu = {mu:g}: the dilated profile's "
                                f"moments are off by {off:.3g} (limit {RESOLUTION_TOL:g})")
+    if not math.isfinite(lam * float(np.abs(stretched.values).max())):
+        raise NumericalOverflow(f"lambda = {lam:g} takes the profile past the float range")
     return GridFunction(stretched.grid, lam * stretched.values)
 
 

@@ -38,6 +38,9 @@ from .errors import (
 )
 from .radial_core import (
     GridFunction,
+    RadialGrid,
+    _derivative_kernel,
+    _integral,
     grad_norm_sq,
     l2_norm_sq,
     require_same_grid,
@@ -53,6 +56,19 @@ LIMIT = "Limit"
 INVALID = "Invalid"
 
 
+def _abs_power(q: float) -> Callable:
+    """x -> |x|^q on floats and arrays.  An even integer 2 <= q <= 8 is a
+    product of squares, with no abs: its q - 1 roundings keep it within
+    q + 1 ulps of pow, and at q = 2 it is numpy's own fast path of
+    abs(x) ** 2.0.  Any other q is pow, odd ones too: with |x|^3 as a
+    product, reprojecting a p = 2 profile lands an ulp below lambda = 1."""
+    products = {2: lambda x: x * x,
+                4: lambda x: (s := x * x) * s,
+                6: lambda x: (s := x * x) * s * s,
+                8: lambda x: (s := (t := x * x) * t) * s}
+    return products.get(q, lambda x: abs(x) ** q)
+
+
 @dataclass(frozen=True)
 class PowerKG:
     """Power nonlinearity g(s) = -m0 s + |s|^(p-1) s with frequency omega.
@@ -60,7 +76,7 @@ class PowerKG:
     The frequency enters only through the mass m0 = 1 - omega^2 of the
     stationary equation; |omega| < 1 keeps the mass positive.  g, its
     derivative dg and its primitive G are plain closures, callable on
-    floats and numpy arrays.
+    floats and numpy arrays, that take |s|^(p-1) and |s|^(p+1) from _abs_power.
     """
 
     p: float
@@ -74,17 +90,17 @@ class PowerKG:
             raise InvalidInput(f"power must satisfy p > 1, got {self.p!r}")
         if not (math.isfinite(self.omega) and abs(self.omega) < 1):
             raise InvalidMass(f"frequency must satisfy |omega| < 1, got {self.omega!r}")
-        p, m0, pm1, pp1 = self.p, self.mass, self.p - 1.0, self.p + 1.0
-        neg_m0 = -m0
+        p, m0, pp1 = self.p, self.mass, self.p + 1.0
+        neg_m0, abs_pm1, abs_pp1 = -m0, _abs_power(p - 1.0), _abs_power(pp1)
 
         def g(s):
-            return neg_m0 * s + abs(s) ** pm1 * s
+            return neg_m0 * s + abs_pm1(s) * s
 
         def dg(s):
-            return neg_m0 + p * abs(s) ** pm1
+            return neg_m0 + p * abs_pm1(s)
 
         def big_g(s):
-            return -0.5 * m0 * s**2 + abs(s) ** pp1 / pp1
+            return -0.5 * m0 * s**2 + abs_pp1(s) / pp1
 
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "dg", dg)
@@ -218,11 +234,11 @@ def classify_exponents(alpha: float, beta: float, p: float, dimension: int) -> s
 
 
 def power_integral(v: GridFunction, q: float) -> float:
-    """int |v|^q against the radial measure (q > 0; exp/log path of numpy pow)."""
+    """int |v|^q against the radial measure (q > 0; |v|^q as _abs_power takes it)."""
     if q <= 0:
         raise InvalidInput(f"exponent must be positive, got {q!r}")
     with np.errstate(over="ignore"):
-        out = float(np.sum(v.grid.weights * np.abs(v.values) ** q))
+        out = _integral(_abs_power(q)(v.values), v.grid)
     if not math.isfinite(out):
         raise NumericalOverflow("power integral left the representable range")
     return out
@@ -325,14 +341,22 @@ def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
     """The gradient, L2 and potential moments of v, tagged with nl and v's
     dimension; every functional is a form on them.  G is evaluated on |v|,
     so a sign-changing v has the potential moment of its modulus."""
-    if isinstance(nl, PowerKG):
-        pot = power_integral(v, nl.p + 1.0)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            pot = float(np.sum(v.grid.weights * nl.G(np.abs(v.values))))
-        if not math.isfinite(pot):
-            raise NumericalOverflow("int G(v) left the representable range")
-    return Moments(grad_norm_sq(v), l2_norm_sq(v), pot, nl, v.grid.dimension)
+    return _moment_arrays(v.values, v.grid, nl)[0]
+
+
+def _moment_arrays(values: np.ndarray, grid: RadialGrid,
+                   nl: Nonlinearity) -> tuple[Moments, np.ndarray, np.ndarray]:
+    """moments of the node values (unchecked) with the squares u*u and d*d,
+    d the derivative, whose integrals are the L2 and gradient moments."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pot = _integral(_abs_power(nl.p + 1.0)(values) if isinstance(nl, PowerKG)
+                        else nl.G(np.abs(values)), grid)
+    if not math.isfinite(pot):
+        raise NumericalOverflow("the potential moment left the representable range")
+    # squares after the potential, without keeping d: with six arrays live at
+    # once, moments of a 16,001-node profile took about 1.5 times as long
+    uu, dd = values * values, np.square(_derivative_kernel(values, grid))
+    return Moments(_integral(dd, grid), _integral(uu, grid), pot, nl, grid.dimension), uu, dd
 
 
 def kinetic_T(v: GridFunction) -> float:

@@ -153,8 +153,8 @@ def require_same_grid(u: GridFunction, v: GridFunction) -> None:
         raise GridMismatch(f"operands on different grids: {u.grid!r} vs {v.grid!r}")
 
 
-def _l2_kernel(values: np.ndarray, grid: RadialGrid) -> float:
-    return float(np.sum(grid.weights * (values * values)))
+def _integral(density: np.ndarray, grid: RadialGrid) -> float:
+    return float((grid.weights * density).sum())
 
 
 def _derivative_kernel(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -168,18 +168,15 @@ def _derivative_kernel(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return d
 
 
-def _grad_kernel(values: np.ndarray, grid: RadialGrid) -> float:
-    return _l2_kernel(_derivative_kernel(values, grid), grid)
-
-
 def l2_norm_sq(v: GridFunction) -> float:
     """Squared L2 norm against the radial measure."""
-    return _l2_kernel(v.values, v.grid)
+    return _integral(v.values * v.values, v.grid)
 
 
 def grad_norm_sq(v: GridFunction) -> float:
     """Squared L2 norm of the radial derivative against the measure."""
-    return _grad_kernel(v.values, v.grid)
+    d = _derivative_kernel(v.values, v.grid)
+    return _integral(d * d, v.grid)
 
 
 def h1_norm_sq(v: GridFunction) -> float:

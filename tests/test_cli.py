@@ -305,6 +305,27 @@ def test_evolve_initial_block_is_the_first_record(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value, error, says", [
+    ("--lambda", "inf", "InvalidParameter", "lambda must be positive and finite"),
+    ("--mu", "inf", "InvalidParameter", "mu must be positive and finite"),
+    ("--lambda", "1e308", "NumericalOverflow", "lambda = 1e+308"),  # lambda * phi overflows
+    ("--lambda", "1e100", "NumericalOverflow", "the potential moment"),  # the first record's |u|^4 does
+])
+def test_evolve_refuses_bad_lambda_and_mu_in_one_line(tmp_path, flag, value, error, says):
+    # in a fresh process, whose stderr also shows any RuntimeWarning
+    src = os.path.dirname(os.path.dirname(os.path.abspath(varkg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("VARKG_OUTDIR", None)
+    done = subprocess.run([sys.executable, "-m", "varkg.cli", "evolve", "--R", "30", "--M", "1500",
+                           "--tmax", "1", flag, value, "--outdir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr.startswith(f"varkg: {error}: {says}") and done.stderr.count("\n") == 1
+    assert read_json(tmp_path / "manifest.json")["error"] == error
+
+
 def test_evolve_refuses_a_width_the_grid_cannot_resolve(tmp_path, capsys):
     # mu = 1e-9 would shrink the ground state onto one node
     argv = ["evolve", "--R", "30", "--M", "1500", "--lambda", "1", "--tmax", "1"]

@@ -1,6 +1,13 @@
 """Leapfrog radial Klein-Gordon evolution and the invariant-set machinery."""
 
+import ast
+import collections
+import functools
 import math
+import os
+import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +26,7 @@ from varkg import (
     InvalidParameter,
     LINEAR_KG,
     NON_FINITE,
+    NumericalOverflow,
     PowerKG,
     PreconditionFailed,
     REACHED_TMAX,
@@ -37,9 +45,9 @@ from varkg import (
 )
 
 import varkg.evolution
-from varkg.evolution import _leapfrog, _operator
-from varkg.model import flow_nonlinearity
-from varkg.radial_core import SPHERE_SURFACE
+from varkg.evolution import BOUNDARY_ZONE, _leapfrog, _operator, _outer_fraction, _record
+from varkg.model import Moments, flow_nonlinearity
+from varkg.radial_core import SPHERE_SURFACE, _derivative_kernel
 
 from general_g import CUBIC_QUINTIC
 from oracle_townes import J0_FIRST_ZERO
@@ -197,6 +205,22 @@ def test_initial_data_resample_and_guards(townes, phi_1d):
         make_initial_data(phi_1d, 1.0, 1.0)
     with pytest.raises(TruncationOverflow):
         make_initial_data(townes, 1.0, 100.0)
+
+
+@pytest.mark.parametrize("lam, mu, error, message", [
+    (math.inf, 1.0, InvalidParameter, "lambda must be positive and finite, got inf"),
+    (math.nan, 1.0, InvalidParameter, "lambda must be positive and finite, got nan"),
+    (1.0, math.inf, InvalidParameter, "mu must be positive and finite, got inf"),
+    (1.0, -1.0, InvalidParameter, "mu must be positive and finite, got -1.0"),
+    (1e308, 1.0, NumericalOverflow, "lambda = 1e\\+308 takes the profile past the float range"),
+])
+def test_initial_data_names_a_bad_lambda_or_mu(townes, lam, mu, error, message):
+    # inf used to reach the grid function as NaN nodes, and mu = inf the
+    # rescale as its reciprocal 0; none of them may warn on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            make_initial_data(townes, lam, mu)
 
 
 def test_discrete_energy_tracks_quadrature(townes, nl3):
@@ -449,3 +473,112 @@ def test_evolve_rejects_cfl_past_stability_bound(nl3):
         evolve(zero, zero, nl3, t_max=1.0, cfl=1.2)
     for cfl in (0.4, 0.1, 0.01):
         assert evolve(zero, zero, nl3, t_max=0.05, cfl=cfl).termination == REACHED_TMAX
+
+
+def record_before_one_pass(grid, u, v, flow, m_ref):
+    """The record's (E, S, P, T, H1, membership) and the outer fraction as
+    computed before a record took its arrays once: pow for |u|^(p+1), np.sum,
+    a second derivative and an outer mask for the fraction."""
+    face, cell, _ = _operator(grid)
+    w = grid.weights
+    if isinstance(flow, PowerKG):
+        m0, pp1 = flow.mass, flow.p + 1.0
+        big_g = lambda s: -0.5 * m0 * s**2 + abs(s) ** pp1 / pp1
+        pot = float(np.sum(w * np.abs(u) ** pp1))
+    else:
+        big_g = flow.G
+        pot = float(np.sum(w * flow.G(np.abs(u))))
+    du = np.diff(u)
+    energy = float((cell * (0.5 * v * v - big_g(u))).sum()) + 0.5 * float((face * du * du).sum())
+    d = _derivative_kernel(u, grid)
+    m = Moments(float(np.sum(w * (d * d))), float(np.sum(w * (u * u))), pot, flow,
+                grid.dimension)
+    p_val = m.potential()
+    fields = (energy, m.action(), p_val, m.kinetic, math.sqrt(m.h1),
+              energy < m_ref and p_val > 0.0)
+    d = _derivative_kernel(u, grid)
+    density = w * (u * u + d * d)
+    outer = grid.r >= (1.0 - BOUNDARY_ZONE) * grid.outer_radius
+    return fields, math.sqrt(float(density[outer].sum()) / float(density.sum()))
+
+
+@pytest.mark.parametrize("ground, t", [("townes", 0.0), ("townes", 0.8),
+                                       ("cubic_quintic_ground", 0.0),
+                                       ("cubic_quintic_ground", 0.8)])
+def test_record_matches_its_form_before_one_pass(request, ground, t):
+    # the dilated data lambda = mu = 1.05 and its state at t = 0.8, before
+    # the escape at t = 1.3; only |u|^4 of the power family moved, by
+    # products in place of pow
+    gs = request.getfixturevalue(ground)
+    grid, flow = gs.grid, flow_nonlinearity(gs.nonlinearity)
+    u = make_initial_data(gs, 1.05, 1.05).values.copy()
+    v = np.zeros_like(u)
+    dt = 0.4 * grid.spacing
+    for _ in _leapfrog(u, v, dt, grid, flow, round(t / dt)):
+        pass
+    rec, arrays = _record(grid, u, v, t, flow, gs.level)
+    got = (rec.energy, rec.action, rec.p_value, rec.kinetic, rec.h1_norm, rec.in_invariant_set)
+    want, want_fraction = record_before_one_pass(grid, u, v, flow, gs.level)
+    outer = slice(int(np.argmax(grid.r >= (1.0 - BOUNDARY_ZONE) * grid.outer_radius)), None)
+    fraction = _outer_fraction(grid, arrays, outer)
+    if isinstance(flow, PowerKG):
+        assert got[3:] == want[3:]
+        assert np.allclose(got[:3], want[:3], rtol=1e-15, atol=0)
+    else:
+        assert got == want
+    assert np.isclose(fraction, want_fraction, rtol=1e-14, atol=0)
+
+
+def test_no_public_call_per_step(monkeypatch):
+    # the benchmark's tracer wraps every public varkg function, and the grid
+    # classes' constructors, with a span: a public call inside the step would
+    # add one per step, so runs of 100 and 200 steps with one record every 5
+    # and 10 steps must make the same calls
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "varkg" or name.startswith("varkg.")}
+    wrapped = {}
+    for mod in modules.values():
+        for attr, obj in list(vars(mod).items()):
+            if (isinstance(obj, types.FunctionType) and not attr.startswith("_")
+                    and obj.__module__ in modules):
+                if obj not in wrapped:
+                    wrapped[obj] = counted(f"{obj.__module__}.{obj.__name__}", obj)
+                monkeypatch.setattr(mod, attr, wrapped[obj])
+    for cls in (RadialGrid, GridFunction):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+
+    grid = RadialGrid(2, 10.0, 200)
+    u0 = GridFunction.sample(grid, lambda r: 0.5 * np.exp(-r**2))
+    zero = GridFunction.zeros(grid)
+    runs = []
+    for cfl in (0.2, 0.1):
+        calls.clear()
+        traj = varkg.evolution.evolve(u0, zero, PowerKG(3.0), t_max=1.0, cfl=cfl)
+        runs.append((len(traj.records), dict(calls)))
+    assert runs[0][0] == runs[1][0] == 21
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][1]["varkg.evolution.evolve"] == 1
+
+
+def test_benchmark_copies_the_evolution_constants():
+    # perfbench/workloads.py derives the expected step and record counts of
+    # its checks from its own copies of these two constants
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    copies = {target.id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id in ("DEFAULT_CFL", "RECORD_INTERVAL")}
+    assert copies == {"DEFAULT_CFL": varkg.evolution.DEFAULT_CFL,
+                      "RECORD_INTERVAL": varkg.evolution.RECORD_INTERVAL}

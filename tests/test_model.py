@@ -36,7 +36,7 @@ from varkg import (
     ray_exponents,
     rescale,
 )
-from varkg.model import Moments
+from varkg.model import Moments, _abs_power
 
 
 def test_power_kg_validation():
@@ -286,3 +286,45 @@ def test_p_is_minus_half_k_zero_minus_one_in_2d(values, p, omega):
     assert classify_exponents(0.0, -1.0, p, 2) == LIMIT
     se = ScalingExponents(0.0, -1.0)
     assert m.constraint(se) == -2.0 * m.potential()
+
+
+FLOAT_MAX = float(np.finfo(float).max)
+
+
+@st.composite
+def power_kernel_cases(draw):
+    """(q, x): q an integer 2..8 and x with zeros, subnormals, negatives,
+    anything finite, and values within a few ulps of the x where |x|^q
+    crosses the largest float."""
+    q = draw(st.integers(2, 8))
+    edge = FLOAT_MAX ** (1.0 / q)
+    near_edge = st.integers(-64, 64).map(lambda k: float(edge + k * np.spacing(edge)))
+    element = (st.just(0.0) | st.floats(-2.3e-308, 2.3e-308) | st.floats(-1e3, 1e3)
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | near_edge | near_edge.map(lambda x: -x))
+    return q, draw(arrays(float, st.integers(1, 40), elements=element))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=power_kernel_cases(), frac=st.floats(0.05, 0.95))
+def test_power_kernel_against_pow(case, frac):
+    # an even q is q - 1 roundings of products, pow is within an ulp of the
+    # exact power, so the two agree to q + 1 ulps (of the larger float range
+    # next to zero too); where one overflows and the other does not, the
+    # finite one lies within q + 1 ulps of the largest float.  An odd q and
+    # a non-integer one are pow itself, and q = 2 is numpy's square.
+    q, x = case
+    with np.errstate(over="ignore"):
+        got, want = _abs_power(float(q))(x), np.abs(x) ** float(q)
+        assert np.array_equal(_abs_power(q + frac)(x), np.abs(x) ** (q + frac))
+    if q % 2 or q == 2:
+        assert np.array_equal(got, want)
+    both = np.isfinite(got) & np.isfinite(want)
+    assert np.all(np.abs(got[both] - want[both]) <= (q + 1) * np.spacing(want[both]))
+    one = np.isfinite(got) != np.isfinite(want)
+    band = FLOAT_MAX - (q + 1) * 2.0**971  # 2^971 is the ulp of the largest float
+    assert np.all(np.where(np.isfinite(got), got, want)[one] >= band)
+    grid = RadialGrid(2, 5.0, 16)
+    past_edge = np.append(np.full(16, 2.0 * FLOAT_MAX ** (1.0 / q)), 0.0)
+    with pytest.raises(NumericalOverflow):
+        power_integral(GridFunction(grid, past_edge), float(q))
