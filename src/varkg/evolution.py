@@ -194,9 +194,8 @@ def discrete_energy(u: GridFunction, v: GridFunction, nl) -> float:
 
 def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
             flow, m_ref: float | None) -> tuple[TrajectoryRecord, tuple]:
-    """The diagnostics at one record time, and the _moment_arrays of u for
-    _outer_fraction; the only place that decides membership in
-    {E < m_ref, P > 0}, with E the flow's discrete energy."""
+    """The diagnostics at one record time and u's _moment_arrays; the only
+    place that decides membership in {E < m_ref, P > 0}, E the flow's energy."""
     energy = _discrete_energy(u, v, grid, flow)
     arrays = _moment_arrays(u, grid, flow)
     m = arrays[0]
@@ -238,12 +237,11 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     termination = REACHED_TMAX
 
     # losing finiteness is a recorded event; silence the intermediate
-    # overflow warnings on the way to its detection (data whose own record
-    # overflows raise NumericalOverflow)
+    # overflow warnings on the way to its detection
     with np.errstate(over="ignore", invalid="ignore"):
         rec, arrays = _record(grid, u, v, 0.0, flow, m_ref)
-        records, h1_init = [rec], rec.h1_norm
-        frac_init = _outer_fraction(grid, arrays, outer)
+        records, h1_init, frac_init = [rec], rec.h1_norm, _outer_fraction(grid, arrays, outer)
+        arrays = None  # u*u and d*d held through the steps raised the peak RSS
         for k in _leapfrog(u, v, dt, grid, flow, n_steps):
             if k % stride != 0 and k != n_steps:
                 continue
@@ -265,6 +263,7 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
             if _outer_fraction(grid, arrays, outer) > frac_init + BOUNDARY_FRACTION:
                 termination = BOUNDARY_CONTAMINATION
                 break
+            arrays = None
 
     final = EvolutionState(grid, u, v, records[-1].t if termination != NON_FINITE else k * dt)
     return Trajectory(tuple(records), termination, final, m_ref)

@@ -39,8 +39,8 @@ from .errors import (
 from .radial_core import (
     GridFunction,
     RadialGrid,
-    _derivative_kernel,
     _integral,
+    _squares,
     grad_norm_sq,
     l2_norm_sq,
     require_same_grid,
@@ -56,17 +56,13 @@ LIMIT = "Limit"
 INVALID = "Invalid"
 
 
-def _abs_power(q: float) -> Callable:
-    """x -> |x|^q on floats and arrays.  An even integer 2 <= q <= 8 is a
-    product of squares, with no abs: its q - 1 roundings keep it within
-    q + 1 ulps of pow, and at q = 2 it is numpy's own fast path of
-    abs(x) ** 2.0.  Any other q is pow, odd ones too: with |x|^3 as a
-    product, reprojecting a p = 2 profile lands an ulp below lambda = 1."""
-    products = {2: lambda x: x * x,
-                4: lambda x: (s := x * x) * s,
-                6: lambda x: (s := x * x) * s * s,
-                8: lambda x: (s := (t := x * x) * t) * s}
-    return products.get(q, lambda x: abs(x) ** q)
+def _abs_power(x, q: float):
+    """|x|^q on floats and arrays: x * x at q = 2, as numpy's pow squares, and
+    (x * x) * (x * x) at q = 4, within 3 ulps of pow; pow at any other q."""
+    if q != 2.0 and q != 4.0:
+        return abs(x) ** q
+    s = x * x
+    return s if q == 2.0 else s * s
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,8 @@ class PowerKG:
     The frequency enters only through the mass m0 = 1 - omega^2 of the
     stationary equation; |omega| < 1 keeps the mass positive.  g, its
     derivative dg and its primitive G are plain closures, callable on
-    floats and numpy arrays, that take |s|^(p-1) and |s|^(p+1) from _abs_power.
+    floats and numpy arrays; dg and G take |s|^q from _abs_power, and g,
+    the shooting march's inner call, writes it out: s * s * s at p = 3.
     """
 
     p: float
@@ -90,17 +87,20 @@ class PowerKG:
             raise InvalidInput(f"power must satisfy p > 1, got {self.p!r}")
         if not (math.isfinite(self.omega) and abs(self.omega) < 1):
             raise InvalidMass(f"frequency must satisfy |omega| < 1, got {self.omega!r}")
-        p, m0, pp1 = self.p, self.mass, self.p + 1.0
-        neg_m0, abs_pm1, abs_pp1 = -m0, _abs_power(p - 1.0), _abs_power(pp1)
+        p, m0, neg_m0, pm1, pp1 = self.p, self.mass, -self.mass, self.p - 1.0, self.p + 1.0
 
-        def g(s):
-            return neg_m0 * s + abs_pm1(s) * s
+        if pm1 == 2.0:
+            def g(s):
+                return neg_m0 * s + s * s * s
+        else:
+            def g(s):
+                return neg_m0 * s + abs(s) ** pm1 * s
 
         def dg(s):
-            return neg_m0 + p * abs_pm1(s)
+            return neg_m0 + p * _abs_power(s, pm1)
 
         def big_g(s):
-            return -0.5 * m0 * s**2 + abs_pp1(s) / pp1
+            return -0.5 * m0 * s**2 + _abs_power(s, pp1) / pp1
 
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "dg", dg)
@@ -238,7 +238,7 @@ def power_integral(v: GridFunction, q: float) -> float:
     if q <= 0:
         raise InvalidInput(f"exponent must be positive, got {q!r}")
     with np.errstate(over="ignore"):
-        out = _integral(_abs_power(q)(v.values), v.grid)
+        out = _integral(_abs_power(v.values, q), v.grid)
     if not math.isfinite(out):
         raise NumericalOverflow("power integral left the representable range")
     return out
@@ -346,16 +346,14 @@ def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
 
 def _moment_arrays(values: np.ndarray, grid: RadialGrid,
                    nl: Nonlinearity) -> tuple[Moments, np.ndarray, np.ndarray]:
-    """moments of the node values (unchecked) with the squares u*u and d*d,
-    d the derivative, whose integrals are the L2 and gradient moments."""
+    """moments of the node values (unchecked) with their _squares, taken after
+    the potential: six arrays live at once slowed the moments of big grids."""
     with np.errstate(over="ignore", invalid="ignore"):
-        pot = _integral(_abs_power(nl.p + 1.0)(values) if isinstance(nl, PowerKG)
+        pot = _integral(_abs_power(values, nl.p + 1.0) if isinstance(nl, PowerKG)
                         else nl.G(np.abs(values)), grid)
     if not math.isfinite(pot):
         raise NumericalOverflow("the potential moment left the representable range")
-    # squares after the potential, without keeping d: with six arrays live at
-    # once, moments of a 16,001-node profile took about 1.5 times as long
-    uu, dd = values * values, np.square(_derivative_kernel(values, grid))
+    uu, dd = _squares(values, grid)
     return Moments(_integral(dd, grid), _integral(uu, grid), pot, nl, grid.dimension), uu, dd
 
 

@@ -168,15 +168,20 @@ def _derivative_kernel(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return d
 
 
+def _squares(values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """u * u and d * d, d the radial derivative: the L2 and gradient densities."""
+    d = _derivative_kernel(values, grid)
+    return values * values, np.multiply(d, d, out=d)
+
+
 def l2_norm_sq(v: GridFunction) -> float:
     """Squared L2 norm against the radial measure."""
-    return _integral(v.values * v.values, v.grid)
+    return _integral(_squares(v.values, v.grid)[0], v.grid)
 
 
 def grad_norm_sq(v: GridFunction) -> float:
     """Squared L2 norm of the radial derivative against the measure."""
-    d = _derivative_kernel(v.values, v.grid)
-    return _integral(d * d, v.grid)
+    return _integral(_squares(v.values, v.grid)[1], v.grid)
 
 
 def h1_norm_sq(v: GridFunction) -> float:
