@@ -32,17 +32,13 @@ from .evolution import (
     BOUNDARY_CONTAMINATION,
     NON_FINITE,
     REACHED_TMAX,
-    EvolutionState,
     InvariantReport,
     Trajectory,
     TrajectoryRecord,
-    discrete_energy,
     energy_drift,
     evolve,
     invariant_monitor,
     make_initial_data,
-    radial_laplacian,
-    step,
 )
 from .ground_state import (
     GroundState,
@@ -55,7 +51,6 @@ from .model import (
     INTERIOR,
     INVALID,
     LIMIT,
-    LINEAR_KG,
     GeneralG,
     PowerKG,
     ScalingExponents,

@@ -336,7 +336,7 @@ def _cmd_evolve(cfg):
         "termination": traj.termination,
         "t_final": traj.records[-1].t,
         "records": len(traj.records),
-        "energy_drift": energy_drift(traj) if len(traj.diagnostic_records) > 1 else 0.0,
+        "energy_drift": energy_drift(traj) if len(traj.diagnostic_records) > 1 else None,
     }
     if first.in_invariant_set:
         monitor = invariant_monitor(traj)

@@ -50,22 +50,10 @@ RESOLUTION_TOL = 1e-2     # relative error allowed in the resampled moments of
                           # dilated initial data
 
 
-@dataclass
-class EvolutionState:
-    """Raw (u, u_t) arrays at one time.  Finiteness is checked by the
-    driver at diagnostic times, not enforced here: a non-finite state is
-    a detected event."""
-
-    grid: RadialGrid
-    u: np.ndarray
-    v: np.ndarray
-    t: float
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Diagnostics at one record time.  energy is the conserved energy
-    of the discrete system (see discrete_energy); the remaining
+    of the discrete system (see _discrete_energy); the remaining
     functionals use the model-module quadratures."""
 
     t: float
@@ -81,7 +69,7 @@ class TrajectoryRecord:
 class Trajectory:
     records: tuple
     termination: str
-    final_state: EvolutionState
+    final_u: np.ndarray
     m_ref: float | None
 
     @property
@@ -114,7 +102,9 @@ def _operator(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray):
-    """A call writing radial_laplacian of u's current values into out."""
+    """A call writing the Laplacian of u's current values into out: flux
+    difference over cell measure (see _operator), zero at the Dirichlet edge,
+    so -cell * lap(u) is the exact gradient of the energy's face term."""
     face, cell, _ = _operator(grid)
     flux, out_lo, cell_lo = np.zeros(u.size), out[:-1], cell[:-1]
     u_hi, u_lo, flux_hi, flux_lo = u[1:], u[:-1], flux[1:], flux[:-1]
@@ -127,19 +117,11 @@ def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray):
     return laplacian
 
 
-def radial_laplacian(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Flux difference over cell measure (see _operator), zero at the Dirichlet
-    edge: -cell * lap(u) is the exact gradient of the energy's face term."""
-    out = np.empty(np.size(values))
-    _laplacian_into(np.asarray(values), grid, out)()
-    return out
-
-
 def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow, n_steps: int):
     """Advance (u, v) in place, in buffers made once a run (only flow.g
     allocates), by kick-drift-kick steps of the flow nonlinearity, yielding
     the count after each; the operation order is the bit-identity contract.
-    A dt outside (0, 2/sqrt(stiffness + mass)] raises first."""
+    A dt outside (0, 2/sqrt(stiffness + mass)] raises at the first next()."""
     bound = 2.0 / math.sqrt(_operator(grid)[2] + flow.mass)
     if not (0.0 < dt <= bound):
         raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
@@ -160,13 +142,6 @@ def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow, n
         yield k
 
 
-def step(state: EvolutionState, dt: float, nl) -> EvolutionState:
-    """One kick-drift-kick leapfrog step; a dt past the stability bound raises."""
-    u, v = np.array(state.u, dtype=float), np.array(state.v, dtype=float)
-    next(_leapfrog(u, v, dt, state.grid, flow_nonlinearity(nl), 1))
-    return EvolutionState(state.grid, u, v, state.t + dt)
-
-
 def _outer_fraction(grid: RadialGrid, arrays: tuple, outer: slice) -> float:
     """Square root of the outer nodes' share of the H1 moment, from _record's arrays."""
     m, uu, dd = arrays
@@ -184,12 +159,6 @@ def _discrete_energy(u: np.ndarray, v: np.ndarray, grid: RadialGrid, flow) -> fl
     du = np.diff(u)
     nodal = cell * (0.5 * v * v - flow.G(u))
     return float(nodal.sum()) + 0.5 * float((face * du * du).sum())
-
-
-def discrete_energy(u: GridFunction, v: GridFunction, nl) -> float:
-    """Conserved energy of the discretized flow; see _discrete_energy."""
-    require_same_grid(u, v)
-    return _discrete_energy(u.values, v.values, u.grid, flow_nonlinearity(nl))
 
 
 def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
@@ -265,8 +234,7 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
                 break
             arrays = None
 
-    final = EvolutionState(grid, u, v, records[-1].t if termination != NON_FINITE else k * dt)
-    return Trajectory(tuple(records), termination, final, m_ref)
+    return Trajectory(tuple(records), termination, u, m_ref)
 
 
 def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
@@ -279,8 +247,9 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
     flow_nonlinearity) is rejected: its level m would use a mass the flow
     does not.  In dimension 2 phi(x/mu) has the gradient moment of phi and
     mu^2 times its L2 moment; a mu whose resampled profile misses either
-    by more than RESOLUTION_TOL (relative) is not resolved by the grid and
-    raises InvalidParameter, as does a lam or mu not positive and finite;
+    by more than RESOLUTION_TOL (relative), or so small that R/mu overflows,
+    is not resolved by the grid and raises InvalidParameter, as does a lam
+    or mu not positive and finite;
     lam * phi past the float range raises NumericalOverflow.
     """
     if gs.grid.dimension != 2:
@@ -292,7 +261,11 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
     if flow_nonlinearity(nl) != nl:
         raise Unsupported("the real radial flow carries standing waves only at omega = 0, "
                           f"got {nl!r}")
-    stretched = rescale(gs.profile, 1.0 / mu, ScalingExponents(0.0, 1.0))
+    stretch = 1.0 / mu
+    if not math.isfinite(stretch * gs.grid.outer_radius):
+        raise InvalidParameter(f"the grid does not resolve mu = {mu!r}: "
+                               "R/mu is past the float range")
+    stretched = rescale(gs.profile, stretch, ScalingExponents(0.0, 1.0))
     got = np.array([grad_norm_sq(stretched), l2_norm_sq(stretched)])
     exact = np.array([grad_norm_sq(gs.profile), mu * mu * l2_norm_sq(gs.profile)])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -166,14 +166,6 @@ class GeneralG:
 
 Nonlinearity = Union[PowerKG, GeneralG]
 
-# pure mass term: the linear Klein-Gordon limit, handy for evolution checks
-LINEAR_KG = GeneralG(
-    name="linear_kg",
-    g=lambda s: -s,
-    G=lambda s: -0.5 * s**2,
-    rho=1.0,
-)
-
 
 def check_subcritical(p: float, dimension: int) -> None:
     """Reject energy-supercritical powers (p >= 1 + 4/(N-2) for N = 3)."""

@@ -305,9 +305,21 @@ def test_evolve_initial_block_is_the_first_record(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evolve_writes_no_drift_without_two_records(tmp_path, capsys):
+    # lambda = 1e60 leaves the float range within the first record interval:
+    # the run ends NonFinite with its initial record alone, so no drift exists
+    assert run(["evolve", "--R", "30", "--M", "1500", "--tmax", "1", "--lambda", "1e60",
+                "--mu", "1", "--outdir", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "evolve.json")
+    assert (payload["termination"], payload["records"]) == ("NonFinite", 1)
+    assert payload["energy_drift"] is None
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag, value, error, says", [
     ("--lambda", "inf", "InvalidParameter", "lambda must be positive and finite"),
     ("--mu", "inf", "InvalidParameter", "mu must be positive and finite"),
+    ("--mu", "1e-320", "InvalidParameter", "the grid does not resolve mu = 1e-320"),
     ("--lambda", "1e308", "NumericalOverflow", "lambda = 1e+308"),  # lambda * phi overflows
     ("--lambda", "1e100", "NumericalOverflow", "the potential moment"),  # the first record's |u|^4 does
 ])

@@ -15,7 +15,6 @@ from varkg import (
     INTERIOR,
     INVALID,
     LIMIT,
-    LINEAR_KG,
     InvalidInput,
     InvalidMass,
     NumericalOverflow,
@@ -37,6 +36,8 @@ from varkg import (
     rescale,
 )
 from varkg.model import Moments, _abs_power
+
+from general_g import LINEAR_KG
 
 
 def test_power_kg_validation():
