@@ -1,6 +1,6 @@
 """Radial wave dynamics u_tt = lap(u) + g(u) with invariant-set tracking.
 
-The integrator is the kick-drift-kick leapfrog on one conservative radial
+The integrator is the position-form leapfrog on one conservative radial
 operator per grid (Strauss & Vazquez, J. Comput. Phys. 28, 1978) with a
 homogeneous Dirichlet edge.  Blow-up is escape of the H1 norm past a
 fixed multiple of its initial value; radiation reaching the outer boundary
@@ -23,7 +23,7 @@ from .errors import (
     Unsupported,
 )
 from .ground_state import GroundState
-from .model import ScalingExponents, _moment_arrays, flow_nonlinearity
+from .model import ScalingExponents, _force_into, _moment_arrays, flow_nonlinearity
 from .paths import rescale
 from .radial_core import (
     SPHERE_SURFACE,
@@ -101,11 +101,13 @@ def _operator(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float]:
     return face, cell, stiffness
 
 
-def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray):
-    """A call writing the Laplacian of u's current values into out: flux
-    difference over cell measure (see _operator), zero at the Dirichlet edge,
-    so -cell * lap(u) is the exact gradient of the energy's face term."""
+def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray, scale: float):
+    """A call writing scale times the Laplacian of u's current values into out:
+    flux difference over cell measure (see _operator), zero at the Dirichlet
+    edge, so -cell * lap(u) is the exact gradient of the energy's face term.
+    scale multiplies the faces once, here; 1.0 leaves them exact."""
     face, cell, _ = _operator(grid)
+    face = scale * face
     flux, out_lo, cell_lo = np.zeros(u.size), out[:-1], cell[:-1]
     u_hi, u_lo, flux_hi, flux_lo = u[1:], u[:-1], flux[1:], flux[:-1]
     def laplacian():
@@ -117,29 +119,36 @@ def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray):
     return laplacian
 
 
-def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow, n_steps: int):
-    """Advance (u, v) in place, in buffers made once a run (only flow.g
-    allocates), by kick-drift-kick steps of the flow nonlinearity, yielding
-    the count after each; the operation order is the bit-identity contract.
-    A dt outside (0, 2/sqrt(stiffness + mass)] raises at the first next()."""
+def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow,
+              n_steps: int, stride: int):
+    """Advance (u, v) in place by n_steps leapfrog steps of the flow in position
+    form (Hairer, Lubich & Wanner, Acta Numerica 12, 2003): w = dt v drifts
+    u += w and kicks w += A = dt^2 (lap(u) + g(u)), dt^2 folded into the faces
+    and the force; buffers are made once a run.  It is kick-drift-kick up to
+    roundoff, 1e-11 relative over 300 steps.  At each stride-th step and the
+    last it writes v = (w + A/2)/dt and yields the count; a dt outside
+    (0, 2/sqrt(stiffness + mass)] raises at the first next()."""
     bound = 2.0 / math.sqrt(_operator(grid)[2] + flow.mass)
     if not (0.0 < dt <= bound):
         raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
                                f"(0, {bound:g}], i.e. cfl <= {bound / grid.spacing:.4g}")
-    acc, kick, half = np.empty(u.size), np.empty(u.size), 0.5 * dt
-    laplacian = _laplacian_into(u, grid, acc)
+    acc, force, dt2 = np.empty(u.size), np.empty(u.size), dt * dt
+    laplacian, push = _laplacian_into(u, grid, acc, dt2), _force_into(u, flow, dt2, force)
     def accelerate():
         laplacian()
-        np.add(acc, flow.g(u), out=acc)
+        push()
+        np.add(acc, force, out=acc)
         acc[-1] = 0.0
     accelerate()
+    w = dt * v + 0.5 * acc  # dt times the velocity at the first half step
     for k in range(1, n_steps + 1):
-        np.add(v, np.multiply(half, acc, out=kick), out=v)
-        np.add(u, np.multiply(dt, v, out=kick), out=u)
+        np.add(u, w, out=u)
         u[-1] = 0.0
         accelerate()
-        np.add(v, np.multiply(half, acc, out=kick), out=v)
-        yield k
+        if k % stride == 0 or k == n_steps:
+            np.divide(w + 0.5 * acc, dt, out=v)
+            yield k
+        np.add(w, acc, out=w)
 
 
 def _outer_fraction(grid: RadialGrid, arrays: tuple, outer: slice) -> float:
@@ -179,13 +188,13 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
            cfl: float = DEFAULT_CFL) -> Trajectory:
     """Integrate to t_max or to the first recorded termination event.
 
-    dt <= cfl * h divides t_max and must pass the leapfrog's stability bound.
-    Diagnostics (energy, action, P, T, H1 norm, invariant-set flag) and the
-    event checks (finiteness, H1 escape past blowup_factor times its start
-    value, boundary contamination) run every RECORD_INTERVAL, in steps.
-    They are taken with the flow's nonlinearity (see flow_nonlinearity),
-    so E and S agree on data at rest.  The first record is that of the
-    data themselves, so its flag is their membership in the invariant set.
+    dt <= cfl * h divides t_max in at most 2**53 steps and passes the leapfrog's
+    stability bound.  Diagnostics (energy, action, P, T, H1 norm, invariant-set
+    flag) and the event checks (finiteness, H1 escape past blowup_factor times
+    its start value, boundary contamination) run every RECORD_INTERVAL, in
+    steps.  They are taken with the flow's nonlinearity (see flow_nonlinearity),
+    so E and S agree on data at rest.  The first record is that of the data
+    themselves, so its flag is their membership in the invariant set.
     """
     flow = flow_nonlinearity(nl)
     require_same_grid(u0, v0)
@@ -196,7 +205,10 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     if not (cfl > 0.0) or not math.isfinite(cfl):
         raise InvalidParameter(f"cfl must be positive and finite, got {cfl!r}")
     grid = u0.grid
-    n_steps = max(1, math.ceil(t_max / (cfl * grid.spacing)))
+    steps = t_max / (cfl * grid.spacing) if cfl * grid.spacing > 0.0 else math.inf
+    if not steps <= 2.0**53:  # past it k * dt no longer names distinct record times
+        raise InvalidParameter(f"t_max = {t_max!r} at cfl = {cfl!r} takes more than 2**53 steps")
+    n_steps = max(1, math.ceil(steps))
     dt = t_max / n_steps
     stride = max(1, round(RECORD_INTERVAL / dt))
 
@@ -211,9 +223,7 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
         rec, arrays = _record(grid, u, v, 0.0, flow, m_ref)
         records, h1_init, frac_init = [rec], rec.h1_norm, _outer_fraction(grid, arrays, outer)
         arrays = None  # u*u and d*d held through the steps raised the peak RSS
-        for k in _leapfrog(u, v, dt, grid, flow, n_steps):
-            if k % stride != 0 and k != n_steps:
-                continue
+        for k in _leapfrog(u, v, dt, grid, flow, n_steps, stride):
             t = k * dt
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
                 termination = NON_FINITE

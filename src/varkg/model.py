@@ -56,13 +56,16 @@ LIMIT = "Limit"
 INVALID = "Invalid"
 
 
-def _abs_power(x, q: float):
-    """|x|^q on floats and arrays: x * x at q = 2, as numpy's pow squares, and
-    (x * x) * (x * x) at q = 4, within 3 ulps of pow; pow at any other q."""
+def _abs_power(x, q: float, out=None):
+    """|x|^q on floats and arrays, into the array out if given: x * x at q = 2,
+    as numpy's pow squares, and (x * x) * (x * x) at q = 4, within 3 ulps of
+    pow; pow at any other q."""
     if q != 2.0 and q != 4.0:
-        return abs(x) ** q
-    s = x * x
-    return s if q == 2.0 else s * s
+        return abs(x) ** q if out is None else np.power(np.abs(x, out=out), q, out=out)
+    s = x * x if out is None else np.multiply(x, x, out=out)
+    if q == 4.0:
+        s *= s
+    return s
 
 
 @dataclass(frozen=True)
@@ -347,6 +350,18 @@ def _moment_arrays(values: np.ndarray, grid: RadialGrid,
         raise NumericalOverflow("the potential moment left the representable range")
     uu, dd = _squares(values, grid)
     return Moments(_integral(dd, grid), _integral(uu, grid), pot, nl, grid.dimension), uu, dd
+
+
+def _force_into(u: np.ndarray, nl: Nonlinearity, scale: float, out: np.ndarray):
+    """A call writing scale * g(u) into out, as u * (scale |u|^(p-1) - scale m0) for powers."""
+    if not isinstance(nl, PowerKG):
+        return lambda: np.multiply(scale, nl.g(u), out=out)
+    q, scaled_mass = nl.p - 1.0, scale * nl.mass
+    def force():
+        np.multiply(scale, _abs_power(u, q, out), out=out)
+        np.subtract(out, scaled_mass, out=out)
+        np.multiply(u, out, out=out)
+    return force
 
 
 def kinetic_T(v: GridFunction) -> float:

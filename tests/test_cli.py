@@ -338,6 +338,23 @@ def test_evolve_refuses_bad_lambda_and_mu_in_one_line(tmp_path, flag, value, err
     assert read_json(tmp_path / "manifest.json")["error"] == error
 
 
+@pytest.mark.parametrize("tmax, cfl", [("1e308", "0.4"), ("1e300", "0.4"), ("1", "5e-324")])
+def test_evolve_refuses_a_step_count_past_2_53_in_one_line(tmp_path, tmax, cfl):
+    # t_max / (cfl h) was inf at 1e308, a traceback in math.ceil; 1e300 was
+    # a run that would step for ever; and cfl h = 0 divided by zero
+    src = os.path.dirname(os.path.dirname(os.path.abspath(varkg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("VARKG_OUTDIR", None)
+    done = subprocess.run([sys.executable, "-m", "varkg.cli", "evolve", "--R", "30", "--M", "1500",
+                           "--tmax", tmax, "--cfl", cfl, "--outdir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == (f"varkg: InvalidParameter: t_max = {float(tmax)!r} "
+                           f"at cfl = {float(cfl)!r} takes more than 2**53 steps\n")
+    assert read_json(tmp_path / "manifest.json")["error"] == "InvalidParameter"
+
+
 def test_evolve_refuses_a_width_the_grid_cannot_resolve(tmp_path, capsys):
     # mu = 1e-9 would shrink the ground state onto one node
     argv = ["evolve", "--R", "30", "--M", "1500", "--lambda", "1", "--tmax", "1"]
