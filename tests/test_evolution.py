@@ -441,6 +441,7 @@ def leapfrog_case(dimension, nl, edge):
     (2, CUBIC_QUINTIC, 0.0, None),
     (1, PowerKG(3.0), 0.25, None),  # the edge value starts nonzero: acc[-1] = 0 still
     (2, PowerKG(3.0), 0.0, 1e-160),  # dt^2 is subnormal
+    (2, PowerKG(5.0), 0.0, None), (2, PowerKG(2.5), 0.0, None),  # |u|^4 by products, by pow
 ])
 def test_leapfrog_matches_the_kick_drift_kick_form(dimension, nl, edge, dt):
     grid, flow, u, v = leapfrog_case(dimension, nl, edge)
