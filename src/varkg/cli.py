@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Sequence
 from datetime import datetime, timezone
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -314,10 +315,15 @@ def _cmd_verify_lemma_mint(cfg):
     return 0 if passed else 1
 
 
-def _trajectory_rows(traj):
-    for rec in traj.records:
-        yield (rec.t, rec.energy, rec.action, rec.p_value, rec.kinetic,
-               rec.h1_norm, "1" if rec.in_invariant_set else "0")
+def _write_trajectory(path: str, traj):
+    """Write trajectory.csv and return the first and last record and the
+    record count.  The records are made on each read (see Trajectory), so
+    they go once written, before the diagnostics make their own."""
+    records = traj.records
+    _write_csv(path, ["t", "E", "S", "P", "T", "H1", "in_I"],
+               ((rec.t, rec.energy, rec.action, rec.p_value, rec.kinetic, rec.h1_norm,
+                 "1" if rec.in_invariant_set else "0") for rec in records))
+    return records[0], records[-1], len(records)
 
 
 def _cmd_evolve(cfg):
@@ -326,16 +332,14 @@ def _cmd_evolve(cfg):
     v0 = GridFunction.zeros(u0.grid)
     traj = evolve(u0, v0, gs.nonlinearity, cfg.tmax, blowup_factor=cfg.blowup_factor,
                   m_ref=gs.level, cfl=cfg.cfl)
-    _write_csv(os.path.join(cfg.outdir, "trajectory.csv"),
-               ["t", "E", "S", "P", "T", "H1", "in_I"], _trajectory_rows(traj))
-    first = traj.records[0]
+    first, last, count = _write_trajectory(os.path.join(cfg.outdir, "trajectory.csv"), traj)
     payload = {
         "lambda": cfg.lam, "mu": cfg.mu,
         "initial": {"action": first.action, "p_value": first.p_value, "energy": first.energy,
                     "m_ref": traj.m_ref, "in_invariant_set": first.in_invariant_set},
         "termination": traj.termination,
-        "t_final": traj.records[-1].t,
-        "records": len(traj.records),
+        "t_final": last.t,
+        "records": count,
         "energy_drift": energy_drift(traj) if len(traj.diagnostic_records) > 1 else None,
     }
     if first.in_invariant_set:
@@ -343,22 +347,39 @@ def _cmd_evolve(cfg):
         payload["min_P"] = monitor.min_p
         payload["in_I_throughout"] = monitor.in_set_throughout
     _write_json(os.path.join(cfg.outdir, "evolve.json"), payload)
-    print(f"evolution: termination = {traj.termination} at t = {traj.records[-1].t:.4f}")
+    print(f"evolution: termination = {traj.termination} at t = {last.t:.4f}")
     return 0
+
+
+class _Dilations(Sequence):
+    """The initial data lambda * phi(x/mu) of each (lambda, mu) pair, made as
+    it is read: evolve copies each into its row, so no two are held at once."""
+
+    def __init__(self, gs, pairs):
+        self.gs, self.pairs = gs, pairs
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        return make_initial_data(self.gs, *self.pairs[i])
+
+
+def _sweep_row(lam, mu, traj):
+    """One sweep.csv row.  A trajectory's records are made on each read, so
+    only one run's are held at a time."""
+    records = traj.records
+    escape = records[-1].t if traj.termination == BLOWUP_DETECTED else None
+    return (lam, mu, "1" if records[0].in_invariant_set else "0", traj.termination,
+            "" if escape is None else _fmt(escape))
 
 
 def _cmd_instability_sweep(cfg):
     gs = _ground_state(*_problem(cfg, 2))
-    rows = []
-    for lam in cfg.lambda_grid:
-        for mu in cfg.mu_grid:
-            u0 = make_initial_data(gs, lam, mu)
-            v0 = GridFunction.zeros(u0.grid)
-            traj = evolve(u0, v0, gs.nonlinearity, cfg.tmax, blowup_factor=cfg.blowup_factor,
-                          m_ref=gs.level)
-            escape = traj.records[-1].t if traj.termination == BLOWUP_DETECTED else None
-            rows.append((lam, mu, "1" if traj.records[0].in_invariant_set else "0",
-                         traj.termination, "" if escape is None else _fmt(escape)))
+    pairs = [(lam, mu) for lam in cfg.lambda_grid for mu in cfg.mu_grid]
+    trajs = evolve(_Dilations(gs, pairs), [GridFunction.zeros(gs.grid)] * len(pairs),
+                   gs.nonlinearity, cfg.tmax, blowup_factor=cfg.blowup_factor, m_ref=gs.level)
+    rows = [_sweep_row(lam, mu, traj) for (lam, mu), traj in zip(pairs, trajs)]
     _write_csv(os.path.join(cfg.outdir, "sweep.csv"),
                ["lambda", "mu", "in_I_initial", "termination", "t_escape"], rows)
     print(f"instability sweep: {len(rows)} runs written")

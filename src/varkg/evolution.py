@@ -10,12 +10,16 @@ and loss of finiteness are separate recorded terminations, never silent.
 from __future__ import annotations
 
 import math
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    GridMismatch,
     InvalidInput,
     InvalidParameter,
     NumericalOverflow,
@@ -23,12 +27,21 @@ from .errors import (
     Unsupported,
 )
 from .ground_state import GroundState
-from .model import ScalingExponents, _force_into, _moment_arrays, flow_nonlinearity
+from .model import (
+    Moments,
+    PowerKG,
+    ScalingExponents,
+    _abs_power,
+    _force_into,
+    flow_nonlinearity,
+)
 from .paths import rescale
 from .radial_core import (
     SPHERE_SURFACE,
     GridFunction,
     RadialGrid,
+    _integral,
+    _squares,
     grad_norm_sq,
     l2_norm_sq,
     require_same_grid,
@@ -50,11 +63,10 @@ RESOLUTION_TOL = 1e-2     # relative error allowed in the resampled moments of
                           # dilated initial data
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Diagnostics at one record time.  energy is the conserved energy
-    of the discrete system (see _discrete_energy); the remaining
-    functionals use the model-module quadratures."""
+    of the discrete system (see _record); the remaining functionals are
+    the model module's forms on the record's moments."""
 
     t: float
     energy: float
@@ -65,12 +77,28 @@ class TrajectoryRecord:
     in_invariant_set: bool
 
 
+# a TrajectoryRecord packed: its six floats and its flag
+_PACKED_RECORD = struct.Struct("6d?")
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    records: tuple
+    """A run's records, its termination, its final u and the level its
+    invariant-set flags compare with.  The records are kept packed, 49 bytes
+    each (see _PACKED_RECORD), and become TrajectoryRecords each time they
+    are read: as objects they took five times the memory, which a batch of
+    runs holds until its last run ends."""
+
+    packed_records: bytearray
     termination: str
     final_u: np.ndarray
     m_ref: float | None
+
+    @property
+    def records(self) -> tuple:
+        """The TrajectoryRecords, unpacked on each read."""
+        return tuple(TrajectoryRecord(*fields)
+                     for fields in _PACKED_RECORD.iter_unpack(self.packed_records))
 
     @property
     def diagnostic_records(self) -> tuple:
@@ -101,54 +129,85 @@ def _operator(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float]:
     return face, cell, stiffness
 
 
-def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray, scale: float):
-    """A call writing scale times the Laplacian of u's current values into out:
-    flux difference over cell measure (see _operator), zero at the Dirichlet
-    edge, so -cell * lap(u) is the exact gradient of the energy's face term.
+def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray, scale: float,
+                    flux: np.ndarray):
+    """A call writing scale times the Laplacian of u's current values into out,
+    all but its edge column, which the caller sets (zero at the Dirichlet edge):
+    flux difference over cell measure (see _operator), so -cell * lap(u) is the
+    exact gradient of the energy's face term.  u, out and flux, the call's
+    scratch, are one row of node values or rows of them, all of one shape.
     scale multiplies the faces once, here; 1.0 leaves them exact."""
     face, cell, _ = _operator(grid)
     face = scale * face
-    flux, out_lo, cell_lo = np.zeros(u.size), out[:-1], cell[:-1]
-    u_hi, u_lo, flux_hi, flux_lo = u[1:], u[:-1], flux[1:], flux[:-1]
+    u_hi, u_lo, flux_hi, flux_lo = u[..., 1:], u[..., :-1], flux[..., 1:], flux[..., :-1]
+    out_lo, cell_lo, origin = out[..., :-1], cell[:-1], flux[..., 0]
     def laplacian():
+        origin[()] = 0.0  # nothing crosses the origin
         np.subtract(u_hi, u_lo, out=flux_hi)
         np.multiply(face, flux_hi, out=flux_hi)
-        np.subtract(flux_hi, flux_lo, out=out_lo)  # flux[0] = 0: nothing crosses the origin
+        np.subtract(flux_hi, flux_lo, out=out_lo)
         np.divide(out_lo, cell_lo, out=out_lo)
-        out[-1] = 0.0
     return laplacian
+
+
+def _rows_step(u, v, w, acc, grid: RadialGrid, flow, dt2: float):
+    """The leapfrog's passes over its current rows: flat views of u, v, w and
+    acc for the elementwise passes, u's edge column, and a call writing
+    A = dt2 (lap(u) + g(u)) into acc, zero at the edge, with v as the flux
+    and the force.  A single row goes to the Laplacian as a plain vector,
+    whose calls cost less than those of a (1, M+1) array."""
+    u_rows, v_rows, acc_rows = (x[0] if len(x) == 1 else x for x in (u, v, acc))
+    uf, vf, wf, af = (x.reshape(-1) for x in (u, v, w, acc))
+    laplacian = _laplacian_into(u_rows, grid, acc_rows, dt2, v_rows)
+    push = _force_into(uf, flow, dt2, vf)
+    acc_edge = acc_rows[..., -1]
+    def accelerate():
+        laplacian()
+        push()
+        np.add(af, vf, out=af)
+        acc_edge[()] = 0.0
+    return uf, vf, wf, af, u_rows[..., -1], accelerate
 
 
 def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow,
               n_steps: int, stride: int):
-    """Advance (u, v) in place by n_steps leapfrog steps of the flow in position
-    form (Hairer, Lubich & Wanner, Acta Numerica 12, 2003): w = dt v drifts
-    u += w and kicks w += A = dt^2 (lap(u) + g(u)), dt^2 folded into the faces
-    and the force; buffers are made once a run.  It is kick-drift-kick up to
-    roundoff, 1e-11 relative over 300 steps.  At each stride-th step and the
-    last it writes v = (w + A/2)/dt and yields the count; a dt outside
+    """Advance the rows of u and v, arrays of shape (rows, M+1) or one row of
+    M+1 nodes, by n_steps leapfrog steps of the flow in position form (Hairer,
+    Lubich & Wanner, Acta Numerica 12, 2003): w = dt v drifts u += w and kicks
+    w += A = dt^2 (lap(u) + g(u)), dt^2 folded into the faces and the force.
+    It is kick-drift-kick up to roundoff, 1e-11 relative over 300 steps.
+
+    At each stride-th step and the last it writes v = (w + A/2)/dt and yields
+    (k, u, v); between yields v is the step's scratch, the flux and the force,
+    so a run holds four arrays of u's shape.  Sent a boolean mask over the rows
+    instead of None, it carries on with the masked rows alone: the next yield
+    hands out new arrays, and the generator keeps no reference to the old ones
+    (whose memory goes once the caller drops its own).  A dt outside
     (0, 2/sqrt(stiffness + mass)] raises at the first next()."""
     bound = 2.0 / math.sqrt(_operator(grid)[2] + flow.mass)
     if not (0.0 < dt <= bound):
         raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
                                f"(0, {bound:g}], i.e. cfl <= {bound / grid.spacing:.4g}")
-    acc, force, dt2 = np.empty(u.size), np.empty(u.size), dt * dt
-    laplacian, push = _laplacian_into(u, grid, acc, dt2), _force_into(u, flow, dt2, force)
-    def accelerate():
-        laplacian()
-        push()
-        np.add(acc, force, out=acc)
-        acc[-1] = 0.0
+    dt2 = dt * dt
+    w, acc = np.multiply(v, dt), np.zeros_like(u)
+    uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, grid, flow, dt2)
     accelerate()
-    w = dt * v + 0.5 * acc  # dt times the velocity at the first half step
+    np.add(wf, np.multiply(af, 0.5, out=vf), out=wf)  # dt v at the first half step
     for k in range(1, n_steps + 1):
-        np.add(u, w, out=u)
-        u[-1] = 0.0
+        np.add(uf, wf, out=uf)
+        u_edge[()] = 0.0
         accelerate()
         if k % stride == 0 or k == n_steps:
-            np.divide(w + 0.5 * acc, dt, out=v)
-            yield k
-        np.add(w, acc, out=w)
+            np.divide(np.add(wf, np.multiply(af, 0.5, out=vf), out=vf), dt, out=vf)
+            keep = yield k, u, v
+            if keep is not None:  # drop every view of the old rows, then the rows
+                uf = vf = wf = af = u_edge = accelerate = v = None
+                u = u[keep]
+                w = w[keep]
+                acc = acc[keep]
+                v = np.empty_like(u)
+                uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, grid, flow, dt2)
+        np.add(wf, af, out=wf)
 
 
 def _outer_fraction(grid: RadialGrid, arrays: tuple, outer: slice) -> float:
@@ -159,33 +218,57 @@ def _outer_fraction(grid: RadialGrid, arrays: tuple, outer: slice) -> float:
     return math.sqrt(float((grid.weights[outer] * (uu[outer] + dd[outer])).sum()) / m.h1)
 
 
-def _discrete_energy(u: np.ndarray, v: np.ndarray, grid: RadialGrid, flow) -> float:
-    """Energy of the semi-discrete system of the flow nonlinearity on the
-    operator's faces and cells, conserved in every dimension (its gradient
-    is -cell * (lap + g)) up to the leapfrog's bounded O(dt^2) oscillation.
-    It is energy_E to O(h^2)."""
-    face, cell, _ = _operator(grid)
-    du = np.diff(u)
-    nodal = cell * (0.5 * v * v - flow.G(u))
-    return float(nodal.sum()) + 0.5 * float((face * du * du).sum())
-
-
 def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
             flow, m_ref: float | None) -> tuple[TrajectoryRecord, tuple]:
-    """The diagnostics at one record time and u's _moment_arrays; the only
-    place that decides membership in {E < m_ref, P > 0}, E the flow's energy."""
-    energy = _discrete_energy(u, v, grid, flow)
-    arrays = _moment_arrays(u, grid, flow)
-    m = arrays[0]
+    """The diagnostics at one record time, with u's moments and its L2 and
+    gradient densities u * u and d * d (see _outer_fraction); the only place
+    that decides membership in {E < m_ref, P > 0}, E the flow's energy.
+
+    E is the energy of the semi-discrete system on the operator's faces and
+    cells, conserved in every dimension (its gradient is -cell * (lap + g))
+    up to the leapfrog's bounded O(dt^2) oscillation; it is energy_E to
+    O(h^2).  u * u is formed once: the L2 moment, the square in G and, at
+    p = 3, |u|^4 all take it, bit for bit the products PowerKG.G and
+    _abs_power form.  NumericalOverflow when the potential moment leaves the
+    float range or u or v is not finite.  u and v are scanned only when E is
+    not finite: every cell weight is positive, so a non-finite node makes it so.
+    """
+    face, cell, _ = _operator(grid)
+    weights = grid.weights
+    uu, dd = _squares(u, grid)
+    scratch = np.empty_like(u)
+    if isinstance(flow, PowerKG):
+        pp1 = flow.p + 1.0
+        upow = np.multiply(uu, uu) if pp1 == 4.0 else _abs_power(u, pp1)
+        big_g = np.multiply(-0.5 * flow.mass, uu)
+        np.add(big_g, np.divide(upow, pp1, out=scratch), out=big_g)
+        pot = float(np.multiply(weights, upow, out=upow).sum())
+        work = upow
+    else:
+        pot = _integral(flow.G(np.abs(u)), grid)
+        big_g = flow.G(u)  # the callable's array: read, never written
+        work = np.empty_like(u)
+    if not math.isfinite(pot):
+        raise NumericalOverflow("the potential moment left the representable range")
+    np.multiply(np.multiply(0.5, v, out=work), v, out=work)
+    np.multiply(cell, np.subtract(work, big_g, out=work), out=work)
+    nodal = float(work.sum())
+    du = np.subtract(u[1:], u[:-1], out=scratch[:-1])
+    face_term = np.multiply(np.multiply(face, du, out=work[:-1]), du, out=work[:-1])
+    energy = nodal + 0.5 * float(face_term.sum())
+    if not math.isfinite(energy) and not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise NumericalOverflow("the state is no longer finite")
+    m = Moments(float(np.multiply(weights, dd, out=scratch).sum()),
+                float(np.multiply(weights, uu, out=scratch).sum()), pot, flow, grid.dimension)
     p_val = m.potential()
     in_set = m_ref is not None and energy < m_ref and p_val > 0.0
     return (TrajectoryRecord(t, energy, m.action(), p_val, m.kinetic, math.sqrt(m.h1), in_set),
-            arrays)
+            (m, uu, dd))
 
 
-def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
-           blowup_factor: float = 5.0, m_ref: float | None = None,
-           cfl: float = DEFAULT_CFL) -> Trajectory:
+def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequence[GridFunction],
+           nl, t_max: float, blowup_factor: float = 5.0, m_ref: float | None = None,
+           cfl: float = DEFAULT_CFL) -> Trajectory | list[Trajectory]:
     """Integrate to t_max or to the first recorded termination event.
 
     dt <= cfl * h divides t_max in at most 2**53 steps and passes the leapfrog's
@@ -195,16 +278,40 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     steps.  They are taken with the flow's nonlinearity (see flow_nonlinearity),
     so E and S agree on data at rest.  The first record is that of the data
     themselves, so its flag is their membership in the invariant set.
+
+    u0 and v0 are one pair of GridFunctions, which gives one Trajectory, or
+    equal-length sequences of them on one grid, which give a list with one
+    Trajectory per pair.  The pairs then march as the rows of one leapfrog,
+    each bit for bit the run it makes alone; their inputs are read one at a
+    time, and the batch holds four (pairs, M+1) arrays of floats, down to the
+    pairs still running, and the records of every run (seven floats each, see
+    Trajectory) until the last ends.
     """
+    single = isinstance(u0, GridFunction)
+    if isinstance(v0, GridFunction) != single:
+        raise InvalidInput("u0 and v0 must both be GridFunctions or both sequences of them")
+    rows = 1 if single else len(u0)
+    if not single and len(v0) != rows:
+        raise InvalidInput(f"{rows} initial profiles against {len(v0)} initial velocities")
+    if rows == 0:
+        raise InvalidInput("no initial data to evolve")
     flow = flow_nonlinearity(nl)
-    require_same_grid(u0, v0)
     if not (t_max > 0.0) or not math.isfinite(t_max):
         raise InvalidParameter(f"t_max must be positive and finite, got {t_max!r}")
     if not (blowup_factor > 1.0):
         raise InvalidParameter("blowup_factor must exceed 1")
     if not (cfl > 0.0) or not math.isfinite(cfl):
         raise InvalidParameter(f"cfl must be positive and finite, got {cfl!r}")
-    grid = u0.grid
+    u = v = None
+    for i, (a, b) in enumerate([(u0, v0)] if single else zip(u0, v0)):
+        if u is None:
+            grid = a.grid
+            u = np.empty((rows, grid.cells + 1))
+            v = np.empty_like(u)
+        require_same_grid(a, b)
+        if a.grid != grid:
+            raise GridMismatch(f"runs on different grids: {grid!r} vs {a.grid!r}")
+        u[i], v[i] = a.values, b.values
     steps = t_max / (cfl * grid.spacing) if cfl * grid.spacing > 0.0 else math.inf
     if not steps <= 2.0**53:  # past it k * dt no longer names distinct record times
         raise InvalidParameter(f"t_max = {t_max!r} at cfl = {cfl!r} takes more than 2**53 steps")
@@ -212,39 +319,54 @@ def evolve(u0: GridFunction, v0: GridFunction, nl, t_max: float,
     dt = t_max / n_steps
     stride = max(1, round(RECORD_INTERVAL / dt))
 
-    u, v = np.array(u0.values, dtype=float), np.array(v0.values, dtype=float)
     # the zone is the tail of the grid, r >= (1 - BOUNDARY_ZONE) R
     outer = slice(int(np.searchsorted(grid.r, (1.0 - BOUNDARY_ZONE) * grid.outer_radius)), None)
-    termination = REACHED_TMAX
+    records = [bytearray() for _ in range(rows)]  # packed (see Trajectory)
+    terminations, final_u = [REACHED_TMAX] * rows, [None] * rows
 
     # losing finiteness is a recorded event; silence the intermediate
     # overflow warnings on the way to its detection
     with np.errstate(over="ignore", invalid="ignore"):
-        rec, arrays = _record(grid, u, v, 0.0, flow, m_ref)
-        records, h1_init, frac_init = [rec], rec.h1_norm, _outer_fraction(grid, arrays, outer)
+        h1_init, frac_init = [], []
+        for i in range(rows):
+            rec, arrays = _record(grid, u[i], v[i], 0.0, flow, m_ref)
+            records[i] += _PACKED_RECORD.pack(*rec)
+            h1_init.append(rec.h1_norm)
+            frac_init.append(_outer_fraction(grid, arrays, outer))
         arrays = None  # u*u and d*d held through the steps raised the peak RSS
-        for k in _leapfrog(u, v, dt, grid, flow, n_steps, stride):
-            t = k * dt
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                termination = NON_FINITE
+        live = list(range(rows))  # the run of each row the leapfrog carries
+        run_rows = _leapfrog(u, v, dt, grid, flow, n_steps, stride)
+        k, u, v = next(run_rows)
+        while True:
+            t, keep = k * dt, []
+            for i, run in enumerate(live):
+                try:
+                    rec, arrays = _record(grid, u[i], v[i], t, flow, m_ref)
+                except NumericalOverflow:
+                    # a state no longer finite, or a finite one whose diagnostics
+                    # left the representable range: the same terminal event
+                    terminations[run] = NON_FINITE
+                else:
+                    records[run] += _PACKED_RECORD.pack(*rec)
+                    if rec.h1_norm > blowup_factor * h1_init[run]:
+                        terminations[run] = BLOWUP_DETECTED
+                    elif _outer_fraction(grid, arrays, outer) > frac_init[run] + BOUNDARY_FRACTION:
+                        terminations[run] = BOUNDARY_CONTAMINATION
+                    arrays = None
+                keep.append(terminations[run] == REACHED_TMAX)
+            if k == n_steps or not any(keep):
                 break
-            try:
-                rec, arrays = _record(grid, u, v, t, flow, m_ref)
-            except NumericalOverflow:
-                # finite state whose diagnostics left the representable
-                # range: the same terminal event as literal infinities
-                termination = NON_FINITE
-                break
-            records.append(rec)
-            if rec.h1_norm > blowup_factor * h1_init:
-                termination = BLOWUP_DETECTED
-                break
-            if _outer_fraction(grid, arrays, outer) > frac_init + BOUNDARY_FRACTION:
-                termination = BOUNDARY_CONTAMINATION
-                break
-            arrays = None
-
-    return Trajectory(tuple(records), termination, u, m_ref)
+            if not all(keep):  # the ended runs leave the batch with a copy of their row
+                for i, run in enumerate(live):
+                    if not keep[i]:
+                        final_u[run] = u[i].copy()
+                live = [run for run, kept in zip(live, keep) if kept]
+            u = v = None  # the leapfrog frees the dropped rows once no one holds them
+            k, u, v = run_rows.send(None if all(keep) else np.array(keep))
+    for i, run in enumerate(live):
+        final_u[run] = u[i]
+    trajectories = [Trajectory(*run, m_ref) for run in zip(records, terminations, final_u)]
+    return trajectories[0] if single else trajectories
 
 
 def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .radial_core import (
     GridFunction,
-    RadialGrid,
     _integral,
     _squares,
     grad_norm_sq,
@@ -335,21 +334,17 @@ class Moments(NamedTuple):
 def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
     """The gradient, L2 and potential moments of v, tagged with nl and v's
     dimension; every functional is a form on them.  G is evaluated on |v|,
-    so a sign-changing v has the potential moment of its modulus."""
-    return _moment_arrays(v.values, v.grid, nl)[0]
-
-
-def _moment_arrays(values: np.ndarray, grid: RadialGrid,
-                   nl: Nonlinearity) -> tuple[Moments, np.ndarray, np.ndarray]:
-    """moments of the node values (unchecked) with their _squares, taken after
-    the potential: six arrays live at once slowed the moments of big grids."""
+    so a sign-changing v has the potential moment of its modulus.  The
+    _squares are taken after the potential: six arrays live at once slowed
+    the moments of big grids."""
+    values, grid = v.values, v.grid
     with np.errstate(over="ignore", invalid="ignore"):
         pot = _integral(_abs_power(values, nl.p + 1.0) if isinstance(nl, PowerKG)
                         else nl.G(np.abs(values)), grid)
     if not math.isfinite(pot):
         raise NumericalOverflow("the potential moment left the representable range")
     uu, dd = _squares(values, grid)
-    return Moments(_integral(dd, grid), _integral(uu, grid), pot, nl, grid.dimension), uu, dd
+    return Moments(_integral(dd, grid), _integral(uu, grid), pot, nl, grid.dimension)
 
 
 def _force_into(u: np.ndarray, nl: Nonlinearity, scale: float, out: np.ndarray):

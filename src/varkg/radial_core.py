@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ConvergenceError, GridMismatch, InvalidInput, NoRoot, Unsupported
 
 SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+SAVE_CHUNK = 256  # rows save_profile formats in one operation; formatting the
+                  # whole table at once raised the peak RSS
 
 
 class RadialGrid:
@@ -217,8 +219,11 @@ def save_profile(path, v: GridFunction) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(f"# N={g.dimension} R={g.outer_radius:.17g} M={g.cells}\n")
         f.write("r,value\n")
-        for r, x in zip(g.r, v.values):
-            f.write(f"{r:.17g},{x:.17g}\n")
+        for start in range(0, g.cells + 1, SAVE_CHUNK):
+            rows = zip(g.r[start:start + SAVE_CHUNK].tolist(),
+                       v.values[start:start + SAVE_CHUNK].tolist())
+            cells = tuple(cell for row in rows for cell in row)
+            f.write("%.17g,%.17g\n" * (len(cells) // 2) % cells)
 
 
 def load_profile(path) -> GridFunction:

@@ -6,6 +6,7 @@ import functools
 import math
 import os
 import sys
+import tracemalloc
 import types
 import warnings
 
@@ -36,13 +37,13 @@ from varkg import (
     evolve,
     invariant_monitor,
     make_initial_data,
+    moments,
     shoot_radial,
 )
 
 import varkg.evolution
 from varkg.evolution import (
     BOUNDARY_ZONE,
-    _discrete_energy,
     _laplacian_into,
     _leapfrog,
     _operator,
@@ -68,9 +69,10 @@ def eigenmode(outer=10.0, cells=400):
 
 def laplacian(u, grid):
     """The operator's Laplacian of u, by the in-place call the leapfrog makes
-    (with its faces scaled by 1.0, which is exact)."""
-    out = np.empty(u.size)
-    _laplacian_into(u, grid, out, 1.0)()
+    (with its faces scaled by 1.0, which is exact); the call leaves the edge
+    to its caller, which sets it to zero."""
+    out = np.zeros(u.size)
+    _laplacian_into(u, grid, out, 1.0, np.empty(u.size))()
     return out
 
 
@@ -171,6 +173,78 @@ def test_evolve_input_validation(nl3):
         evolve(zero, other, nl3, t_max=1.0)
 
 
+def test_evolve_batch_input_validation(nl3):
+    grid = RadialGrid(2, 10.0, 100)
+    zero = GridFunction.zeros(grid)
+    other = GridFunction.zeros(RadialGrid(2, 10.0, 120))
+    with pytest.raises(GridMismatch):
+        evolve([zero, other], [zero, other], nl3, t_max=1.0)  # each pair is on one grid
+    with pytest.raises(GridMismatch):
+        evolve([zero, zero], [zero, other], nl3, t_max=1.0)
+    with pytest.raises(InvalidInput, match="2 initial profiles against 3"):
+        evolve([zero, zero], [zero, zero, zero], nl3, t_max=1.0)
+    with pytest.raises(InvalidInput, match="no initial data"):
+        evolve([], [], nl3, t_max=1.0)
+    with pytest.raises(InvalidInput, match="both"):
+        evolve(zero, [zero], nl3, t_max=1.0)
+
+
+def mixed_batch(cells=200):
+    """Initial data on RadialGrid(2, 10, cells) whose p = 3 runs to t = 5 end in
+    every way a run can: (u0 list, v0 list, terminations)."""
+    grid = RadialGrid(2, 10.0, cells)
+
+    def sample(fn):
+        return GridFunction.sample(grid, fn)
+
+    zero = GridFunction.zeros(grid)
+    return ([sample(lambda r: np.full_like(r, 1e70)),
+             sample(lambda r: 0.5 * np.exp(-r**2)),
+             sample(lambda r: 3.0 * np.exp(-r**2)),
+             sample(lambda r: 0.1 * np.exp(-4.0 * (r - 5.0) ** 2)),
+             sample(lambda r: 0.4 * np.exp(-r**2))],
+            [zero, zero, zero, zero, sample(lambda r: 0.2 * r * np.exp(-r**2))],
+            [NON_FINITE, REACHED_TMAX, BLOWUP_DETECTED, BOUNDARY_CONTAMINATION, REACHED_TMAX])
+
+
+def test_batch_rows_are_their_solo_runs(nl3):
+    # rows leave the batch at different yields; each must be the run its
+    # pair makes alone, bit for bit
+    u0, v0, terminations = mixed_batch()
+    batch = evolve(u0, v0, nl3, t_max=5.0)
+    assert [traj.termination for traj in batch] == terminations
+    for u, v, traj in zip(u0, v0, batch):
+        solo = evolve(u, v, nl3, t_max=5.0)
+        assert traj.records == solo.records
+        assert traj.termination == solo.termination
+        assert np.array_equal(traj.final_u, solo.final_u)
+    [one] = evolve(u0[1:2], v0[1:2], nl3, t_max=5.0)
+    assert one.records == batch[1].records
+
+
+def test_batch_memory_stays_within_its_row_buffers(nl3):
+    # dropping rows must free them: the batch may hold no more than the same
+    # runs made one by one, results kept, plus its four arrays of row buffers
+    # (u, v, w = dt v and A); holding old and new rows across a drop fails
+    u0, v0, _ = mixed_batch(cells=4000)
+    u0, v0 = u0 + u0[1:], v0 + v0[1:]
+    buffers = 4 * len(u0) * u0[0].values.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solo = [evolve(u, v, nl3, t_max=1.0) for u, v in zip(u0, v0)]
+        solo_peak = tracemalloc.get_traced_memory()[1] - base
+        del solo
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        batch = evolve(u0, v0, nl3, t_max=1.0)
+        batch_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == 9
+    assert batch_peak <= solo_peak + buffers
+
+
 @pytest.mark.parametrize("cfl", [0.0, -1.0, math.nan, math.inf])
 def test_evolve_rejects_bad_cfl(nl3, cfl):
     zero = GridFunction.zeros(RadialGrid(2, 10.0, 100))
@@ -241,9 +315,9 @@ def test_initial_data_names_a_bad_lambda_or_mu(townes, lam, mu, error, message):
 def test_discrete_energy_tracks_quadrature(townes, nl3):
     zero = GridFunction.zeros(townes.grid)
     m = townes.level
-    assert np.isclose(_discrete_energy(townes.profile.values, zero.values, townes.grid,
-                                       flow_nonlinearity(nl3)),
-                      energy_E(townes.profile, zero, nl3),
+    rec, _ = _record(townes.grid, townes.profile.values, zero.values, 0.0,
+                     flow_nonlinearity(nl3), None)
+    assert np.isclose(rec.energy, energy_E(townes.profile, zero, nl3),
                       rtol=0, atol=1e-3 * abs(m))
 
 
@@ -447,7 +521,7 @@ def test_leapfrog_matches_the_kick_drift_kick_form(dimension, nl, edge, dt):
     grid, flow, u, v = leapfrog_case(dimension, nl, edge)
     want_u, want_v = u.copy(), v.copy()
     dt = dt or 0.4 * grid.spacing
-    assert list(_leapfrog(u, v, dt, grid, flow, 300, 1)) == list(range(1, 301))
+    assert [k for k, _, _ in _leapfrog(u, v, dt, grid, flow, 300, 1)] == list(range(1, 301))
     allocating_leapfrog(want_u, want_v, dt, grid, flow.g, 300)
     assert_near_kick_drift_kick(u, want_u)
     assert_near_kick_drift_kick(v, want_v)
@@ -460,7 +534,7 @@ def test_leapfrog_yields_synchronized_states_at_the_stride(nl, n_steps, stride):
     grid, flow, u, v = leapfrog_case(2, nl, 0.0)
     want_u, want_v = u.copy(), v.copy()
     dt, done, ks = 0.4 * grid.spacing, 0, []
-    for k in _leapfrog(u, v, dt, grid, flow, n_steps, stride):
+    for k, _, _ in _leapfrog(u, v, dt, grid, flow, n_steps, stride):
         allocating_leapfrog(want_u, want_v, dt, grid, flow.g, k - done)
         done = k
         ks.append(k)
@@ -479,11 +553,16 @@ def test_operator_arrays_are_read_only():
             shared *= 2.0
 
 
-@pytest.mark.parametrize("lam, t_max, termination", [(0.9, 1.0, REACHED_TMAX),
-                                                     (1.05, 20.0, BLOWUP_DETECTED)])
+@pytest.mark.parametrize("lam, t_max, termination", [
+    (0.9, 1.0, REACHED_TMAX), (1.05, 20.0, BLOWUP_DETECTED),
+    pytest.param((0.9, 1.05, 1.1), 2.0, (REACHED_TMAX, BLOWUP_DETECTED, BLOWUP_DETECTED),
+                 id="batch"),
+])
 def test_each_record_is_one_record_call(townes, monkeypatch, lam, t_max, termination):
     # a tracer wraps the module-level _record that evolve looks up per record,
-    # and counts its calls against the records of the run
+    # and counts its calls against the records of the run, or of every run of
+    # a batch, whose rows are recorded in turn at each record time, so the
+    # calls come in time order
     calls = []
     record = varkg.evolution._record
 
@@ -492,12 +571,18 @@ def test_each_record_is_one_record_call(townes, monkeypatch, lam, t_max, termina
         return record(*args, **kwargs)
 
     monkeypatch.setattr(varkg.evolution, "_record", counted)
-    u = make_initial_data(townes, lam, lam)
-    traj = evolve(u, GridFunction.zeros(u.grid), townes.nonlinearity, t_max=t_max,
-                  m_ref=townes.level)
-    assert traj.termination == termination
-    assert len(calls) == len(traj.records) > 2
-    assert calls == [rec.t for rec in traj.records]
+    zero = GridFunction.zeros(townes.grid)
+    if isinstance(lam, tuple):
+        u0 = [make_initial_data(townes, x, x) for x in lam]
+        trajs = evolve(u0, [zero] * len(u0), townes.nonlinearity, t_max=t_max,
+                       m_ref=townes.level)
+    else:
+        trajs = [evolve(make_initial_data(townes, lam, lam), zero, townes.nonlinearity,
+                        t_max=t_max, m_ref=townes.level)]
+        termination = (termination,)
+    assert tuple(traj.termination for traj in trajs) == termination
+    assert all(len(traj.records) > 2 for traj in trajs)
+    assert calls == sorted(rec.t for traj in trajs for rec in traj.records)
 
 
 @pytest.mark.parametrize("dimension, stable, unstable",
@@ -573,6 +658,41 @@ def test_record_matches_its_form_before_one_pass(request, ground, t):
     assert np.isclose(fraction, want_fraction, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("nl", [PowerKG(3.0), PowerKG(2.5), CUBIC_QUINTIC])
+def test_record_is_the_allocating_energy_and_moments_bit_for_bit(nl):
+    # the record shares u * u between G, |u|^4 and the L2 moment and forms its
+    # products in place; every field is still what the allocating forms give
+    grid, flow = RadialGrid(2, 10.0, 200), flow_nonlinearity(nl)
+    u = GridFunction.sample(grid, lambda r: 1.3 * np.exp(-r**2) * np.cos(r)).values
+    v = 0.7 * grid.r * np.exp(-grid.r**2)
+    rec, (m, uu, dd) = _record(grid, u, v, 0.5, flow, 10.0)
+    face, cell, _ = _operator(grid)
+    du = np.diff(u)
+    energy = (float((cell * (0.5 * v * v - flow.G(u))).sum())
+              + 0.5 * float((face * du * du).sum()))
+    want = moments(GridFunction(grid, u), flow)
+    assert rec.energy == energy
+    assert m == want
+    assert (rec.action, rec.p_value, rec.kinetic) == (want.action(), want.potential(),
+                                                     want.kinetic)
+    assert np.array_equal(uu, u * u)
+
+
+def test_record_refuses_a_state_no_longer_finite():
+    # the record scans u and v only when the energy is not finite; a finite
+    # state whose energy overflows is still recorded, as before the scan moved
+    grid, flow = RadialGrid(2, 10.0, 100), PowerKG(3.0)
+    u = GridFunction.sample(grid, lambda r: np.exp(-r**2)).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in (math.inf, math.nan):
+            v = np.zeros_like(u)
+            v[3] = bad
+            with pytest.raises(NumericalOverflow, match="no longer finite"):
+                _record(grid, u, v, 0.0, flow, None)
+        rec, _ = _record(grid, u, np.full_like(u, 1e200), 0.0, flow, None)
+    assert rec.energy == math.inf
+
+
 def test_no_public_call_per_step(monkeypatch):
     # the benchmark's tracer wraps every public varkg function, and the grid
     # classes' constructors, with a span: a public call inside the step would
@@ -603,14 +723,18 @@ def test_no_public_call_per_step(monkeypatch):
     grid = RadialGrid(2, 10.0, 200)
     u0 = GridFunction.sample(grid, lambda r: 0.5 * np.exp(-r**2))
     zero = GridFunction.zeros(grid)
-    runs = []
-    for cfl in (0.2, 0.1):
-        calls.clear()
-        traj = varkg.evolution.evolve(u0, zero, PowerKG(3.0), t_max=1.0, cfl=cfl)
-        runs.append((len(traj.records), dict(calls)))
-    assert runs[0][0] == runs[1][0] == 21
-    assert runs[0][1] == runs[1][1]
-    assert runs[0][1]["varkg.evolution.evolve"] == 1
+    # in the batch the second row blows up before t = 1 and leaves the leapfrog
+    blowup = GridFunction.sample(grid, lambda r: 3.0 * np.exp(-r**2))
+    for u, v, records in ((u0, zero, 21), ([u0, blowup], [zero, zero], [21, 17])):
+        runs = []
+        for cfl in (0.2, 0.1):
+            calls.clear()
+            out = varkg.evolution.evolve(u, v, PowerKG(3.0), t_max=1.0, cfl=cfl)
+            count = len(out.records) if u is u0 else [len(traj.records) for traj in out]
+            runs.append((count, dict(calls)))
+        assert runs[0][0] == runs[1][0] == records
+        assert runs[0][1] == runs[1][1]
+        assert runs[0][1]["varkg.evolution.evolve"] == 1
 
 
 def test_benchmark_copies_the_evolution_constants():

@@ -168,6 +168,19 @@ def test_save_load_roundtrip_property(tmp_path, v):
     assert np.array_equal(w.values, v.values)
 
 
+def test_save_profile_text_is_one_line_per_node(tmp_path):
+    # chunked formatting writes what one f-string per row wrote, across chunk
+    # ends and for signed zeros, subnormals and the float extremes
+    g = RadialGrid(1, 7.0, 2 * radial_core.SAVE_CHUNK + 4)
+    values = np.sin(np.arange(g.cells + 1.0)) * 1e3
+    values[:5] = (-0.0, 5e-324, -1.7976931348623157e308, 1.0, 1 / 3)
+    path = tmp_path / "profile.csv"
+    save_profile(path, GridFunction(g, values))
+    want = (f"# N=1 R=7 M={g.cells}\nr,value\n"
+            + "".join(f"{r:.17g},{x:.17g}\n" for r, x in zip(g.r, values)))
+    assert path.read_bytes() == want.encode()
+
+
 def test_three_column_profile_is_refused(tmp_path):
     path = tmp_path / "profile_c.csv"
     g = RadialGrid(2, 6.0, 16)
