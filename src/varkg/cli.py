@@ -79,7 +79,9 @@ FLAGS = {
     "N": Flag("--N", int, "space dimension"),
     "R": Flag("--R", float, "outer radius of the grid"),
     "M": Flag("--M", int, "number of grid cells"),
-    "bracket_lo": Flag("--bracket-lo", float, "lower end of the shooting bracket for phi(0)"),
+    "bracket_lo": Flag("--bracket-lo", float,
+                       "lower end of the shooting bracket for phi(0); in N >= 2 a lower "
+                       "end with G(lo) <= 0 is lifted to the zero of G"),
     "bracket_hi": Flag("--bracket-hi", float, "upper end of the shooting bracket for phi(0)"),
     "profile": Flag("--from", str, "profile CSV written by ground-state"),
     "alpha": Flag("--alpha", float, "first exponent of the constraint K_{alpha,beta}"),
@@ -340,7 +342,7 @@ def _cmd_evolve(cfg):
         "termination": traj.termination,
         "t_final": last.t,
         "records": count,
-        "energy_drift": energy_drift(traj) if len(traj.diagnostic_records) > 1 else None,
+        "energy_drift": energy_drift(traj) if count - traj.drops_last_record > 1 else None,
     }
     if first.in_invariant_set:
         monitor = invariant_monitor(traj)

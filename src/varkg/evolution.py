@@ -81,18 +81,38 @@ class TrajectoryRecord(NamedTuple):
 _PACKED_RECORD = struct.Struct("6d?")
 
 
-@dataclass(frozen=True)
+def _bits(x: float | None) -> bytes | None:
+    return None if x is None else struct.pack("d", x)
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A run's records, its termination, its final u and the level its
     invariant-set flags compare with.  The records are kept packed, 49 bytes
     each (see _PACKED_RECORD), and become TrajectoryRecords each time they
     are read: as objects they took five times the memory, which a batch of
-    runs holds until its last run ends."""
+    runs holds until its last run ends.  Two trajectories are equal when
+    all four agree bit for bit."""
 
     packed_records: bytearray
     termination: str
     final_u: np.ndarray
     m_ref: float | None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (self.packed_records == other.packed_records
+                and self.termination == other.termination
+                and _bits(self.m_ref) == _bits(other.m_ref)
+                and self.final_u.dtype == other.final_u.dtype
+                and self.final_u.shape == other.final_u.shape
+                and self.final_u.tobytes() == other.final_u.tobytes())
+
+    @property
+    def drops_last_record(self) -> bool:
+        """Whether diagnostic_records leaves out the last record."""
+        return self.termination in (BLOWUP_DETECTED, BOUNDARY_CONTAMINATION)
 
     @property
     def records(self) -> tuple:
@@ -105,9 +125,7 @@ class Trajectory:
         """The records diagnostics read: all but the one that raised
         BlowupDetected or BoundaryContamination, past whose threshold the
         state is outside the regime the diagnostics describe."""
-        if self.termination in (BLOWUP_DETECTED, BOUNDARY_CONTAMINATION):
-            return self.records[:-1]
-        return self.records
+        return self.records[:-1] if self.drops_last_record else self.records
 
 
 @lru_cache(maxsize=8)

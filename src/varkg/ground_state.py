@@ -130,27 +130,34 @@ def _escape_radius(r: float, h: float, y: float, y_last: float) -> float:
     return r - h * y / (y - y_last) if y_last > 0.0 else r
 
 
+def _signed_miss(status: str, r_esc: float, decay2: float) -> float:
+    """-+exp(-decay2 r_esc): negative when the shot crosses, positive
+    otherwise, its magnitude floored at the smallest normal double."""
+    size = max(math.exp(-decay2 * r_esc), sys.float_info.min)
+    return -size if status == "cross" else size
+
+
 def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
     """March the radial ODE outward from amplitude a, one RK4 step per cell.
 
     Returns (status, values, filled, r_esc): status is "cross" when the
     solution goes negative, "diverge" when it exceeds twice the
-    amplitude, "end" at r = R; values holds node samples up to index
-    filled-1 when record is true.  r_esc is the escape radius: where the
-    linear interpolant of phi (of chi for "turn", of 2a - phi for
-    "diverge") falls through zero inside the cell where the shot
-    escapes, and R for "end".
+    amplitude, "turn" at a turning point (below), "end" at r = R;
+    values holds node samples up to index filled-1 when record is true.
+    r_esc is the escape radius: where the linear interpolant of phi (of
+    chi for "turn", of 2a - phi for "diverge") falls through zero inside
+    the cell where the shot escapes, and R for "end".
 
     The march carries (phi, chi) with chi = -phi', so each stage reads
-    g(phi) - (N-1) chi / r with no negation.  A shot that is not recorded
-    stops with status "turn" at a turning point, where chi < 0 while
-    phi > 0, if its ODE energy E = chi^2/2 + G(phi) is negative there.
-    E does not increase in r (dE/dr = -(N-1) chi^2 / r), and E >= 0
-    wherever phi = 0, so such a shot can never cross zero, whatever g is.
-    For the power family E < 0 at every turn (Berestycki, Lions & Peletier
-    1981).  Only "cross" labels a shot above the critical amplitude;
-    "turn", "diverge" and "end" all label it below.  The recorded shot
-    always marches on to "cross", "diverge" or "end".
+    g(phi) - (N-1) chi / r with no negation.  A shot stops with status
+    "turn" at a turning point, where chi < 0 while phi > 0, if its ODE
+    energy E = chi^2/2 + G(phi) is negative there.  E does not increase
+    in r (dE/dr = -(N-1) chi^2 / r), and E >= 0 wherever phi = 0, so such
+    a shot can never cross zero, whatever g is.  For the power family
+    E < 0 at every turn (Berestycki, Lions & Peletier 1981).  Only "cross"
+    labels a shot above the critical amplitude; "turn", "diverge" and
+    "end" all label it below.  A recorded shot stops where an unrecorded
+    one does, so its values are those of the search shot it repeats.
     """
     g, big_g = nl.g, nl.G
     n = grid.dimension
@@ -199,7 +206,7 @@ def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
             return "cross", vals, i, _escape_radius(r, h, phi, last_phi)
         if phi > upper:
             return "diverge", vals, i, _escape_radius(r, h, upper - phi, upper - last_phi)
-        if chi < 0.0 and phi > 0.0 and not record and 0.5 * chi * chi + big_g(phi) < 0.0:
+        if chi < 0.0 and phi > 0.0 and 0.5 * chi * chi + big_g(phi) < 0.0:
             return "turn", vals, i, _escape_radius(r, h, chi, last_chi)
         if record:
             vals[i] = phi
@@ -218,18 +225,32 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     end that crosses becomes the upper end and is halved, and an upper end
     that does not cross becomes the lower end and is doubled, up to
     BRACKET_DOUBLINGS moves in all; a bracket that already straddles is
-    kept.  One brent solve then finds the sign change of the signed miss
+    kept.
+
+    In N >= 2 an amplitude with G(a) <= 0 is not marched: the ODE energy
+    E = chi^2/2 + G(phi) of _classify_shot starts at G(a) and does not
+    increase, so the shot never reaches phi = 0, where E >= 0.  It is
+    labelled "turn" with r_esc = 0.  The critical amplitude lies above
+    the zero of G (Berestycki & Lions 1983), so whenever the lower end
+    has G(lo) <= 0 < G(hi), before the first shot and after each move,
+    it is lifted to that zero, found by brent on G, whose shot turns
+    within a few decay lengths.  In N = 1 E is conserved and the zero of
+    G is the ground-state amplitude itself, so nothing is skipped there.
+
+    One brent solve then finds the sign change of the signed miss
     m(a) = -+exp(-2 sqrt(m0) r_esc(a)), negative when the shot crosses
     zero and positive when it turns, diverges or reaches R, with r_esc
     the escape radius of _classify_shot.  Near the critical amplitude the
     escaping mode grows like exp(kr) on a decaying exp(-kr), k = sqrt(m0),
     so the miss is close to linear in a there.  Its magnitude is floored
-    at the smallest normal double, because exp(-2kR) underflows on a wide
-    grid and brent takes a zero value as a root.  The solve stops when its
-    bracket is narrower than 1e-15 of its upper end, and the final shot is
-    the largest non-crossing amplitude evaluated: the non-crossing end of
-    that bracket.  The returned profile keeps the final shot up to its
-    turning point and continues with the matched linear-decay tail
+    at the smallest normal double (_signed_miss), because exp(-2kR)
+    underflows on a wide grid and brent takes a zero value as a root.
+    The solve stops when its bracket is narrower than 1e-15 of its upper
+    end, and the final shot is the largest non-crossing amplitude
+    evaluated: the non-crossing end of that bracket, marched again with
+    its values recorded up to where it stopped.  The returned profile
+    keeps the final shot up to its turning point and continues with the
+    matched linear-decay tail
     phi(r*) (r*/r)^((N-1)/2) exp(-sqrt(m0)(r - r*)), which restores decay
     past the double-precision resolution limit of the shooting itself.
     """
@@ -242,27 +263,39 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
         raise InvalidInput(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
 
     decay2 = 2.0 * math.sqrt(m0)
-    shots = {}  # amplitude -> (status, signed miss), one march per amplitude
+    big_g = nl.G
+    shots = {}  # amplitude -> (status, signed miss), at most one march per amplitude
 
     def shot(a: float) -> tuple[str, float]:
         if a not in shots:
-            status, _, _, r_esc = _classify_shot(a, nl, grid, record=False)
-            size = max(math.exp(-decay2 * r_esc), sys.float_info.min)
-            shots[a] = status, -size if status == "cross" else size
+            if dimension >= 2 and big_g(a) <= 0.0:
+                # E = G(a) <= 0 at r = 0 and E falls from there: no march
+                status, r_esc = "turn", 0.0
+            else:
+                status, _, _, r_esc = _classify_shot(a, nl, grid, record=False)
+            shots[a] = status, _signed_miss(status, r_esc, decay2)
         return shots[a]
 
+    def lifted(lo: float, hi: float) -> float:
+        """lo, or in N >= 2 the zero of G above it when G(lo) <= 0 < G(hi)."""
+        if dimension < 2 or not big_g(lo) <= 0.0 < big_g(hi):
+            return lo
+        zero = brent(big_g, lo, hi, xtol=0.0, rtol=1e-15)
+        while big_g(zero) <= 0.0:  # the root may round to the side of G <= 0
+            zero = math.nextafter(zero, hi)
+        return zero
+
+    lo = lifted(lo, hi)
     status_lo, status_hi = shot(lo)[0], shot(hi)[0]
     for _ in range(BRACKET_DOUBLINGS):
         if status_lo == "cross":
-            hi, status_hi = lo, status_lo
-            lo *= 0.5
-            status_lo = shot(lo)[0]
+            lo, hi = 0.5 * lo, lo
         elif status_hi != "cross":
-            lo, status_lo = hi, status_hi
-            hi *= 2.0
-            status_hi = shot(hi)[0]
+            lo, hi = hi, 2.0 * hi
         else:
             break
+        lo = lifted(lo, hi)
+        status_lo, status_hi = shot(lo)[0], shot(hi)[0]
     if status_lo == "cross" or status_hi != "cross":
         raise BracketError(
             f"bracket {bracket!r} does not straddle the critical amplitude "

@@ -121,9 +121,9 @@ def test_ground_state_artifacts(tmp_path, capsys):
 
 
 def test_ground_state_from_one_ulp_above_the_equilibrium(tmp_path, capsys, townes):
-    # at omega = 0 the amplitude 1 is the equilibrium phi = 1: one ulp above
-    # it c2 h^2 rounds away and phi(h) == phi(0), which the series-start
-    # guard once took for a grid too coarse
+    # at omega = 0 the amplitude 1 is the equilibrium phi = 1; one ulp above
+    # it G < 0, so the lower end is lifted to the zero of G before any shot
+    # (test_coarse_series_start_blames_the_grid marches it)
     assert run(["ground-state", "--N", "2", "--p", "3", "--omega", "0", "--R", "40",
                 "--M", "4000", "--bracket-lo", "1.0000000000000002",
                 "--outdir", str(tmp_path)]) == 0
@@ -312,6 +312,17 @@ def test_evolve_writes_no_drift_without_two_records(tmp_path, capsys):
                 "--mu", "1", "--outdir", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "evolve.json")
     assert (payload["termination"], payload["records"]) == ("NonFinite", 1)
+    assert payload["energy_drift"] is None
+    capsys.readouterr()
+
+
+def test_evolve_counts_only_diagnosed_records_for_the_drift(tmp_path, capsys):
+    # lambda = 20 blows up before the second record, which is written but
+    # left out of the diagnostics: one diagnosed record has no drift
+    assert run(["evolve", "--R", "30", "--M", "1500", "--tmax", "1", "--lambda", "20",
+                "--mu", "1", "--outdir", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "evolve.json")
+    assert (payload["termination"], payload["records"]) == ("BlowupDetected", 2)
     assert payload["energy_drift"] is None
     capsys.readouterr()
 

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import dataclasses
 import functools
 import math
 import os
@@ -214,12 +215,26 @@ def test_batch_rows_are_their_solo_runs(nl3):
     batch = evolve(u0, v0, nl3, t_max=5.0)
     assert [traj.termination for traj in batch] == terminations
     for u, v, traj in zip(u0, v0, batch):
-        solo = evolve(u, v, nl3, t_max=5.0)
-        assert traj.records == solo.records
-        assert traj.termination == solo.termination
-        assert np.array_equal(traj.final_u, solo.final_u)
+        assert traj == evolve(u, v, nl3, t_max=5.0)
     [one] = evolve(u0[1:2], v0[1:2], nl3, t_max=5.0)
-    assert one.records == batch[1].records
+    assert one == batch[1]
+
+
+def test_trajectories_compare_bit_for_bit(nl3):
+    # records, termination, m_ref and final_u, each bit for bit; == on the
+    # arrays themselves would raise ValueError
+    zero = GridFunction.zeros(RadialGrid(2, 10.0, 100))
+    traj = evolve(zero, zero, nl3, t_max=0.5, m_ref=1.0)
+    same = evolve(zero, zero, nl3, t_max=0.5, m_ref=1.0)
+    assert (traj == same) is True
+    assert traj != evolve(zero, zero, nl3, t_max=0.6, m_ref=1.0)
+    assert traj != evolve(zero, zero, nl3, t_max=0.5, m_ref=2.0)
+    assert traj != evolve(zero, zero, nl3, t_max=0.5)
+    assert traj != dataclasses.replace(traj, termination=BLOWUP_DETECTED)
+    # -0.0 == 0.0 as numbers, but not bit for bit
+    assert traj != dataclasses.replace(traj, final_u=-traj.final_u)
+    assert traj != dataclasses.replace(traj, final_u=traj.final_u.astype(np.float32))
+    assert traj != traj.records
 
 
 def test_batch_memory_stays_within_its_row_buffers(nl3):

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from varkg import (
     power_integral,
     shoot_radial,
 )
-from varkg.ground_state import CONSTRAINT_TOL, _classify_shot
+from varkg.ground_state import CONSTRAINT_TOL, _classify_shot, _signed_miss
 
 from general_g import CUBIC, CUBIC_QUINTIC
 from oracle_townes import TOWNES_CENTER, TOWNES_L2, TOWNES_LEVEL, N3_CENTER
@@ -159,6 +161,11 @@ def test_coarse_series_start_blames_the_grid():
         shoot_radial(PowerKG(5.0, 0.0), RadialGrid(2, 40.0, 1000), bracket=(1.0, 8.0))
     gs = shoot_radial(PowerKG(5.0, 0.0), RadialGrid(2, 40.0, 8000), bracket=(1.0, 8.0))
     assert 1.0 < gs.center_value < 8.0
+    # one ulp above the equilibrium phi = 1, c2 h^2 rounds away and
+    # phi(h) == phi(0): the ODE lets phi stay there, so the grid is not blamed
+    status, _, _, _ = _classify_shot(1.0000000000000002, PowerKG(3.0, 0.0),
+                                     RadialGrid(2, 40.0, 4000), record=False)
+    assert status != "cross"
 
 
 def test_small_domain_rejected():
@@ -182,14 +189,21 @@ SHOT_NONLINEARITIES = tuple(PowerKG(p, omega) for p in (2.0, 3.0, 4.0)
                             for omega in (0.0, 0.6)) + (CUBIC_QUINTIC,)
 
 
+def _without_turn_exit(nl):
+    """nl with an ODE energy that never certifies a turn, so _classify_shot
+    marches on to "cross", "diverge" or "end"."""
+    return types.SimpleNamespace(g=nl.g, dg=nl.dg, G=lambda s: math.inf)
+
+
 @functools.lru_cache(maxsize=None)
 def _critical_amplitude(n, nl):
     """Bisection on the labels of full recorded marches, no early exit."""
     grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
+    full = _without_turn_exit(nl)
     lo, hi = 0.2, 6.5
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        status, _, _, _ = _classify_shot(mid, nl, grid, record=True)
+        status, _, _, _ = _classify_shot(mid, full, grid, record=True)
         if status == "cross":
             hi = mid
         else:
@@ -217,14 +231,17 @@ def shot_cases(draw):
 @given(case=shot_cases())
 def test_turning_point_exit_agrees_with_full_march(case):
     # a shot that turns while positive can never cross zero: the early
-    # exit must label every shot exactly as the recorded march does
+    # exit must label every shot exactly as the march without it does
     n, nl, a = case
     grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
-    early, _, _, _ = _classify_shot(a, nl, grid, record=False)
-    full, values, filled, _ = _classify_shot(a, nl, grid, record=True)
+    early, early_values, early_filled, _ = _classify_shot(a, nl, grid, record=True)
+    full, values, filled, _ = _classify_shot(a, _without_turn_exit(nl), grid, record=True)
+    assert _classify_shot(a, nl, grid, record=False)[0] == early
     assert (early == "cross") == (full == "cross")
     if early != "cross":
         assert np.all(values[:filled] >= 0.0)
+    # the early exit keeps the full march's values up to where it stops
+    assert np.array_equal(early_values[:early_filled], values[:early_filled])
 
 
 @pytest.mark.parametrize("n, nl", [(n, nl) for n in (2, 3) for nl in SHOT_NONLINEARITIES])
@@ -241,28 +258,87 @@ SHOOT_GRIDS = [(RadialGrid(2, 40.0, 4000), (1.0, 4.0)), (RadialGrid(2, 40.0, 800
                (RadialGrid(3, 30.0, 3000), (3.0, 6.0)), (RadialGrid(2, 80.0, 4000), (1.0, 4.0))]
 
 
-@pytest.mark.parametrize("grid, bracket", SHOOT_GRIDS)
-def test_shot_count_and_final_bracket(monkeypatch, grid, bracket):
-    shots = []
+@pytest.fixture
+def shot_log(monkeypatch):
+    """Every march shoot_radial makes, as (a, status, filled, record)."""
+    log = []
 
-    def counted(a, nl, grid, record):
+    def logged(a, nl, grid, record):
         out = _classify_shot(a, nl, grid, record)
-        shots.append((a, out[0]))
+        log.append((a, out[0], out[2], record))
         return out
 
-    monkeypatch.setattr("varkg.ground_state._classify_shot", counted)
+    monkeypatch.setattr("varkg.ground_state._classify_shot", logged)
+    return log
+
+
+@pytest.mark.parametrize("grid, bracket", SHOOT_GRIDS)
+def test_shot_count_and_final_bracket(shot_log, grid, bracket):
     a = shoot_radial(PowerKG(3.0, 0.0), grid, bracket=bracket).center_value
-    assert len(shots) <= 28  # bisection took 53-54
-    assert a == max(x for x, status in shots if status != "cross")
-    crossing = min(x for x, status in shots if status == "cross")
+    assert len(shot_log) <= 28  # bisection took 53-54
+    assert a == max(x for x, status, _, _ in shot_log if status != "cross")
+    crossing = min(x for x, status, _, _ in shot_log if status == "cross")
     assert a < crossing <= a + 1e-15 * a
 
 
+# cells marched when the G(a) <= 0 ends and the final shot's tail were
+# marched too: 24,792 / 54,969 / 25,652 / 15,338
+SHOOT_CELLS = (19000, 34000, 25000, 9700)
+
+
+@pytest.mark.parametrize("grid, bracket, cells",
+                         [(*case, cells) for case, cells in zip(SHOOT_GRIDS, SHOOT_CELLS)])
+def test_shots_march_only_what_the_energy_leaves_open(shot_log, grid, bracket, cells):
+    # in N >= 2 no amplitude with G(a) <= 0 crosses zero, and the final
+    # shot repeats a search shot, which stops at its turn
+    nl = PowerKG(3.0, 0.0)
+    shoot_radial(nl, grid, bracket=bracket)
+    assert all(nl.G(a) > 0.0 for a, _, _, _ in shot_log)
+    *search, (_, status, _, record) = shot_log
+    assert record and status == "turn"
+    assert not any(rec for _, _, _, rec in search)
+    assert sum(filled for _, _, filled, _ in shot_log) <= cells
+
+
+@pytest.mark.parametrize("bracket", [(0.5, 4.0), (1.0, 4.0), (0.2, 0.5)])
+def test_lower_end_with_nonpositive_g_is_lifted_unmarched(shot_log, bracket):
+    # at omega = 0.9, G(0.2) and G(0.5) are negative: the lower end 0.5,
+    # given, reached by halving the crossing end 1 or by doubling the
+    # upper end 0.5, moves up to the zero of G before a shot
+    nl = PowerKG(3.0, 0.9)
+    zero = math.sqrt(2.0 * nl.mass)  # G(s) = -m0 s^2 / 2 + s^4 / 4
+    gs = shoot_radial(nl, RadialGrid(2, 60.0, 6000), bracket=bracket)
+    assert np.isclose(gs.center_value, 0.9616606617, rtol=1e-10, atol=0)
+    marched = [a for a, _, _, _ in shot_log]
+    assert nl.G(0.2) < 0.0 and nl.G(0.5) < 0.0
+    assert 0.2 not in marched and 0.5 not in marched
+    assert min(marched) == pytest.approx(zero, rel=1e-15)
+    assert all(nl.G(a) > 0.0 for a in marched)
+
+
+def test_one_d_marches_the_lower_end(shot_log):
+    # in N = 1 the energy is conserved and the zero of G is the critical
+    # amplitude itself: the lower end a = 1, with G(1) < 0, is still shot
+    shoot_radial(PowerKG(3.0, 0.0), RadialGrid(1, 25.0, 2500))
+    assert shot_log[0][0] == 1.0
+
+
 def test_miss_never_underflows_on_a_wide_grid():
-    # exp(-2 sqrt(m0) R) underflows to 0.0 at R = 400, and the equilibrium
-    # end a = 1 reaches R: a zero miss there would be taken for the root
+    # exp(-2 sqrt(m0) R) underflows to 0.0 at R = 400; no shot reaches R
+    # here, since the equilibrium end a = 1 (G(1) < 0) is lifted unmarched
+    # and the final shot stops at its turn, but the amplitude must not move
     gs = shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 400.0, 40000))
     assert abs(gs.center_value - 2.2062008592293427) <= 1e-15 * 2.2062008592293427
+
+
+def test_signed_miss_is_floored_at_the_smallest_normal():
+    # a shot reaching r_esc = 400 at sqrt(m0) = 1 would miss by exp(-800),
+    # which is 0.0 in doubles: brent would take that for a root
+    assert math.exp(-800.0) == 0.0
+    assert _signed_miss("end", 400.0, 2.0) == sys.float_info.min
+    assert _signed_miss("cross", 400.0, 2.0) == -sys.float_info.min
+    assert _signed_miss("turn", 3.0, 2.0) == math.exp(-6.0)
+    assert _signed_miss("cross", 3.0, 2.0) == -math.exp(-6.0)
 
 
 @pytest.mark.parametrize("fixture, level, center", [
