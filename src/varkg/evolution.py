@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -40,8 +40,6 @@ from .radial_core import (
     SPHERE_SURFACE,
     GridFunction,
     RadialGrid,
-    _integral,
-    _squares,
     grad_norm_sq,
     l2_norm_sq,
     require_same_grid,
@@ -65,8 +63,9 @@ RESOLUTION_TOL = 1e-2     # relative error allowed in the resampled moments of
 
 class TrajectoryRecord(NamedTuple):
     """Diagnostics at one record time.  energy is the conserved energy
-    of the discrete system (see _record); the remaining functionals are
-    the model module's forms on the record's moments."""
+    of the discrete system; the remaining functionals are the model
+    module's forms on moments taken on the same faces and cells (see
+    _record)."""
 
     t: float
     energy: float
@@ -228,44 +227,34 @@ def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow,
         np.add(wf, af, out=wf)
 
 
-def _outer_fraction(grid: RadialGrid, arrays: tuple, outer: slice) -> float:
-    """Square root of the outer nodes' share of the H1 moment, from _record's arrays."""
-    m, uu, dd = arrays
-    if m.h1 == 0.0:
-        return 0.0
-    return math.sqrt(float((grid.weights[outer] * (uu[outer] + dd[outer])).sum()) / m.h1)
-
-
 def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
-            flow, m_ref: float | None) -> tuple[TrajectoryRecord, tuple]:
-    """The diagnostics at one record time, with u's moments and its L2 and
-    gradient densities u * u and d * d (see _outer_fraction); the only place
-    that decides membership in {E < m_ref, P > 0}, E the flow's energy.
+            flow, m_ref: float | None, outer: slice) -> tuple[TrajectoryRecord, float]:
+    """The diagnostics at one record time and u's boundary share, the square
+    root of the H1 moment's part on the outer cells and the faces between
+    them; the only place that decides membership in {E < m_ref, P > 0}.
 
-    E is the energy of the semi-discrete system on the operator's faces and
-    cells, conserved in every dimension (its gradient is -cell * (lap + g))
-    up to the leapfrog's bounded O(dt^2) oscillation; it is energy_E to
-    O(h^2).  u * u is formed once: the L2 moment, the square in G and, at
-    p = 3, |u|^4 all take it, bit for bit the products PowerKG.G and
-    _abs_power form.  NumericalOverflow when the potential moment leaves the
-    float range or u or v is not finite.  u and v are scanned only when E is
-    not finite: every cell weight is positive, so a non-finite node makes it so.
+    Every sum is on the operator's faces and cells (see _operator): grad =
+    sum face du^2 is E's face term, l2 = sum cell u^2, pot = sum cell |u|^(p+1)
+    or, for a general g, sum cell G(u).  So S, P, T and H1 share E's
+    discretization and S = E to roundoff on data at rest; all are energy_E
+    and moments to O(h^2).  E, the semi-discrete energy, is conserved up to
+    the leapfrog's bounded O(dt^2) oscillation.  u * u is formed once.
+    NumericalOverflow when pot leaves the float range or u or v is not
+    finite; they are scanned only when E is not, as a non-finite node makes it.
     """
     face, cell, _ = _operator(grid)
-    weights = grid.weights
-    uu, dd = _squares(u, grid)
+    uu = np.multiply(u, u)
     scratch = np.empty_like(u)
     if isinstance(flow, PowerKG):
         pp1 = flow.p + 1.0
         upow = np.multiply(uu, uu) if pp1 == 4.0 else _abs_power(u, pp1)
         big_g = np.multiply(-0.5 * flow.mass, uu)
         np.add(big_g, np.divide(upow, pp1, out=scratch), out=big_g)
-        pot = float(np.multiply(weights, upow, out=upow).sum())
-        work = upow
+        work = np.multiply(cell, upow, out=upow)
     else:
-        pot = _integral(flow.G(np.abs(u)), grid)
         big_g = flow.G(u)  # the callable's array: read, never written
-        work = np.empty_like(u)
+        work = np.multiply(cell, big_g)
+    pot = float(work.sum())
     if not math.isfinite(pot):
         raise NumericalOverflow("the potential moment left the representable range")
     np.multiply(np.multiply(0.5, v, out=work), v, out=work)
@@ -273,15 +262,18 @@ def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
     nodal = float(work.sum())
     du = np.subtract(u[1:], u[:-1], out=scratch[:-1])
     face_term = np.multiply(np.multiply(face, du, out=work[:-1]), du, out=work[:-1])
-    energy = nodal + 0.5 * float(face_term.sum())
+    grad = float(face_term.sum())
+    energy = nodal + 0.5 * grad
     if not math.isfinite(energy) and not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericalOverflow("the state is no longer finite")
-    m = Moments(float(np.multiply(weights, dd, out=scratch).sum()),
-                float(np.multiply(weights, uu, out=scratch).sum()), pot, flow, grid.dimension)
+    cell_term = np.multiply(cell, uu, out=uu)
+    m = Moments(grad, float(cell_term.sum()), pot, flow, grid.dimension)
     p_val = m.potential()
     in_set = m_ref is not None and energy < m_ref and p_val > 0.0
+    share = (0.0 if m.h1 == 0.0 else
+             math.sqrt((float(cell_term[outer].sum()) + float(face_term[outer].sum())) / m.h1))
     return (TrajectoryRecord(t, energy, m.action(), p_val, m.kinetic, math.sqrt(m.h1), in_set),
-            (m, uu, dd))
+            share)
 
 
 def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequence[GridFunction],
@@ -293,9 +285,11 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     stability bound.  Diagnostics (energy, action, P, T, H1 norm, invariant-set
     flag) and the event checks (finiteness, H1 escape past blowup_factor times
     its start value, boundary contamination) run every RECORD_INTERVAL, in
-    steps.  They are taken with the flow's nonlinearity (see flow_nonlinearity),
-    so E and S agree on data at rest.  The first record is that of the data
-    themselves, so its flag is their membership in the invariant set.
+    steps.  They are taken with the flow's nonlinearity (see flow_nonlinearity)
+    on the flow's own faces and cells (see _record), so E and S agree to
+    roundoff on data at rest.  The first record is that of the data
+    themselves, so its flag is their membership in the invariant set of the
+    finite level m_ref (None: no level, every flag False).
 
     u0 and v0 are one pair of GridFunctions, which gives one Trajectory, or
     equal-length sequences of them on one grid, which give a list with one
@@ -303,11 +297,12 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     each bit for bit the run it makes alone; their inputs are read one at a
     time, and the batch holds four (pairs, M+1) arrays of floats, down to the
     pairs still running, and the records of every run (seven floats each, see
-    Trajectory) until the last ends.
+    Trajectory) until the last ends.  Inputs of any other kind raise InvalidInput.
     """
     single = isinstance(u0, GridFunction)
-    if isinstance(v0, GridFunction) != single:
-        raise InvalidInput("u0 and v0 must both be GridFunctions or both sequences of them")
+    sized = isinstance(u0, Sized) and isinstance(v0, Sized)
+    if isinstance(v0, GridFunction) != single or not (single or sized):
+        raise InvalidInput("u0 and v0 must both be GridFunctions or both sized sequences of them")
     rows = 1 if single else len(u0)
     if not single and len(v0) != rows:
         raise InvalidInput(f"{rows} initial profiles against {len(v0)} initial velocities")
@@ -320,8 +315,12 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
         raise InvalidParameter("blowup_factor must exceed 1")
     if not (cfl > 0.0) or not math.isfinite(cfl):
         raise InvalidParameter(f"cfl must be positive and finite, got {cfl!r}")
+    if m_ref is not None and not math.isfinite(m_ref):
+        raise InvalidParameter(f"m_ref must be finite or None, got {m_ref!r}")
     u = v = None
     for i, (a, b) in enumerate([(u0, v0)] if single else zip(u0, v0)):
+        if not (isinstance(a, GridFunction) and isinstance(b, GridFunction)):
+            raise InvalidInput(f"initial pair {i} is not two GridFunctions")
         if u is None:
             grid = a.grid
             u = np.empty((rows, grid.cells + 1))
@@ -345,13 +344,12 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     # losing finiteness is a recorded event; silence the intermediate
     # overflow warnings on the way to its detection
     with np.errstate(over="ignore", invalid="ignore"):
-        h1_init, frac_init = [], []
+        h1_init, share_init = [], []
         for i in range(rows):
-            rec, arrays = _record(grid, u[i], v[i], 0.0, flow, m_ref)
+            rec, share = _record(grid, u[i], v[i], 0.0, flow, m_ref, outer)
             records[i] += _PACKED_RECORD.pack(*rec)
             h1_init.append(rec.h1_norm)
-            frac_init.append(_outer_fraction(grid, arrays, outer))
-        arrays = None  # u*u and d*d held through the steps raised the peak RSS
+            share_init.append(share)
         live = list(range(rows))  # the run of each row the leapfrog carries
         run_rows = _leapfrog(u, v, dt, grid, flow, n_steps, stride)
         k, u, v = next(run_rows)
@@ -359,7 +357,7 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
             t, keep = k * dt, []
             for i, run in enumerate(live):
                 try:
-                    rec, arrays = _record(grid, u[i], v[i], t, flow, m_ref)
+                    rec, share = _record(grid, u[i], v[i], t, flow, m_ref, outer)
                 except NumericalOverflow:
                     # a state no longer finite, or a finite one whose diagnostics
                     # left the representable range: the same terminal event
@@ -368,9 +366,8 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
                     records[run] += _PACKED_RECORD.pack(*rec)
                     if rec.h1_norm > blowup_factor * h1_init[run]:
                         terminations[run] = BLOWUP_DETECTED
-                    elif _outer_fraction(grid, arrays, outer) > frac_init[run] + BOUNDARY_FRACTION:
+                    elif share > share_init[run] + BOUNDARY_FRACTION:
                         terminations[run] = BOUNDARY_CONTAMINATION
-                    arrays = None
                 keep.append(terminations[run] == REACHED_TMAX)
             if k == n_steps or not any(keep):
                 break
@@ -446,13 +443,14 @@ def invariant_monitor(traj: Trajectory) -> InvariantReport:
     remaining record is inside the set; min_p is the observed lower bound
     on P over them, and min_kinetic the kinetic minimum, which membership
     forces to be at least m."""
-    if not traj.records:
+    records = traj.records
+    if not records:
         raise PreconditionFailed("trajectory has no records")
     if traj.m_ref is None:
         raise PreconditionFailed("trajectory carries no reference level")
-    if not traj.records[0].in_invariant_set:
+    if not records[0].in_invariant_set:
         raise PreconditionFailed("trajectory did not start inside the invariant set")
-    records = traj.diagnostic_records
+    records = records[:-1] if traj.drops_last_record else records
     return InvariantReport(
         in_set_throughout=all(rec.in_invariant_set for rec in records),
         min_p=min(rec.p_value for rec in records),
