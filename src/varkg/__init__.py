@@ -57,10 +57,7 @@ from .model import (
     check_subcritical,
     classify_exponents,
     flow_nonlinearity,
-    energy_E,
-    kinetic_T,
     moments,
-    power_integral,
     ray_exponents,
 )
 from .paths import (
@@ -82,9 +79,6 @@ from .radial_core import (
     GridFunction,
     RadialGrid,
     brent,
-    grad_norm_sq,
-    h1_norm_sq,
-    l2_norm_sq,
     load_profile,
     require_same_grid,
     save_profile,

@@ -63,6 +63,22 @@ def float_list(text) -> list[float]:
     return values
 
 
+def nonnegative_int(text) -> int:
+    """An int >= 0, such as a seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("negative")
+    return value
+
+
+def positive_float(text) -> float:
+    """A positive finite float, such as a tolerance."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError("not positive and finite")
+    return value
+
+
 class Flag(NamedTuple):
     option: str
     type: Callable
@@ -73,7 +89,7 @@ class Flag(NamedTuple):
 FLAGS = {
     "outdir": Flag("--outdir", str,
                    "output directory (the VARKG_OUTDIR environment variable overrides it)"),
-    "seed": Flag("--seed", int, "seed of the random trial profiles"),
+    "seed": Flag("--seed", nonnegative_int, "seed of the random trial profiles"),
     "p": Flag("--p", float, "exponent of the power nonlinearity |u|^(p-1) u"),
     "omega": Flag("--omega", float, "frequency of the standing wave"),
     "N": Flag("--N", int, "space dimension"),
@@ -87,7 +103,7 @@ FLAGS = {
     "alpha": Flag("--alpha", float, "first exponent of the constraint K_{alpha,beta}"),
     "beta": Flag("--beta", float, "second exponent of the constraint K_{alpha,beta}"),
     "family_size": Flag("--family-size", int, "number of trial profiles"),
-    "tol": Flag("--tol", float, "relative tolerance against the least-energy level"),
+    "tol": Flag("--tol", positive_float, "relative tolerance against the least-energy level"),
     "amplitudes": Flag("--amplitudes", float_list,
                        "comma-separated amplitudes c of the trial profiles c * phi"),
     "lam": Flag("--lambda", float, "amplitude factor of the initial data lambda * phi(x/mu)"),
@@ -211,7 +227,7 @@ def _cmd_path(cfg):
     v = load_profile(cfg.profile)
     nl = PowerKG(cfg.p, cfg.omega)
     se = ScalingExponents(cfg.alpha, cfg.beta)
-    lam_star, projected = project_to_constraint(v, nl, se)
+    lam_star, projected, _ = project_to_constraint(v, nl, se)
     path = build_path(projected, nl, se)
     _write_csv(os.path.join(cfg.outdir, "path.csv"), ["t", "action"],
                zip(path.t, path.action_values))
@@ -409,7 +425,7 @@ def _cmd_selftest(cfg):
     check("pohozaev_residual(phi)", phi.pohozaev_residual(), 0.0, 1e-4)
     path = build_path(gs.profile, nl, AMPLITUDE_RAY)
     check("path max action", path.max_action, m, 1e-3)
-    lam_star, _ = project_to_constraint(gs.profile, nl, AMPLITUDE_RAY)
+    lam_star, _, _ = project_to_constraint(gs.profile, nl, AMPLITUDE_RAY)
     check("projection idempotence", lam_star, 1.0, 1e-6)
     passed = all(checks)
     print(f"selftest: {'PASS' if passed else 'FAIL'} ({sum(checks)}/{len(checks)})")

@@ -34,16 +34,10 @@ from .model import (
     _abs_power,
     _force_into,
     flow_nonlinearity,
+    moments,
 )
 from .paths import rescale
-from .radial_core import (
-    SPHERE_SURFACE,
-    GridFunction,
-    RadialGrid,
-    grad_norm_sq,
-    l2_norm_sq,
-    require_same_grid,
-)
+from .radial_core import SPHERE_SURFACE, GridFunction, RadialGrid, require_same_grid
 
 REACHED_TMAX = "ReachedTmax"
 BLOWUP_DETECTED = "BlowupDetected"
@@ -236,9 +230,10 @@ def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
     Every sum is on the operator's faces and cells (see _operator): grad =
     sum face du^2 is E's face term, l2 = sum cell u^2, pot = sum cell |u|^(p+1)
     or, for a general g, sum cell G(u).  So S, P, T and H1 share E's
-    discretization and S = E to roundoff on data at rest; all are energy_E
-    and moments to O(h^2).  E, the semi-discrete energy, is conserved up to
-    the leapfrog's bounded O(dt^2) oscillation.  u * u is formed once.
+    discretization and S = E to roundoff on data at rest; all are the forms
+    on moments(u, flow), E with (1/2) ||v||^2 added, to O(h^2).  E, the
+    semi-discrete energy, is conserved up to the leapfrog's bounded O(dt^2)
+    oscillation.  u * u is formed once.
     NumericalOverflow when pot leaves the float range or u or v is not
     finite; they are scanned only when E is not, as a non-finite node makes it.
     """
@@ -392,9 +387,9 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
     The real radial flow carries standing waves only at omega = 0, so a
     ground state whose nonlinearity differs from its flow's (see
     flow_nonlinearity) is rejected: its level m would use a mass the flow
-    does not.  In dimension 2 phi(x/mu) has the gradient moment of phi and
-    mu^2 times its L2 moment; a mu whose resampled profile misses either
-    by more than RESOLUTION_TOL (relative), or so small that R/mu overflows,
+    does not.  A mu whose resampled profile misses the gradient or L2
+    moment that Moments.scaled gives phi(x/mu) by more than RESOLUTION_TOL
+    (relative), or so small that R/mu overflows,
     is not resolved by the grid and raises InvalidParameter, as does a lam
     or mu not positive and finite;
     lam * phi past the float range raises NumericalOverflow.
@@ -412,9 +407,10 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
     if not math.isfinite(stretch * gs.grid.outer_radius):
         raise InvalidParameter(f"the grid does not resolve mu = {mu!r}: "
                                "R/mu is past the float range")
-    stretched = rescale(gs.profile, stretch, ScalingExponents(0.0, 1.0))
-    got = np.array([grad_norm_sq(stretched), l2_norm_sq(stretched)])
-    exact = np.array([grad_norm_sq(gs.profile), mu * mu * l2_norm_sq(gs.profile)])
+    dilation = ScalingExponents(0.0, 1.0)
+    stretched = rescale(gs.profile, stretch, dilation)
+    got = np.array(moments(stretched, nl)[:2])
+    exact = np.array(moments(gs.profile, nl).scaled(stretch, dilation)[:2])
     with np.errstate(divide="ignore", invalid="ignore"):
         off = float(np.max(np.abs(got - exact) / exact))
     if not off <= RESOLUTION_TOL:

@@ -220,8 +220,8 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     Any nonlinearity shoots the same way, in the grid's dimension; a
     power must also be subcritical there (check_subcritical).
 
-    The bracket must straddle the critical amplitude: its lower end
-    classifies as non-crossing and its upper end crosses zero.  A lower
+    The bracket must be finite and straddle the critical amplitude: its
+    lower end classifies as non-crossing and its upper end crosses zero.  A lower
     end that crosses becomes the upper end and is halved, and an upper end
     that does not cross becomes the lower end and is doubled, up to
     BRACKET_DOUBLINGS moves in all; a bracket that already straddles is
@@ -259,8 +259,8 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
         check_subcritical(nl.p, dimension)
     m0 = nl.mass
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0 < lo < hi):
-        raise InvalidInput(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
+    if not (0 < lo < hi < math.inf):
+        raise InvalidInput(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
 
     decay2 = 2.0 * math.sqrt(m0)
     big_g = nl.G

@@ -36,14 +36,7 @@ from .errors import (
     NumericalOverflow,
     Unsupported,
 )
-from .radial_core import (
-    GridFunction,
-    _integral,
-    _squares,
-    grad_norm_sq,
-    l2_norm_sq,
-    require_same_grid,
-)
+from .radial_core import GridFunction, _integral, _squares
 
 # GeneralG checks g = G' by a centred difference of G at these points
 G_PRIME_POINTS = np.array([0.25, 0.5, 1.0, 1.5])
@@ -227,17 +220,6 @@ def classify_exponents(alpha: float, beta: float, p: float, dimension: int) -> s
     return INVALID
 
 
-def power_integral(v: GridFunction, q: float) -> float:
-    """int |v|^q against the radial measure (q > 0; |v|^q as _abs_power takes it)."""
-    if q <= 0:
-        raise InvalidInput(f"exponent must be positive, got {q!r}")
-    with np.errstate(over="ignore"):
-        out = _integral(_abs_power(v.values, q), v.grid)
-    if not math.isfinite(out):
-        raise NumericalOverflow("power integral left the representable range")
-    return out
-
-
 class Moments(NamedTuple):
     """The three integrals every functional here is a linear form in, with
     the nonlinearity and the dimension they were taken for.
@@ -251,7 +233,7 @@ class Moments(NamedTuple):
     grad: float
     l2: float
     pot: float
-    nl: Nonlinearity | None
+    nl: Nonlinearity
     dimension: int
 
     @property
@@ -321,12 +303,14 @@ class Moments(NamedTuple):
 
     def scaled(self, lam: float | np.ndarray, se: ScalingExponents) -> "Moments":
         """Exact moments of lambda^alpha v(lambda^beta x) on the whole space,
-        elementwise over an array of lam (power family only: int G(v) of a
-        general g is no power of lambda)."""
+        elementwise over an array of lam.  For a general g, int G(v) is a
+        power of lambda only along a dilation (alpha = 0), where p drops out
+        of the powers; any other ray raises Unsupported."""
         nl = self.nl
-        if not isinstance(nl, PowerKG):
-            raise Unsupported("scaled moments are implemented for the power family only")
-        a, b, c = ray_exponents(se.alpha, se.beta, nl.p, self.dimension)
+        power = isinstance(nl, PowerKG)
+        if not power and se.alpha != 0.0:
+            raise Unsupported("scaled moments of a general g are implemented for dilations only")
+        a, b, c = ray_exponents(se.alpha, se.beta, nl.p if power else 2.0, self.dimension)
         return Moments(self.grad * lam**a, self.l2 * lam**b, self.pot * lam**c,
                        nl, self.dimension)
 
@@ -357,21 +341,6 @@ def _force_into(u: np.ndarray, nl: Nonlinearity, scale: float, out: np.ndarray):
         np.subtract(out, scaled_mass, out=out)
         np.multiply(u, out, out=out)
     return force
-
-
-def kinetic_T(v: GridFunction) -> float:
-    """T(v) = (1/2) ||grad v||^2; needs the gradient moment only, so no nonlinearity."""
-    return Moments(grad_norm_sq(v), 0.0, 0.0, None, v.grid.dimension).kinetic
-
-
-def energy_E(u: GridFunction, v: GridFunction, nl: Nonlinearity) -> float:
-    """E(u, v) = (1/2) ||v||^2 + S(u); conserved by the flow.
-
-    Matches moments(u, nl).action() bit for bit when v vanishes because it
-    is computed as that sum.
-    """
-    require_same_grid(u, v)
-    return 0.5 * l2_norm_sq(v) + moments(u, nl).action()
 
 
 def flow_nonlinearity(nl: Nonlinearity) -> Nonlinearity:

@@ -44,10 +44,9 @@ from .model import (
     PowerKG,
     ScalingExponents,
     classify_exponents,
-    kinetic_T,
     moments,
 )
-from .radial_core import GridFunction, brent, l2_norm_sq
+from .radial_core import GridFunction, brent
 
 # |K| <= tol * ||v||_H1^2 counts as "on the constraint"; matches the
 # Nehari tolerance a validated ground state is allowed to carry
@@ -98,9 +97,8 @@ def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
     else:
         cut = stretch * grid.outer_radius
         if cut < grid.outer_radius:
-            tail = grid.r > cut
-            lost = float(np.sum(grid.weights[tail] * v.values[tail] ** 2))
-            total = l2_norm_sq(v)
+            mass = grid.weights * v.values ** 2
+            lost, total = float(mass[grid.r > cut].sum()), float(mass.sum())
             if total > 0.0 and lost > MAX_LOST_MASS * total:
                 raise TruncationOverflow(
                     f"rescaling with lambda={lam:.6g} pushes {lost / total:.3e} of the "
@@ -145,8 +143,10 @@ def _sign_change(samples) -> tuple[int, int] | None:
 
 
 def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
-                          ray: ScalingExponents | None = None) -> tuple[float, GridFunction]:
-    """Root of lambda -> K_{alpha,beta}(v_lambda) along a scaling ray.
+                          ray: ScalingExponents | None = None
+                          ) -> tuple[float, GridFunction, Moments]:
+    """Root of lambda -> K_{alpha,beta}(v_lambda) along a scaling ray, with
+    the projected profile and its moments.
 
     The region picks the ray: an interior pair is projected along its own
     ray, a limit pair by amplitude (AMPLITUDE_RAY), because its own ray
@@ -207,21 +207,23 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     if abs(residual) > PROJECTION_TOL * m.h1:
         raise ConvergenceError(
             f"projection residual {residual:.3e} exceeds {PROJECTION_TOL:.0e} * its H1 norm")
-    return lam_star, projected
+    return lam_star, projected, m
 
 
-def project_to_P_zero(v: GridFunction, nl: PowerKG) -> tuple[float, GridFunction]:
+def project_to_P_zero(v: GridFunction, nl: PowerKG) -> tuple[float, GridFunction, Moments]:
     """Shrink v_lambda = lambda v(lambda x) until P vanishes (dimension 2).
 
     In dimension 2, P = -K_{0,-1}/2 exactly, so P = 0 is the constraint of
     the limit pair (0, -1), projected along the L2-invariant ray (1, 1) by
-    project_to_constraint.  P(v) > 0 pins the root in (0, 1).
+    project_to_constraint, which also gives the result's moments.  P(v) > 0
+    pins the root in (0, 1).
     """
     if v.grid.dimension != 2:
         raise Unsupported("the P = 0 projection uses the L2-invariant scaling of dimension 2")
-    p0 = moments(v, nl).potential()
+    m = moments(v, nl)
+    p0 = m.potential()
     if p0 == 0.0:
-        return 1.0, v
+        return 1.0, v, m
     if p0 < 0.0:
         raise PreconditionFailed(f"P(v) = {p0:.3e} <= 0; nothing to project")
     return project_to_constraint(v, nl, P_ZERO, ray=ScalingExponents(1.0, 1.0))
@@ -432,6 +434,8 @@ def default_trial_family(gs, count: int = 50, seed: int = 0) -> list[GridFunctio
     perturbations: the stock trial set for the minimization checks."""
     if count < 3:
         raise InvalidParameter("trial family needs at least 3 members")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be nonnegative, got {seed!r}")
     v = gs.profile
     grid = v.grid
     rng = np.random.default_rng(seed)
@@ -448,6 +452,15 @@ def default_trial_family(gs, count: int = 50, seed: int = 0) -> list[GridFunctio
         bump = 1.0 + eps * np.exp(-(((r - x0) / width) ** 2))
         members.append(GridFunction(grid, v.values * bump))
     return members
+
+
+def _tolerance(tol: float | None, m_ref: float) -> float:
+    """tol, 1e-3 |m_ref| when None; InvalidParameter unless positive and finite."""
+    if tol is None:
+        return 1e-3 * abs(m_ref)
+    if not 0.0 < tol < math.inf:
+        raise InvalidParameter(f"tol must be positive and finite, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -497,22 +510,20 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
     trials = list(trials)
     if not trials:
         raise InvalidParameter("empty trial family")
+    tol = _tolerance(tol, m_ref)
     region = exponent_region(se, nl, trials[0].grid.dimension)
-    if tol is None:
-        tol = 1e-3 * abs(m_ref)
     unity_cell = int(np.argmin(np.abs(ARGMAX_LAM_GRID - 1.0)))
 
     lambdas, actions, failures, cells_off = [], [], [], []
     for i, trial in enumerate(trials):
         try:
-            lam_star, projected = project_to_constraint(trial, nl, se)
+            lam_star, _, m = project_to_constraint(trial, nl, se)
         except (NoRoot, TruncationOverflow, ConvergenceError, InvalidInput) as err:
             failures.append((i, type(err).__name__))
             lambdas.append(None)
             actions.append(None)
             continue
         lambdas.append(lam_star)
-        m = moments(projected, nl)
         actions.append(m.action())
         if region == INTERIOR:
             # the ray profile of the projected moments transforms exactly
@@ -566,8 +577,7 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
         raise InvalidParameter("empty trial family")
     if trials[0].grid.dimension != 2:
         raise Unsupported("the T/P equivalence is a dimension-2 statement")
-    if tol is None:
-        tol = 1e-3 * abs(m_ref)
+    tol = _tolerance(tol, m_ref)
     lambdas, kinetics, skipped, failures = [], [], [], []
     for i, trial in enumerate(trials):
         m = moments(trial, nl)
@@ -578,20 +588,18 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
             lambdas.append(None)
             kinetics.append(None)
             continue
-        if p_val <= band:
-            lambdas.append(None)
-            kinetics.append(m.kinetic)
-            continue
-        try:
-            lam0, projected = project_to_P_zero(trial, nl)
-        except (PreconditionFailed, Unsupported, NoRoot, ConvergenceError,
-                TruncationOverflow) as err:
-            failures.append((i, type(err).__name__))
-            lambdas.append(None)
-            kinetics.append(None)
-            continue
+        lam0 = None
+        if p_val > band:
+            try:
+                lam0, _, m = project_to_P_zero(trial, nl)
+            except (PreconditionFailed, Unsupported, NoRoot, ConvergenceError,
+                    TruncationOverflow) as err:
+                failures.append((i, type(err).__name__))
+                lambdas.append(None)
+                kinetics.append(None)
+                continue
         lambdas.append(lam0)
-        kinetics.append(kinetic_T(projected))
+        kinetics.append(m.kinetic)
     evaluated = [(t, i) for i, t in enumerate(kinetics) if t is not None]
     if not evaluated:
         raise EmptyConstraintSample("no trial lies in the P >= 0 set")

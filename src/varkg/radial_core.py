@@ -1,4 +1,4 @@
-"""Radial grids, measure-weighted quadrature, discrete norms, and a root finder.
+"""Radial grids, measure-weighted quadrature, and a root finder.
 
 Everything downstream works with radially symmetric functions on a
 truncated domain: a uniform grid on [0, R] whose quadrature weights fold
@@ -176,21 +176,6 @@ def _squares(values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarr
     return values * values, np.multiply(d, d, out=d)
 
 
-def l2_norm_sq(v: GridFunction) -> float:
-    """Squared L2 norm against the radial measure."""
-    return _integral(_squares(v.values, v.grid)[0], v.grid)
-
-
-def grad_norm_sq(v: GridFunction) -> float:
-    """Squared L2 norm of the radial derivative against the measure."""
-    return _integral(_squares(v.values, v.grid)[1], v.grid)
-
-
-def h1_norm_sq(v: GridFunction) -> float:
-    """Squared H1 norm: l2_norm_sq + grad_norm_sq."""
-    return l2_norm_sq(v) + grad_norm_sq(v)
-
-
 def strauss_decay_profile(v: GridFunction) -> np.ndarray:
     """Pointwise radial decay ratios r^((N-1)/2) |v(r)| / ||v||_H1.
 
@@ -201,7 +186,8 @@ def strauss_decay_profile(v: GridFunction) -> np.ndarray:
     """
     if v.grid.dimension == 1:
         raise Unsupported("decay ratios are defined for N >= 2 only")
-    h1 = h1_norm_sq(v)
+    uu, dd = _squares(v.values, v.grid)
+    h1 = _integral(uu, v.grid) + _integral(dd, v.grid)
     if h1 == 0.0:
         raise InvalidInput("zero function has no decay profile")
     r = v.grid.r[1:-1]

@@ -104,6 +104,23 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
     assert "unrecognized arguments: --p 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem1", "--N", "1", "--seed", "-1"],
+    ["verify-theorem2", "--tol", "nan"],
+    ["verify-lemma-minT", "--tol", "-1"],
+], ids=["negative-seed", "nan-tol", "negative-tol"])
+def test_seed_and_tol_are_typed_flags(argv, tmp_path, capsys):
+    # a negative seed ended in numpy's ValueError, a bad tol in "pass = False"
+    with pytest.raises(SystemExit) as exit_info:
+        run([*argv, "--outdir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({argv[-2].lstrip("-"): argv[-1]}))
+    assert run(["--config", str(config), *argv[:-2], "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("varkg: InvalidInput: ")
+
+
 def test_ground_state_artifacts(tmp_path, capsys):
     assert run(["ground-state", "--N", "2", "--R", "25", "--M", "1000",
                 "--outdir", str(tmp_path)]) == 0

@@ -16,6 +16,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 VALUES = {
     float: finite,
     int: st.integers(-10**6, 10**6),
+    cli.nonnegative_int: st.integers(0, 10**6),
+    cli.positive_float: st.floats(0.0, exclude_min=True, allow_infinity=False),
     str: st.text(string.ascii_letters + string.digits + "._-", min_size=1, max_size=12),
     cli.float_list: st.lists(finite, min_size=1, max_size=4).map(
         lambda xs: ",".join(map(repr, xs))),

@@ -33,7 +33,6 @@ from varkg import (
     RadialGrid,
     TruncationOverflow,
     Unsupported,
-    energy_E,
     energy_drift,
     evolve,
     invariant_monitor,
@@ -360,7 +359,7 @@ def test_discrete_energy_tracks_quadrature(townes, nl3):
     m = townes.level
     rec, _ = _record(townes.grid, townes.profile.values, zero.values, 0.0,
                      flow_nonlinearity(nl3), None, outer_zone(townes.grid))
-    assert np.isclose(rec.energy, energy_E(townes.profile, zero, nl3),
+    assert np.isclose(rec.energy, moments(townes.profile, nl3).action(),
                       rtol=0, atol=1e-3 * abs(m))
 
 

@@ -19,11 +19,7 @@ from varkg import (
     RadialGrid,
     closed_form_1d,
     equation_residual,
-    grad_norm_sq,
-    kinetic_T,
-    l2_norm_sq,
     moments,
-    power_integral,
     shoot_radial,
 )
 from varkg.ground_state import CONSTRAINT_TOL, _classify_shot, _signed_miss
@@ -56,25 +52,23 @@ def test_level_is_action(phi_1d, nl3):
 
 def test_townes_against_frozen_oracle(townes):
     assert np.isclose(townes.center_value, TOWNES_CENTER, rtol=0, atol=2e-4)
-    l2 = l2_norm_sq(townes.profile)
+    l2 = moments(townes.profile, townes.nonlinearity).l2
     assert np.isclose(l2, TOWNES_L2, rtol=5e-4)
     assert np.isclose(townes.level, TOWNES_LEVEL, rtol=5e-4)
 
 
 def test_townes_identities(townes):
     # Nehari + Pohozaev at N=2 force grad = l2 and l4 = 2 l2
-    l2 = l2_norm_sq(townes.profile)
-    assert np.isclose(grad_norm_sq(townes.profile) / l2, 1.0, rtol=0, atol=1e-3)
-    assert np.isclose(power_integral(townes.profile, 4.0) / l2, 2.0, rtol=0, atol=2e-3)
+    m = moments(townes.profile, townes.nonlinearity)
+    assert np.isclose(m.grad / m.l2, 1.0, rtol=0, atol=1e-3)
+    assert np.isclose(m.pot / m.l2, 2.0, rtol=0, atol=2e-3)
     # P = 0 at N=2, so the level is the kinetic energy
-    assert np.isclose(townes.level, kinetic_T(townes.profile),
-                      rtol=0, atol=1e-3 * townes.level)
-    assert abs(moments(townes.profile, townes.nonlinearity).potential()) \
-        <= 1e-3 * townes.level
+    assert np.isclose(townes.level, m.kinetic, rtol=0, atol=1e-3 * townes.level)
+    assert abs(m.potential()) <= 1e-3 * townes.level
 
 
 def test_n3_pohozaev_identity(ground_n3):
-    h1 = l2_norm_sq(ground_n3.profile) + grad_norm_sq(ground_n3.profile)
+    h1 = moments(ground_n3.profile, ground_n3.nonlinearity).h1
     assert abs(ground_n3.pohozaev_residual) <= 1e-3 * h1
     assert np.isclose(ground_n3.center_value, N3_CENTER, rtol=1e-3)
 
@@ -121,6 +115,13 @@ def test_bad_bracket_raises():
     grid = RadialGrid(2, 10.0, 10000)
     with pytest.raises(BracketError, match="lo -> cross"):
         shoot_radial(PowerKG(3.0, 0.0), grid, bracket=(600.0, 1200.0))
+
+
+def test_infinite_bracket_end_is_refused_before_any_shot(shot_log):
+    # an infinite upper end passed 0 < lo < hi and marched a NaN shot
+    with pytest.raises(InvalidInput, match="0 < lo < hi < inf"):
+        shoot_radial(PowerKG(3.0, 0.0), RadialGrid(2, 40.0, 400), bracket=(1.0, math.inf))
+    assert shot_log == []
 
 
 def test_non_crossing_upper_end_is_doubled(ground_n3):

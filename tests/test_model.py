@@ -24,20 +24,14 @@ from varkg import (
     Unsupported,
     check_subcritical,
     classify_exponents,
-    energy_E,
     flow_nonlinearity,
-    grad_norm_sq,
-    h1_norm_sq,
-    kinetic_T,
-    l2_norm_sq,
     moments,
-    power_integral,
     ray_exponents,
     rescale,
 )
 from varkg.model import Moments, _abs_power
 
-from general_g import LINEAR_KG
+from general_g import CUBIC_QUINTIC, LINEAR_KG
 
 
 def test_power_kg_validation():
@@ -95,15 +89,12 @@ def test_classification_rejects_bad_arguments():
 
 def test_functionals_on_line_soliton(phi_1d, nl3):
     # sqrt(2) sech(r): the whole-line integrals are rational
-    l2 = l2_norm_sq(phi_1d.profile)
-    gr = grad_norm_sq(phi_1d.profile)
-    l4 = power_integral(phi_1d.profile, 4.0)
-    assert np.isclose(l2, 4.0, rtol=0, atol=1e-6)
-    assert np.isclose(gr, 4.0 / 3.0, rtol=0, atol=1e-6)
-    assert np.isclose(l4, 16.0 / 3.0, rtol=0, atol=1e-6)
     m = moments(phi_1d.profile, nl3)
+    assert np.isclose(m.l2, 4.0, rtol=0, atol=1e-6)
+    assert np.isclose(m.grad, 4.0 / 3.0, rtol=0, atol=1e-6)
+    assert np.isclose(m.pot, 16.0 / 3.0, rtol=0, atol=1e-6)
     assert np.isclose(m.action(), 4.0 / 3.0, rtol=0, atol=1e-6)
-    assert np.isclose(kinetic_T(phi_1d.profile), 2.0 / 3.0, rtol=0, atol=1e-6)
+    assert np.isclose(m.kinetic, 2.0 / 3.0, rtol=0, atol=1e-6)
     assert np.isclose(m.potential(), -2.0 / 3.0, rtol=0, atol=1e-6)
     assert abs(m.nehari()) < 1e-6
     assert abs(m.pohozaev_residual()) < 1e-6
@@ -115,18 +106,13 @@ def test_constraint_is_linear_in_exponents(townes, nl3):
     m = moments(v, nl3)
     neh = m.nehari()
     poh = m.pohozaev_residual()
-    scale = h1_norm_sq(v)
+    scale = m.h1
     for alpha, beta in ((1.0, 1.0), (0.3, -0.7), (2.0, -1.0), (0.0, -1.0), (1.5, 1.0)):
         se = ScalingExponents(alpha, beta)
         k = m.constraint(se)
         assert np.isclose(k, alpha * neh - beta * poh, rtol=0, atol=1e-9 * scale)
         # at a validated ground state every member of the span is small
         assert abs(k) <= 1e-3 * (abs(alpha) + abs(beta)) * scale
-
-
-def test_energy_matches_action_at_rest(townes, nl3):
-    zero = GridFunction(townes.grid, np.zeros(townes.grid.cells + 1))
-    assert energy_E(townes.profile, zero, nl3) == moments(townes.profile, nl3).action()
 
 
 def test_general_nonlinearity_validation():
@@ -153,15 +139,27 @@ def test_linear_kg_functionals():
     vals[-1] = 0.0
     v = GridFunction(g, vals)
     m = moments(v, LINEAR_KG)
-    assert np.isclose(m.potential(), -0.5 * l2_norm_sq(v), rtol=1e-13)
-    assert np.isclose(m.action(), kinetic_T(v) + 0.5 * l2_norm_sq(v), rtol=1e-13)
-    # int G(v) of a general g is no power of lambda, and K needs int g(v) v
+    assert np.isclose(m.potential(), -0.5 * m.l2, rtol=1e-13)
+    assert np.isclose(m.action(), m.kinetic + 0.5 * m.l2, rtol=1e-13)
+    # int G(v) of a general g is no power of lambda off a dilation, and K
+    # needs int g(v) v
     with pytest.raises(Unsupported):
         m.nehari()
     with pytest.raises(Unsupported):
         m.constraint(ScalingExponents(0.0, -1.0))
     with pytest.raises(Unsupported):
         m.scaled(2.0, AMPLITUDE_RAY)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.8, 1.25])
+def test_general_g_moments_scale_along_a_dilation(lam):
+    # int G(v(lambda x)) dx = lambda^(-N) int G(v) for any G, so a dilation
+    # scales the moments of a general g as it does a power's
+    v = GridFunction.sample(RadialGrid(2, 20.0, 4000), lambda r: 2.0 * np.exp(-r**2))
+    dilation = ScalingExponents(0.0, 1.0)
+    resampled = moments(rescale(v, lam, dilation), CUBIC_QUINTIC)
+    scaled = moments(v, CUBIC_QUINTIC).scaled(lam, dilation)
+    assert np.allclose(resampled[:3], scaled[:3], rtol=1.5e-3, atol=0.0)
 
 
 def test_flow_nonlinearity_conventions():
@@ -177,17 +175,12 @@ def test_flow_nonlinearity_conventions():
     assert flow3.G is LINEAR_KG.G
 
 
-def test_power_integral_guards():
+def test_potential_moment_overflow(nl3):
     g = RadialGrid(2, 5.0, 50)
-    vals = np.ones(51)
-    vals[-1] = 0.0
-    v = GridFunction(g, vals)
-    with pytest.raises(InvalidInput):
-        power_integral(v, 0.0)
     huge = np.full(51, 1e200)
     huge[-1] = 0.0
     with pytest.raises(NumericalOverflow):
-        power_integral(GridFunction(g, huge), 4.0)
+        moments(GridFunction(g, huge), nl3)
 
 
 def test_modulus_equality(nl3):
@@ -329,8 +322,9 @@ def test_power_kernel_against_pow(case, frac):
     assert np.all(np.where(np.isfinite(got), got, want)[one] >= band)
     grid = RadialGrid(2, 5.0, 16)
     past_edge = np.append(np.full(16, 2.0 * FLOAT_MAX ** (1.0 / q)), 0.0)
-    with pytest.raises(NumericalOverflow):
-        power_integral(GridFunction(grid, past_edge), float(q))
+    if q > 2:  # the potential moment's power p + 1 exceeds 2
+        with pytest.raises(NumericalOverflow):
+            moments(GridFunction(grid, past_edge), PowerKG(q - 1.0))
 
 
 @settings(max_examples=100, deadline=None)

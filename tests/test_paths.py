@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import varkg.paths
 from general_g import CUBIC_QUINTIC
 from test_model import exponent_cases
 from varkg import (
@@ -35,8 +36,6 @@ from varkg import (
     closed_form_1d,
     default_trial_family,
     family_action,
-    kinetic_T,
-    l2_norm_sq,
     moments,
     mountain_pass_estimate,
     project_to_P_zero,
@@ -51,29 +50,29 @@ from varkg.radial_core import brent
 WIDTH_RAY = ScalingExponents(0.0, 1.0)
 
 
-def test_rescale_identity_and_amplitude(phi_1d):
+def test_rescale_identity_and_amplitude(phi_1d, nl3):
     v = phi_1d.profile
     same = rescale(v, 1.0, AMPLITUDE_RAY)
     assert np.array_equal(same.values, v.values)
     doubled = rescale(v, 2.0, AMPLITUDE_RAY)
     assert np.array_equal(doubled.values, 2.0 * v.values)
-    assert np.isclose(l2_norm_sq(doubled), 4.0 * l2_norm_sq(v), rtol=1e-13)
+    assert np.isclose(moments(doubled, nl3).l2, 4.0 * moments(v, nl3).l2, rtol=1e-13)
 
 
-def test_rescale_l2_invariance_in_2d(townes):
+def test_rescale_l2_invariance_in_2d(townes, nl3):
     # lambda v(lambda x) preserves the L2 norm in dimension 2
     v = townes.profile
     se = ScalingExponents(1.0, 1.0)
     for lam in (0.5, 0.8, 1.25, 2.0):
         w = rescale(v, lam, se)
-        assert np.isclose(l2_norm_sq(w), l2_norm_sq(v), rtol=1e-3)
+        assert np.isclose(moments(w, nl3).l2, moments(v, nl3).l2, rtol=1e-3)
 
 
-def test_rescale_width_homogeneity(townes):
+def test_rescale_width_homogeneity(townes, nl3):
     # v(lambda x) scales the L2 integral by lambda^(-N)
     v = townes.profile
     w = rescale(v, 0.5, WIDTH_RAY)
-    assert np.isclose(l2_norm_sq(w), 4.0 * l2_norm_sq(v), rtol=1e-3)
+    assert np.isclose(moments(w, nl3).l2, 4.0 * moments(v, nl3).l2, rtol=1e-3)
 
 
 def test_rescale_guards(townes):
@@ -112,18 +111,18 @@ def test_flat_critical_ray(townes, nl3):
 
 def test_projection_examples(grid_1d, phi_1d, nl3):
     sech = GridFunction(grid_1d, 1.0 / np.cosh(grid_1d.r))
-    lam, w = project_to_constraint(sech, nl3, AMPLITUDE_RAY)
+    lam, w, _ = project_to_constraint(sech, nl3, AMPLITUDE_RAY)
     assert np.isclose(lam, math.sqrt(2.0), rtol=0, atol=1e-6)
     assert np.isclose(moments(w, nl3).action(), 4.0 / 3.0, rtol=0, atol=1e-4)
-    lam3, _ = project_to_constraint(
+    lam3, _, _ = project_to_constraint(
         GridFunction(grid_1d, 3.0 * phi_1d.profile.values), nl3, AMPLITUDE_RAY)
     assert np.isclose(lam3, 1.0 / 3.0, rtol=0, atol=1e-6)
 
 
 def test_projection_idempotent(grid_1d, nl3):
     sech = GridFunction(grid_1d, 1.0 / np.cosh(grid_1d.r))
-    _, w = project_to_constraint(sech, nl3, AMPLITUDE_RAY)
-    lam_again, _ = project_to_constraint(w, nl3, AMPLITUDE_RAY)
+    _, w, _ = project_to_constraint(sech, nl3, AMPLITUDE_RAY)
+    lam_again, _, _ = project_to_constraint(w, nl3, AMPLITUDE_RAY)
     assert np.isclose(lam_again, 1.0, rtol=0, atol=1e-6)
 
 
@@ -151,8 +150,8 @@ def _gaussian(dimension):
 def test_reprojection_returns_unity(dimension, pair, nl3):
     # the root of the second projection sits on the scan node lambda = 1
     se = ScalingExponents(*pair)
-    _, w = project_to_constraint(_gaussian(dimension), nl3, se)
-    lam_again, _ = project_to_constraint(w, nl3, se)
+    _, w, _ = project_to_constraint(_gaussian(dimension), nl3, se)
+    lam_again, _, _ = project_to_constraint(w, nl3, se)
     assert np.isclose(lam_again, 1.0, rtol=0, atol=1e-6)
 
 
@@ -168,10 +167,10 @@ def test_projection_idempotent_along_the_region_ray(case):
     assume(classify_exponents(alpha, beta, p, n) != INVALID)
     nl, se = PowerKG(p), ScalingExponents(alpha, beta)
     try:
-        _, w = project_to_constraint(_gaussian(n), nl, se)
+        _, w, _ = project_to_constraint(_gaussian(n), nl, se)
     except (NoRoot, TruncationOverflow):
         assume(False)
-    lam_again, again = project_to_constraint(w, nl, se)
+    lam_again, again, _ = project_to_constraint(w, nl, se)
     assert abs(lam_again - 1.0) <= 1e-6
     m = moments(again, nl)
     assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
@@ -181,9 +180,9 @@ def test_subnormal_pair_is_lifted_before_projecting():
     # K_{-0,-5e-324} is K_{0,-1} times 5e-324: by amplitude the root of
     # both is lambda = 9/4 (p = 2, N = 2); unlifted, K kept no precision
     nl, se = PowerKG(2.0), ScalingExponents(-0.0, -5e-324)
-    lam, w = project_to_constraint(_gaussian(2), nl, se)
+    lam, w, _ = project_to_constraint(_gaussian(2), nl, se)
     assert np.isclose(lam, 9.0 / 4.0, rtol=1e-4, atol=0)
-    lam_again, _ = project_to_constraint(w, nl, se)
+    lam_again, _, _ = project_to_constraint(w, nl, se)
     assert lam_again == 1.0
 
 
@@ -192,7 +191,7 @@ def test_amplitude_roots_beyond_the_scan_window(amp, nl3):
     # the Nehari root of amp exp(-r^2) is 1.68 / amp, outside the
     # [1e-4, 1e4] window of SCAN_LAMBDAS, which only the other rays scan
     v = GridFunction.sample(RadialGrid(1, 20.0, 4000), lambda r: amp * np.exp(-r**2))
-    lam, w = project_to_constraint(v, nl3, AMPLITUDE_RAY)
+    lam, w, _ = project_to_constraint(v, nl3, AMPLITUDE_RAY)
     assert np.isclose(lam * amp, 1.6817823194445765, rtol=1e-12, atol=0)
     m = moments(w, nl3)
     assert abs(m.nehari()) <= PROJECTION_TOL * m.h1
@@ -290,7 +289,7 @@ def test_overflowing_scan_nodes_warn_nothing(townes, nl3):
     # far scan nodes; those nodes are skipped without a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lam, w = project_to_constraint(townes.profile, nl3, ScalingExponents(100.0, 1.0))
+        lam, w, _ = project_to_constraint(townes.profile, nl3, ScalingExponents(100.0, 1.0))
     m = moments(w, nl3)
     assert abs(m.constraint(ScalingExponents(100.0, 1.0))) <= PROJECTION_TOL * m.h1
 
@@ -299,7 +298,7 @@ def test_projection_residual_is_relative_to_the_projected_profile():
     # the root lies at amplitude 156^2, so |K| there is roundoff of the
     # projected profile's norm (1.5e9), not of the input's (2.5)
     nl, se = PowerKG(1.0703125), ScalingExponents(2.0, 0.0)
-    lam, w = project_to_constraint(_gaussian(1), nl, se)
+    lam, w, _ = project_to_constraint(_gaussian(1), nl, se)
     m = moments(w, nl)
     assert lam > 100.0
     assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
@@ -308,8 +307,8 @@ def test_projection_residual_is_relative_to_the_projected_profile():
 def test_limit_pair_projects_by_amplitude(nl3):
     v = _gaussian(2)
     se = ScalingExponents(1.0, 1.0)
-    lam, w = project_to_constraint(v, nl3, se)
-    lam_amp, w_amp = project_to_constraint(v, nl3, se, ray=AMPLITUDE_RAY)
+    lam, w, _ = project_to_constraint(v, nl3, se)
+    lam_amp, w_amp, _ = project_to_constraint(v, nl3, se, ray=AMPLITUDE_RAY)
     assert lam == lam_amp
     assert np.array_equal(w.values, w_amp.values)
 
@@ -344,11 +343,12 @@ def _general_g_profile():
     lambda v: verify_min_on_constraint([v], CUBIC_QUINTIC, AMPLITUDE_RAY, 1.0),
     lambda v: build_path(v, CUBIC_QUINTIC, AMPLITUDE_RAY),
     lambda v: build_path(v, CUBIC_QUINTIC, ScalingExponents(1.0, 1.0)),
-    lambda v: family_action(v, CUBIC_QUINTIC, WIDTH_RAY, 0.01),
+    lambda v: family_action(v, CUBIC_QUINTIC, ScalingExponents(1.0, 1.0), 0.01),
 ], ids=["project", "project-explicit-ray", "P-zero", "minimization", "interior-path",
         "limit-path", "family-action-past-R"])
 def test_general_nonlinearity_is_unsupported(entry):
-    # regions, rays and scaled moments need moments that scale by powers
+    # regions, rays and scaled moments need moments that scale by powers;
+    # off a dilation int G(v) of a general g does not
     v = _general_g_profile()
     assert moments(v, CUBIC_QUINTIC).potential() > 0.0
     with pytest.raises(Unsupported):
@@ -363,7 +363,7 @@ def test_kinetic_minimum_records_general_nonlinearity_as_unsupported(cubic_quint
     zero = GridFunction.zeros(v.grid)
     report = verify_T_min_over_P([v, boundary, zero], CUBIC_QUINTIC, 1.0)
     assert report.failures == ((0, "Unsupported"),)
-    assert report.kinetics == (None, kinetic_T(boundary), None)
+    assert report.kinetics == (None, moments(boundary, CUBIC_QUINTIC).kinetic, None)
     assert report.skipped == (2,)
 
 
@@ -376,7 +376,7 @@ def test_projection_rescans_when_grid_root_passes_a_scan_node(nl3):
     se = ScalingExponents(2.0, 1.0)
     base = moments(v, nl3)
     lam_alg = brentq(lambda lam: base.scaled(lam, se).constraint(se), 1e-3, 1e3)
-    lam_star, w = project_to_constraint(v, nl3, se)
+    lam_star, w, _ = project_to_constraint(v, nl3, se)
     nodes = np.geomspace(1e-4, 1e4, 321)
     assert np.any((nodes > lam_star) & (nodes < lam_alg))
     m = moments(w, nl3)
@@ -387,7 +387,7 @@ def test_reprojection_on_limit_ray_has_no_root(nl3):
     # along the pair's own ray K(v_lambda) = lambda^2 K(v), and K(v) is zero
     # up to roundoff: zero samples with no sign change are not a root
     se = ScalingExponents(1.0, 1.0)
-    _, w = project_to_constraint(_gaussian(2), nl3, se, ray=AMPLITUDE_RAY)
+    _, w, _ = project_to_constraint(_gaussian(2), nl3, se, ray=AMPLITUDE_RAY)
     with pytest.raises(NoRoot):
         project_to_constraint(w, nl3, se, ray=se)
 
@@ -406,13 +406,13 @@ def test_p_zero_projection_scaling(townes, nl3):
     m = townes.level
     for c, lam_expected in ((1.1, 1.0 / 1.1), (2.0, 0.5)):
         scaled = GridFunction(v.grid, c * v.values)
-        lam0, w = project_to_P_zero(scaled, nl3)
+        lam0, _, projected = project_to_P_zero(scaled, nl3)
         assert np.isclose(lam0, lam_expected, rtol=0, atol=1e-4)
-        assert np.isclose(kinetic_T(w), m, rtol=0, atol=0.05)
+        assert np.isclose(projected.kinetic, m, rtol=0, atol=0.05)
     with pytest.raises(PreconditionFailed):
         project_to_P_zero(GridFunction(v.grid, 0.9 * v.values), nl3)
     # exact boundary short-circuits
-    lam0, w = project_to_P_zero(GridFunction.zeros(v.grid), nl3)
+    lam0, w, _ = project_to_P_zero(GridFunction.zeros(v.grid), nl3)
     assert lam0 == 1.0
     with pytest.raises(Unsupported):
         project_to_P_zero(GridFunction(RadialGrid(1, 20.0, 100),
@@ -563,3 +563,44 @@ def test_default_trial_family(townes):
         assert np.array_equal(a.values, b.values)
     with pytest.raises(InvalidParameter):
         default_trial_family(townes, count=2)
+
+
+def test_default_trial_family_refuses_a_negative_seed(townes):
+    # numpy's generator raised a bare ValueError
+    with pytest.raises(InvalidParameter, match="seed"):
+        default_trial_family(townes, count=12, seed=-1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_sweeps_refuse_a_tolerance_that_is_not_positive_and_finite(townes, nl3, tol):
+    # a nan tol made every verdict a plausible False
+    with pytest.raises(InvalidParameter, match="tol"):
+        verify_min_on_constraint([townes.profile], nl3, AMPLITUDE_RAY, townes.level, tol=tol)
+    with pytest.raises(InvalidParameter, match="tol"):
+        verify_T_min_over_P([townes.profile], nl3, townes.level, tol=tol)
+
+
+def test_sweep_reads_each_member_from_its_projection(phi_1d, nl3, monkeypatch):
+    # an amplitude-ray member takes its moments twice, both inside its one
+    # projection: the base moments and the projected ones the residual
+    # check and the report share
+    calls = {"moments": 0, "project_to_constraint": 0}
+
+    def counted(name):
+        original = getattr(varkg.paths, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    family = default_trial_family(phi_1d, count=9, seed=0)
+    for name in calls:
+        monkeypatch.setattr(varkg.paths, name, counted(name))
+    report = verify_min_on_constraint(family, nl3, AMPLITUDE_RAY, phi_1d.level)
+    assert report.failures == ()
+    assert calls == {"moments": 2 * len(family), "project_to_constraint": len(family)}
+    monkeypatch.undo()
+    for trial, action in zip(family, report.actions):
+        _, w, m = project_to_constraint(trial, nl3, AMPLITUDE_RAY)
+        assert m == moments(w, nl3) and m.action() == action

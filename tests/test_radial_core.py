@@ -20,10 +20,8 @@ from varkg import (
     RadialGrid,
     Unsupported,
     brent,
-    grad_norm_sq,
-    h1_norm_sq,
-    l2_norm_sq,
     load_profile,
+    moments,
     require_same_grid,
     save_profile,
     strauss_decay_profile,
@@ -67,7 +65,7 @@ def test_weights_integrate_linear_r_exactly():
     assert np.isclose(np.sum(g.weights * g.r), exact, rtol=1e-13, atol=0.0)
 
 
-def test_gaussian_l2_second_order_convergence():
+def test_gaussian_l2_second_order_convergence(nl3):
     # int_0^R e^(-2 r^2) 2 pi r dr = (pi/2)(1 - e^(-2 R^2))
     R = 6.0
     exact = (math.pi / 2.0) * (1.0 - math.exp(-2.0 * R**2))
@@ -75,7 +73,7 @@ def test_gaussian_l2_second_order_convergence():
     for cells in (200, 400, 800):
         g = RadialGrid(2, R, cells)
         v = GridFunction.sample(g, lambda r: np.exp(-(r**2)))
-        errs.append(abs(l2_norm_sq(v) - exact))
+        errs.append(abs(moments(v, nl3).l2 - exact))
     assert errs[0] / errs[1] > 3.5
     assert errs[1] / errs[2] > 3.5
 
@@ -110,16 +108,10 @@ def test_require_same_grid():
         require_same_grid(a, b)
 
 
-def test_h1_is_sum_of_parts():
-    g = RadialGrid(2, 8.0, 300)
-    v = GridFunction.sample(g, lambda r: np.exp(-(r**2)))
-    assert h1_norm_sq(v) == l2_norm_sq(v) + grad_norm_sq(v)
-
-
-def test_gradient_of_constant_vanishes_in_dimension_one():
+def test_gradient_of_constant_vanishes_in_dimension_one(nl3):
     g = RadialGrid(1, 5.0, 100)
     v = GridFunction(g, np.full(101, 2.5))
-    assert grad_norm_sq(v) == 0.0
+    assert moments(v, nl3).grad == 0.0
 
 
 def test_complex_values_are_refused():
