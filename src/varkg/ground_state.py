@@ -58,11 +58,11 @@ def equation_residual(v: GridFunction, nl: Nonlinearity) -> float:
     h = g.spacing
     # two mirrored ghost nodes ahead of r=0, one plain ghost past r=R
     ext = np.concatenate((v.values[2:0:-1], v.values, v.values[-1:]))
-    # original node k sits at ext index k+2; interior nodes are 1..M-1
-    i = np.arange(3, ext.size - 2)
-    d2 = (-ext[i - 2] + 16.0 * ext[i - 1] - 30.0 * ext[i]
-          + 16.0 * ext[i + 1] - ext[i + 2]) / (12.0 * h**2)
-    d1 = (ext[i - 2] - 8.0 * ext[i - 1] + 8.0 * ext[i + 1] - ext[i + 2]) / (12.0 * h)
+    # original node k sits at ext index k+2; interior nodes 1..M-1 and
+    # their stencil neighbours at offsets -2..+2 are the slices below
+    left2, left1, mid, right1, right2 = ext[1:-4], ext[2:-3], ext[3:-2], ext[4:-1], ext[5:]
+    d2 = (-left2 + 16.0 * left1 - 30.0 * mid + 16.0 * right1 - right2) / (12.0 * h**2)
+    d1 = (left2 - 8.0 * left1 + 8.0 * right1 - right2) / (12.0 * h)
     lap = d2
     if g.dimension > 1:
         lap = lap + (g.dimension - 1) / g.r[1:-1] * d1

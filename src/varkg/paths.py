@@ -17,6 +17,8 @@ path.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -429,29 +431,69 @@ def mountain_pass_estimate(paths) -> float:
 
 # -- verification sweeps ------------------------------------------------------
 
-def default_trial_family(gs, count: int = 50, seed: int = 0) -> list[GridFunction]:
+WIDTH_RAY = ScalingExponents(0.0, 1.0)
+# a bump's factor is formed within BUMP_REACH widths of its centre; past
+# that |eps| exp(-49) < 2^-54, so 1 + eps exp(...) rounds to exactly 1.0
+BUMP_REACH = 7.0
+
+
+class _TrialFamily(Sequence):
+    """The stock trial set, each member made as it is read: the sweeps
+    project one member at a time, so no two are held at once.
+
+    Member 0 is the profile, members 1..n_width its width rescalings,
+    the rest bump perturbations whose (eps, x0, width) are drawn up front.
+    """
+
+    def __init__(self, v: GridFunction, widths: np.ndarray, bumps: list):
+        self.v, self.widths, self.bumps = v, widths, bumps
+
+    def __len__(self):
+        return 1 + len(self.widths) + len(self.bumps)
+
+    def __getitem__(self, i):
+        picked = range(len(self))[i]
+        if isinstance(picked, range):
+            return [self._member(j) for j in picked]
+        return self._member(picked)
+
+    def _member(self, i: int) -> GridFunction:
+        v = self.v
+        if i == 0:
+            return v
+        if i <= len(self.widths):
+            return rescale(v, float(self.widths[i - 1]), WIDTH_RAY)
+        eps, x0, width = self.bumps[i - 1 - len(self.widths)]
+        r = v.grid.r
+        lo, hi = np.searchsorted(r, (x0 - BUMP_REACH * width, x0 + BUMP_REACH * width))
+        vals = v.values.copy()
+        vals[lo:hi] *= 1.0 + eps * np.exp(-(((r[lo:hi] - x0) / width) ** 2))
+        return GridFunction(v.grid, vals)
+
+
+def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[GridFunction]:
     """The ground state, a width family around it, and seeded bump
-    perturbations: the stock trial set for the minimization checks."""
+    perturbations: the stock trial set for the minimization checks.
+
+    The members are made as they are read, so the family holds the
+    profile and its draws, not count profiles.
+    """
+    for name, value in (("count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
     if count < 3:
         raise InvalidParameter("trial family needs at least 3 members")
     if seed < 0:
         raise InvalidParameter(f"seed must be nonnegative, got {seed!r}")
     v = gs.profile
-    grid = v.grid
-    rng = np.random.default_rng(seed)
-    members = [v]
     n_width = (count - 1) // 2
-    width_ray = ScalingExponents(0.0, 1.0)
-    for w in np.geomspace(0.5, 2.0, n_width):
-        members.append(rescale(v, float(w), width_ray))
-    r = grid.r
-    while len(members) < count:
+    rng = np.random.default_rng(seed)
+    bumps = []
+    for _ in range(count - 1 - n_width):
         eps = rng.uniform(-0.3, 0.3)
-        x0 = rng.uniform(0.0, grid.outer_radius / 8.0)
-        width = rng.uniform(0.5, 2.0)
-        bump = 1.0 + eps * np.exp(-(((r - x0) / width) ** 2))
-        members.append(GridFunction(grid, v.values * bump))
-    return members
+        x0 = rng.uniform(0.0, v.grid.outer_radius / 8.0)
+        bumps.append((eps, x0, rng.uniform(0.5, 2.0)))
+    return _TrialFamily(v, np.geomspace(0.5, 2.0, n_width), bumps)
 
 
 def _tolerance(tol: float | None, m_ref: float) -> float:
@@ -506,16 +548,19 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
     scaling profile on ARGMAX_LAM_GRID is checked to peak at lambda = 1
     (within one grid cell).  A limit pair's ray profile is flat in the
     critical power case, so no argmax check applies.
+
+    The trials are read once, in order, and the region is taken from the
+    first one read, so any iterable serves; a trial that cannot be made
+    raises out of the sweep.
     """
-    trials = list(trials)
-    if not trials:
-        raise InvalidParameter("empty trial family")
     tol = _tolerance(tol, m_ref)
-    region = exponent_region(se, nl, trials[0].grid.dimension)
     unity_cell = int(np.argmin(np.abs(ARGMAX_LAM_GRID - 1.0)))
 
+    region = None
     lambdas, actions, failures, cells_off = [], [], [], []
     for i, trial in enumerate(trials):
+        if region is None:
+            region = exponent_region(se, nl, trial.grid.dimension)
         try:
             lam_star, _, m = project_to_constraint(trial, nl, se)
         except (NoRoot, TruncationOverflow, ConvergenceError, InvalidInput) as err:
@@ -531,13 +576,15 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
             # error into the peak location for strongly compressed members
             profile = m.scaled(ARGMAX_LAM_GRID, se).action()
             cells_off.append(abs(int(np.argmax(profile)) - unity_cell))
+    if region is None:
+        raise InvalidParameter("empty trial family")
     evaluated = [(s, i) for i, s in enumerate(actions) if s is not None]
     if not evaluated:
         raise EmptyConstraintSample("no trial could be placed on the constraint")
     min_action, argmin_index = min(evaluated)
     return MinimizationReport(
         alpha=se.alpha, beta=se.beta, region=region, m_ref=m_ref, tol=tol,
-        members_total=len(trials),
+        members_total=len(lambdas),
         lambdas=tuple(lambdas), actions=tuple(actions),
         failures=tuple(failures), argmax_cells_off=tuple(cells_off),
         min_action=min_action, argmin_index=argmin_index,
@@ -570,16 +617,14 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
     Members with P > 0 are scaled down to the P = 0 boundary first (that
     only lowers T), members within P_BOUNDARY_TOL * ||v||_H1^2 of the
     boundary are taken as they stand, and members with P < 0 lie outside
-    the constraint set and are skipped, as is the zero function.
+    the constraint set and are skipped, as is the zero function.  The
+    trials are read once, in order, as in verify_min_on_constraint.
     """
-    trials = list(trials)
-    if not trials:
-        raise InvalidParameter("empty trial family")
-    if trials[0].grid.dimension != 2:
-        raise Unsupported("the T/P equivalence is a dimension-2 statement")
     tol = _tolerance(tol, m_ref)
     lambdas, kinetics, skipped, failures = [], [], [], []
     for i, trial in enumerate(trials):
+        if i == 0 and trial.grid.dimension != 2:
+            raise Unsupported("the T/P equivalence is a dimension-2 statement")
         m = moments(trial, nl)
         band = P_BOUNDARY_TOL * m.h1
         p_val = m.potential()
@@ -600,12 +645,14 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
                 continue
         lambdas.append(lam0)
         kinetics.append(m.kinetic)
+    if not lambdas:
+        raise InvalidParameter("empty trial family")
     evaluated = [(t, i) for i, t in enumerate(kinetics) if t is not None]
     if not evaluated:
         raise EmptyConstraintSample("no trial lies in the P >= 0 set")
     min_kinetic, argmin_index = min(evaluated)
     return KineticReport(
-        m_ref=m_ref, tol=tol, members_total=len(trials),
+        m_ref=m_ref, tol=tol, members_total=len(lambdas),
         lambdas=tuple(lambdas), kinetics=tuple(kinetics),
         skipped=tuple(skipped), failures=tuple(failures),
         min_kinetic=min_kinetic, argmin_index=argmin_index,

@@ -1,7 +1,9 @@
 """Scaling families, mountain-pass paths, and the variational verifications."""
 
 import math
+import tracemalloc
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -261,7 +263,8 @@ def test_amplitude_sweep_resamples_each_member_once(nl3, monkeypatch):
     # along the amplitude ray the root is in closed form: the projection
     # resamples once, for the projected profile, and solves nothing
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 25.0, 2000))
-    trials = default_trial_family(gs, count=9, seed=0)
+    # made before the count starts: a width member is made by rescale
+    trials = list(default_trial_family(gs, count=9, seed=0))
     resampled = []
 
     def counting_rescale(v, lam, se):
@@ -563,6 +566,105 @@ def test_default_trial_family(townes):
         assert np.array_equal(a.values, b.values)
     with pytest.raises(InvalidParameter):
         default_trial_family(townes, count=2)
+    # numpy's generator and geomspace raised a bare TypeError
+    for kwargs in ({"count": 10.0}, {"count": math.nan}, {"count": True},
+                   {"seed": 1.5}, {"seed": "3"}):
+        with pytest.raises(InvalidParameter, match="integer"):
+            default_trial_family(townes, **kwargs)
+    assert len(default_trial_family(townes, count=np.int64(5), seed=np.int64(2))) == 5
+
+
+def _eager_trial_family(gs, count, seed):
+    """The stock trial set built whole, every member up front."""
+    v = gs.profile
+    grid = v.grid
+    rng = np.random.default_rng(seed)
+    members = [v]
+    for w in np.geomspace(0.5, 2.0, (count - 1) // 2):
+        members.append(rescale(v, float(w), WIDTH_RAY))
+    r = grid.r
+    while len(members) < count:
+        eps = rng.uniform(-0.3, 0.3)
+        x0 = rng.uniform(0.0, grid.outer_radius / 8.0)
+        width = rng.uniform(0.5, 2.0)
+        bump = 1.0 + eps * np.exp(-(((r - x0) / width) ** 2))
+        members.append(GridFunction(grid, v.values * bump))
+    return members
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("case", ["N1-R80-M16000", "N2-R40-M4000"])
+def test_trial_family_members_are_the_eager_members(townes, case, seed):
+    # a bump's factor is formed only near its centre; elsewhere it is 1.0
+    gs = townes if case.startswith("N2") else closed_form_1d(3.0, 0.0, RadialGrid(1, 80.0, 16000))
+    family = default_trial_family(gs, count=200, seed=seed)
+    eager = _eager_trial_family(gs, 200, seed)
+    assert len(family) == len(eager)
+    for i, want in enumerate(eager):
+        assert family[i].values.tobytes() == want.values.tobytes(), i
+    assert family[-1].values.tobytes() == eager[-1].values.tobytes()
+    assert [w.values.tobytes() for w in family[198:]] == [w.values.tobytes() for w in eager[198:]]
+    with pytest.raises(IndexError):
+        family[200]
+
+
+class _CountingTrials(Sequence):
+    def __init__(self, members):
+        self.members, self.reads = members, []
+
+    def __len__(self):
+        return len(self.members)
+
+    def __getitem__(self, i):
+        member = self.members[i]
+        self.reads.append(i)
+        return member
+
+
+def test_sweep_reads_each_trial_once_in_order(phi_1d, nl3):
+    trials = _CountingTrials(list(default_trial_family(phi_1d, count=9, seed=0)))
+    report = verify_min_on_constraint(trials, nl3, ScalingExponents(1.0, -2.0), phi_1d.level)
+    assert report.members_total == 9
+    assert trials.reads == list(range(9))
+
+
+def test_sweeps_take_a_generator_of_trials(phi_1d, townes, nl3):
+    family = default_trial_family(phi_1d, count=9, seed=0)
+    se = ScalingExponents(1.0, -2.0)
+    from_list = verify_min_on_constraint(list(family), nl3, se, phi_1d.level)
+    assert verify_min_on_constraint((w for w in family), nl3, se, phi_1d.level) == from_list
+    trials = [GridFunction(townes.grid, c * townes.profile.values) for c in (0.5, 1.0, 1.5)]
+    assert (verify_T_min_over_P((w for w in trials), nl3, townes.level)
+            == verify_T_min_over_P(trials, nl3, townes.level))
+    with pytest.raises(InvalidParameter, match="empty"):
+        verify_min_on_constraint(iter(()), nl3, se, phi_1d.level)
+    with pytest.raises(InvalidParameter, match="empty"):
+        verify_T_min_over_P(iter(()), nl3, townes.level)
+
+
+def test_a_trial_that_cannot_be_made_raises_out_of_the_sweep(nl3):
+    # widening by 2 pushes mass past R = 14; TruncationOverflow from a
+    # projection is a member failure, from making the member it is not
+    gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 14.0, 4000))
+    family = default_trial_family(gs, count=9, seed=0)
+    with pytest.raises(TruncationOverflow, match="lambda=0.5"):
+        verify_min_on_constraint(family, nl3, AMPLITUDE_RAY, gs.level)
+
+
+def test_trial_family_sweep_holds_one_member_at_a_time(nl3):
+    # the family was held whole: 6.6 MB, about 200 member sizes
+    gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 40.0, 4000))
+    verify_min_on_constraint(default_trial_family(gs, count=3, seed=0), nl3,
+                             AMPLITUDE_RAY, gs.level)  # first-call imports
+    tracemalloc.start()
+    try:
+        report = verify_min_on_constraint(default_trial_family(gs, count=200, seed=0), nl3,
+                                          AMPLITUDE_RAY, gs.level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.members_total == 200 and report.failures == ()
+    assert peak < 20 * gs.profile.values.nbytes
 
 
 def test_default_trial_family_refuses_a_negative_seed(townes):
