@@ -69,7 +69,6 @@ from .paths import (
     exponent_region,
     family_action,
     mountain_pass_estimate,
-    project_to_P_zero,
     project_to_constraint,
     rescale,
     verify_T_min_over_P,

@@ -109,8 +109,6 @@ FLAGS = {
     "lam": Flag("--lambda", float, "amplitude factor of the initial data lambda * phi(x/mu)"),
     "mu": Flag("--mu", float, "width factor of the initial data lambda * phi(x/mu)"),
     "tmax": Flag("--tmax", float, "final time of each evolution"),
-    "blowup_factor": Flag("--blowup-factor", float,
-                          "growth of the H1 norm that counts as blow-up"),
     "cfl": Flag("--cfl", float, "time step as a fraction of the grid spacing"),
     "lambda_grid": Flag("--lambda-grid", float_list, "comma-separated amplitude factors"),
     "mu_grid": Flag("--mu-grid", float_list, "comma-separated width factors"),
@@ -244,11 +242,11 @@ def _cmd_path(cfg):
     return 0
 
 
-def _member_rows(report):
-    for i in range(report.members_total):
-        lam = report.lambdas[i]
-        s = report.actions[i]
-        yield (i, "" if lam is None else _fmt(lam), "" if s is None else _fmt(s))
+def _member_rows(lambdas, values):
+    """A members CSV's rows: index, projection parameter and value, each
+    cell blank where the member has none."""
+    for i, (lam, value) in enumerate(zip(lambdas, values)):
+        yield (i, "" if lam is None else _fmt(lam), "" if value is None else _fmt(value))
 
 
 def _cmd_verify_theorem1(cfg):
@@ -260,7 +258,8 @@ def _cmd_verify_theorem1(cfg):
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
     _write_csv(os.path.join(cfg.outdir, "theorem1_members.csv"),
-               ["index", "lambda_star", "action"], _member_rows(report))
+               ["index", "lambda_star", "action"],
+               _member_rows(report.lambdas, report.actions))
     _write_json(os.path.join(cfg.outdir, "theorem1.json"), {
         "alpha": cfg.alpha, "beta": cfg.beta, "region": report.region,
         "min_S": report.min_action, "m_ref": m_ref,
@@ -286,7 +285,8 @@ def _cmd_verify_theorem2(cfg):
     path_ok = path.admissible and abs(path.max_action - m_ref) <= cfg.tol * m_ref
     passed = report.passed and path_ok
     _write_csv(os.path.join(cfg.outdir, "theorem2_members.csv"),
-               ["index", "lambda_star", "action"], _member_rows(report))
+               ["index", "lambda_star", "action"],
+               _member_rows(report.lambdas, report.actions))
     _write_csv(os.path.join(cfg.outdir, "theorem2_path.csv"), ["t", "action"],
                zip(path.t, path.action_values))
     _write_json(os.path.join(cfg.outdir, "theorem2.json"), {
@@ -320,9 +320,7 @@ def _cmd_verify_lemma_mint(cfg):
     passed = report.passed and scaling_ok
     _write_csv(os.path.join(cfg.outdir, "lemma_minT_members.csv"),
                ["index", "lambda0", "kinetic"],
-               ((i, "" if report.lambdas[i] is None else _fmt(report.lambdas[i]),
-                 "" if report.kinetics[i] is None else _fmt(report.kinetics[i]))
-                for i in range(report.members_total)))
+               _member_rows(report.lambdas, report.kinetics))
     _write_json(os.path.join(cfg.outdir, "lemma_minT.json"), {
         "m_ref": m_ref, "min_T": report.min_kinetic,
         "amplitude_members": len(cfg.amplitudes),
@@ -348,8 +346,7 @@ def _cmd_evolve(cfg):
     gs = _ground_state(*_problem(cfg, 2))
     u0 = make_initial_data(gs, cfg.lam, cfg.mu)
     v0 = GridFunction.zeros(u0.grid)
-    traj = evolve(u0, v0, gs.nonlinearity, cfg.tmax, blowup_factor=cfg.blowup_factor,
-                  m_ref=gs.level, cfl=cfg.cfl)
+    traj = evolve(u0, v0, gs.nonlinearity, cfg.tmax, m_ref=gs.level, cfl=cfg.cfl)
     first, last, count = _write_trajectory(os.path.join(cfg.outdir, "trajectory.csv"), traj)
     payload = {
         "lambda": cfg.lam, "mu": cfg.mu,
@@ -358,7 +355,7 @@ def _cmd_evolve(cfg):
         "termination": traj.termination,
         "t_final": last.t,
         "records": count,
-        "energy_drift": energy_drift(traj) if count - traj.drops_last_record > 1 else None,
+        "energy_drift": energy_drift(traj) if len(traj.diagnostic_records) > 1 else None,
     }
     if first.in_invariant_set:
         monitor = invariant_monitor(traj)
@@ -396,7 +393,7 @@ def _cmd_instability_sweep(cfg):
     gs = _ground_state(*_problem(cfg, 2))
     pairs = [(lam, mu) for lam in cfg.lambda_grid for mu in cfg.mu_grid]
     trajs = evolve(_Dilations(gs, pairs), [GridFunction.zeros(gs.grid)] * len(pairs),
-                   gs.nonlinearity, cfg.tmax, blowup_factor=cfg.blowup_factor, m_ref=gs.level)
+                   gs.nonlinearity, cfg.tmax, m_ref=gs.level)
     rows = [_sweep_row(lam, mu, traj) for (lam, mu), traj in zip(pairs, trajs)]
     _write_csv(os.path.join(cfg.outdir, "sweep.csv"),
                ["lambda", "mu", "in_I_initial", "termination", "t_escape"], rows)
@@ -469,12 +466,11 @@ COMMANDS = {
         tol=0.01, seed=0),
     "evolve": _command(
         _cmd_evolve, "run one radial evolution",
-        **NONLINEARITY, R=80.0, M=4000, lam=1.05, mu=1.05, tmax=20.0, blowup_factor=5.0,
-        cfl=DEFAULT_CFL),
+        **NONLINEARITY, R=80.0, M=4000, lam=1.05, mu=1.05, tmax=20.0, cfl=DEFAULT_CFL),
     "instability-sweep": _command(
         _cmd_instability_sweep, "evolve over a (lambda, mu) grid",
-        **NONLINEARITY, R=80.0, M=4000, tmax=20.0, blowup_factor=5.0,
-        lambda_grid=[1.02, 1.05, 1.1], mu_grid=[1.0, 1.05]),
+        **NONLINEARITY, R=80.0, M=4000, tmax=20.0, lambda_grid=[1.02, 1.05, 1.1],
+        mu_grid=[1.0, 1.05]),
     "selftest": _command(_cmd_selftest, "closed-form oracle suite"),
 }
 

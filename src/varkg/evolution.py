@@ -30,13 +30,12 @@ from .ground_state import GroundState
 from .model import (
     Moments,
     PowerKG,
-    ScalingExponents,
     _abs_power,
     _force_into,
     flow_nonlinearity,
     moments,
 )
-from .paths import rescale
+from .paths import WIDTH_RAY, rescale
 from .radial_core import SPHERE_SURFACE, GridFunction, RadialGrid, require_same_grid
 
 REACHED_TMAX = "ReachedTmax"
@@ -45,6 +44,7 @@ NON_FINITE = "NonFinite"
 BOUNDARY_CONTAMINATION = "BoundaryContamination"
 
 DEFAULT_CFL = 0.4
+BLOWUP_FACTOR = 5.0       # H1-norm growth over its start value that counts as blow-up
 RECORD_INTERVAL = 0.05    # time between diagnostic records, rounded to whole steps
 BOUNDARY_ZONE = 0.1       # outer fraction of the domain watched for contamination
 BOUNDARY_FRACTION = 0.01  # H1-norm fraction allowed to ARRIVE in that zone: the
@@ -103,11 +103,6 @@ class Trajectory:
                 and self.final_u.tobytes() == other.final_u.tobytes())
 
     @property
-    def drops_last_record(self) -> bool:
-        """Whether diagnostic_records leaves out the last record."""
-        return self.termination in (BLOWUP_DETECTED, BOUNDARY_CONTAMINATION)
-
-    @property
     def records(self) -> tuple:
         """The TrajectoryRecords, unpacked on each read."""
         return tuple(TrajectoryRecord(*fields)
@@ -118,7 +113,10 @@ class Trajectory:
         """The records diagnostics read: all but the one that raised
         BlowupDetected or BoundaryContamination, past whose threshold the
         state is outside the regime the diagnostics describe."""
-        return self.records[:-1] if self.drops_last_record else self.records
+        records = self.records
+        if self.termination in (BLOWUP_DETECTED, BOUNDARY_CONTAMINATION):
+            return records[:-1]
+        return records
 
 
 @lru_cache(maxsize=8)
@@ -272,13 +270,13 @@ def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
 
 
 def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequence[GridFunction],
-           nl, t_max: float, blowup_factor: float = 5.0, m_ref: float | None = None,
+           nl, t_max: float, m_ref: float | None = None,
            cfl: float = DEFAULT_CFL) -> Trajectory | list[Trajectory]:
     """Integrate to t_max or to the first recorded termination event.
 
     dt <= cfl * h divides t_max in at most 2**53 steps and passes the leapfrog's
     stability bound.  Diagnostics (energy, action, P, T, H1 norm, invariant-set
-    flag) and the event checks (finiteness, H1 escape past blowup_factor times
+    flag) and the event checks (finiteness, H1 escape past BLOWUP_FACTOR times
     its start value, boundary contamination) run every RECORD_INTERVAL, in
     steps.  They are taken with the flow's nonlinearity (see flow_nonlinearity)
     on the flow's own faces and cells (see _record), so E and S agree to
@@ -306,8 +304,6 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     flow = flow_nonlinearity(nl)
     if not (t_max > 0.0) or not math.isfinite(t_max):
         raise InvalidParameter(f"t_max must be positive and finite, got {t_max!r}")
-    if not (blowup_factor > 1.0):
-        raise InvalidParameter("blowup_factor must exceed 1")
     if not (cfl > 0.0) or not math.isfinite(cfl):
         raise InvalidParameter(f"cfl must be positive and finite, got {cfl!r}")
     if m_ref is not None and not math.isfinite(m_ref):
@@ -359,7 +355,7 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
                     terminations[run] = NON_FINITE
                 else:
                     records[run] += _PACKED_RECORD.pack(*rec)
-                    if rec.h1_norm > blowup_factor * h1_init[run]:
+                    if rec.h1_norm > BLOWUP_FACTOR * h1_init[run]:
                         terminations[run] = BLOWUP_DETECTED
                     elif share > share_init[run] + BOUNDARY_FRACTION:
                         terminations[run] = BOUNDARY_CONTAMINATION
@@ -407,10 +403,9 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
     if not math.isfinite(stretch * gs.grid.outer_radius):
         raise InvalidParameter(f"the grid does not resolve mu = {mu!r}: "
                                "R/mu is past the float range")
-    dilation = ScalingExponents(0.0, 1.0)
-    stretched = rescale(gs.profile, stretch, dilation)
+    stretched = rescale(gs.profile, stretch, WIDTH_RAY)
     got = np.array(moments(stretched, nl)[:2])
-    exact = np.array(moments(gs.profile, nl).scaled(stretch, dilation)[:2])
+    exact = np.array(moments(gs.profile, nl).scaled(stretch, WIDTH_RAY)[:2])
     with np.errstate(divide="ignore", invalid="ignore"):
         off = float(np.max(np.abs(got - exact) / exact))
     if not off <= RESOLUTION_TOL:
@@ -439,14 +434,13 @@ def invariant_monitor(traj: Trajectory) -> InvariantReport:
     remaining record is inside the set; min_p is the observed lower bound
     on P over them, and min_kinetic the kinetic minimum, which membership
     forces to be at least m."""
-    records = traj.records
+    records = traj.diagnostic_records
     if not records:
         raise PreconditionFailed("trajectory has no records")
     if traj.m_ref is None:
         raise PreconditionFailed("trajectory carries no reference level")
     if not records[0].in_invariant_set:
         raise PreconditionFailed("trajectory did not start inside the invariant set")
-    records = records[:-1] if traj.drops_last_record else records
     return InvariantReport(
         in_set_throughout=all(rec.in_invariant_set for rec in records),
         min_p=min(rec.p_value for rec in records),

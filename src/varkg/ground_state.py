@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, InvalidInput
-from .model import Nonlinearity, PowerKG, check_subcritical, moments
+from .model import CONSTRAINT_TOL, Nonlinearity, PowerKG, check_subcritical, moments
 from .radial_core import GridFunction, RadialGrid, brent
 
 # invariant tolerances, relative to the natural scale of each identity
 ODE_RESIDUAL_TOL = 1e-4        # times g(phi(0)) + m0 phi(0), i.e. phi(0)^p for powers
-CONSTRAINT_TOL = 1e-3          # times ||phi||_H1^2
 DECAY_FLOOR = 1e-10            # profile must dip below this before r = R
 BRACKET_DOUBLINGS = 8          # times shoot_radial may move a bracket end by a factor 2
 

@@ -42,6 +42,9 @@ from .radial_core import GridFunction, _integral, _squares
 G_PRIME_POINTS = np.array([0.25, 0.5, 1.0, 1.5])
 G_PRIME_STEP = 1e-5
 G_PRIME_TOL = 1e-6
+# |K| <= tol * ||v||_H1^2 counts as "on the constraint": for the Nehari and
+# Pohozaev residuals of a validated ground state and for a path's profile
+CONSTRAINT_TOL = 1e-3
 
 INTERIOR = "Interior"
 LIMIT = "Limit"

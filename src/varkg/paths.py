@@ -32,13 +32,13 @@ from .errors import (
     NoNegativeEndpoint,
     NoRoot,
     NotOnConstraint,
-    PreconditionFailed,
     TruncationOverflow,
     Unsupported,
     WrongRegion,
 )
 from .model import (
     AMPLITUDE_RAY,
+    CONSTRAINT_TOL,
     INTERIOR,
     INVALID,
     Moments,
@@ -50,10 +50,7 @@ from .model import (
 )
 from .radial_core import GridFunction, brent
 
-# |K| <= tol * ||v||_H1^2 counts as "on the constraint"; matches the
-# Nehari tolerance a validated ground state is allowed to carry
-ON_CONSTRAINT_TOL = 1e-3
-PROJECTION_TOL = 1e-8          # residual bound for projections, same relative scale
+PROJECTION_TOL = 1e-8          # residual bound for projections, times ||w||_H1^2
 C_SEARCH_CAP = 2.0**30
 MAX_LOST_MASS = 1e-7           # relative L2 mass a rescaling may push past r = R
 PATH_SAMPLES = 64              # samples per path segment before argmax refinement
@@ -63,6 +60,8 @@ ARGMAX_LAM_GRID = np.geomspace(0.5, 2.0, 33)  # ray profile of an interior proje
 SCAN_LAMBDAS = np.geomspace(1e-4, 1e4, 321)   # algebra scan that brackets every projection
 P_BOUNDARY_TOL = 1e-3          # |P| <= tol * ||v||_H1^2 counts as on the P = 0 boundary
 P_ZERO = ScalingExponents(0.0, -1.0)  # a limit pair; K_{0,-1} = -2 P in dimension 2
+L2_RAY = ScalingExponents(1.0, 1.0)   # lambda v(lambda x) keeps ||v||^2 in dimension 2
+WIDTH_RAY = ScalingExponents(0.0, 1.0)  # the dilation v(lambda x)
 
 
 def exponent_region(se: ScalingExponents, nl: Nonlinearity, dimension: int) -> str:
@@ -212,25 +211,6 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     return lam_star, projected, m
 
 
-def project_to_P_zero(v: GridFunction, nl: PowerKG) -> tuple[float, GridFunction, Moments]:
-    """Shrink v_lambda = lambda v(lambda x) until P vanishes (dimension 2).
-
-    In dimension 2, P = -K_{0,-1}/2 exactly, so P = 0 is the constraint of
-    the limit pair (0, -1), projected along the L2-invariant ray (1, 1) by
-    project_to_constraint, which also gives the result's moments.  P(v) > 0
-    pins the root in (0, 1).
-    """
-    if v.grid.dimension != 2:
-        raise Unsupported("the P = 0 projection uses the L2-invariant scaling of dimension 2")
-    m = moments(v, nl)
-    p0 = m.potential()
-    if p0 == 0.0:
-        return 1.0, v, m
-    if p0 < 0.0:
-        raise PreconditionFailed(f"P(v) = {p0:.3e} <= 0; nothing to project")
-    return project_to_constraint(v, nl, P_ZERO, ray=ScalingExponents(1.0, 1.0))
-
-
 # -- mountain-pass paths ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -304,7 +284,7 @@ def _refine_argmax(ts: list, ss: list, evaluate) -> tuple[np.ndarray, np.ndarray
 def _require_on_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> None:
     m = moments(v, nl)
     residual = m.constraint(se)
-    if abs(residual) > ON_CONSTRAINT_TOL * m.h1:
+    if abs(residual) > CONSTRAINT_TOL * m.h1:
         raise NotOnConstraint(
             f"K_({se.alpha:g},{se.beta:g}) = {residual:.3e} is not zero at this profile")
 
@@ -431,7 +411,6 @@ def mountain_pass_estimate(paths) -> float:
 
 # -- verification sweeps ------------------------------------------------------
 
-WIDTH_RAY = ScalingExponents(0.0, 1.0)
 # a bump's factor is formed within BUMP_REACH widths of its centre; past
 # that |eps| exp(-49) < 2^-54, so 1 + eps exp(...) rounds to exactly 1.0
 BUMP_REACH = 7.0
@@ -505,6 +484,18 @@ def _tolerance(tol: float | None, m_ref: float) -> float:
     return tol
 
 
+def _least(values: list, none_placed: str) -> tuple[float, int]:
+    """The least value a sweep recorded and its index.  InvalidParameter
+    when the sweep read no member, EmptyConstraintSample(none_placed) when
+    every value is None."""
+    if not values:
+        raise InvalidParameter("empty trial family")
+    evaluated = [(value, i) for i, value in enumerate(values) if value is not None]
+    if not evaluated:
+        raise EmptyConstraintSample(none_placed)
+    return min(evaluated)
+
+
 @dataclass(frozen=True)
 class MinimizationReport:
     """Outcome of minimizing S over the projected trial family."""
@@ -576,12 +567,7 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
             # error into the peak location for strongly compressed members
             profile = m.scaled(ARGMAX_LAM_GRID, se).action()
             cells_off.append(abs(int(np.argmax(profile)) - unity_cell))
-    if region is None:
-        raise InvalidParameter("empty trial family")
-    evaluated = [(s, i) for i, s in enumerate(actions) if s is not None]
-    if not evaluated:
-        raise EmptyConstraintSample("no trial could be placed on the constraint")
-    min_action, argmin_index = min(evaluated)
+    min_action, argmin_index = _least(actions, "no trial could be placed on the constraint")
     return MinimizationReport(
         alpha=se.alpha, beta=se.beta, region=region, m_ref=m_ref, tol=tol,
         members_total=len(lambdas),
@@ -617,8 +603,12 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
     Members with P > 0 are scaled down to the P = 0 boundary first (that
     only lowers T), members within P_BOUNDARY_TOL * ||v||_H1^2 of the
     boundary are taken as they stand, and members with P < 0 lie outside
-    the constraint set and are skipped, as is the zero function.  The
-    trials are read once, in order, as in verify_min_on_constraint.
+    the constraint set and are skipped, as is the zero function.  In
+    dimension 2, P = -K_{0,-1}/2 exactly, so the boundary is the P_ZERO
+    constraint, projected along the L2-invariant ray lambda v(lambda x)
+    (L2_RAY); P > 0 pins the root in (0, 1).  A later member on a grid of
+    another dimension is recorded as an Unsupported failure.  The trials
+    are read once, in order, as in verify_min_on_constraint.
     """
     tol = _tolerance(tol, m_ref)
     lambdas, kinetics, skipped, failures = [], [], [], []
@@ -628,29 +618,21 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
         m = moments(trial, nl)
         band = P_BOUNDARY_TOL * m.h1
         p_val = m.potential()
+        lam0 = None
         if p_val < -band or m.h1 == 0.0:
             skipped.append(i)
-            lambdas.append(None)
-            kinetics.append(None)
-            continue
-        lam0 = None
-        if p_val > band:
+            m = None
+        elif p_val > band:
             try:
-                lam0, _, m = project_to_P_zero(trial, nl)
-            except (PreconditionFailed, Unsupported, NoRoot, ConvergenceError,
-                    TruncationOverflow) as err:
+                if trial.grid.dimension != 2:
+                    raise Unsupported("P = -K_{0,-1}/2 holds in dimension 2 only")
+                lam0, _, m = project_to_constraint(trial, nl, P_ZERO, ray=L2_RAY)
+            except (Unsupported, NoRoot, ConvergenceError, TruncationOverflow) as err:
                 failures.append((i, type(err).__name__))
-                lambdas.append(None)
-                kinetics.append(None)
-                continue
+                m = None
         lambdas.append(lam0)
-        kinetics.append(m.kinetic)
-    if not lambdas:
-        raise InvalidParameter("empty trial family")
-    evaluated = [(t, i) for i, t in enumerate(kinetics) if t is not None]
-    if not evaluated:
-        raise EmptyConstraintSample("no trial lies in the P >= 0 set")
-    min_kinetic, argmin_index = min(evaluated)
+        kinetics.append(None if m is None else m.kinetic)
+    min_kinetic, argmin_index = _least(kinetics, "no trial lies in the P >= 0 set")
     return KineticReport(
         m_ref=m_ref, tol=tol, members_total=len(lambdas),
         lambdas=tuple(lambdas), kinetics=tuple(kinetics),

@@ -255,8 +255,7 @@ def test_acceptance_8_instability_experiment():
         nl = gs.nonlinearity
         m = gs.level
         u0 = make_initial_data(gs, 1.05, 1.05)
-        traj = evolve(u0, GridFunction.zeros(u0.grid), nl, t_max=40.0,
-                      blowup_factor=5.0, m_ref=m, cfl=0.01)
+        traj = evolve(u0, GridFunction.zeros(u0.grid), nl, t_max=40.0, m_ref=m, cfl=0.01)
         membership = traj.records[0]
         action_ok = abs(membership.action - 0.978 * m) <= 1e-3 * m
         p_ok = abs(membership.p_value - 0.73) <= 5e-3

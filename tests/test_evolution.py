@@ -174,8 +174,6 @@ def test_evolve_input_validation(nl3):
     zero = GridFunction.zeros(grid)
     with pytest.raises(InvalidParameter):
         evolve(zero, zero, nl3, t_max=0.0)
-    with pytest.raises(InvalidParameter):
-        evolve(zero, zero, nl3, t_max=1.0, blowup_factor=1.0)
     other = GridFunction.zeros(RadialGrid(2, 10.0, 120))
     with pytest.raises(GridMismatch):
         evolve(zero, other, nl3, t_max=1.0)
@@ -366,8 +364,7 @@ def test_discrete_energy_tracks_quadrature(townes, nl3):
 def test_unstable_data_blows_up(townes, nl3):
     m = townes.level
     u = make_initial_data(townes, 1.05, 1.05)
-    traj = evolve(u, GridFunction.zeros(u.grid), nl3, t_max=20.0,
-                  blowup_factor=5.0, m_ref=m, cfl=0.1)
+    traj = evolve(u, GridFunction.zeros(u.grid), nl3, t_max=20.0, m_ref=m, cfl=0.1)
     assert traj.records[0].in_invariant_set
     assert traj.termination == BLOWUP_DETECTED
     monitor = invariant_monitor(traj)
@@ -389,8 +386,7 @@ def test_two_term_g_instability_experiment(cubic_quintic_ground):
     nl = gs.nonlinearity
     m = gs.level
     u = make_initial_data(gs, 1.05, 1.05)
-    traj = evolve(u, GridFunction.zeros(u.grid), nl, t_max=40.0,
-                  blowup_factor=5.0, m_ref=m, cfl=0.01)
+    traj = evolve(u, GridFunction.zeros(u.grid), nl, t_max=40.0, m_ref=m, cfl=0.01)
     assert traj.records[0].in_invariant_set
     assert traj.termination == BLOWUP_DETECTED
     monitor = invariant_monitor(traj)

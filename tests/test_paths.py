@@ -27,7 +27,6 @@ from varkg import (
     NotOnConstraint,
     PathSample,
     PowerKG,
-    PreconditionFailed,
     RadialGrid,
     ScalingExponents,
     TruncationOverflow,
@@ -40,7 +39,6 @@ from varkg import (
     family_action,
     moments,
     mountain_pass_estimate,
-    project_to_P_zero,
     project_to_constraint,
     rescale,
     verify_T_min_over_P,
@@ -342,12 +340,11 @@ def _general_g_profile():
 @pytest.mark.parametrize("entry", [
     lambda v: project_to_constraint(v, CUBIC_QUINTIC, AMPLITUDE_RAY),
     lambda v: project_to_constraint(v, CUBIC_QUINTIC, AMPLITUDE_RAY, ray=AMPLITUDE_RAY),
-    lambda v: project_to_P_zero(v, CUBIC_QUINTIC),
     lambda v: verify_min_on_constraint([v], CUBIC_QUINTIC, AMPLITUDE_RAY, 1.0),
     lambda v: build_path(v, CUBIC_QUINTIC, AMPLITUDE_RAY),
     lambda v: build_path(v, CUBIC_QUINTIC, ScalingExponents(1.0, 1.0)),
     lambda v: family_action(v, CUBIC_QUINTIC, ScalingExponents(1.0, 1.0), 0.01),
-], ids=["project", "project-explicit-ray", "P-zero", "minimization", "interior-path",
+], ids=["project", "project-explicit-ray", "minimization", "interior-path",
         "limit-path", "family-action-past-R"])
 def test_general_nonlinearity_is_unsupported(entry):
     # regions, rays and scaled moments need moments that scale by powers;
@@ -405,21 +402,16 @@ def test_limit_sweep_projects_members_on_the_constraint(nl3):
 
 
 def test_p_zero_projection_scaling(townes, nl3):
+    # c phi goes back to phi along lambda v(lambda x): lambda0 = 1/c
     v = townes.profile
     m = townes.level
-    for c, lam_expected in ((1.1, 1.0 / 1.1), (2.0, 0.5)):
-        scaled = GridFunction(v.grid, c * v.values)
-        lam0, _, projected = project_to_P_zero(scaled, nl3)
+    trials = [GridFunction(v.grid, c * v.values) for c in (1.1, 2.0)]
+    report = verify_T_min_over_P(trials, nl3, m)
+    assert report.failures == () and report.skipped == ()
+    for lam0, lam_expected in zip(report.lambdas, (1.0 / 1.1, 0.5)):
         assert np.isclose(lam0, lam_expected, rtol=0, atol=1e-4)
-        assert np.isclose(projected.kinetic, m, rtol=0, atol=0.05)
-    with pytest.raises(PreconditionFailed):
-        project_to_P_zero(GridFunction(v.grid, 0.9 * v.values), nl3)
-    # exact boundary short-circuits
-    lam0, w, _ = project_to_P_zero(GridFunction.zeros(v.grid), nl3)
-    assert lam0 == 1.0
-    with pytest.raises(Unsupported):
-        project_to_P_zero(GridFunction(RadialGrid(1, 20.0, 100),
-                                       np.zeros(101)), nl3)
+    for t_val in report.kinetics:
+        assert np.isclose(t_val, m, rtol=0, atol=0.05)
 
 
 def test_interior_path_on_the_line(phi_1d, nl3):
@@ -555,6 +547,38 @@ def test_kinetic_minimum_guards(townes, phi_1d, nl3):
     for trials in ([shrunk], [zero]):
         with pytest.raises(EmptyConstraintSample):
             verify_T_min_over_P(trials, nl3, m)
+
+
+def test_kinetic_minimum_records_a_later_member_of_another_dimension(townes, phi_1d, nl3):
+    # P > 0 on the line too, but K_{0,-1} = -2P holds in the plane only,
+    # so the member is not projected
+    line = GridFunction(phi_1d.grid, 2.0 * phi_1d.profile.values)
+    assert moments(line, nl3).potential() > 0.0
+    report = verify_T_min_over_P([townes.profile, line], nl3, townes.level)
+    assert report.failures == ((1, "Unsupported"),)
+    assert report.lambdas == (None, None) and report.kinetics[1] is None
+
+
+def test_kinetic_minimum_takes_a_members_moments_twice_before_projecting(townes, nl3,
+                                                                           monkeypatch):
+    # once for its P band in the sweep, once as the projection's base moments
+    member = GridFunction(townes.grid, 1.5 * townes.profile.values)
+    counts = {"member moments": 0, "project_to_constraint": 0}
+    moments_of, project = varkg.paths.moments, varkg.paths.project_to_constraint
+
+    def counted_moments(v, nl):
+        counts["member moments"] += v is member
+        return moments_of(v, nl)
+
+    def counted_project(*args, **kwargs):
+        counts["project_to_constraint"] += 1
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(varkg.paths, "moments", counted_moments)
+    monkeypatch.setattr(varkg.paths, "project_to_constraint", counted_project)
+    report = verify_T_min_over_P([member], nl3, townes.level)
+    assert report.failures == () and report.lambdas[0] < 1.0
+    assert counts == {"member moments": 2, "project_to_constraint": 1}
 
 
 def test_default_trial_family(townes):
