@@ -142,20 +142,22 @@ def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray, scale: flo
                     flux: np.ndarray):
     """A call writing scale times the Laplacian of u's current values into out,
     all but its edge column, which the caller sets (zero at the Dirichlet edge):
-    flux difference over cell measure (see _operator), so -cell * lap(u) is the
-    exact gradient of the energy's face term.  u, out and flux, the call's
-    scratch, are one row of node values or rows of them, all of one shape.
-    scale multiplies the faces once, here; 1.0 leaves them exact."""
+    flux difference times the reciprocal cell measure (see _operator), so
+    -cell * lap(u) is the exact gradient of the energy's face term.  u, out
+    and flux, the call's scratch, are one row of node values or rows of them,
+    all of one shape.  scale multiplies the faces and 1/cell is formed once,
+    here, so a step multiplies where it would divide; scale 1.0 leaves the
+    faces exact."""
     face, cell, _ = _operator(grid)
-    face = scale * face
+    face, inv_cell = scale * face, 1.0 / cell[:-1]
     u_hi, u_lo, flux_hi, flux_lo = u[..., 1:], u[..., :-1], flux[..., 1:], flux[..., :-1]
-    out_lo, cell_lo, origin = out[..., :-1], cell[:-1], flux[..., 0]
+    out_lo, origin = out[..., :-1], flux[..., 0]
     def laplacian():
         origin[()] = 0.0  # nothing crosses the origin
         np.subtract(u_hi, u_lo, out=flux_hi)
         np.multiply(face, flux_hi, out=flux_hi)
         np.subtract(flux_hi, flux_lo, out=out_lo)
-        np.divide(out_lo, cell_lo, out=out_lo)
+        np.multiply(out_lo, inv_cell, out=out_lo)
     return laplacian
 
 
@@ -225,47 +227,47 @@ def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
     root of the H1 moment's part on the outer cells and the faces between
     them; the only place that decides membership in {E < m_ref, P > 0}.
 
-    Every sum is on the operator's faces and cells (see _operator): grad =
-    sum face du^2 is E's face term, l2 = sum cell u^2, pot = sum cell |u|^(p+1)
-    or, for a general g, sum cell G(u).  So S, P, T and H1 share E's
-    discretization and S = E to roundoff on data at rest; all are the forms
-    on moments(u, flow), E with (1/2) ||v||^2 added, to O(h^2).  E, the
-    semi-discrete energy, is conserved up to the leapfrog's bounded O(dt^2)
-    oscillation.  u * u is formed once.
+    Every sum is one dot product on the operator's faces and cells (see
+    _operator): grad = face . du^2 is E's face term, l2 = cell . u^2 and
+    pot = cell . |u|^(p+1) or, for a general g, cell . G(u).  S, P, T and H1
+    are the forms on these moments, and E = (1/2) (cell v) . v + S is the
+    semi-discrete energy regrouped, so E = S bit for bit on data at rest.
+    All are the forms on moments(u, flow), E with (1/2) ||v||^2 added, to
+    O(h^2); E is conserved up to the leapfrog's bounded O(dt^2) oscillation.
+    The boundary share dots the outer parts of the same arrays.  A record
+    allocates u^2 and one scratch array (and G(u), for a general g).
+
+    np.dot is BLAS ddot, OpenBLAS in numpy's own builds.  Each row of a batch
+    is dotted alone, so its record is bit for bit its solo run's.  Past
+    10,000 nodes OpenBLAS may split a dot across threads, so the last bits
+    of a record can depend on OPENBLAS_NUM_THREADS.
     NumericalOverflow when pot leaves the float range or u or v is not
     finite; they are scanned only when E is not, as a non-finite node makes it.
     """
     face, cell, _ = _operator(grid)
-    uu = np.multiply(u, u)
-    scratch = np.empty_like(u)
+    uu, work = np.multiply(u, u), np.empty_like(u)
     if isinstance(flow, PowerKG):
         pp1 = flow.p + 1.0
-        upow = np.multiply(uu, uu) if pp1 == 4.0 else _abs_power(u, pp1)
-        big_g = np.multiply(-0.5 * flow.mass, uu)
-        np.add(big_g, np.divide(upow, pp1, out=scratch), out=big_g)
-        work = np.multiply(cell, upow, out=upow)
+        upow = np.multiply(uu, uu, out=work) if pp1 == 4.0 else _abs_power(u, pp1, work)
+        pot = float(np.dot(cell, upow))
     else:
-        big_g = flow.G(u)  # the callable's array: read, never written
-        work = np.multiply(cell, big_g)
-    pot = float(work.sum())
+        pot = float(np.dot(cell, flow.G(u)))
     if not math.isfinite(pot):
         raise NumericalOverflow("the potential moment left the representable range")
-    np.multiply(np.multiply(0.5, v, out=work), v, out=work)
-    np.multiply(cell, np.subtract(work, big_g, out=work), out=work)
-    nodal = float(work.sum())
-    du = np.subtract(u[1:], u[:-1], out=scratch[:-1])
-    face_term = np.multiply(np.multiply(face, du, out=work[:-1]), du, out=work[:-1])
-    grad = float(face_term.sum())
-    energy = nodal + 0.5 * grad
+    kin = float(np.dot(np.multiply(cell, v, out=work), v))
+    du = np.subtract(u[1:], u[:-1], out=work[:-1])
+    du2 = np.multiply(du, du, out=du)
+    m = Moments(float(np.dot(face, du2)), float(np.dot(cell, uu)), pot, flow, grid.dimension)
+    action = m.action()
+    energy = 0.5 * kin + action
     if not math.isfinite(energy) and not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericalOverflow("the state is no longer finite")
-    cell_term = np.multiply(cell, uu, out=uu)
-    m = Moments(grad, float(cell_term.sum()), pot, flow, grid.dimension)
     p_val = m.potential()
     in_set = m_ref is not None and energy < m_ref and p_val > 0.0
     share = (0.0 if m.h1 == 0.0 else
-             math.sqrt((float(cell_term[outer].sum()) + float(face_term[outer].sum())) / m.h1))
-    return (TrajectoryRecord(t, energy, m.action(), p_val, m.kinetic, math.sqrt(m.h1), in_set),
+             math.sqrt((float(np.dot(cell[outer], uu[outer]))
+                        + float(np.dot(face[outer], du2[outer]))) / m.h1))
+    return (TrajectoryRecord(t, energy, action, p_val, m.kinetic, math.sqrt(m.h1), in_set),
             share)
 
 
@@ -279,8 +281,8 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     flag) and the event checks (finiteness, H1 escape past BLOWUP_FACTOR times
     its start value, boundary contamination) run every RECORD_INTERVAL, in
     steps.  They are taken with the flow's nonlinearity (see flow_nonlinearity)
-    on the flow's own faces and cells (see _record), so E and S agree to
-    roundoff on data at rest.  The first record is that of the data
+    on the flow's own faces and cells (see _record), so E and S agree bit
+    for bit on data at rest.  The first record is that of the data
     themselves, so its flag is their membership in the invariant set of the
     finite level m_ref (None: no level, every flag False).
 

@@ -11,6 +11,7 @@ projections lives here too.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -62,6 +63,9 @@ class RadialGrid:
             raise InvalidInput(f"radius {outer_radius!r} overflows the domain measure") from None
         self.r = np.linspace(0.0, self.outer_radius, self.cells + 1)
         self.weights = self._build_weights()
+        if self.weights.min() < sys.float_info.min:  # 0 <= 1e-12 * 0 would pass below
+            raise InvalidInput(f"radius {outer_radius!r} on {self.cells} cells underflows "
+                               "the quadrature weights")
         self.r.setflags(write=False)
         self.weights.setflags(write=False)
         if not abs(float(self.weights.sum()) - measure) <= 1e-12 * measure:

@@ -502,9 +502,10 @@ def test_laplacian_sums_by_parts(case):
 
 
 def allocating_laplacian(u, grid):
-    """The flux-difference Laplacian as written before it worked in place."""
+    """The flux-difference Laplacian as written before it worked in place,
+    times the reciprocal cell measure as the in-place call multiplies it."""
     face, cell, _ = _operator(grid)
-    return np.append(np.diff(np.append(0.0, face * np.diff(u))) / cell[:-1], 0.0)
+    return np.append(np.diff(np.append(0.0, face * np.diff(u))) * (1.0 / cell[:-1]), 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -591,6 +592,27 @@ def test_operator_arrays_are_read_only():
             shared *= 2.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(dimension=st.sampled_from([1, 2, 3]), mantissa=st.floats(1.0, 9.999),
+       exponent=st.integers(-323, 307), cells=st.integers(16, 100_000))
+@example(dimension=3, mantissa=1.0, exponent=-110, cells=100)  # the measure is 0.0
+@example(dimension=3, mantissa=7.94328234724292, exponent=-77, cells=100000)  # weights[0] is 0.0
+@example(dimension=1, mantissa=1.0, exponent=-305, cells=100000)  # 2/h overflows
+def test_operator_is_finite_and_positive_on_every_accepted_grid(dimension, mantissa,
+                                                                 exponent, cells):
+    # the Laplacian multiplies by 1/cell, so no grid RadialGrid accepts may
+    # have a zero or subnormal shell whose reciprocal overflows
+    with np.errstate(all="ignore"):
+        try:
+            grid = RadialGrid(dimension, mantissa * 10.0**exponent, cells)
+        except InvalidInput:
+            return
+        face, cell, _ = _operator(grid)
+        inv_cell = 1.0 / cell
+    for weights in (face, cell, inv_cell):
+        assert np.isfinite(weights).all() and (weights > 0.0).all()
+
+
 @pytest.mark.parametrize("lam, t_max, termination", [
     (0.9, 1.0, REACHED_TMAX), (1.05, 20.0, BLOWUP_DETECTED),
     pytest.param((0.9, 1.05, 1.1), 2.0, (REACHED_TMAX, BLOWUP_DETECTED, BLOWUP_DETECTED),
@@ -645,33 +667,32 @@ def test_evolve_rejects_cfl_past_stability_bound(nl3):
 
 @pytest.mark.parametrize("nl", [PowerKG(3.0), PowerKG(2.5), CUBIC_QUINTIC])
 def test_record_is_the_allocating_energy_and_moments_bit_for_bit(nl):
-    # the record shares u * u between G, |u|^4 and the L2 moment and forms its
-    # products in place; E is the allocating energy and every other field the
-    # model's form on the allocating face and cell sums: sum face du^2,
-    # sum cell u^2 and sum cell |u|^(p+1), or sum cell G(u)
+    # the record shares u * u between |u|^4 and the L2 moment and forms its
+    # products in place; every field is the model's form on the allocating
+    # face and cell dot products face . du^2, cell . u^2 and
+    # cell . |u|^(p+1), or cell . G(u), and E is (1/2) (cell v) . v + S
     grid, flow = RadialGrid(2, 10.0, 200), flow_nonlinearity(nl)
     u = GridFunction.sample(grid, lambda r: 1.3 * np.exp(-r**2) * np.cos(r)).values
     v = 0.7 * grid.r * np.exp(-grid.r**2)
     rec, _ = _record(grid, u, v, 0.5, flow, 10.0, outer_zone(grid))
     face, cell, _ = _operator(grid)
     du = np.diff(u)
-    grad = float((face * du * du).sum())
-    energy = float((cell * (0.5 * v * v - flow.G(u))).sum()) + 0.5 * grad
-    pot = cell * (_abs_power(u, flow.p + 1.0) if isinstance(flow, PowerKG) else flow.G(u))
-    m = Moments(grad, float((cell * (u * u)).sum()), float(pot.sum()), flow, grid.dimension)
-    assert rec.energy == energy
+    grad = float(np.dot(face, du * du))
+    pot = np.dot(cell, _abs_power(u, flow.p + 1.0) if isinstance(flow, PowerKG) else flow.G(u))
+    m = Moments(grad, float(np.dot(cell, u * u)), float(pot), flow, grid.dimension)
+    assert rec.energy == 0.5 * float(np.dot(cell * v, v)) + m.action()
     assert (rec.action, rec.p_value, rec.kinetic, rec.h1_norm) == (
         m.action(), m.potential(), m.kinetic, math.sqrt(m.h1))
 
 
 @pytest.mark.parametrize("ground", ["townes", "ground_n3", "cubic_quintic_ground"])
 def test_action_is_the_energy_at_rest(request, ground):
-    # S and E are sums on one set of faces and cells, so at rest they differ
-    # by roundoff; on the weights S was 1.07e-3 below E at R = 80, M = 4000
+    # E = (1/2) (cell v) . v + S on one set of faces and cells, so at rest
+    # E is S bit for bit; on the weights S was 1.07e-3 below E at R = 80, M = 4000
     gs = request.getfixturevalue(ground)
     traj = evolve(gs.profile, GridFunction.zeros(gs.grid), gs.nonlinearity, t_max=0.01)
     rec = traj.records[0]
-    assert abs(rec.action - rec.energy) <= 1e-14 * abs(rec.energy)
+    assert rec.energy == rec.action
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

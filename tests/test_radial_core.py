@@ -247,6 +247,25 @@ def test_grid_rejects_overflowing_measure():
                 RadialGrid(dimension, outer, 16)
 
 
+@pytest.mark.parametrize("dimension, outer, cells", [
+    (3, 1e-110, 100), (3, 1.2e-108, 16), (2, 1e-200, 4000),  # the measure is 0.0
+    (3, 7.94328234724292e-77, 100000),  # the measure is normal, weights[0] is 0.0
+    (1, 1e-305, 100000),  # subnormal weights, and 2/h overflows the operator's faces
+])
+def test_grid_rejects_underflowing_weights(dimension, outer, cells):
+    # |sum w - measure| <= 1e-12 measure passed as 0 <= 0 on the first three,
+    # and moments of exp(-(r/R)^2) on the first read Moments(0, 0, 0)
+    with pytest.raises(InvalidInput, match=f"radius {outer!r} on {cells} cells underflows"):
+        RadialGrid(dimension, outer, cells)
+
+
+@pytest.mark.parametrize("dimension, outer, cells",
+                         [(3, 3.98107170553492e-76, 100000), (2, 1e-102, 16), (1, 1e-300, 16)])
+def test_grid_keeps_the_smallest_normal_weights(dimension, outer, cells):
+    grid = RadialGrid(dimension, outer, cells)
+    assert grid.weights.min() >= np.finfo(float).tiny
+
+
 def test_load_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"\xff\xfe# N=2 R=4 M=16\nr,value\n")
