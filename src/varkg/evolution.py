@@ -123,19 +123,21 @@ class Trajectory:
 def _operator(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float]:
     """The grid's conservative operator: face[i] = surf r_{i+1/2}^(N-1) / h
     weighs u_{i+1} - u_i, cell[i] = surf (r_{i+1/2}^N - r_{i-1/2}^N) / N is
-    the shell of node i ([0, h/2] and [R - h/2, R] at the ends), and stiffness
-    is the Gershgorin bound on -lap, cell-weighted symmetric, on free nodes."""
+    the shell of node i ([0, h/2] and [R - h/2, R] at the ends), and kappa
+    is h^2 times the Gershgorin bound on -lap, cell-weighted symmetric, on
+    free nodes, formed with s = h / sqrt(cell) so that each product stays
+    O(1) in h and no accepted spacing overflows it."""
     n = grid.dimension
     surf = SPHERE_SURFACE[n]
     edges = np.concatenate(([0.0], grid.r[:-1] + 0.5 * grid.spacing, [grid.outer_radius]))
     face = surf * edges[1:-1] ** (n - 1) / grid.spacing
     cell = surf * np.diff(edges**n) / n
-    s = 1.0 / np.sqrt(cell)
+    s = grid.spacing / np.sqrt(cell)
     s[-1] = 0.0  # the Dirichlet node is not free
     pair = face * (s[1:] + s[:-1])
-    stiffness = float((s[:-1] * (pair + np.append(0.0, pair[:-1]))).max())
+    kappa = float((s[:-1] * (pair + np.append(0.0, pair[:-1]))).max())
     face.flags.writeable = cell.flags.writeable = False  # every caller shares them
-    return face, cell, stiffness
+    return face, cell, kappa
 
 
 def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray, scale: float,
@@ -194,11 +196,13 @@ def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow,
     instead of None, it carries on with the masked rows alone: the next yield
     hands out new arrays, and the generator keeps no reference to the old ones
     (whose memory goes once the caller drops its own).  A dt outside
-    (0, 2/sqrt(stiffness + mass)] raises at the first next()."""
-    bound = 2.0 / math.sqrt(_operator(grid)[2] + flow.mass)
+    (0, 2h/sqrt(kappa + mass h^2)] raises at the first next(), kappa the
+    operator's bound in units of h (see _operator)."""
+    h = grid.spacing
+    bound = 2.0 * h / math.hypot(math.sqrt(_operator(grid)[2]), math.sqrt(flow.mass) * h)
     if not (0.0 < dt <= bound):
         raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
-                               f"(0, {bound:g}], i.e. cfl <= {bound / grid.spacing:.4g}")
+                               f"(0, {bound:g}], i.e. cfl <= {bound / h:.4g}")
     dt2 = dt * dt
     w, acc = np.multiply(v, dt), np.zeros_like(u)
     uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, grid, flow, dt2)

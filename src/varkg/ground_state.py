@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,16 +137,17 @@ def _signed_miss(status: str, r_esc: float, decay2: float) -> float:
     return -size if status == "cross" else size
 
 
-def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
+def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid):
     """March the radial ODE outward from amplitude a, one RK4 step per cell.
 
-    Returns (status, values, filled, r_esc): status is "cross" when the
-    solution goes negative, "diverge" when it exceeds twice the
-    amplitude, "turn" at a turning point (below), "end" at r = R;
-    values holds node samples up to index filled-1 when record is true.
-    r_esc is the escape radius: where the linear interpolant of phi (of
-    chi for "turn", of 2a - phi for "diverge") falls through zero inside
-    the cell where the shot escapes, and R for "end".
+    Returns (status, values, r_esc): status is "cross" when the solution
+    goes negative, "diverge" when it exceeds twice the amplitude, "turn"
+    at a turning point (below), "end" at r = R; values is an array of
+    doubles holding the node samples from phi(0) up to the last node
+    before the shot stopped.  r_esc is the escape radius: where the
+    linear interpolant of phi (of chi for "turn", of 2a - phi for
+    "diverge") falls through zero inside the cell where the shot
+    escapes, and R for "end".
 
     The march carries (phi, chi) with chi = -phi', so each stage reads
     g(phi) - (N-1) chi / r with no negation.  A shot stops with status
@@ -155,8 +157,7 @@ def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
     a shot can never cross zero, whatever g is.  For the power family
     E < 0 at every turn (Berestycki, Lions & Peletier 1981).  Only "cross"
     labels a shot above the critical amplitude; "turn", "diverge" and
-    "end" all label it below.  A recorded shot stops where an unrecorded
-    one does, so its values are those of the search shot it repeats.
+    "end" all label it below.
     """
     g, big_g = nl.g, nl.G
     n = grid.dimension
@@ -179,12 +180,10 @@ def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
             f"grid spacing {h:.3g} is too coarse for the series start at amplitude "
             f"{a:.6g}; use more cells")
 
-    vals = np.empty(grid.cells + 1) if record else None
-    if record:
-        vals[0] = a
-        vals[1] = phi
+    vals = array("d", (a, phi))
+    keep = vals.append
 
-    for i in range(2, grid.cells + 1):
+    for _ in range(2, grid.cells + 1):  # nodes 2..M
         # one RK4 step of (phi' = -chi, chi' = g(phi) - (n-1) chi / r)
         k1 = g(phi) - nm1 * chi / r
         rh = r + hh
@@ -202,14 +201,13 @@ def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid, record: bool):
         phi -= h * (chi + 2.0 * x2 + 2.0 * x3 + x4) / 6.0
         chi += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if phi < 0.0:
-            return "cross", vals, i, _escape_radius(r, h, phi, last_phi)
+            return "cross", vals, _escape_radius(r, h, phi, last_phi)
         if phi > upper:
-            return "diverge", vals, i, _escape_radius(r, h, upper - phi, upper - last_phi)
+            return "diverge", vals, _escape_radius(r, h, upper - phi, upper - last_phi)
         if chi < 0.0 and phi > 0.0 and 0.5 * chi * chi + big_g(phi) < 0.0:
-            return "turn", vals, i, _escape_radius(r, h, chi, last_chi)
-        if record:
-            vals[i] = phi
-    return "end", vals, grid.cells + 1, grid.outer_radius
+            return "turn", vals, _escape_radius(r, h, chi, last_chi)
+        keep(phi)
+    return "end", vals, grid.outer_radius
 
 
 def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
@@ -246,12 +244,13 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     underflows on a wide grid and brent takes a zero value as a root.
     The solve stops when its bracket is narrower than 1e-15 of its upper
     end, and the final shot is the largest non-crossing amplitude
-    evaluated: the non-crossing end of that bracket, marched again with
-    its values recorded up to where it stopped.  The returned profile
-    keeps the final shot up to its turning point and continues with the
-    matched linear-decay tail
-    phi(r*) (r*/r)^((N-1)/2) exp(-sqrt(m0)(r - r*)), which restores decay
-    past the double-precision resolution limit of the shooting itself.
+    marched: the non-crossing end of that bracket, with the values of
+    its search march.  In N >= 2 that end is marched, since it lies
+    within 1e-15 of the critical amplitude a*, where G(a*) = E(0) > 0
+    as E falls strictly to 0.  The returned profile keeps the final shot
+    up to its turning point and continues with the matched linear-decay
+    tail phi(r*) (r*/r)^((N-1)/2) exp(-sqrt(m0)(r - r*)), which restores
+    decay past the double-precision resolution limit of the shooting itself.
     """
     dimension = grid.dimension
     if isinstance(nl, PowerKG):
@@ -264,6 +263,7 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     decay2 = 2.0 * math.sqrt(m0)
     big_g = nl.G
     shots = {}  # amplitude -> (status, signed miss), at most one march per amplitude
+    best = [0.0, None]  # the largest non-crossing amplitude marched, and its values
 
     def shot(a: float) -> tuple[str, float]:
         if a not in shots:
@@ -271,7 +271,9 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
                 # E = G(a) <= 0 at r = 0 and E falls from there: no march
                 status, r_esc = "turn", 0.0
             else:
-                status, _, _, r_esc = _classify_shot(a, nl, grid, record=False)
+                status, vals, r_esc = _classify_shot(a, nl, grid)
+                if status != "cross" and a > best[0]:
+                    best[:] = a, vals
             shots[a] = status, _signed_miss(status, r_esc, decay2)
         return shots[a]
 
@@ -302,11 +304,7 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
 
     brent(lambda a: shot(a)[1], lo, hi, xtol=0.0, rtol=1e-15)
     # the final shot is the last bracket's non-crossing end, whichever end brent returns
-    lo = max(a for a, (status, _) in shots.items() if status != "cross")
-    status, vals, filled, _ = _classify_shot(lo, nl, grid, record=True)
-    if status == "cross":
-        raise ConvergenceError("final shot crossed zero; bracket degenerated")
-    kept = vals[:filled]
+    kept = np.frombuffer(best[1])
     i_star = int(np.argmin(kept))
     # back off the minimum onto the clean decay segment, where a cell drops
     # by about sqrt(m0) h phi: near a turn the shot flattens and

@@ -598,19 +598,28 @@ def test_operator_arrays_are_read_only():
 @example(dimension=3, mantissa=1.0, exponent=-110, cells=100)  # the measure is 0.0
 @example(dimension=3, mantissa=7.94328234724292, exponent=-77, cells=100000)  # weights[0] is 0.0
 @example(dimension=1, mantissa=1.0, exponent=-305, cells=100000)  # 2/h overflows
+@example(dimension=1, mantissa=1.0, exponent=-160, cells=16)  # h^-2 overflows
+@example(dimension=1, mantissa=1.0, exponent=307, cells=16)  # m0 h^2 overflows
 def test_operator_is_finite_and_positive_on_every_accepted_grid(dimension, mantissa,
                                                                  exponent, cells):
     # the Laplacian multiplies by 1/cell, so no grid RadialGrid accepts may
-    # have a zero or subnormal shell whose reciprocal overflows
+    # have a zero or subnormal shell whose reciprocal overflows; nor may the
+    # step bound overflow, and a step of 0.4 h, or of 1 on a coarse grid,
+    # lies within it at unit mass
     with np.errstate(all="ignore"):
         try:
             grid = RadialGrid(dimension, mantissa * 10.0**exponent, cells)
         except InvalidInput:
             return
-        face, cell, _ = _operator(grid)
+        face, cell, kappa = _operator(grid)
         inv_cell = 1.0 / cell
     for weights in (face, cell, inv_cell):
         assert np.isfinite(weights).all() and (weights > 0.0).all()
+    assert 0.0 < kappa < math.inf
+    zero = np.zeros(cells + 1)
+    dt = min(0.4 * grid.spacing, 1.0)
+    k, u, _ = next(_leapfrog(zero, zero.copy(), dt, grid, flow_nonlinearity(LINEAR_KG), 1, 1))
+    assert k == 1 and not u.any()
 
 
 @pytest.mark.parametrize("lam, t_max, termination", [
@@ -655,6 +664,14 @@ def test_step_bound_follows_the_operator(dimension, stable, unstable):
     next(_leapfrog(u, v, stable * grid.spacing, grid, flow, 1, 1))
     with pytest.raises(InvalidParameter, match="stability"):
         next(_leapfrog(u, v, unstable * grid.spacing, grid, flow, 1, 1))
+
+
+def test_step_bound_holds_where_the_stiffness_overflows(nl3):
+    # the Gershgorin bound on -lap is about 4.4 / h^2, past the largest
+    # double at spacing 6e-162; taken in units of h it is finite, and cfl 0.4
+    # was refused as outside the range (0, 0]
+    zero = GridFunction.zeros(RadialGrid(1, 1e-160, 16))
+    assert evolve(zero, zero, nl3, t_max=1e-159, cfl=0.4).termination == REACHED_TMAX
 
 
 def test_evolve_rejects_cfl_past_stability_bound(nl3):

@@ -164,8 +164,8 @@ def test_coarse_series_start_blames_the_grid():
     assert 1.0 < gs.center_value < 8.0
     # one ulp above the equilibrium phi = 1, c2 h^2 rounds away and
     # phi(h) == phi(0): the ODE lets phi stay there, so the grid is not blamed
-    status, _, _, _ = _classify_shot(1.0000000000000002, PowerKG(3.0, 0.0),
-                                     RadialGrid(2, 40.0, 4000), record=False)
+    status, _, _ = _classify_shot(1.0000000000000002, PowerKG(3.0, 0.0),
+                                  RadialGrid(2, 40.0, 4000))
     assert status != "cross"
 
 
@@ -198,13 +198,13 @@ def _without_turn_exit(nl):
 
 @functools.lru_cache(maxsize=None)
 def _critical_amplitude(n, nl):
-    """Bisection on the labels of full recorded marches, no early exit."""
+    """Bisection on the labels of full marches, no early exit."""
     grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
     full = _without_turn_exit(nl)
     lo, hi = 0.2, 6.5
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        status, _, _, _ = _classify_shot(mid, full, grid, record=True)
+        status, _, _ = _classify_shot(mid, full, grid)
         if status == "cross":
             hi = mid
         else:
@@ -235,14 +235,13 @@ def test_turning_point_exit_agrees_with_full_march(case):
     # exit must label every shot exactly as the march without it does
     n, nl, a = case
     grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
-    early, early_values, early_filled, _ = _classify_shot(a, nl, grid, record=True)
-    full, values, filled, _ = _classify_shot(a, _without_turn_exit(nl), grid, record=True)
-    assert _classify_shot(a, nl, grid, record=False)[0] == early
+    early, early_values, _ = _classify_shot(a, nl, grid)
+    full, values, _ = _classify_shot(a, _without_turn_exit(nl), grid)
     assert (early == "cross") == (full == "cross")
     if early != "cross":
-        assert np.all(values[:filled] >= 0.0)
+        assert np.all(np.frombuffer(values) >= 0.0)
     # the early exit keeps the full march's values up to where it stops
-    assert np.array_equal(early_values[:early_filled], values[:early_filled])
+    assert np.array_equal(early_values, values[:len(early_values)])
 
 
 @pytest.mark.parametrize("n, nl", [(n, nl) for n in (2, 3) for nl in SHOT_NONLINEARITIES])
@@ -255,18 +254,38 @@ def test_brent_shot_agrees_with_label_bisection(monkeypatch, n, nl):
     assert abs(a - a_star) <= 1e-13 * a_star
 
 
+@pytest.mark.parametrize("n, nl", [(n, nl) for n in (2, 3) for nl in SHOT_NONLINEARITIES])
+def test_profile_head_is_a_fresh_march_of_its_center_value(monkeypatch, n, nl):
+    # the profile keeps the values of the search shot it settles on: up to
+    # the graft node they are a new march of phi(0) bit for bit, and past it
+    # the matched decay tail from that node
+    monkeypatch.setattr("varkg.ground_state._validate", lambda profile, nl: profile)
+    grid = RadialGrid(n, SHOT_GRID_R, SHOT_GRID_M)
+    out = shoot_radial(nl, grid).values
+    status, march, _ = _classify_shot(out[0], nl, grid)
+    march = np.frombuffer(march)
+    assert status != "cross"
+    same = out[:len(march)] == march
+    head = len(march) if same.all() else int(np.argmin(same))  # the first node past the graft
+    assert head > 1
+    r_star, tail_r = grid.r[head - 1], grid.r[head:-1]
+    tail = np.exp(-math.sqrt(nl.mass) * (tail_r - r_star)) * (r_star / tail_r) ** (0.5 * (n - 1))
+    np.testing.assert_allclose(out[head:-1], out[head - 1] * tail, rtol=1e-13, atol=0)
+    assert out[-1] == 0.0
+
+
 SHOOT_GRIDS = [(RadialGrid(2, 40.0, 4000), (1.0, 4.0)), (RadialGrid(2, 40.0, 8000), (1.0, 4.0)),
                (RadialGrid(3, 30.0, 3000), (3.0, 6.0)), (RadialGrid(2, 80.0, 4000), (1.0, 4.0))]
 
 
 @pytest.fixture
 def shot_log(monkeypatch):
-    """Every march shoot_radial makes, as (a, status, filled, record)."""
+    """Every march shoot_radial makes, as (a, status, filled)."""
     log = []
 
-    def logged(a, nl, grid, record):
-        out = _classify_shot(a, nl, grid, record)
-        log.append((a, out[0], out[2], record))
+    def logged(a, nl, grid):
+        out = _classify_shot(a, nl, grid)
+        log.append((a, out[0], len(out[1])))
         return out
 
     monkeypatch.setattr("varkg.ground_state._classify_shot", logged)
@@ -277,28 +296,29 @@ def shot_log(monkeypatch):
 def test_shot_count_and_final_bracket(shot_log, grid, bracket):
     a = shoot_radial(PowerKG(3.0, 0.0), grid, bracket=bracket).center_value
     assert len(shot_log) <= 28  # bisection took 53-54
-    assert a == max(x for x, status, _, _ in shot_log if status != "cross")
-    crossing = min(x for x, status, _, _ in shot_log if status == "cross")
+    assert a == max(x for x, status, _ in shot_log if status != "cross")
+    crossing = min(x for x, status, _ in shot_log if status == "cross")
     assert a < crossing <= a + 1e-15 * a
 
 
 # cells marched when the G(a) <= 0 ends and the final shot's tail were
-# marched too: 24,792 / 54,969 / 25,652 / 15,338
-SHOOT_CELLS = (19000, 34000, 25000, 9700)
+# marched too: 24,792 / 54,969 / 25,652 / 15,338; when the final shot was
+# marched a second time: 18,004 / 32,156 / 24,471 / 9,164
+SHOOT_CELLS = (17000, 30000, 23500, 8700)
 
 
 @pytest.mark.parametrize("grid, bracket, cells",
                          [(*case, cells) for case, cells in zip(SHOOT_GRIDS, SHOOT_CELLS)])
 def test_shots_march_only_what_the_energy_leaves_open(shot_log, grid, bracket, cells):
-    # in N >= 2 no amplitude with G(a) <= 0 crosses zero, and the final
-    # shot repeats a search shot, which stops at its turn
+    # in N >= 2 no amplitude with G(a) <= 0 crosses zero, no amplitude is
+    # marched twice, and the final shot is a search shot, which stops at its turn
     nl = PowerKG(3.0, 0.0)
-    shoot_radial(nl, grid, bracket=bracket)
-    assert all(nl.G(a) > 0.0 for a, _, _, _ in shot_log)
-    *search, (_, status, _, record) = shot_log
-    assert record and status == "turn"
-    assert not any(rec for _, _, _, rec in search)
-    assert sum(filled for _, _, filled, _ in shot_log) <= cells
+    a = shoot_radial(nl, grid, bracket=bracket).center_value
+    assert all(nl.G(x) > 0.0 for x, _, _ in shot_log)
+    marched = [x for x, _, _ in shot_log]
+    assert len(set(marched)) == len(marched)
+    assert [status for x, status, _ in shot_log if x == a] == ["turn"]
+    assert sum(filled for _, _, filled in shot_log) <= cells
 
 
 @pytest.mark.parametrize("bracket", [(0.5, 4.0), (1.0, 4.0), (0.2, 0.5)])
@@ -310,7 +330,7 @@ def test_lower_end_with_nonpositive_g_is_lifted_unmarched(shot_log, bracket):
     zero = math.sqrt(2.0 * nl.mass)  # G(s) = -m0 s^2 / 2 + s^4 / 4
     gs = shoot_radial(nl, RadialGrid(2, 60.0, 6000), bracket=bracket)
     assert np.isclose(gs.center_value, 0.9616606617, rtol=1e-10, atol=0)
-    marched = [a for a, _, _, _ in shot_log]
+    marched = [a for a, _, _ in shot_log]
     assert nl.G(0.2) < 0.0 and nl.G(0.5) < 0.0
     assert 0.2 not in marched and 0.5 not in marched
     assert min(marched) == pytest.approx(zero, rel=1e-15)
