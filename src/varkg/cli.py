@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from collections.abc import Sequence
 from datetime import datetime, timezone
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -45,6 +44,8 @@ from .model import (
     moments,
 )
 from .paths import (
+    _MadeOnRead,
+    _bumped,
     build_path,
     default_trial_family,
     exponent_region,
@@ -162,10 +163,10 @@ def _problem(cfg, dimension: int) -> tuple[RadialGrid, PowerKG]:
     return RadialGrid(dimension, cfg.R, cfg.M), PowerKG(cfg.p, cfg.omega)
 
 
-def _ground_state(grid: RadialGrid, nl: PowerKG, bracket=(1.0, 4.0)):
+def _ground_state(grid: RadialGrid, nl: PowerKG, **shoot):
     if grid.dimension == 1:
         return closed_form_1d(nl.p, nl.omega, grid)
-    return shoot_radial(nl, grid, bracket=bracket)
+    return shoot_radial(nl, grid, **shoot)
 
 
 def _outer_radius(cfg) -> float:
@@ -308,11 +309,8 @@ def _cmd_verify_lemma_mint(cfg):
     q = gs.profile
     rng = np.random.default_rng(cfg.seed)
     family = [GridFunction(q.grid, c * q.values) for c in cfg.amplitudes]
-    for _ in range(4):
-        eps = rng.uniform(0.05, 0.2)
-        width = rng.uniform(1.0, 3.0)
-        bump = 1.0 + eps * np.exp(-((q.grid.r / width) ** 2))
-        family.append(GridFunction(q.grid, q.values * bump))
+    for _ in range(4):  # eps, then width
+        family.append(_bumped(q, rng.uniform(0.05, 0.2), 0.0, rng.uniform(1.0, 3.0)))
     report = verify_T_min_over_P(family, gs.nonlinearity, m_ref)
     amp_devs = [abs(report.kinetics[i] - m_ref) / m_ref
                 for i in range(len(cfg.amplitudes)) if report.kinetics[i] is not None]
@@ -366,20 +364,6 @@ def _cmd_evolve(cfg):
     return 0
 
 
-class _Dilations(Sequence):
-    """The initial data lambda * phi(x/mu) of each (lambda, mu) pair, made as
-    it is read: evolve copies each into its row, so no two are held at once."""
-
-    def __init__(self, gs, pairs):
-        self.gs, self.pairs = gs, pairs
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __getitem__(self, i):
-        return make_initial_data(self.gs, *self.pairs[i])
-
-
 def _sweep_row(lam, mu, traj):
     """One sweep.csv row.  A trajectory's records are made on each read, so
     only one run's are held at a time."""
@@ -392,7 +376,9 @@ def _sweep_row(lam, mu, traj):
 def _cmd_instability_sweep(cfg):
     gs = _ground_state(*_problem(cfg, 2))
     pairs = [(lam, mu) for lam in cfg.lambda_grid for mu in cfg.mu_grid]
-    trajs = evolve(_Dilations(gs, pairs), [GridFunction.zeros(gs.grid)] * len(pairs),
+    # the initial data lambda * phi(x/mu), made as evolve reads each into its row
+    dilations = _MadeOnRead(len(pairs), lambda i: make_initial_data(gs, *pairs[i]))
+    trajs = evolve(dilations, [GridFunction.zeros(gs.grid)] * len(pairs),
                    gs.nonlinearity, cfg.tmax, m_ref=gs.level)
     rows = [_sweep_row(lam, mu, traj) for (lam, mu), traj in zip(pairs, trajs)]
     _write_csv(os.path.join(cfg.outdir, "sweep.csv"),

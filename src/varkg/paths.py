@@ -219,14 +219,12 @@ class PathSample:
 
     Every path here starts at gamma(0) = 0, so admissibility, membership
     in the competitor class of the mountain-pass level, means
-    S(gamma(1)) < 0.  end is gamma(1) on the grid, or None when gamma(1)
-    does not fit on it; the action values then come from the scaled
-    moments.
+    S(gamma(1)) < 0.  Where a rescaled profile would spill past r = R,
+    the action values come from the scaled moments.
     """
 
     t: np.ndarray
     action_values: np.ndarray
-    end: GridFunction | None
     segment_breaks: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -306,7 +304,7 @@ def _ray_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
     def evaluate(t: float) -> float:
         return family_action(v, nl, se, t * big_c)
 
-    return evaluate, list(np.linspace(0.0, 1.0, PATH_SAMPLES)), big_c, 1.0, ()
+    return evaluate, list(np.linspace(0.0, 1.0, PATH_SAMPLES)), ()
 
 
 def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
@@ -371,7 +369,7 @@ def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
     ts += list(np.linspace(t_a, t_b, PATH_SAMPLES))[1:]
     if three:
         ts += list(np.linspace(t_b, 1.0, PATH_SAMPLES))[1:]
-    return evaluate, ts, big_c, t_end, (t_a, t_b) if three else (t_a,)
+    return evaluate, ts, (t_a, t_b) if three else (t_a,)
 
 
 def build_path(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample:
@@ -379,22 +377,16 @@ def build_path(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample
 
     The region picks the path: the ray path of an interior pair, the glued
     path of a limit pair; an invalid pair raises WrongRegion.  The samples
-    are refined around the maximum.  The endpoint is None when it spills
-    past r = R.
+    are refined around the maximum.
     """
     region = exponent_region(se, nl, v.grid.dimension)
     _require_on_constraint(v, nl, se)
-    # a recipe gives t -> S(gamma(t)), the first samples of t, C, amp
-    # (gamma(1) = amp * v_C) and the segment breaks
+    # a recipe gives t -> S(gamma(t)), the first samples of t and the segment breaks
     recipe = _ray_path if region == INTERIOR else _glued_path
-    evaluate, ts, big_c, amp, segment_breaks = recipe(v, nl, se)
+    evaluate, ts, segment_breaks = recipe(v, nl, se)
     ss = [evaluate(tt) for tt in ts]
     t_arr, s_arr = _refine_argmax(ts, ss, evaluate)
-    try:
-        end = GridFunction(v.grid, amp * rescale(v, big_c, se).values)
-    except TruncationOverflow:
-        end = None
-    return PathSample(t=t_arr, action_values=s_arr, end=end, segment_breaks=segment_breaks)
+    return PathSample(t=t_arr, action_values=s_arr, segment_breaks=segment_breaks)
 
 
 def mountain_pass_estimate(paths) -> float:
@@ -416,44 +408,39 @@ def mountain_pass_estimate(paths) -> float:
 BUMP_REACH = 7.0
 
 
-class _TrialFamily(Sequence):
-    """The stock trial set, each member made as it is read: the sweeps
-    project one member at a time, so no two are held at once.
+class _MadeOnRead(Sequence):
+    """n items, item i made by make(i) each time it is read: the sweeps
+    and evolve take one item at a time, so no two are held at once."""
 
-    Member 0 is the profile, members 1..n_width its width rescalings,
-    the rest bump perturbations whose (eps, x0, width) are drawn up front.
-    """
-
-    def __init__(self, v: GridFunction, widths: np.ndarray, bumps: list):
-        self.v, self.widths, self.bumps = v, widths, bumps
+    def __init__(self, n: int, make):
+        self.n, self.make = n, make
 
     def __len__(self):
-        return 1 + len(self.widths) + len(self.bumps)
+        return self.n
 
     def __getitem__(self, i):
-        picked = range(len(self))[i]
+        picked = range(self.n)[i]
         if isinstance(picked, range):
-            return [self._member(j) for j in picked]
-        return self._member(picked)
+            return [self.make(j) for j in picked]
+        return self.make(picked)
 
-    def _member(self, i: int) -> GridFunction:
-        v = self.v
-        if i == 0:
-            return v
-        if i <= len(self.widths):
-            return rescale(v, float(self.widths[i - 1]), WIDTH_RAY)
-        eps, x0, width = self.bumps[i - 1 - len(self.widths)]
-        r = v.grid.r
-        lo, hi = np.searchsorted(r, (x0 - BUMP_REACH * width, x0 + BUMP_REACH * width))
-        vals = v.values.copy()
-        vals[lo:hi] *= 1.0 + eps * np.exp(-(((r[lo:hi] - x0) / width) ** 2))
-        return GridFunction(v.grid, vals)
+
+def _bumped(v: GridFunction, eps: float, x0: float, width: float) -> GridFunction:
+    """v times 1 + eps exp(-((r - x0)/width)^2), the factor formed within
+    BUMP_REACH widths of x0 (|eps| <= 0.3 makes it exactly 1.0 beyond)."""
+    r = v.grid.r
+    lo, hi = np.searchsorted(r, (x0 - BUMP_REACH * width, x0 + BUMP_REACH * width))
+    vals = v.values.copy()
+    vals[lo:hi] *= 1.0 + eps * np.exp(-(((r[lo:hi] - x0) / width) ** 2))
+    return GridFunction(v.grid, vals)
 
 
 def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[GridFunction]:
     """The ground state, a width family around it, and seeded bump
     perturbations: the stock trial set for the minimization checks.
 
+    Member 0 is the profile, members 1..n_width its width rescalings,
+    the rest bump perturbations whose (eps, x0, width) are drawn up front.
     The members are made as they are read, so the family holds the
     profile and its draws, not count profiles.
     """
@@ -467,12 +454,18 @@ def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[GridFun
     v = gs.profile
     n_width = (count - 1) // 2
     rng = np.random.default_rng(seed)
-    bumps = []
-    for _ in range(count - 1 - n_width):
-        eps = rng.uniform(-0.3, 0.3)
-        x0 = rng.uniform(0.0, v.grid.outer_radius / 8.0)
-        bumps.append((eps, x0, rng.uniform(0.5, 2.0)))
-    return _TrialFamily(v, np.geomspace(0.5, 2.0, n_width), bumps)
+    bumps = [(rng.uniform(-0.3, 0.3), rng.uniform(0.0, v.grid.outer_radius / 8.0),
+              rng.uniform(0.5, 2.0)) for _ in range(count - 1 - n_width)]
+    widths = np.geomspace(0.5, 2.0, n_width)
+
+    def member(i: int) -> GridFunction:
+        if i == 0:
+            return v
+        if i <= n_width:
+            return rescale(v, float(widths[i - 1]), WIDTH_RAY)
+        return _bumped(v, *bumps[i - 1 - n_width])
+
+    return _MadeOnRead(count, member)
 
 
 def _tolerance(tol: float | None, m_ref: float) -> float:

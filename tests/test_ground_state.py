@@ -308,7 +308,8 @@ SHOOT_CELLS = (17000, 30000, 23500, 8700)
 
 
 @pytest.mark.parametrize("grid, bracket, cells",
-                         [(*case, cells) for case, cells in zip(SHOOT_GRIDS, SHOOT_CELLS)])
+                         [pytest.param(*case, cells, id=f"grid{i}")
+                          for i, (case, cells) in enumerate(zip(SHOOT_GRIDS, SHOOT_CELLS))])
 def test_shots_march_only_what_the_energy_leaves_open(shot_log, grid, bracket, cells):
     # in N >= 2 no amplitude with G(a) <= 0 crosses zero, no amplitude is
     # marched twice, and the final shot is a search shot, which stops at its turn

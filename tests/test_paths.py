@@ -418,7 +418,7 @@ def test_interior_path_on_the_line(phi_1d, nl3):
     path = build_path(phi_1d.profile, nl3, AMPLITUDE_RAY)
     assert path.admissible
     assert np.isclose(path.max_action, 4.0 / 3.0, rtol=0, atol=1e-3)
-    assert moments(path.end, nl3).action() <= -10.0
+    assert path.action_values[-1] <= -10.0
     assert path.t[0] == 0.0 and path.t[-1] == 1.0
 
 
@@ -452,20 +452,19 @@ def test_limit_paths(townes, nl3):
         assert np.all(np.diff(first) > 0.0)
 
 
-def test_path_sample_validation(grid_1d):
-    zero = GridFunction.zeros(grid_1d)
+def test_path_sample_validation():
     good_t = np.linspace(0.0, 1.0, 5)
     good_s = np.zeros(5)
     with pytest.raises(InvalidInput):
-        PathSample(t=good_t[:4], action_values=good_s, end=zero)
+        PathSample(t=good_t[:4], action_values=good_s)
     with pytest.raises(InvalidInput):
-        PathSample(t=good_t + 0.1, action_values=good_s, end=zero)
+        PathSample(t=good_t + 0.1, action_values=good_s)
     with pytest.raises(InvalidInput):
-        PathSample(t=good_t, action_values=good_s + float("nan"), end=zero)
+        PathSample(t=good_t, action_values=good_s + float("nan"))
     # the endpoint verdict and the argmax are read off the action values
-    flat = PathSample(t=good_t, action_values=good_s, end=zero)
+    flat = PathSample(t=good_t, action_values=good_s)
     assert not flat.admissible
-    bump = PathSample(t=good_t, action_values=[0.0, 1.0, 3.0, 2.0, -1.0], end=None)
+    bump = PathSample(t=good_t, action_values=[0.0, 1.0, 3.0, 2.0, -1.0])
     assert bump.admissible and bump.argmax_index == 2 and bump.max_action == 3.0
 
 
@@ -630,6 +629,22 @@ def test_trial_family_members_are_the_eager_members(townes, case, seed):
     assert [w.values.tobytes() for w in family[198:]] == [w.values.tobytes() for w in eager[198:]]
     with pytest.raises(IndexError):
         family[200]
+
+
+_BUMP_PROFILES = [GridFunction(grid, 1.0 / np.cosh(grid.r) - 1.0 / np.cosh(grid.r[-1]))
+                  for grid in (RadialGrid(1, 80.0, 16000), RadialGrid(2, 40.0, 4000))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.sampled_from(_BUMP_PROFILES), eps=st.floats(-0.3, 0.3),
+       reach=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), width=st.floats(0.5, 3.0))
+def test_bump_is_the_whole_grid_product(v, eps, reach, width):
+    # the stock family draws x0 in [0, R/8] and the min-T family puts it at 0;
+    # forming the factor near x0 alone changes no bit of the product
+    r = v.grid.r
+    x0 = reach * v.grid.outer_radius / 8.0
+    whole = v.values * (1.0 + eps * np.exp(-(((r - x0) / width) ** 2)))
+    assert varkg.paths._bumped(v, eps, x0, width).values.tobytes() == whole.tobytes()
 
 
 class _CountingTrials(Sequence):
