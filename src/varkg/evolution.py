@@ -140,18 +140,23 @@ def _operator(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float]:
     return face, cell, kappa
 
 
-def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray, scale: float,
-                    flux: np.ndarray):
-    """A call writing scale times the Laplacian of u's current values into out,
-    all but its edge column, which the caller sets (zero at the Dirichlet edge):
-    flux difference times the reciprocal cell measure (see _operator), so
-    -cell * lap(u) is the exact gradient of the energy's face term.  u, out
-    and flux, the call's scratch, are one row of node values or rows of them,
-    all of one shape.  scale multiplies the faces and 1/cell is formed once,
-    here, so a step multiplies where it would divide; scale 1.0 leaves the
-    faces exact."""
+def _step_operator(grid: RadialGrid, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The faces times scale and the reciprocal cell measure of the free
+    nodes (see _operator), the arrays _laplacian_into streams, formed once
+    a run.  Scale 1.0 leaves the faces exact."""
     face, cell, _ = _operator(grid)
-    face, inv_cell = scale * face, 1.0 / cell[:-1]
+    return scale * face, 1.0 / cell[:-1]
+
+
+def _laplacian_into(u: np.ndarray, face: np.ndarray, inv_cell: np.ndarray, out: np.ndarray,
+                    flux: np.ndarray):
+    """A call writing the Laplacian of u's current values, scaled as the faces
+    are (see _step_operator), into out, all but its edge column, which the
+    caller sets (zero at the Dirichlet edge): flux difference times the
+    reciprocal cell measure, so -cell * lap(u) is the exact gradient of the
+    energy's face term.  u, out and flux, the call's scratch, are one row of
+    node values or rows of them, all of one shape.  The step multiplies by
+    1/cell where it would divide."""
     u_hi, u_lo, flux_hi, flux_lo = u[..., 1:], u[..., :-1], flux[..., 1:], flux[..., :-1]
     out_lo, origin = out[..., :-1], flux[..., 0]
     def laplacian():
@@ -163,15 +168,16 @@ def _laplacian_into(u: np.ndarray, grid: RadialGrid, out: np.ndarray, scale: flo
     return laplacian
 
 
-def _rows_step(u, v, w, acc, grid: RadialGrid, flow, dt2: float):
+def _rows_step(u, v, w, acc, operator, flow, dt2: float):
     """The leapfrog's passes over its current rows: flat views of u, v, w and
     acc for the elementwise passes, u's edge column, and a call writing
     A = dt2 (lap(u) + g(u)) into acc, zero at the edge, with v as the flux
-    and the force.  A single row goes to the Laplacian as a plain vector,
-    whose calls cost less than those of a (1, M+1) array."""
+    and the force; operator is _step_operator's pair at dt2.  A single row
+    goes to the Laplacian as a plain vector, whose calls cost less than
+    those of a (1, M+1) array."""
     u_rows, v_rows, acc_rows = (x[0] if len(x) == 1 else x for x in (u, v, acc))
     uf, vf, wf, af = (x.reshape(-1) for x in (u, v, w, acc))
-    laplacian = _laplacian_into(u_rows, grid, acc_rows, dt2, v_rows)
+    laplacian = _laplacian_into(u_rows, *operator, acc_rows, v_rows)
     push = _force_into(uf, flow, dt2, vf)
     acc_edge = acc_rows[..., -1]
     def accelerate():
@@ -192,20 +198,22 @@ def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow,
 
     At each stride-th step and the last it writes v = (w + A/2)/dt and yields
     (k, u, v); between yields v is the step's scratch, the flux and the force,
-    so a run holds four arrays of u's shape.  Sent a boolean mask over the rows
-    instead of None, it carries on with the masked rows alone: the next yield
-    hands out new arrays, and the generator keeps no reference to the old ones
-    (whose memory goes once the caller drops its own).  A dt outside
-    (0, 2h/sqrt(kappa + mass h^2)] raises at the first next(), kappa the
-    operator's bound in units of h (see _operator)."""
+    so a run holds four arrays of u's shape and the two of _step_operator.
+    Sent a boolean mask over the rows instead of None, it carries on with the
+    masked rows alone: the next yield hands out new arrays, and the generator
+    keeps no reference to the old ones (whose memory goes once the caller
+    drops its own).  A dt outside (0, 2h/sqrt(kappa + mass h^2)] raises at
+    the first next(), kappa the operator's bound in units of h (see
+    _operator)."""
     h = grid.spacing
     bound = 2.0 * h / math.hypot(math.sqrt(_operator(grid)[2]), math.sqrt(flow.mass) * h)
     if not (0.0 < dt <= bound):
         raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
                                f"(0, {bound:g}], i.e. cfl <= {bound / h:.4g}")
     dt2 = dt * dt
+    operator = _step_operator(grid, dt2)
     w, acc = np.multiply(v, dt), np.zeros_like(u)
-    uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, grid, flow, dt2)
+    uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, operator, flow, dt2)
     accelerate()
     np.add(wf, np.multiply(af, 0.5, out=vf), out=wf)  # dt v at the first half step
     for k in range(1, n_steps + 1):
@@ -221,7 +229,8 @@ def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow,
                 w = w[keep]
                 acc = acc[keep]
                 v = np.empty_like(u)
-                uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, grid, flow, dt2)
+                uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, operator,
+                                                                flow, dt2)
         np.add(wf, af, out=wf)
 
 
@@ -251,9 +260,7 @@ def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
     face, cell, _ = _operator(grid)
     uu, work = np.multiply(u, u), np.empty_like(u)
     if isinstance(flow, PowerKG):
-        pp1 = flow.p + 1.0
-        upow = np.multiply(uu, uu, out=work) if pp1 == 4.0 else _abs_power(u, pp1, work)
-        pot = float(np.dot(cell, upow))
+        pot = float(np.dot(cell, _abs_power(u, flow.p + 1.0, work, uu)))
     else:
         pot = float(np.dot(cell, flow.G(u)))
     if not math.isfinite(pot):
@@ -419,7 +426,7 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
                                f"moments are off by {off:.3g} (limit {RESOLUTION_TOL:g})")
     if not math.isfinite(lam * float(np.abs(stretched.values).max())):
         raise NumericalOverflow(f"lambda = {lam:g} takes the profile past the float range")
-    return GridFunction(stretched.grid, lam * stretched.values)
+    return GridFunction._adopt(stretched.grid, lam * stretched.values)
 
 
 @dataclass(frozen=True)

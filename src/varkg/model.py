@@ -36,7 +36,7 @@ from .errors import (
     NumericalOverflow,
     Unsupported,
 )
-from .radial_core import GridFunction, _integral, _squares
+from .radial_core import GridFunction, _derivative_kernel, _integral
 
 # GeneralG checks g = G' by a centred difference of G at these points
 G_PRIME_POINTS = np.array([0.25, 0.5, 1.0, 1.5])
@@ -51,12 +51,15 @@ LIMIT = "Limit"
 INVALID = "Invalid"
 
 
-def _abs_power(x, q: float, out=None):
+def _abs_power(x, q: float, out=None, square=None):
     """|x|^q on floats and arrays, into the array out if given: x * x at q = 2,
     as numpy's pow squares, and (x * x) * (x * x) at q = 4, within 3 ulps of
-    pow; pow at any other q."""
+    pow; pow at any other q.  A caller that already holds x * x passes it as
+    square, and q = 4 squares it rather than forming it again."""
     if q != 2.0 and q != 4.0:
         return abs(x) ** q if out is None else np.power(np.abs(x, out=out), q, out=out)
+    if q == 4.0 and square is not None:
+        return np.multiply(square, square, out=out)
     s = x * x if out is None else np.multiply(x, x, out=out)
     if q == 4.0:
         s *= s
@@ -321,17 +324,28 @@ class Moments(NamedTuple):
 def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
     """The gradient, L2 and potential moments of v, tagged with nl and v's
     dimension; every functional is a form on them.  G is evaluated on |v|,
-    so a sign-changing v has the potential moment of its modulus.  The
-    _squares are taken after the potential: six arrays live at once slowed
-    the moments of big grids."""
+    so a sign-changing v has the potential moment of its modulus.
+
+    Each moment is the weighted sum (weights * density).sum(), and the
+    densities are formed in place in two rows: u * u, which |u|^4 at p = 3
+    takes as well, then the derivative; and a scratch row for the weighted
+    products.  The potential comes first, so an overflow raises before the
+    other two are taken."""
     values, grid = v.values, v.grid
+    work = np.empty_like(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        pot = _integral(_abs_power(values, nl.p + 1.0) if isinstance(nl, PowerKG)
-                        else nl.G(np.abs(values)), grid)
+        uu = np.multiply(values, values)
+        if isinstance(nl, PowerKG):
+            density = _abs_power(values, nl.p + 1.0, work, uu)
+        else:
+            density = nl.G(np.abs(values))
+        pot = _integral(density, grid, work)
     if not math.isfinite(pot):
         raise NumericalOverflow("the potential moment left the representable range")
-    uu, dd = _squares(values, grid)
-    return Moments(_integral(dd, grid), _integral(uu, grid), pot, nl, grid.dimension)
+    l2 = _integral(uu, grid, work)
+    d = _derivative_kernel(values, grid, uu)
+    grad = _integral(np.multiply(d, d, out=d), grid, d)
+    return Moments(grad, l2, pot, nl, grid.dimension)
 
 
 def _force_into(u: np.ndarray, nl: Nonlinearity, scale: float, out: np.ndarray):

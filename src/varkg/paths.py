@@ -48,7 +48,7 @@ from .model import (
     classify_exponents,
     moments,
 )
-from .radial_core import GridFunction, brent
+from .radial_core import GridFunction, _integral, brent
 
 PROJECTION_TOL = 1e-8          # residual bound for projections, times ||w||_H1^2
 C_SEARCH_CAP = 2.0**30
@@ -94,20 +94,23 @@ def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
     amp = lam**se.alpha
     stretch = lam**se.beta
     if stretch == 1.0:
-        new_vals = amp * v.values
-    else:
-        cut = stretch * grid.outer_radius
-        if cut < grid.outer_radius:
-            mass = grid.weights * v.values ** 2
-            lost, total = float(mass[grid.r > cut].sum()), float(mass.sum())
-            if total > 0.0 and lost > MAX_LOST_MASS * total:
-                raise TruncationOverflow(
-                    f"rescaling with lambda={lam:.6g} pushes {lost / total:.3e} of the "
-                    f"L2 mass past r={grid.outer_radius:g} (limit {MAX_LOST_MASS:.1e})")
-        new_vals = amp * np.interp(stretch * grid.r, grid.r, v.values, right=0.0)
-        if grid.dimension >= 2:
-            new_vals[-1] = 0.0
-    return GridFunction(grid, new_vals)
+        return GridFunction._adopt(grid, amp * v.values)
+    cut = stretch * grid.outer_radius
+    if cut < grid.outer_radius:
+        # the weighted mass in one row; the nodes past the cut are its tail
+        mass = np.multiply(v.values, v.values)
+        total = _integral(mass, grid, mass)
+        lost = float(mass[np.searchsorted(grid.r, cut, side="right"):].sum())
+        if total > 0.0 and lost > MAX_LOST_MASS * total:
+            raise TruncationOverflow(
+                f"rescaling with lambda={lam:.6g} pushes {lost / total:.3e} of the "
+                f"L2 mass past r={grid.outer_radius:g} (limit {MAX_LOST_MASS:.1e})")
+    new_vals = np.interp(stretch * grid.r, grid.r, v.values, right=0.0)
+    if amp != 1.0:
+        new_vals *= amp
+    if grid.dimension >= 2:
+        new_vals[-1] = 0.0
+    return GridFunction._adopt(grid, new_vals)
 
 
 def _moments_at(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) -> Moments:
@@ -157,18 +160,21 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
     root is Moments.amplitude_root, whatever its magnitude; NoRoot unless
     it is positive and finite.  Along any other ray a scan of the exact
     scaling algebra over SCAN_LAMBDAS (1e-4 to 1e4) brackets the root
-    between two finite scan nodes; one Brent solve on that bracket then
-    finds the root of the resampled grid map.  When quadrature error moves
-    the grid map's root past a node, a 33-point rescan around the two
-    nodes brackets it instead.  A root that lies exactly on a scan node is
-    returned too; a profile already on the constraint gives lambda = 1.
-    Exact zeros of K are never taken as roots by themselves: NoRoot means
-    the nonzero samples of K show no sign change along the ray.  The
-    projected profile w must satisfy |K(w)| <= PROJECTION_TOL ||w||_H1^2,
-    else ConvergenceError.  K is linear in (alpha, beta), so a pair below
-    1/2 in both components is lifted by a power of two (exact) before the
-    root and the residual check; subnormal exponents would leave K no
-    precision.
+    between two finite scan nodes.  A v already on the constraint, |K(v)|
+    <= PROJECTION_TOL ||v||_H1^2, is then its own projection, (1.0, v, its
+    moments): the grid map of a profile compressed to a few nodes per
+    width jumps at lambda = 1 and can cross zero beside it, so a search
+    could move a projection off itself.  Otherwise one Brent solve on the
+    bracket finds the root of the resampled grid map.  When quadrature
+    error moves the grid map's root past a node, a 33-point rescan around
+    the two nodes brackets it instead.  A root that lies exactly on a scan
+    node is returned too.  Exact zeros of K are never taken as roots by
+    themselves: NoRoot means the nonzero samples of K show no sign change
+    along the ray.  The projected profile w must satisfy |K(w)| <=
+    PROJECTION_TOL ||w||_H1^2, else ConvergenceError.  K is linear in
+    (alpha, beta), so a pair below 1/2 in both components is lifted by a
+    power of two (exact) before the root and the residual check;
+    subnormal exponents would leave K no precision.
     """
     if ray is None:
         ray = se if exponent_region(se, nl, v.grid.dimension) == INTERIOR else AMPLITUDE_RAY
@@ -189,6 +195,8 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
             raise NoRoot(
                 f"K_({se.alpha:g},{se.beta:g}) has no sign change along the "
                 f"({ray.alpha:g},{ray.beta:g}) ray of this profile")
+        if abs(base.constraint(k_pair)) <= PROJECTION_TOL * base.h1:
+            return 1.0, v, base  # on the constraint already: no search on the grid map
 
         def k_discrete(lam: float) -> float:
             return _moments_at(v, nl, ray, lam).constraint(k_pair)
@@ -432,7 +440,7 @@ def _bumped(v: GridFunction, eps: float, x0: float, width: float) -> GridFunctio
     lo, hi = np.searchsorted(r, (x0 - BUMP_REACH * width, x0 + BUMP_REACH * width))
     vals = v.values.copy()
     vals[lo:hi] *= 1.0 + eps * np.exp(-(((r[lo:hi] - x0) / width) ** 2))
-    return GridFunction(v.grid, vals)
+    return GridFunction._adopt(v.grid, vals)
 
 
 def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[GridFunction]:

@@ -127,6 +127,18 @@ class GridFunction:
         except (TypeError, ValueError):
             # ragged nesting, or entries that are not numbers
             raise InvalidInput("grid function values must be real numbers") from None
+        self._own(grid, values)
+
+    @classmethod
+    def _adopt(cls, grid: RadialGrid, values: np.ndarray) -> "GridFunction":
+        """A GridFunction that takes values, a float array the library has
+        just made and holds no other reference to, without the copy
+        __init__ makes; every check of __init__ still runs."""
+        v = cls.__new__(cls)
+        v._own(grid, values)
+        return v
+
+    def _own(self, grid: RadialGrid, values: np.ndarray) -> None:
         if values.shape != grid.r.shape:
             raise InvalidInput(f"expected {grid.r.shape[0]} node values, got shape {values.shape}")
         if not np.isfinite(values).all():
@@ -159,25 +171,24 @@ def require_same_grid(u: GridFunction, v: GridFunction) -> None:
         raise GridMismatch(f"operands on different grids: {u.grid!r} vs {v.grid!r}")
 
 
-def _integral(density: np.ndarray, grid: RadialGrid) -> float:
-    return float((grid.weights * density).sum())
+def _integral(density: np.ndarray, grid: RadialGrid, out: np.ndarray | None = None) -> float:
+    """The quadrature of density, the weighted sum; the weighted density is
+    written into out when given (density itself may be out)."""
+    return float(np.multiply(grid.weights, density, out=out).sum())
 
 
-def _derivative_kernel(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    # centered differences; even symmetry forces v'(0) = 0 and the outer
-    # endpoint falls back to a one-sided difference
+def _derivative_kernel(values: np.ndarray, grid: RadialGrid,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """The radial derivative of values, into out when given: centered
+    differences; even symmetry forces v'(0) = 0 and the outer endpoint falls
+    back to a one-sided difference."""
     h = grid.spacing
-    d = np.empty_like(values)
+    d = np.empty_like(values) if out is None else out
     d[0] = 0.0
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    inner = np.subtract(values[2:], values[:-2], out=d[1:-1])
+    np.divide(inner, 2.0 * h, out=inner)
     d[-1] = (values[-1] - values[-2]) / h
     return d
-
-
-def _squares(values: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """u * u and d * d, d the radial derivative: the L2 and gradient densities."""
-    d = _derivative_kernel(values, grid)
-    return values * values, np.multiply(d, d, out=d)
 
 
 def strauss_decay_profile(v: GridFunction) -> np.ndarray:
@@ -190,8 +201,8 @@ def strauss_decay_profile(v: GridFunction) -> np.ndarray:
     """
     if v.grid.dimension == 1:
         raise Unsupported("decay ratios are defined for N >= 2 only")
-    uu, dd = _squares(v.values, v.grid)
-    h1 = _integral(uu, v.grid) + _integral(dd, v.grid)
+    d = _derivative_kernel(v.values, v.grid)
+    h1 = _integral(v.values * v.values, v.grid) + _integral(np.multiply(d, d, out=d), v.grid)
     if h1 == 0.0:
         raise InvalidInput("zero function has no decay profile")
     r = v.grid.r[1:-1]

@@ -48,6 +48,7 @@ from varkg.evolution import (
     _leapfrog,
     _operator,
     _record,
+    _step_operator,
 )
 from varkg.model import Moments, _abs_power, flow_nonlinearity
 from varkg.radial_core import SPHERE_SURFACE
@@ -80,7 +81,7 @@ def laplacian(u, grid):
     (with its faces scaled by 1.0, which is exact); the call leaves the edge
     to its caller, which sets it to zero."""
     out = np.zeros(u.size)
-    _laplacian_into(u, grid, out, 1.0, np.empty(u.size))()
+    _laplacian_into(u, *_step_operator(grid, 1.0), out, np.empty(u.size))()
     return out
 
 
@@ -283,6 +284,18 @@ def test_batch_memory_stays_within_its_row_buffers(nl3):
         tracemalloc.stop()
     assert len(batch) == 9
     assert batch_peak <= solo_peak + buffers
+
+
+def test_trajectories_do_not_depend_on_the_heap(nl3):
+    # unrelated arrays allocated first move where malloc places the rows;
+    # each run must stay bit for bit the same
+    u0, v0, _ = mixed_batch()
+    want_one, want_batch = evolve(u0[1], v0[1], nl3, t_max=2.0), evolve(u0, v0, nl3, t_max=5.0)
+    for count in range(9):
+        held = [np.empty(201 + 3 * i) for i in range(count)]
+        assert evolve(u0[1], v0[1], nl3, t_max=2.0) == want_one
+        assert evolve(u0, v0, nl3, t_max=5.0) == want_batch
+        del held
 
 
 @pytest.mark.parametrize("cfl", [0.0, -1.0, math.nan, math.inf])

@@ -338,3 +338,36 @@ def test_cubic_g_is_the_kernel_written_out(x, omega):
         assert np.array_equal(nl.g(x), neg_m0 * x + _abs_power(x, 2.0) * x)
     s = float(x[0])
     assert nl.g(s) == neg_m0 * s + _abs_power(s, 2.0) * s
+
+
+def two_pass_moments(v, nl):
+    """The moments as written before they worked in place: each density made
+    whole, then the weighted sum (weights * density).sum()."""
+    values, grid = v.values, v.grid
+    h, w = grid.spacing, grid.weights
+    d = np.empty_like(values)
+    d[0] = 0.0
+    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    d[-1] = (values[-1] - values[-2]) / h
+    if not isinstance(nl, PowerKG):
+        potential = nl.G(np.abs(values))
+    elif nl.p == 3.0:
+        potential = (values * values) * (values * values)
+    else:
+        potential = np.abs(values) ** (nl.p + 1.0)
+    return ((w * (d * d)).sum(), (w * (values * values)).sum(), (w * potential).sum())
+
+
+@pytest.mark.parametrize("nl", [PowerKG(2.0), PowerKG(3.0, 0.5), PowerKG(4.0), CUBIC_QUINTIC],
+                         ids=["p2", "p3", "p4", "cubic_quintic"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_moments_are_the_two_pass_sums_bit_for_bit(nl, dimension, seed):
+    # sign-changing profiles of assorted scales on grids of assorted sizes
+    rng = np.random.default_rng(seed)
+    grid = RadialGrid(dimension, rng.uniform(1.0, 50.0), int(rng.integers(16, 5000)))
+    values = rng.normal(size=grid.cells + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if dimension >= 2:
+        values[-1] = 0.0
+    v = GridFunction(grid, values)
+    assert tuple(moments(v, nl)[:3]) == two_pass_moments(v, nl)

@@ -148,7 +148,8 @@ def _gaussian(dimension):
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("pair", [(1.0, 0.0), (2.0, 1.0)], ids=["amplitude", "interior"])
 def test_reprojection_returns_unity(dimension, pair, nl3):
-    # the root of the second projection sits on the scan node lambda = 1
+    # by amplitude the second root is 1 to roundoff; along the interior
+    # ray a projection is on the constraint and is returned as it is
     se = ScalingExponents(*pair)
     _, w, _ = project_to_constraint(_gaussian(dimension), nl3, se)
     lam_again, _, _ = project_to_constraint(w, nl3, se)
@@ -174,6 +175,17 @@ def test_projection_idempotent_along_the_region_ray(case):
     assert abs(lam_again - 1.0) <= 1e-6
     m = moments(again, nl)
     assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
+
+
+def test_projection_of_a_projection_is_itself():
+    # lambda* = 64.90 compresses the Gaussian 50x to 4 nodes per width, where
+    # the grid map jumps at lambda = 1 and crosses zero at 0.9743 beside it;
+    # searching again from the projection found that root, not 1
+    nl, se = PowerKG(2.0), ScalingExponents(2.0, 0.9375)
+    lam, w, m = project_to_constraint(_gaussian(1), nl, se)
+    assert abs(lam - 64.90) < 5e-3
+    lam_again, again, m_again = project_to_constraint(w, nl, se)
+    assert lam_again == 1.0 and again is w and m_again == m
 
 
 def test_subnormal_pair_is_lifted_before_projecting():
@@ -704,6 +716,22 @@ def test_trial_family_sweep_holds_one_member_at_a_time(nl3):
         tracemalloc.stop()
     assert report.members_total == 200 and report.failures == ()
     assert peak < 20 * gs.profile.values.nbytes
+
+
+def test_amplitude_projection_peaks_at_three_rows(nl3):
+    # the projected profile and the two scratch rows of its moments: the
+    # two-pass moments and the copying constructor peaked at four
+    gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 80.0, 16000))
+    v = GridFunction(gs.grid, 1.3 * gs.profile.values)
+    project_to_constraint(v, nl3, AMPLITUDE_RAY)  # first-call imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        project_to_constraint(v, nl3, AMPLITUDE_RAY)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * v.values.nbytes
 
 
 def test_default_trial_family_refuses_a_negative_seed(townes):

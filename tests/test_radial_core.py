@@ -95,6 +95,23 @@ def test_grid_function_validation():
         f.values[3] = 7.0
 
 
+def test_adopted_values_pass_the_same_checks():
+    # the library's own constructor takes its arrays without a copy, and
+    # refuses what GridFunction() refuses
+    g = RadialGrid(2, 10.0, 100)
+    bad_values = [np.ones(50), np.ones(101), np.full(101, np.nan), np.full(101, np.inf)]
+    bad_values[2][-1] = bad_values[3][-1] = 0.0
+    for values in bad_values:
+        with pytest.raises(InvalidInput):
+            GridFunction._adopt(g, values)
+    values = np.ones(101)
+    values[-1] = 0.0
+    f = GridFunction._adopt(g, values)
+    assert f.values is values
+    with pytest.raises(ValueError):
+        f.values[3] = 7.0
+
+
 def test_dimension_one_allows_nonzero_endpoint():
     g = RadialGrid(1, 10.0, 100)
     f = GridFunction(g, np.ones(101))
