@@ -461,15 +461,32 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Retry(Exception):
+    """A parser built for one subcommand met what the full parser must print."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser, and its subparser, that raise _Retry where argparse would
+    print help or a usage error and exit."""
+
+    def error(self, message):
+        raise _Retry
+
+    def print_help(self, file=None):
+        raise _Retry
+
+
+def _build_parser(names=COMMANDS, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The parser of the subcommands names, every one by default."""
+    parser = parser_class(
         prog="varkg",
         description="Variational toolkit for radial nonlinear Klein-Gordon standing waves")
     parser.add_argument("--config",
                         help="JSON object of flag values, read as the flags' text would be; "
                              "flags on the command line win")
     sub = parser.add_subparsers(dest="command")
-    for name, spec in COMMANDS.items():
+    for name in names:
+        spec = COMMANDS[name]
         sp = sub.add_parser(name, help=spec.summary)
         for key in spec.defaults:
             flag = FLAGS[key]
@@ -510,11 +527,27 @@ def _resolve(spec: Command, args: argparse.Namespace, config: dict) -> SimpleNam
     return cfg
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed by a parser built for the subcommand it names alone, which
+    skips building the other eight; the full parser parses it again for
+    help, an unknown subcommand and any usage error, so what argparse prints
+    is the same either way (run prints a missing subcommand's usage line
+    with the full parser too)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first token naming a subcommand is the subcommand or a --config value
+    name = next((arg for arg in argv if arg in COMMANDS), None)
+    if name is not None:
+        try:
+            return _build_parser([name], _OneCommandParser).parse_args(argv)
+        except _Retry:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        _build_parser().print_usage(sys.stderr)
         return 2
     spec = COMMANDS[args.command]
     try:

@@ -14,6 +14,7 @@ import struct
 from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,7 @@ BOUNDARY_FRACTION = 0.01  # H1-norm fraction allowed to ARRIVE in that zone: the
                           # eigenmodes) is not rejected outright
 RESOLUTION_TOL = 1e-2     # relative error allowed in the resampled moments of
                           # dilated initial data
+_LINE = 8                 # float64s in a 64-byte cache line
 
 
 class TrajectoryRecord(NamedTuple):
@@ -140,12 +142,31 @@ def _operator(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float]:
     return face, cell, kappa
 
 
+def _placed(rows: int, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zeroed storage for rows of nodes floats, each row padded to whole
+    64-byte lines with one lead column before its node 0, so that node 0 of
+    every row starts a line.  Three views of it: the (rows, nodes) rows; the
+    lead-shifted view, of the same shape one column earlier, whose [..., 1:]
+    are each row's first nodes - 1 nodes on their lines (the Laplacian's flux,
+    see _laplacian_into); and the flat view from row 0's node 0 to the last
+    row's last node, the padding between rows included, for the elementwise
+    passes.  A row's lead column is the last padding column of the row
+    before it (of the storage's head, for row 0)."""
+    stride = -(-(nodes + 1) // _LINE) * _LINE
+    raw = np.zeros(rows * stride + _LINE)
+    first = _LINE - raw.ctypes.data // 8 % _LINE  # row 0's node 0, in 1.._LINE
+    lines = raw[first - 1:first - 1 + rows * stride].reshape(rows, stride)
+    return lines[:, 1:nodes + 1], lines[:, :nodes], raw[first:first + (rows - 1) * stride + nodes]
+
+
 def _step_operator(grid: RadialGrid, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """The faces times scale and the reciprocal cell measure of the free
     nodes (see _operator), the arrays _laplacian_into streams, formed once
-    a run.  Scale 1.0 leaves the faces exact."""
+    a run, each starting a 64-byte line (see _placed).  Scale 1.0 leaves
+    the faces exact."""
     face, cell, _ = _operator(grid)
-    return scale * face, 1.0 / cell[:-1]
+    scaled, inv_cell = (_placed(1, face.size)[0][0] for _ in range(2))
+    return np.multiply(scale, face, out=scaled), np.divide(1.0, cell[:-1], out=inv_cell)
 
 
 def _laplacian_into(u: np.ndarray, face: np.ndarray, inv_cell: np.ndarray, out: np.ndarray,
@@ -155,8 +176,10 @@ def _laplacian_into(u: np.ndarray, face: np.ndarray, inv_cell: np.ndarray, out: 
     caller sets (zero at the Dirichlet edge): flux difference times the
     reciprocal cell measure, so -cell * lap(u) is the exact gradient of the
     energy's face term.  u, out and flux, the call's scratch, are one row of
-    node values or rows of them, all of one shape.  The step multiplies by
-    1/cell where it would divide."""
+    node values or rows of them, all of one shape; the leapfrog's flux is
+    v's lead-shifted view (see _placed), so the fluxes it stores land on v's
+    own nodes, one node ahead of the faces they cross.  The step multiplies
+    by 1/cell where it would divide."""
     u_hi, u_lo, flux_hi, flux_lo = u[..., 1:], u[..., :-1], flux[..., 1:], flux[..., :-1]
     out_lo, origin = out[..., :-1], flux[..., 0]
     def laplacian():
@@ -169,16 +192,22 @@ def _laplacian_into(u: np.ndarray, face: np.ndarray, inv_cell: np.ndarray, out: 
 
 
 def _rows_step(u, v, w, acc, operator, flow, dt2: float):
-    """The leapfrog's passes over its current rows: flat views of u, v, w and
-    acc for the elementwise passes, u's edge column, and a call writing
-    A = dt2 (lap(u) + g(u)) into acc, zero at the edge, with v as the flux
-    and the force; operator is _step_operator's pair at dt2.  A single row
-    goes to the Laplacian as a plain vector, whose calls cost less than
-    those of a (1, M+1) array."""
-    u_rows, v_rows, acc_rows = (x[0] if len(x) == 1 else x for x in (u, v, acc))
-    uf, vf, wf, af = (x.reshape(-1) for x in (u, v, w, acc))
-    laplacian = _laplacian_into(u_rows, *operator, acc_rows, v_rows)
-    push = _force_into(uf, flow, dt2, vf)
+    """The leapfrog's passes over its current rows, u, v, w and acc each the
+    views of _placed: their flat views for the elementwise passes, u's edge
+    column, and a call writing A = dt2 (lap(u) + g(u)) into acc, zero at the
+    edge, with v as the flux (through its lead-shifted view) and the force;
+    operator is _step_operator's pair at dt2.  A power's force runs over the
+    flat views, where u's zero padding gives -0.0; a general g, whose call
+    allocates anyway, runs over the rows alone, so a g(0) other than 0 never
+    reaches the padding, which therefore stays +0.0 in u, w and acc, and in
+    v at each yield.  A single row goes to the Laplacian as plain vectors,
+    whose calls cost less than those of (1, M+1) views."""
+    (u_rows, _, uf), (v_rows, flux, vf), (_, _, wf), (acc_rows, _, af) = u, v, w, acc
+    if len(u_rows) == 1:
+        u_rows, v_rows, flux, acc_rows = u_rows[0], v_rows[0], flux[0], acc_rows[0]
+    laplacian = _laplacian_into(u_rows, *operator, acc_rows, flux)
+    push = (_force_into(uf, flow, dt2, vf) if isinstance(flow, PowerKG)
+            else _force_into(u_rows, flow, dt2, v_rows))
     acc_edge = acc_rows[..., -1]
     def accelerate():
         laplacian()
@@ -188,23 +217,36 @@ def _rows_step(u, v, w, acc, operator, flow, dt2: float):
     return uf, vf, wf, af, u_rows[..., -1], accelerate
 
 
-def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow,
+def _kept(x, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of x, the views of _placed, that the boolean mask keep marks,
+    copied one by one into fresh placed storage of just those rows."""
+    rows = x[0]
+    y = _placed(int(np.count_nonzero(keep)), rows.shape[1])
+    for new, old in zip(y[0], compress(rows, keep)):
+        new[...] = old
+    return y
+
+
+def _leapfrog(u: tuple, v: tuple, dt: float, grid: RadialGrid, flow,
               n_steps: int, stride: int):
-    """Advance the rows of u and v, arrays of shape (rows, M+1) or one row of
-    M+1 nodes, by n_steps leapfrog steps of the flow in position form (Hairer,
-    Lubich & Wanner, Acta Numerica 12, 2003): w = dt v drifts u += w and kicks
-    w += A = dt^2 (lap(u) + g(u)), dt^2 folded into the faces and the force.
-    It is kick-drift-kick up to roundoff, 1e-11 relative over 300 steps.
+    """Advance the rows of u and v, each the views of _placed over (rows, M+1)
+    node values, in place by n_steps leapfrog steps of the flow in position
+    form (Hairer, Lubich & Wanner, Acta Numerica 12, 2003): w = dt v drifts
+    u += w and kicks w += A = dt^2 (lap(u) + g(u)), dt^2 folded into the
+    faces and the force.  It is kick-drift-kick up to roundoff, 1e-11
+    relative over 300 steps.
 
     At each stride-th step and the last it writes v = (w + A/2)/dt and yields
-    (k, u, v); between yields v is the step's scratch, the flux and the force,
-    so a run holds four arrays of u's shape and the two of _step_operator.
-    Sent a boolean mask over the rows instead of None, it carries on with the
-    masked rows alone: the next yield hands out new arrays, and the generator
-    keeps no reference to the old ones (whose memory goes once the caller
-    drops its own).  A dt outside (0, 2h/sqrt(kappa + mass h^2)] raises at
-    the first next(), kappa the operator's bound in units of h (see
-    _operator)."""
+    (k, u, v), their row views; between yields v is the step's scratch, the
+    flux and the force, so a run holds four placed arrays of u's rows (w and
+    acc placed here) and the two of _step_operator, and every store of a
+    step starts each row on a 64-byte line.  Sent a boolean mask over the
+    rows instead of None, it carries on with the masked rows alone, moved
+    into fresh placed storage one array at a time: the next yield hands out
+    new arrays, and the generator keeps no reference to the old ones (whose
+    memory goes once the caller drops its own).  A dt outside
+    (0, 2h/sqrt(kappa + mass h^2)] raises at the first next(), kappa the
+    operator's bound in units of h (see _operator)."""
     h = grid.spacing
     bound = 2.0 * h / math.hypot(math.sqrt(_operator(grid)[2]), math.sqrt(flow.mass) * h)
     if not (0.0 < dt <= bound):
@@ -212,7 +254,8 @@ def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow,
                                f"(0, {bound:g}], i.e. cfl <= {bound / h:.4g}")
     dt2 = dt * dt
     operator = _step_operator(grid, dt2)
-    w, acc = np.multiply(v, dt), np.zeros_like(u)
+    w, acc = _placed(*u[0].shape), _placed(*u[0].shape)
+    np.multiply(v[2], dt, out=w[2])
     uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, operator, flow, dt2)
     accelerate()
     np.add(wf, np.multiply(af, 0.5, out=vf), out=wf)  # dt v at the first half step
@@ -222,13 +265,13 @@ def _leapfrog(u: np.ndarray, v: np.ndarray, dt: float, grid: RadialGrid, flow,
         accelerate()
         if k % stride == 0 or k == n_steps:
             np.divide(np.add(wf, np.multiply(af, 0.5, out=vf), out=vf), dt, out=vf)
-            keep = yield k, u, v
+            keep = yield k, u[0], v[0]
             if keep is not None:  # drop every view of the old rows, then the rows
                 uf = vf = wf = af = u_edge = accelerate = v = None
-                u = u[keep]
-                w = w[keep]
-                acc = acc[keep]
-                v = np.empty_like(u)
+                u = _kept(u, keep)
+                w = _kept(w, keep)
+                acc = _kept(acc, keep)
+                v = _placed(*u[0].shape)
                 uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, operator,
                                                                 flow, dt2)
         np.add(wf, af, out=wf)
@@ -301,9 +344,12 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     equal-length sequences of them on one grid, which give a list with one
     Trajectory per pair.  The pairs then march as the rows of one leapfrog,
     each bit for bit the run it makes alone; their inputs are read one at a
-    time, and the batch holds four (pairs, M+1) arrays of floats, down to the
-    pairs still running, and the records of every run (seven floats each, see
-    Trajectory) until the last ends.  Inputs of any other kind raise InvalidInput.
+    time, straight into the leapfrog's storage, and the batch holds four
+    arrays of (pairs, M+1) floats, each row padded to whole 64-byte lines
+    (see _placed), down to the pairs still running, and the records of every
+    run (seven floats each, see Trajectory) until the last ends.  The final
+    u of the runs still going at the end views the last of those arrays.
+    Inputs of any other kind raise InvalidInput.
     """
     single = isinstance(u0, GridFunction)
     sized = isinstance(u0, Sized) and isinstance(v0, Sized)
@@ -327,12 +373,11 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
             raise InvalidInput(f"initial pair {i} is not two GridFunctions")
         if u is None:
             grid = a.grid
-            u = np.empty((rows, grid.cells + 1))
-            v = np.empty_like(u)
+            u, v = _placed(rows, grid.cells + 1), _placed(rows, grid.cells + 1)
         require_same_grid(a, b)
         if a.grid != grid:
             raise GridMismatch(f"runs on different grids: {grid!r} vs {a.grid!r}")
-        u[i], v[i] = a.values, b.values
+        u[0][i], v[0][i] = a.values, b.values
     steps = t_max / (cfl * grid.spacing) if cfl * grid.spacing > 0.0 else math.inf
     if not steps <= 2.0**53:  # past it k * dt no longer names distinct record times
         raise InvalidParameter(f"t_max = {t_max!r} at cfl = {cfl!r} takes more than 2**53 steps")
@@ -350,7 +395,7 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     with np.errstate(over="ignore", invalid="ignore"):
         h1_init, share_init = [], []
         for i in range(rows):
-            rec, share = _record(grid, u[i], v[i], 0.0, flow, m_ref, outer)
+            rec, share = _record(grid, u[0][i], v[0][i], 0.0, flow, m_ref, outer)
             records[i] += _PACKED_RECORD.pack(*rec)
             h1_init.append(rec.h1_norm)
             share_init.append(share)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import argparse
 import functools
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import varkg
 from varkg import RadialGrid, brent, closed_form_1d, save_profile
-from varkg.cli import run
+from varkg.cli import COMMANDS, _build_parser, _parse_args, run
 
 
 def read_json(path):
@@ -52,6 +53,55 @@ def test_root_finder_failure_is_a_typed_exit(tmp_path, capsys, monkeypatch):
 def test_usage_without_subcommand(capsys):
     assert run([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def exit_code(call, *args):
+    """call's return value, or the code of the SystemExit it raises."""
+    try:
+        return call(*args)
+    except SystemExit as exit_info:
+        return exit_info.code
+
+
+def full_parser_run(argv):
+    """What run printed when it parsed argv with every subcommand's parser:
+    argparse's help or error, or the usage line for a missing subcommand."""
+    parser = _build_parser()
+    code = exit_code(parser.parse_args, argv)
+    if isinstance(code, argparse.Namespace):
+        parser.print_usage(sys.stderr)
+        code = 2
+    return code
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([name, "--help"] for name in COMMANDS), ["evolve", "-h", "--p", "x"],
+    ["--config", "evolve", "--help"], ["nope"], [], ["--config", "evolve"],
+    ["--config", "path", "evolve", "--bogus"], ["evolve", "--bogus"], ["selftest", "--p", "3"],
+    ["evolve", "--p", "x"], ["evolve", "--lambda"], ["evolve", "extra"],
+], ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_usage_errors_are_the_full_parsers(argv, capsys):
+    # run builds the named subcommand's parser alone; everything argparse
+    # prints must still be the full parser's, byte for byte
+    want = full_parser_run(argv), capsys.readouterr()
+    assert want[0] in (0, 2)
+    assert (exit_code(run, argv), capsys.readouterr()) == want
+
+
+def test_a_named_subcommand_builds_its_parser_alone(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    argv = ["--config", "c.json", "evolve", "--p", "5", "--lam", "1.1"]
+    want = _build_parser().parse_args(argv)
+    built.clear()
+    assert _parse_args(argv) == want
+    assert built == ["evolve"]
 
 
 def test_config_errors(tmp_path, capsys):

@@ -21,6 +21,7 @@ from scipy.special import j0
 from varkg import (
     BLOWUP_DETECTED,
     BOUNDARY_CONTAMINATION,
+    GeneralG,
     GridFunction,
     GridMismatch,
     InvalidInput,
@@ -47,6 +48,7 @@ from varkg.evolution import (
     _laplacian_into,
     _leapfrog,
     _operator,
+    _placed,
     _record,
     _step_operator,
 )
@@ -85,10 +87,19 @@ def laplacian(u, grid):
     return out
 
 
+def placed(*rows):
+    """The leapfrog's storage (see _placed) holding these rows of node values."""
+    views = _placed(len(rows), rows[0].size)
+    views[0][...] = rows
+    return views
+
+
 def leapfrog(u, v, dt, grid, nl, n_steps):
     """Advance u and v in place by n_steps leapfrog steps of nl's flow."""
-    for _ in _leapfrog(u, v, dt, grid, flow_nonlinearity(nl), n_steps, n_steps):
+    u_placed, v_placed = placed(u), placed(v)
+    for _ in _leapfrog(u_placed, v_placed, dt, grid, flow_nonlinearity(nl), n_steps, n_steps):
         pass
+    u[...], v[...] = u_placed[0][0], v_placed[0][0]
 
 
 def test_zero_data_stays_zero(nl3):
@@ -111,7 +122,7 @@ def test_origin_stencil_consistency():
 
 def test_step_guards(nl3):
     grid = RadialGrid(2, 10.0, 100)
-    u, v, flow = np.zeros(101), np.zeros(101), flow_nonlinearity(nl3)
+    u, v, flow = placed(np.zeros(101)), placed(np.zeros(101)), flow_nonlinearity(nl3)
     # _leapfrog is a generator: its dt check runs at the first next()
     with pytest.raises(InvalidParameter):
         next(_leapfrog(u, v, 0.0, grid, flow, 1, 1))
@@ -296,6 +307,81 @@ def test_trajectories_do_not_depend_on_the_heap(nl3):
         assert evolve(u0[1], v0[1], nl3, t_max=2.0) == want_one
         assert evolve(u0, v0, nl3, t_max=5.0) == want_batch
         del held
+
+
+def recorded(monkeypatch, name):
+    """The arguments of each call to the evolution module's function name,
+    recorded as runs go."""
+    calls = []
+    fn = getattr(varkg.evolution, name)
+
+    def record(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(varkg.evolution, name, record)
+    return calls
+
+
+def starts_lines(x):
+    """Whether each row of x starts a 64-byte line."""
+    return all(row.ctypes.data % 64 == 0 for row in np.atleast_2d(x))
+
+
+@pytest.mark.parametrize("count", range(12))
+def test_every_store_of_a_step_starts_a_line(nl3, monkeypatch, count):
+    # a vector pass whose output is off a 64-byte line splits lines on every
+    # store, so u, v, w and acc, v as the flux one node ahead, the scaled
+    # faces and 1/cell start each row on a line at 1 and 8 rows and after each
+    # row drop, wherever unrelated arrays allocated first leave malloc
+    rows_steps = recorded(monkeypatch, "_rows_step")  # once a run and once a row drop
+    laplacians = recorded(monkeypatch, "_laplacian_into")
+    u0, v0, _ = mixed_batch()
+    u0, v0 = u0 + u0[1:4], v0 + v0[1:4]
+    held = [np.empty(201 + 3 * i) for i in range(count)]
+    evolve(u0[1], v0[1], nl3, t_max=1.0)
+    evolve(u0, v0, nl3, t_max=5.0)
+    del held
+    assert [len(u[0]) for u, *_ in rows_steps] == [1, 8, 7, 5, 3]
+    assert len(laplacians) == len(rows_steps)
+    for (u, v, w, acc, *_), (_, face, inv_cell, out, flux) in zip(rows_steps, laplacians):
+        for x in (u[0], v[0], w[0], acc[0], out, flux[..., 1:], face, inv_cell):
+            assert starts_lines(x)
+        for rows, _, flat in (u, v, w, acc):
+            assert flat.ctypes.data == rows.ctypes.data
+
+
+def padding(views):
+    """Every column of a placed storage (see _placed) that no row's node is:
+    the lead column and the padding after the nodes, row by row."""
+    rows, lead, _ = views
+    nodes, stride = rows.shape[1], rows.strides[0] // rows.itemsize
+    whole = np.lib.stride_tricks.as_strided(lead, shape=(len(rows), stride),
+                                            strides=lead.strides, writeable=False)
+    return whole[:, [0, *range(nodes + 1, stride)]]
+
+
+# g(0) = 0.25, where G' = 0: GeneralG checks g against G' away from 0 only
+OFFSET_AT_ZERO = GeneralG(name="offset_at_zero", g=lambda s: -s + s**3 + 0.25 * (s == 0),
+                          G=lambda s: -0.5 * s**2 + 0.25 * s**4, rho=1.0)
+
+
+@pytest.mark.parametrize("nl", [PowerKG(3.0), CUBIC_QUINTIC, OFFSET_AT_ZERO],
+                         ids=["power", "cubic_quintic", "offset_at_zero"])
+def test_padding_stays_positive_zero_for_any_g(nl, monkeypatch):
+    # the elementwise passes run over the padding between rows: a g(0) other
+    # than 0 there would grow it step by step, and a row drop must carry no
+    # old row's padding along
+    rows_steps = recorded(monkeypatch, "_rows_step")
+    u0, v0, _ = mixed_batch()
+    u0, v0 = u0[1:] + u0[2:4], v0[1:] + v0[2:4]
+    batch = evolve(u0, v0, nl, t_max=5.0)
+    assert [len(u[0]) for u, *_ in rows_steps] == [6, 4, 2]
+    for views in (views for call in rows_steps for views in call[:4]):
+        pad = padding(views)
+        assert not pad.any() and not np.signbit(pad).any()
+    for u, v, traj in zip(u0, v0, batch):
+        assert traj == evolve(u, v, nl, t_max=5.0)
 
 
 @pytest.mark.parametrize("cfl", [0.0, -1.0, math.nan, math.inf])
@@ -570,28 +656,28 @@ def leapfrog_case(dimension, nl, edge):
     (2, PowerKG(5.0), 0.0, None), (2, PowerKG(2.5), 0.0, None),  # |u|^4 by products, by pow
 ])
 def test_leapfrog_matches_the_kick_drift_kick_form(dimension, nl, edge, dt):
-    grid, flow, u, v = leapfrog_case(dimension, nl, edge)
-    want_u, want_v = u.copy(), v.copy()
+    grid, flow, want_u, want_v = leapfrog_case(dimension, nl, edge)
+    u, v = placed(want_u), placed(want_v)
     dt = dt or 0.4 * grid.spacing
     assert [k for k, _, _ in _leapfrog(u, v, dt, grid, flow, 300, 1)] == list(range(1, 301))
     allocating_leapfrog(want_u, want_v, dt, grid, flow.g, 300)
-    assert_near_kick_drift_kick(u, want_u)
-    assert_near_kick_drift_kick(v, want_v)
+    assert_near_kick_drift_kick(u[0][0], want_u)
+    assert_near_kick_drift_kick(v[0][0], want_v)
 
 
 @pytest.mark.parametrize("nl", [PowerKG(3.0), CUBIC_QUINTIC])
 @pytest.mark.parametrize("n_steps, stride", [(100, 7), (100, 25), (30, 50)])
 def test_leapfrog_yields_synchronized_states_at_the_stride(nl, n_steps, stride):
     # only at a yield is v written, and there it is the velocity of step k
-    grid, flow, u, v = leapfrog_case(2, nl, 0.0)
-    want_u, want_v = u.copy(), v.copy()
+    grid, flow, want_u, want_v = leapfrog_case(2, nl, 0.0)
+    u, v = placed(want_u), placed(want_v)
     dt, done, ks = 0.4 * grid.spacing, 0, []
     for k, _, _ in _leapfrog(u, v, dt, grid, flow, n_steps, stride):
         allocating_leapfrog(want_u, want_v, dt, grid, flow.g, k - done)
         done = k
         ks.append(k)
-        assert_near_kick_drift_kick(u, want_u)
-        assert_near_kick_drift_kick(v, want_v)
+        assert_near_kick_drift_kick(u[0][0], want_u)
+        assert_near_kick_drift_kick(v[0][0], want_v)
     assert ks == sorted({*range(stride, n_steps + 1, stride), n_steps})
 
 
@@ -631,7 +717,8 @@ def test_operator_is_finite_and_positive_on_every_accepted_grid(dimension, manti
     assert 0.0 < kappa < math.inf
     zero = np.zeros(cells + 1)
     dt = min(0.4 * grid.spacing, 1.0)
-    k, u, _ = next(_leapfrog(zero, zero.copy(), dt, grid, flow_nonlinearity(LINEAR_KG), 1, 1))
+    k, u, _ = next(_leapfrog(placed(zero), placed(zero), dt, grid,
+                             flow_nonlinearity(LINEAR_KG), 1, 1))
     assert k == 1 and not u.any()
 
 
@@ -673,7 +760,8 @@ def test_step_bound_follows_the_operator(dimension, stable, unstable):
     # Gershgorin on the symmetrized operator plus unit mass: about 0.95 h,
     # 0.86 h and 0.75 h, set by the rows next to the origin
     grid = RadialGrid(dimension, 10.0, 200)
-    u, v, flow = np.exp(-grid.r**2), np.zeros(201), flow_nonlinearity(LINEAR_KG)
+    u, v = placed(np.exp(-grid.r**2)), placed(np.zeros(201))
+    flow = flow_nonlinearity(LINEAR_KG)
     next(_leapfrog(u, v, stable * grid.spacing, grid, flow, 1, 1))
     with pytest.raises(InvalidParameter, match="stability"):
         next(_leapfrog(u, v, unstable * grid.spacing, grid, flow, 1, 1))
