@@ -46,6 +46,7 @@ from .model import (
 from .paths import (
     _MadeOnRead,
     _bumped,
+    _path_through,
     build_path,
     default_trial_family,
     exponent_region,
@@ -226,8 +227,8 @@ def _cmd_path(cfg):
     v = load_profile(cfg.profile)
     nl = PowerKG(cfg.p, cfg.omega)
     se = ScalingExponents(cfg.alpha, cfg.beta)
-    lam_star, projected, _ = project_to_constraint(v, nl, se)
-    path = build_path(projected, nl, se)
+    lam_star, _, m = project_to_constraint(v, nl, se)
+    path = _path_through(m, se)  # on the projection's moments, exact where the grid is not
     _write_csv(os.path.join(cfg.outdir, "path.csv"), ["t", "action"],
                zip(path.t, path.action_values))
     _write_json(os.path.join(cfg.outdir, "path.json"), {

@@ -2,16 +2,12 @@
 
 The central object is the two-parameter rescaling v_lambda = lambda^alpha
 v(lambda^beta x).  Every functional is a linear form in the moments of
-model.Moments, and along a ray each moment is a power of lambda, so the
-moments of v_lambda have two sources: the moments of the profile resampled
-on the grid, or the base moments scaled exactly (Moments.scaled).  The
-resampled moments are preferred; the scaled ones take over when the
-rescaled profile no longer fits the grid, and they locate the bracket of
-a constraint projection along a stretching ray.  Along the amplitude ray
-the base moments give the root in closed form (Moments.amplitude_root).
-This module does no arithmetic of its own on the moments.  The region of
-a pair (classify_exponents) picks the projection ray and the mountain-pass
-path.
+model.Moments, and along a ray each moment is a power of lambda, so
+projections, sweeps and paths take v's moments once and price every
+v_lambda exactly on that algebra (Moments.scaled).  A profile is
+resampled (rescale) only to be handed out, by project_to_constraint, and
+no moments are taken of it.  The region of a pair (classify_exponents)
+picks the projection ray and the mountain-pass path.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ from .errors import (
     NoNegativeEndpoint,
     NoRoot,
     NotOnConstraint,
+    NumericalOverflow,
     TruncationOverflow,
     Unsupported,
     WrongRegion,
@@ -113,19 +110,11 @@ def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
     return GridFunction._adopt(grid, new_vals)
 
 
-def _moments_at(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) -> Moments:
-    """Moments of v_lambda: resampled when representable, scaled base moments otherwise."""
-    try:
-        return moments(rescale(v, lam, se), nl)
-    except TruncationOverflow:
-        return moments(v, nl).scaled(lam, se)
-
-
 def family_action(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) -> float:
-    """S(v_lambda); lam = 0 gives the zero function, hence 0."""
+    """S(v_lambda) on the scaling algebra; lam = 0 gives the zero function, hence 0."""
     if lam == 0.0:
         return 0.0
-    return _moments_at(v, nl, se, lam).action()
+    return moments(v, nl).scaled(lam, se).action()
 
 
 def _sign_change(samples) -> tuple[int, int] | None:
@@ -146,39 +135,12 @@ def _sign_change(samples) -> tuple[int, int] | None:
     return int(nonzero[flips[0]]), int(nonzero[flips[0] + 1])
 
 
-def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
-                          ray: ScalingExponents | None = None
-                          ) -> tuple[float, GridFunction, Moments]:
-    """Root of lambda -> K_{alpha,beta}(v_lambda) along a scaling ray, with
-    the projected profile and its moments.
-
-    The region picks the ray: an interior pair is projected along its own
-    ray, a limit pair by amplitude (AMPLITUDE_RAY), because its own ray
-    leaves K's sign unchanged, and an invalid pair raises WrongRegion.  An
-    explicit ray overrides that choice.  Along the amplitude ray rescale
-    multiplies the values, so the grid map is the scaling algebra and the
-    root is Moments.amplitude_root, whatever its magnitude; NoRoot unless
-    it is positive and finite.  Along any other ray a scan of the exact
-    scaling algebra over SCAN_LAMBDAS (1e-4 to 1e4) brackets the root
-    between two finite scan nodes.  A v already on the constraint, |K(v)|
-    <= PROJECTION_TOL ||v||_H1^2, is then its own projection, (1.0, v, its
-    moments): the grid map of a profile compressed to a few nodes per
-    width jumps at lambda = 1 and can cross zero beside it, so a search
-    could move a projection off itself.  Otherwise one Brent solve on the
-    bracket finds the root of the resampled grid map.  When quadrature
-    error moves the grid map's root past a node, a 33-point rescan around
-    the two nodes brackets it instead.  A root that lies exactly on a scan
-    node is returned too.  Exact zeros of K are never taken as roots by
-    themselves: NoRoot means the nonzero samples of K show no sign change
-    along the ray.  The projected profile w must satisfy |K(w)| <=
-    PROJECTION_TOL ||w||_H1^2, else ConvergenceError.  K is linear in
-    (alpha, beta), so a pair below 1/2 in both components is lifted by a
-    power of two (exact) before the root and the residual check;
-    subnormal exponents would leave K no precision.
-    """
+def _project(base: Moments, se: ScalingExponents, ray: ScalingExponents | None = None
+             ) -> tuple[float, ScalingExponents, Moments]:
+    """lambda*, the ray and the moments of the projection of a profile whose
+    moments are base, on the scaling algebra; see project_to_constraint."""
     if ray is None:
-        ray = se if exponent_region(se, nl, v.grid.dimension) == INTERIOR else AMPLITUDE_RAY
-    base = moments(v, nl)
+        ray = se if exponent_region(se, base.nl, base.dimension) == INTERIOR else AMPLITUDE_RAY
     if base.h1 == 0.0:
         raise InvalidInput("cannot project the zero function")
     _, exp2 = math.frexp(max(abs(se.alpha), abs(se.beta)))
@@ -195,28 +157,53 @@ def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
             raise NoRoot(
                 f"K_({se.alpha:g},{se.beta:g}) has no sign change along the "
                 f"({ray.alpha:g},{ray.beta:g}) ray of this profile")
-        if abs(base.constraint(k_pair)) <= PROJECTION_TOL * base.h1:
-            return 1.0, v, base  # on the constraint already: no search on the grid map
-
-        def k_discrete(lam: float) -> float:
-            return _moments_at(v, nl, ray, lam).constraint(k_pair)
-
-        lo, hi = SCAN_LAMBDAS[bracket[0]], SCAN_LAMBDAS[bracket[1]]
-        if _sign_change([k_discrete(lo), k_discrete(hi)]) is None:
-            # quadrature error can shift a marginal root; rescan around the nodes
-            scan = np.geomspace(lo / 4.0, hi * 4.0, 33)
-            bracket = _sign_change([k_discrete(lam) for lam in scan])
-            if bracket is None:
-                raise NoRoot("constraint map loses its sign change on the grid")
-            lo, hi = scan[bracket[0]], scan[bracket[1]]
-        lam_star = brent(k_discrete, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    projected = rescale(v, lam_star, ray)
-    m = moments(projected, nl)
+        lam_star = brent(lambda lam: base.scaled(lam, ray).constraint(k_pair),
+                         SCAN_LAMBDAS[bracket[0]], SCAN_LAMBDAS[bracket[1]],
+                         xtol=1e-14, rtol=8.9e-16)
+    try:
+        m = base.scaled(lam_star, ray)
+        finite = math.isfinite(m.h1 + m.pot)
+    except OverflowError:  # a power of lambda* past the float range
+        finite = False
+    if not finite:
+        raise NumericalOverflow(f"the moments at lambda* = {lam_star:.6g} leave the float range")
     residual = m.constraint(k_pair)
     if abs(residual) > PROJECTION_TOL * m.h1:
         raise ConvergenceError(
             f"projection residual {residual:.3e} exceeds {PROJECTION_TOL:.0e} * its H1 norm")
-    return lam_star, projected, m
+    return lam_star, ray, m
+
+
+def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
+                          ray: ScalingExponents | None = None
+                          ) -> tuple[float, GridFunction, Moments]:
+    """Root lambda* of lambda -> K_{alpha,beta}(v_lambda) along a scaling
+    ray, the projected profile, and the moments of the projection.
+
+    The region picks the ray: an interior pair is projected along its own
+    ray, a limit pair by amplitude (AMPLITUDE_RAY), because its own ray
+    leaves K's sign unchanged, and an invalid pair raises WrongRegion.  An
+    explicit ray overrides that choice.  The root is found on the scaling
+    algebra of v's moments (Moments.scaled).  Along the amplitude ray it is
+    Moments.amplitude_root, whatever its magnitude; NoRoot unless positive
+    and finite.  Along any other ray a scan over SCAN_LAMBDAS (1e-4 to 1e4)
+    brackets it between two finite nodes and one Brent solve finds it;
+    exact zeros of K are never roots by themselves, so NoRoot means the
+    nonzero samples of K show no sign change.  The moments returned, v's
+    scaled to lambda*, must be finite (else NumericalOverflow) and satisfy
+    |K| <= PROJECTION_TOL ||.||_H1^2 (else ConvergenceError).  K is linear
+    in (alpha, beta), so a pair below 1/2 in both components is lifted by
+    a power of two (exact) first: subnormal exponents leave K no precision.
+
+    The profile is v resampled once at lambda* (rescale; TruncationOverflow
+    when it spills past R); no moments are taken of it.  By amplitude it
+    is v's values times lambda* and its moments match the returned ones to
+    roundoff; along a ray that compresses v to a few nodes per width they
+    miss them, and only the returned moments are exact for v_lambda*.  The
+    sweeps project every member here and read only lambda* and the moments.
+    """
+    lam_star, ray, m = _project(moments(v, nl), se, ray)
+    return lam_star, rescale(v, lam_star, ray), m
 
 
 # -- mountain-pass paths ------------------------------------------------------
@@ -227,8 +214,7 @@ class PathSample:
 
     Every path here starts at gamma(0) = 0, so admissibility, membership
     in the competitor class of the mountain-pass level, means
-    S(gamma(1)) < 0.  Where a rescaled profile would spill past r = R,
-    the action values come from the scaled moments.
+    S(gamma(1)) < 0.
     """
 
     t: np.ndarray
@@ -287,15 +273,7 @@ def _refine_argmax(ts: list, ss: list, evaluate) -> tuple[np.ndarray, np.ndarray
     return np.asarray(ts, dtype=float), np.asarray(ss, dtype=float)
 
 
-def _require_on_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> None:
-    m = moments(v, nl)
-    residual = m.constraint(se)
-    if abs(residual) > CONSTRAINT_TOL * m.h1:
-        raise NotOnConstraint(
-            f"K_({se.alpha:g},{se.beta:g}) = {residual:.3e} is not zero at this profile")
-
-
-def _ray_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
+def _ray_path(base: Moments, se: ScalingExponents):
     """The ray path gamma(t) = v_{tC} of an interior exponent pair.
 
     All three scaling exponents are positive in the interior region, so the
@@ -303,19 +281,19 @@ def _ray_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
     negative.  On the constraint the action along the ray peaks at lambda=1.
     """
     big_c = 2.0
-    while family_action(v, nl, se, big_c) >= 0.0:
+    while base.scaled(big_c, se).action() >= 0.0:
         big_c *= 2.0
         if big_c > C_SEARCH_CAP:
             raise NoNegativeEndpoint(
                 "action stays nonnegative along the ray out to lambda = 2^30")
 
     def evaluate(t: float) -> float:
-        return family_action(v, nl, se, t * big_c)
+        return base.scaled(t * big_c, se).action()
 
     return evaluate, list(np.linspace(0.0, 1.0, PATH_SAMPLES)), ()
 
 
-def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
+def _glued_path(base: Moments, se: ScalingExponents):
     """The glued path of a limit exponent pair.
 
     One scaling exponent vanishes in the limit region, so the ray alone
@@ -328,11 +306,16 @@ def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
     t v_C.  C is grown until either S(v_C) < 0 or the Nehari value of v_C
     is nonpositive; the latter makes the final segment monotone decreasing,
     so it certainly reaches negative action.
+
+    The Nehari value of v_lambda is q + (a nonnegative term) - P lambda^c,
+    q the moment whose power of lambda is 0 and P = ||v||_{p+1}^{p+1},
+    c > 0, so 40 halvings find a positive value unless v = 0 (q = 0) or P
+    exceeds q by about 2^(40 c); GluingFailed then.
     """
     # lambda0: the amplitude segment toward v_{lambda0} must rise monotonically
     lam0 = 0.5
     for _ in range(40):
-        m_lam0 = _moments_at(v, nl, se, lam0)
+        m_lam0 = base.scaled(lam0, se)
         if m_lam0.nehari() > 0.0:
             break
         lam0 *= 0.5
@@ -342,7 +325,7 @@ def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
     # C: ray endpoint with either negative action or nonpositive Nehari value
     big_c = 2.0
     while True:
-        m_c = _moments_at(v, nl, se, big_c)
+        m_c = base.scaled(big_c, se)
         s_c = m_c.action()
         if s_c < 0.0 or m_c.nehari() <= 0.0:
             break
@@ -369,7 +352,7 @@ def _glued_path(v: GridFunction, nl: PowerKG, se: ScalingExponents):
             return m_lam0.scaled(t / t_a, AMPLITUDE_RAY).action()
         if t <= t_b:
             lam = lam0 * math.exp(log_ratio * (t - t_a) / (t_b - t_a))
-            return family_action(v, nl, se, lam)
+            return base.scaled(lam, se).action()
         amp = 1.0 + (t_end - 1.0) * (t - t_b) / (1.0 - t_b)
         return m_c.scaled(amp, AMPLITUDE_RAY).action()
 
@@ -384,14 +367,24 @@ def build_path(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample
     """A mountain-pass path through v, which must lie on K_{alpha,beta} = 0.
 
     The region picks the path: the ray path of an interior pair, the glued
-    path of a limit pair; an invalid pair raises WrongRegion.  The samples
-    are refined around the maximum.
+    path of a limit pair; an invalid pair raises WrongRegion.  Every sample
+    is priced on the scaling algebra of v's moments and the samples are
+    refined around the maximum.
     """
-    region = exponent_region(se, nl, v.grid.dimension)
-    _require_on_constraint(v, nl, se)
+    return _path_through(moments(v, nl), se)
+
+
+def _path_through(base: Moments, se: ScalingExponents) -> PathSample:
+    """build_path of the profile whose moments are base; the path command
+    passes the moments of a projection."""
+    region = exponent_region(se, base.nl, base.dimension)
+    residual = base.constraint(se)
+    if abs(residual) > CONSTRAINT_TOL * base.h1:
+        raise NotOnConstraint(
+            f"K_({se.alpha:g},{se.beta:g}) = {residual:.3e} is not zero at this profile")
     # a recipe gives t -> S(gamma(t)), the first samples of t and the segment breaks
     recipe = _ray_path if region == INTERIOR else _glued_path
-    evaluate, ts, segment_breaks = recipe(v, nl, se)
+    evaluate, ts, segment_breaks = recipe(base, se)
     ss = [evaluate(tt) for tt in ts]
     t_arr, s_arr = _refine_argmax(ts, ss, evaluate)
     return PathSample(t=t_arr, action_values=s_arr, segment_breaks=segment_breaks)
@@ -563,9 +556,6 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
         lambdas.append(lam_star)
         actions.append(m.action())
         if region == INTERIOR:
-            # the ray profile of the projected moments transforms exactly
-            # under scaling; the resampled map would fold interpolation
-            # error into the peak location for strongly compressed members
             profile = m.scaled(ARGMAX_LAM_GRID, se).action()
             cells_off.append(abs(int(np.argmax(profile)) - unity_cell))
     min_action, argmin_index = _least(actions, "no trial could be placed on the constraint")

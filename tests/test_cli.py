@@ -224,6 +224,28 @@ def test_functionals_and_path_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_path_prices_a_compressed_projection_on_its_moments(tmp_path, capsys):
+    # along (2, 0.9375) at p = 2 the projection compresses a unit Gaussian
+    # 80x to about 3 nodes per width, where the resampled profile's own K is
+    # far from 0; the path is priced on the projection's moments, so the
+    # command still runs, and on the constraint the ray path peaks at S there
+    grid = RadialGrid(1, 20.0, 4000)
+    v = varkg.GridFunction.sample(grid, lambda r: np.exp(-r**2))
+    src = tmp_path / "gauss.csv"
+    save_profile(str(src), v)
+    out = tmp_path / "path"
+    assert run(["path", "--from", str(src), "--p", "2", "--alpha", "2", "--beta", "0.9375",
+                "--outdir", str(out)]) == 0
+    report = read_json(out / "path.json")
+    nl, se = varkg.PowerKG(2.0), varkg.ScalingExponents(2.0, 0.9375)
+    lam_star, _, m = varkg.project_to_constraint(v, nl, se)
+    assert report["region"] == "Interior" and report["lambda_star"] == lam_star
+    assert abs(lam_star - 106.29) < 5e-3
+    assert report["admissible"] is True
+    assert abs(report["max_action"] - m.action()) <= 1e-6 * m.action()
+    capsys.readouterr()
+
+
 def test_path_limit_pair_whose_endpoint_spills_past_the_grid(tmp_path, capsys):
     # at lambda = 2 the (1, -2) ray pushes 7.4e-6 of the L2 mass past r = 25;
     # the path values fall back to the scaled moments, so the endpoint that

@@ -19,10 +19,12 @@ from varkg import (
     INVALID,
     LIMIT,
     EmptyConstraintSample,
+    GluingFailed,
     GridFunction,
     InvalidInput,
     InvalidParameter,
     NoNegativeEndpoint,
+    NumericalOverflow,
     NoRoot,
     NotOnConstraint,
     PathSample,
@@ -44,7 +46,9 @@ from varkg import (
     verify_T_min_over_P,
     verify_min_on_constraint,
 )
-from varkg.paths import PROJECTION_TOL, SCAN_LAMBDAS, _sign_change
+from test_acceptance import INTERIOR_PAIRS
+from varkg.model import ray_exponents
+from varkg.paths import PROJECTION_TOL, SCAN_LAMBDAS, _project, _sign_change
 from varkg.radial_core import brent
 
 WIDTH_RAY = ScalingExponents(0.0, 1.0)
@@ -145,15 +149,39 @@ def _gaussian(dimension):
     return GridFunction(g, vals)
 
 
+def _roundoff(p):
+    """How far from 1 the algebra may re-project a projection: Brent's
+    xtol + rtol, plus the roundoff that fixes a root only to about
+    1e-16 / (p - 1) as p -> 1 (measured worst 0.3 of this over 10,000
+    random pairs)."""
+    return 1e-14 + 8.9e-16 + 64e-16 / (p - 1.0)
+
+
+def _root_shift(m, se, miss):
+    """First-order bound on how far a relative miss of at most miss in
+    each moment moves the root lambda = 1 of K_se along se's own ray."""
+    fields = ("grad", "l2", "pot")
+    terms = [m._replace(**{f: 0.0 for f in fields if f != keep}).constraint(se)
+             for keep in fields]
+    slope = sum(e * t for e, t in zip(ray_exponents(se.alpha, se.beta, m.nl.p, m.dimension),
+                                      terms))
+    return miss * sum(abs(t) for t in terms) / abs(slope)
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("pair", [(1.0, 0.0), (2.0, 1.0)], ids=["amplitude", "interior"])
 def test_reprojection_returns_unity(dimension, pair, nl3):
-    # by amplitude the second root is 1 to roundoff; along the interior
-    # ray a projection is on the constraint and is returned as it is
+    # on the algebra the projection's moments re-project to 1 to roundoff.
+    # The profile handed out is resampled, so its moments miss the
+    # projection's by its resolution error (5e-5 to 3e-4 along (2, 1),
+    # roundoff by amplitude), and its own root moves by what that miss can move
     se = ScalingExponents(*pair)
-    _, w, _ = project_to_constraint(_gaussian(dimension), nl3, se)
-    lam_again, _, _ = project_to_constraint(w, nl3, se)
-    assert np.isclose(lam_again, 1.0, rtol=0, atol=1e-6)
+    _, w, m = project_to_constraint(_gaussian(dimension), nl3, se)
+    assert abs(_project(m, se)[0] - 1.0) <= _roundoff(nl3.p)
+    got = moments(w, nl3)
+    miss = max(abs(g - e) / e for g, e in zip(got[:3], m[:3]))
+    assert miss <= (1e-15 if pair == (1.0, 0.0) else 1e-3)
+    assert abs(_project(got, se)[0] - 1.0) <= 2.0 * _root_shift(m, se, miss) + _roundoff(nl3.p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,39 +191,44 @@ def test_projection_idempotent_along_the_region_ray(case):
     # ray for a limit pair (drawn on both edges).  As p -> 1 the potential
     # moment nears the L2 moment and the root fixes lambda only to about
     # 1e-16 / (p - 1), hence the floor on p.  A first projection may find
-    # no root, or one whose profile spills past R.
+    # no root.
     alpha, beta, p, n = case
     assume(classify_exponents(alpha, beta, p, n) != INVALID)
     nl, se = PowerKG(p), ScalingExponents(alpha, beta)
     try:
-        _, w, _ = project_to_constraint(_gaussian(n), nl, se)
-    except (NoRoot, TruncationOverflow):
+        _, _, m = _project(moments(_gaussian(n), nl), se)
+    except NoRoot:
         assume(False)
-    lam_again, again, _ = project_to_constraint(w, nl, se)
-    assert abs(lam_again - 1.0) <= 1e-6
-    m = moments(again, nl)
-    assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
+    lam_again, _, again = _project(m, se)
+    assert abs(lam_again - 1.0) <= _roundoff(p)
+    assert abs(again.constraint(se)) <= PROJECTION_TOL * again.h1
 
 
 def test_projection_of_a_projection_is_itself():
-    # lambda* = 64.90 compresses the Gaussian 50x to 4 nodes per width, where
-    # the grid map jumps at lambda = 1 and crosses zero at 0.9743 beside it;
-    # searching again from the projection found that root, not 1
+    # lambda* = 106.29 compresses the Gaussian 80x to about 3 nodes per
+    # width, where a root of the resampled profile's moments lay far off
+    # (64.90 at the grid map); on the algebra the sweep and the projection
+    # place it at the same root, and the projection projects to itself
     nl, se = PowerKG(2.0), ScalingExponents(2.0, 0.9375)
-    lam, w, m = project_to_constraint(_gaussian(1), nl, se)
-    assert abs(lam - 64.90) < 5e-3
-    lam_again, again, m_again = project_to_constraint(w, nl, se)
-    assert lam_again == 1.0 and again is w and m_again == m
+    v = _gaussian(1)
+    report = verify_min_on_constraint([v], nl, se, 1.0)
+    assert report.failures == () and abs(report.lambdas[0] - 106.29) < 5e-3
+    lam, _, m = project_to_constraint(v, nl, se)
+    assert lam == report.lambdas[0] and m.action() == report.actions[0]
+    lam_again, _, m_again = _project(m, se)
+    assert abs(lam_again - 1.0) <= _roundoff(nl.p)
+    assert np.allclose(m_again[:3], m[:3], rtol=1e-13, atol=0)
 
 
 def test_subnormal_pair_is_lifted_before_projecting():
-    # K_{-0,-5e-324} is K_{0,-1} times 5e-324: by amplitude the root of
-    # both is lambda = 9/4 (p = 2, N = 2); unlifted, K kept no precision
-    nl, se = PowerKG(2.0), ScalingExponents(-0.0, -5e-324)
-    lam, w, _ = project_to_constraint(_gaussian(2), nl, se)
+    # K_{-0,-5e-324} is K_{0,-1} times 5e-324, and the lift to (-0, -1/2)
+    # is exact: by amplitude both roots are the same float, near 9/4
+    # (p = 2, N = 2); unlifted, K kept no precision
+    nl, v = PowerKG(2.0), _gaussian(2)
+    lam, _, _ = project_to_constraint(v, nl, ScalingExponents(-0.0, -5e-324))
+    lam_unit, _, _ = project_to_constraint(v, nl, ScalingExponents(0.0, -1.0))
+    assert lam == lam_unit
     assert np.isclose(lam, 9.0 / 4.0, rtol=1e-4, atol=0)
-    lam_again, _, _ = project_to_constraint(w, nl, se)
-    assert lam_again == 1.0
 
 
 @pytest.mark.parametrize("amp", [1e-6, 1e6])
@@ -302,9 +335,19 @@ def test_overflowing_scan_nodes_warn_nothing(townes, nl3):
     # far scan nodes; those nodes are skipped without a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lam, w, _ = project_to_constraint(townes.profile, nl3, ScalingExponents(100.0, 1.0))
-    m = moments(w, nl3)
+        lam, _, m = project_to_constraint(townes.profile, nl3, ScalingExponents(100.0, 1.0))
     assert abs(m.constraint(ScalingExponents(100.0, 1.0))) <= PROJECTION_TOL * m.h1
+
+
+def test_projection_whose_moments_overflow_raises_a_typed_error():
+    # p = 1.001 puts the Nehari root of exp(-r^2) at (Q/W)^1000 = 1.36e301:
+    # finite, but its square times ||grad v||^2 is past the float range
+    nl, v = PowerKG(1.001), _gaussian(1)
+    assert moments(v, nl).amplitude_root(AMPLITUDE_RAY) > 1e301
+    for entry in (lambda: project_to_constraint(v, nl, AMPLITUDE_RAY),
+                  lambda: verify_min_on_constraint([v], nl, AMPLITUDE_RAY, 1.0)):
+        with pytest.raises(NumericalOverflow, match="float range"):
+            entry()
 
 
 def test_projection_residual_is_relative_to_the_projected_profile():
@@ -379,20 +422,24 @@ def test_kinetic_minimum_records_general_nonlinearity_as_unsupported(cubic_quint
     assert report.skipped == (2,)
 
 
-def test_projection_rescans_when_grid_root_passes_a_scan_node(nl3):
+def test_projection_finds_the_algebra_root_beside_a_scan_node(nl3):
     # on this coarse grid the resampled map's root lies 0.6% below the
-    # algebra root, on the other side of the scan node 2.2387, so the two
-    # nodes that bracket the algebra root do not bracket the grid map's
+    # algebra root, on the other side of the scan node 2.2387; the search
+    # is on the algebra, so the scan's two nodes bracket the root it finds
     g = RadialGrid(2, 20.0, 400)
     v = GridFunction.sample(g, lambda r: 1.051 * np.exp(-r**2))
     se = ScalingExponents(2.0, 1.0)
     base = moments(v, nl3)
-    lam_alg = brentq(lambda lam: base.scaled(lam, se).constraint(se), 1e-3, 1e3)
-    lam_star, w, _ = project_to_constraint(v, nl3, se)
+    lam_alg = brentq(lambda lam: base.scaled(lam, se).constraint(se), 1e-3, 1e3,
+                     xtol=1e-14, rtol=8.9e-16)
+    lam_star, w, m = project_to_constraint(v, nl3, se)
+    assert abs(lam_star - lam_alg) <= 2e-14 + 2 * 8.9e-16 * lam_alg
     nodes = np.geomspace(1e-4, 1e4, 321)
-    assert np.any((nodes > lam_star) & (nodes < lam_alg))
-    m = moments(w, nl3)
+    assert abs(nodes[np.searchsorted(nodes, lam_star) - 1] - 2.2387) < 1e-4
     assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
+    # the profile handed out is resolved: its moments miss by under 1%
+    got = moments(w, nl3)
+    assert max(abs(g - e) / e for g, e in zip(got[:2], m[:2])) <= 1e-2
 
 
 def test_reprojection_on_limit_ray_has_no_root(nl3):
@@ -411,6 +458,22 @@ def test_limit_sweep_projects_members_on_the_constraint(nl3):
     report = verify_min_on_constraint(family, nl3, ScalingExponents(1.0, -2.0),
                                       gs.level)
     assert report.failures == ()
+
+
+def test_interior_sweep_places_members_at_the_algebra_root(townes, nl3):
+    # acceptance test 3's family; along (1, 0.9) members 21-22 are compressed
+    # past the grid's resolution, where a root of the resampled profile's
+    # moments lies far from the algebra's (at 41.7 and 50.6).  Members 1-2,
+    # widened, project to profiles that spill past R and are not placed
+    m = townes.level
+    family = default_trial_family(townes, count=50, seed=0)
+    reports = {pair: verify_min_on_constraint(family, nl3, ScalingExponents(*pair), m)
+               for pair in INTERIOR_PAIRS}
+    assert all(rep.min_action >= m for rep in reports.values())
+    assert {pair: rep.failures for pair, rep in reports.items() if rep.failures} == {
+        (1.0, 0.9): ((1, "TruncationOverflow"), (2, "TruncationOverflow"))}
+    lambdas = reports[(1.0, 0.9)].lambdas
+    assert abs(lambdas[21] - 104.108) < 1e-3 and abs(lambdas[22] - 190.180) < 1e-3
 
 
 def test_p_zero_projection_scaling(townes, nl3):
@@ -462,6 +525,16 @@ def test_limit_paths(townes, nl3):
         # first glued segment t -> S(t v_lambda0) must rise monotonically
         first = path.action_values[path.t <= path.segment_breaks[0]]
         assert np.all(np.diff(first) > 0.0)
+
+
+def test_glued_path_of_the_zero_function_fails(townes, nl3):
+    # the zero function lies on every constraint, and its Nehari value is
+    # 0 at every lambda, so no first segment rises; a nonzero v's value
+    # tends to a positive moment as lambda -> 0
+    zero = GridFunction.zeros(townes.grid)
+    for pair in ((1.0, 1.0), (0.0, -1.0)):
+        with pytest.raises(GluingFailed, match="40 halvings"):
+            build_path(zero, nl3, ScalingExponents(*pair))
 
 
 def test_path_sample_validation():
@@ -750,9 +823,9 @@ def test_sweeps_refuse_a_tolerance_that_is_not_positive_and_finite(townes, nl3, 
 
 
 def test_sweep_reads_each_member_from_its_projection(phi_1d, nl3, monkeypatch):
-    # an amplitude-ray member takes its moments twice, both inside its one
-    # projection: the base moments and the projected ones the residual
-    # check and the report share
+    # an amplitude-ray member takes its moments once, inside its one
+    # projection, which scales them: the residual check and the report
+    # share the scaled moments, and the projected profile is not measured
     calls = {"moments": 0, "project_to_constraint": 0}
 
     def counted(name):
@@ -768,8 +841,9 @@ def test_sweep_reads_each_member_from_its_projection(phi_1d, nl3, monkeypatch):
         monkeypatch.setattr(varkg.paths, name, counted(name))
     report = verify_min_on_constraint(family, nl3, AMPLITUDE_RAY, phi_1d.level)
     assert report.failures == ()
-    assert calls == {"moments": 2 * len(family), "project_to_constraint": len(family)}
+    assert calls == {"moments": len(family), "project_to_constraint": len(family)}
     monkeypatch.undo()
-    for trial, action in zip(family, report.actions):
-        _, w, m = project_to_constraint(trial, nl3, AMPLITUDE_RAY)
-        assert m == moments(w, nl3) and m.action() == action
+    for trial, lam, action in zip(family, report.lambdas, report.actions):
+        lam_star, w, m = project_to_constraint(trial, nl3, AMPLITUDE_RAY)
+        assert lam_star == lam and m.action() == action
+        assert np.allclose(moments(w, nl3)[:3], m[:3], rtol=1e-14, atol=0)
