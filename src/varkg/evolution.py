@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +33,6 @@ from .model import (
     Moments,
     PowerKG,
     _abs_power,
-    _force_into,
     flow_nonlinearity,
     moments,
 )
@@ -148,7 +148,7 @@ def _placed(rows: int, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     every row starts a line.  Three views of it: the (rows, nodes) rows; the
     lead-shifted view, of the same shape one column earlier, whose [..., 1:]
     are each row's first nodes - 1 nodes on their lines (the Laplacian's flux,
-    see _laplacian_into); and the flat view from row 0's node 0 to the last
+    see _step_views); and the flat view from row 0's node 0 to the last
     row's last node, the padding between rows included, for the elementwise
     passes.  A row's lead column is the last padding column of the row
     before it (of the storage's head, for row 0)."""
@@ -161,60 +161,104 @@ def _placed(rows: int, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _step_operator(grid: RadialGrid, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """The faces times scale and the reciprocal cell measure of the free
-    nodes (see _operator), the arrays _laplacian_into streams, formed once
-    a run, each starting a 64-byte line (see _placed).  Scale 1.0 leaves
-    the faces exact."""
+    nodes (see _operator), the arrays the step's Laplacian streams (see
+    _steps), formed once a run, each starting a 64-byte line (see _placed).
+    Scale 1.0 leaves the faces exact."""
     face, cell, _ = _operator(grid)
     scaled, inv_cell = (_placed(1, face.size)[0][0] for _ in range(2))
     return np.multiply(scale, face, out=scaled), np.divide(1.0, cell[:-1], out=inv_cell)
 
 
-def _laplacian_into(u: np.ndarray, face: np.ndarray, inv_cell: np.ndarray, out: np.ndarray,
-                    flux: np.ndarray):
-    """A call writing the Laplacian of u's current values, scaled as the faces
-    are (see _step_operator), into out, all but its edge column, which the
-    caller sets (zero at the Dirichlet edge): flux difference times the
-    reciprocal cell measure, so -cell * lap(u) is the exact gradient of the
-    energy's face term.  u, out and flux, the call's scratch, are one row of
-    node values or rows of them, all of one shape; the leapfrog's flux is
-    v's lead-shifted view (see _placed), so the fluxes it stores land on v's
-    own nodes, one node ahead of the faces they cross.  The step multiplies
-    by 1/cell where it would divide."""
-    u_hi, u_lo, flux_hi, flux_lo = u[..., 1:], u[..., :-1], flux[..., 1:], flux[..., :-1]
-    out_lo, origin = out[..., :-1], flux[..., 0]
-    def laplacian():
-        origin[()] = 0.0  # nothing crosses the origin
-        np.subtract(u_hi, u_lo, out=flux_hi)
-        np.multiply(face, flux_hi, out=flux_hi)
-        np.subtract(flux_hi, flux_lo, out=out_lo)
-        np.multiply(out_lo, inv_cell, out=out_lo)
-    return laplacian
+def _units(flow, dt: float) -> tuple[float, float] | None:
+    """(s, s dt) for a power flow, s = dt^(2/(p-1)): the leapfrog marches
+    U = s u and W = s dt v, in which the kick dt^2 s g(u) is
+    U (|U|^(p-1) - dt^2 m0), with coefficient one.  None for a general g,
+    and where s, s^(p+1) or (s dt)^2, which _record divides by, is not a
+    normal float (p = 1.01 at dt = 0.02, or dt = 1e-160): such a run keeps
+    s = 1 and multiplies dt^2 into the force."""
+    if not isinstance(flow, PowerKG):
+        return None
+    try:
+        s = dt ** (2.0 / (flow.p - 1.0))
+        divisors = (s, s ** (flow.p + 1.0), (s * dt) ** 2)
+    except OverflowError:
+        return None
+    if all(sys.float_info.min <= x < math.inf for x in divisors):
+        return s, s * dt
+    return None
 
 
-def _rows_step(u, v, w, acc, operator, flow, dt2: float):
-    """The leapfrog's passes over its current rows, u, v, w and acc each the
-    views of _placed: their flat views for the elementwise passes, u's edge
-    column, and a call writing A = dt2 (lap(u) + g(u)) into acc, zero at the
-    edge, with v as the flux (through its lead-shifted view) and the force;
-    operator is _step_operator's pair at dt2.  A power's force runs over the
-    flat views, where u's zero padding gives -0.0; a general g, whose call
-    allocates anyway, runs over the rows alone, so a g(0) other than 0 never
-    reaches the padding, which therefore stays +0.0 in u, w and acc, and in
-    v at each yield.  A single row goes to the Laplacian as plain vectors,
-    whose calls cost less than those of (1, M+1) views."""
-    (u_rows, _, uf), (v_rows, flux, vf), (_, _, wf), (acc_rows, _, af) = u, v, w, acc
+def _step_views(u, v, w, acc) -> tuple:
+    """The views a step streams over the current rows, u, v, w and acc each
+    the views of _placed: the flat views of all four, for the elementwise
+    passes, where a power's force gives -0.0 on U's zero padding; the rows
+    of u and v, which a general g's force runs over alone, so that a g(0)
+    other than 0 never reaches the padding, which therefore stays +0.0 in
+    u, w and acc, and in v at each yield; u[1:] and u[:-1];
+    the flux, v's lead-shifted view (see _placed), [1:] and [:-1] and its
+    origin column, so that the fluxes land on v's own nodes, one node ahead
+    of the faces they cross; acc's rows but their edge column, which the
+    Laplacian writes; and the edge columns of u and acc, which the step
+    zeroes.  A single row goes as plain vectors, whose calls cost less than
+    those of (1, M+1) views."""
+    (u_rows, _, uf), (v_rows, flux, vf), (_, _, wf), (a_rows, _, af) = u, v, w, acc
     if len(u_rows) == 1:
-        u_rows, v_rows, flux, acc_rows = u_rows[0], v_rows[0], flux[0], acc_rows[0]
-    laplacian = _laplacian_into(u_rows, *operator, acc_rows, flux)
-    push = (_force_into(uf, flow, dt2, vf) if isinstance(flow, PowerKG)
-            else _force_into(u_rows, flow, dt2, v_rows))
-    acc_edge = acc_rows[..., -1]
-    def accelerate():
-        laplacian()
-        push()
-        np.add(af, vf, out=af)
-        acc_edge[()] = 0.0
-    return uf, vf, wf, af, u_rows[..., -1], accelerate
+        u_rows, v_rows, flux, a_rows = u_rows[0], v_rows[0], flux[0], a_rows[0]
+    return (uf, vf, wf, af, u_rows, v_rows, u_rows[..., 1:], u_rows[..., :-1],
+            flux[..., 1:], flux[..., :-1], flux[..., 0], a_rows[..., :-1],
+            u_rows[..., -1], a_rows[..., -1])
+
+
+def _steps(views: tuple, run: tuple, k: int, last: int) -> None:
+    """Leapfrog steps k + 1 to last over the views of _step_views, each a
+    drift U += W, the acceleration A = dt^2 lap(U) + F, zero at the edge, and
+    the kick W += A; step 0 (k = -1) takes the first acceleration and the
+    half kick W += A/2 alone.  The Laplacian is the flux difference times
+    1/cell, so -cell lap(u) is the exact gradient of the energy's face term;
+    F is U (|U|^(p-1) - dt^2 m0) in scaled units, dt^2 (|u|^(p-1) u - m0 u)
+    where the run keeps s = 1, and dt^2 g(u) for a general g.  At step last
+    it writes V = W + A/2 into v, divided by dt where the run keeps s = 1,
+    before the kick.  The step is one loop of direct numpy calls with
+    positional outputs: ten at p = 3 in scaled units.  Between yields v is
+    the step's scratch, the flux and the force.  run holds what every step
+    reads besides the rows: the faces times dt^2 and 1/cell of
+    _step_operator, dt, dt^2, the mass term dt^2 m0, p - 1 and g (None for a
+    general g and for a power, in turn), and whether the run is scaled."""
+    (uf, vf, wf, af, u_rows, v_rows, u_hi, u_lo, flux_hi, flux_lo, origin, a_lo,
+     u_edge, a_edge) = views
+    face, inv_cell, dt, dt2, mass, q, g, scaled = run
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    square = q == 2.0
+    for j in range(k + 1, last + 1):
+        if j:
+            add(uf, wf, uf)
+            u_edge[()] = 0.0
+        origin[()] = 0.0  # nothing crosses the origin
+        subtract(u_hi, u_lo, flux_hi)
+        multiply(face, flux_hi, flux_hi)
+        subtract(flux_hi, flux_lo, a_lo)
+        multiply(a_lo, inv_cell, a_lo)
+        if g is not None:
+            multiply(dt2, g(u_rows), v_rows)
+        else:
+            if square:
+                multiply(uf, uf, vf)
+            else:
+                _abs_power(uf, q, vf)
+            if not scaled:
+                multiply(dt2, vf, vf)
+            subtract(vf, mass, vf)
+            multiply(uf, vf, vf)
+        add(af, vf, af)
+        a_edge[()] = 0.0
+        if not j:
+            add(wf, multiply(af, 0.5, vf), wf)
+            continue
+        if j == last:
+            add(wf, multiply(af, 0.5, vf), vf)
+            if not scaled:
+                np.divide(vf, dt, vf)
+        add(wf, af, wf)
 
 
 def _kept(x, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,57 +275,64 @@ def _leapfrog(u: tuple, v: tuple, dt: float, grid: RadialGrid, flow,
               n_steps: int, stride: int):
     """Advance the rows of u and v, each the views of _placed over (rows, M+1)
     node values, in place by n_steps leapfrog steps of the flow in position
-    form (Hairer, Lubich & Wanner, Acta Numerica 12, 2003): w = dt v drifts
-    u += w and kicks w += A = dt^2 (lap(u) + g(u)), dt^2 folded into the
-    faces and the force.  It is kick-drift-kick up to roundoff, 1e-11
-    relative over 300 steps.
+    form (Hairer, Lubich & Wanner, Acta Numerica 12, 2003), in the units of
+    _units: U = s u drifts U += W and W = s dt v kicks W += A = s dt^2
+    (lap(u) + g(u)), dt^2 folded into the faces and the force (see _steps).
+    It is kick-drift-kick up to roundoff, 1e-11 relative over 300 steps.
+    The rows of u hold U from the first next() on.
 
-    At each stride-th step and the last it writes v = (w + A/2)/dt and yields
-    (k, u, v), their row views; between yields v is the step's scratch, the
-    flux and the force, so a run holds four placed arrays of u's rows (w and
+    At each stride-th step and the last it yields (k, U, V, (s, sv)): U and
+    V = sv v, their row views, and the units, (s, s dt) or, where the run
+    keeps s = 1, (1, 1).  A run holds four placed arrays of u's rows (w and
     acc placed here) and the two of _step_operator, and every store of a
     step starts each row on a 64-byte line.  Sent a boolean mask over the
-    rows instead of None, it carries on with the masked rows alone, moved
-    into fresh placed storage one array at a time: the next yield hands out
-    new arrays, and the generator keeps no reference to the old ones (whose
-    memory goes once the caller drops its own).  A dt outside
-    (0, 2h/sqrt(kappa + mass h^2)] raises at the first next(), kappa the
-    operator's bound in units of h (see _operator)."""
+    rows instead of None, it carries on with the masked rows of u and w
+    alone, moved into fresh placed storage one array at a time, and with
+    fresh v and acc: the next yield hands out new arrays, and the generator
+    keeps no reference to the old ones (whose memory goes once the caller
+    drops its own).  A dt outside (0, 2h/sqrt(kappa + mass h^2)] raises at
+    the first next(), kappa the operator's bound in units of h (see
+    _operator)."""
     h = grid.spacing
     bound = 2.0 * h / math.hypot(math.sqrt(_operator(grid)[2]), math.sqrt(flow.mass) * h)
     if not (0.0 < dt <= bound):
         raise InvalidParameter(f"dt = {dt:g} is outside the leapfrog stability range "
                                f"(0, {bound:g}], i.e. cfl <= {bound / h:.4g}")
+    units = _units(flow, dt)
+    s, sdt = units or (1.0, dt)
     dt2 = dt * dt
-    operator = _step_operator(grid, dt2)
+    power = isinstance(flow, PowerKG)
+    run = (*_step_operator(grid, dt2), dt, dt2, dt2 * flow.mass,
+           flow.p - 1.0 if power else None, None if power else flow.g, units is not None)
     w, acc = _placed(*u[0].shape), _placed(*u[0].shape)
-    np.multiply(v[2], dt, out=w[2])
-    uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, operator, flow, dt2)
-    accelerate()
-    np.add(wf, np.multiply(af, 0.5, out=vf), out=wf)  # dt v at the first half step
-    for k in range(1, n_steps + 1):
-        np.add(uf, wf, out=uf)
-        u_edge[()] = 0.0
-        accelerate()
-        if k % stride == 0 or k == n_steps:
-            np.divide(np.add(wf, np.multiply(af, 0.5, out=vf), out=vf), dt, out=vf)
-            keep = yield k, u[0], v[0]
-            if keep is not None:  # drop every view of the old rows, then the rows
-                uf = vf = wf = af = u_edge = accelerate = v = None
-                u = _kept(u, keep)
-                w = _kept(w, keep)
-                acc = _kept(acc, keep)
-                v = _placed(*u[0].shape)
-                uf, vf, wf, af, u_edge, accelerate = _rows_step(u, v, w, acc, operator,
-                                                                flow, dt2)
-        np.add(wf, af, out=wf)
+    np.multiply(u[2], s, out=u[2])
+    np.multiply(v[2], sdt, out=w[2])
+    scale = units or (1.0, 1.0)  # where s = 1 is kept, a yield writes v itself
+    views = _step_views(u, v, w, acc)
+    _steps(views, run, -1, 0)
+    k = 0
+    while k < n_steps:
+        last, k = k, min(k + stride, n_steps)
+        _steps(views, run, last, k)
+        keep = yield k, u[0], v[0], scale
+        if keep is not None:  # drop every view of the old rows, then the rows
+            views = v = acc = None
+            u = _kept(u, keep)
+            w = _kept(w, keep)
+            v, acc = _placed(*u[0].shape), _placed(*u[0].shape)
+            views = _step_views(u, v, w, acc)
 
 
 def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
-            flow, m_ref: float | None, outer: slice) -> tuple[TrajectoryRecord, float]:
+            flow, m_ref: float | None, outer: slice,
+            scale: tuple[float, float] = (1.0, 1.0)) -> tuple[TrajectoryRecord, float]:
     """The diagnostics at one record time and u's boundary share, the square
     root of the H1 moment's part on the outer cells and the faces between
     them; the only place that decides membership in {E < m_ref, P > 0}.
+    u and v are the state in the units scale = (s, sv) (see _leapfrog), s u
+    and sv v, and the sums taken on them are divided by s^2 (grad and l2),
+    s^(p+1) (pot) and sv^2 (the kinetic sum); the share is a ratio of sums
+    and needs no division.  At scale (1, 1) every division is exact.
 
     Every sum is one dot product on the operator's faces and cells (see
     _operator): grad = face . du^2 is E's face term, l2 = cell . u^2 and
@@ -301,26 +352,29 @@ def _record(grid: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
     finite; they are scanned only when E is not, as a non-finite node makes it.
     """
     face, cell, _ = _operator(grid)
+    s, sv = scale
     uu, work = np.multiply(u, u), np.empty_like(u)
     if isinstance(flow, PowerKG):
-        pot = float(np.dot(cell, _abs_power(u, flow.p + 1.0, work, uu)))
+        pot = float(np.dot(cell, _abs_power(u, flow.p + 1.0, work, uu))) / s ** (flow.p + 1.0)
     else:
         pot = float(np.dot(cell, flow.G(u)))
     if not math.isfinite(pot):
         raise NumericalOverflow("the potential moment left the representable range")
-    kin = float(np.dot(np.multiply(cell, v, out=work), v))
+    kin = float(np.dot(np.multiply(cell, v, out=work), v)) / (sv * sv)
     du = np.subtract(u[1:], u[:-1], out=work[:-1])
     du2 = np.multiply(du, du, out=du)
-    m = Moments(float(np.dot(face, du2)), float(np.dot(cell, uu)), pot, flow, grid.dimension)
+    grad, l2, s2 = float(np.dot(face, du2)), float(np.dot(cell, uu)), s * s
+    m = Moments(grad / s2, l2 / s2, pot, flow, grid.dimension)
     action = m.action()
     energy = 0.5 * kin + action
     if not math.isfinite(energy) and not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericalOverflow("the state is no longer finite")
     p_val = m.potential()
     in_set = m_ref is not None and energy < m_ref and p_val > 0.0
-    share = (0.0 if m.h1 == 0.0 else
+    h1 = l2 + grad  # m.h1 at scale (1, 1)
+    share = (0.0 if h1 == 0.0 else
              math.sqrt((float(np.dot(cell[outer], uu[outer]))
-                        + float(np.dot(face[outer], du2[outer]))) / m.h1))
+                        + float(np.dot(face[outer], du2[outer]))) / h1))
     return (TrajectoryRecord(t, energy, action, p_val, m.kinetic, math.sqrt(m.h1), in_set),
             share)
 
@@ -337,8 +391,11 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     steps.  They are taken with the flow's nonlinearity (see flow_nonlinearity)
     on the flow's own faces and cells (see _record), so E and S agree bit
     for bit on data at rest.  The first record is that of the data
-    themselves, so its flag is their membership in the invariant set of the
-    finite level m_ref (None: no level, every flag False).
+    themselves, taken in scale 1 before the leapfrog moves them into its
+    units (see _units), so its flag is their membership in the invariant set
+    of the finite level m_ref (None: no level, every flag False).  Later
+    records are taken on the leapfrog's rows, U = s u and V = sv v, and
+    divide their sums by the units (see _record).
 
     u0 and v0 are one pair of GridFunctions, which gives one Trajectory, or
     equal-length sequences of them on one grid, which give a list with one
@@ -347,8 +404,10 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     time, straight into the leapfrog's storage, and the batch holds four
     arrays of (pairs, M+1) floats, each row padded to whole 64-byte lines
     (see _placed), down to the pairs still running, and the records of every
-    run (seven floats each, see Trajectory) until the last ends.  The final
-    u of the runs still going at the end views the last of those arrays.
+    run (seven floats each, see Trajectory) until the last ends.  A run's
+    final u is U/s: a fresh array for a run that leaves a batch early, and for
+    the runs still going at the end a view of the last of those arrays,
+    divided by s in place.
     Inputs of any other kind raise InvalidInput.
     """
     single = isinstance(u0, GridFunction)
@@ -401,12 +460,12 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
             share_init.append(share)
         live = list(range(rows))  # the run of each row the leapfrog carries
         run_rows = _leapfrog(u, v, dt, grid, flow, n_steps, stride)
-        k, u, v = next(run_rows)
+        k, u, v, scale = next(run_rows)
         while True:
             t, keep = k * dt, []
             for i, run in enumerate(live):
                 try:
-                    rec, share = _record(grid, u[i], v[i], t, flow, m_ref, outer)
+                    rec, share = _record(grid, u[i], v[i], t, flow, m_ref, outer, scale)
                 except NumericalOverflow:
                     # a state no longer finite, or a finite one whose diagnostics
                     # left the representable range: the same terminal event
@@ -420,13 +479,14 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
                 keep.append(terminations[run] == REACHED_TMAX)
             if k == n_steps or not any(keep):
                 break
-            if not all(keep):  # the ended runs leave the batch with a copy of their row
+            if not all(keep):  # the ended runs leave the batch with U/s of their row
                 for i, run in enumerate(live):
                     if not keep[i]:
-                        final_u[run] = u[i].copy()
+                        final_u[run] = np.divide(u[i], scale[0])
                 live = [run for run, kept in zip(live, keep) if kept]
             u = v = None  # the leapfrog frees the dropped rows once no one holds them
-            k, u, v = run_rows.send(None if all(keep) else np.array(keep))
+            k, u, v, scale = run_rows.send(None if all(keep) else np.array(keep))
+        np.divide(u, scale[0], out=u)  # u = U/s, which overflows where U is past max/s
     for i, run in enumerate(live):
         final_u[run] = u[i]
     trajectories = [Trajectory(*run, m_ref) for run in zip(records, terminations, final_u)]

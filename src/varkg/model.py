@@ -52,10 +52,13 @@ INVALID = "Invalid"
 
 
 def _abs_power(x, q: float, out=None, square=None):
-    """|x|^q on floats and arrays, into the array out if given: x * x at q = 2,
-    as numpy's pow squares, and (x * x) * (x * x) at q = 4, within 3 ulps of
-    pow; pow at any other q.  A caller that already holds x * x passes it as
-    square, and q = 4 squares it rather than forming it again."""
+    """|x|^q on floats and arrays, into the array out if given: |x| at q = 1,
+    which pow returns exactly, x * x at q = 2, as numpy's pow squares, and
+    (x * x) * (x * x) at q = 4, within 3 ulps of pow; pow at any other q.  A
+    caller that already holds x * x passes it as square, and q = 4 squares
+    it rather than forming it again."""
+    if q == 1.0:
+        return abs(x) if out is None else np.abs(x, out=out)
     if q != 2.0 and q != 4.0:
         return abs(x) ** q if out is None else np.power(np.abs(x, out=out), q, out=out)
     if q == 4.0 and square is not None:
@@ -346,18 +349,6 @@ def moments(v: GridFunction, nl: Nonlinearity) -> Moments:
     d = _derivative_kernel(values, grid, uu)
     grad = _integral(np.multiply(d, d, out=d), grid, d)
     return Moments(grad, l2, pot, nl, grid.dimension)
-
-
-def _force_into(u: np.ndarray, nl: Nonlinearity, scale: float, out: np.ndarray):
-    """A call writing scale * g(u) into out, as u * (scale |u|^(p-1) - scale m0) for powers."""
-    if not isinstance(nl, PowerKG):
-        return lambda: np.multiply(scale, nl.g(u), out=out)
-    q, scaled_mass = nl.p - 1.0, scale * nl.mass
-    def force():
-        np.multiply(scale, _abs_power(u, q, out), out=out)
-        np.subtract(out, scaled_mass, out=out)
-        np.multiply(u, out, out=out)
-    return force
 
 
 def flow_nonlinearity(nl: Nonlinearity) -> Nonlinearity:

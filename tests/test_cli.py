@@ -416,6 +416,19 @@ def test_evolve_counts_only_diagnosed_records_for_the_drift(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tmax", ["1e-300", "1e-160"])
+def test_evolve_in_steps_whose_units_underflow(tmax, tmp_path, capsys):
+    # one step of dt = t_max: s = dt at p = 3, and s^4 is no normal float, so
+    # the run keeps s = 1; at rest the state cannot move within the step
+    assert run(["evolve", "--p", "3", "--omega", "0", "--R", "30", "--M", "1500",
+                "--tmax", tmax, "--outdir", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "evolve.json")
+    assert (payload["termination"], payload["t_final"], payload["records"]) == (
+        "ReachedTmax", float(tmax), 2)
+    assert payload["energy_drift"] == 0.0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag, value, error, says", [
     ("--lambda", "inf", "InvalidParameter", "lambda must be positive and finite"),
     ("--mu", "inf", "InvalidParameter", "mu must be positive and finite"),

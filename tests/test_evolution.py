@@ -43,14 +43,13 @@ from varkg import (
 )
 
 import varkg.evolution
+import varkg.model
 from varkg.evolution import (
     BOUNDARY_ZONE,
-    _laplacian_into,
     _leapfrog,
     _operator,
     _placed,
     _record,
-    _step_operator,
 )
 from varkg.model import Moments, _abs_power, flow_nonlinearity
 from varkg.radial_core import SPHERE_SURFACE
@@ -79,12 +78,12 @@ def eigenmode(outer=10.0, cells=400):
 
 
 def laplacian(u, grid):
-    """The operator's Laplacian of u, by the in-place call the leapfrog makes
-    (with its faces scaled by 1.0, which is exact); the call leaves the edge
-    to its caller, which sets it to zero."""
-    out = np.zeros(u.size)
-    _laplacian_into(u, *_step_operator(grid, 1.0), out, np.empty(u.size))()
-    return out
+    """The operator's Laplacian of u, zero at the edge: the flux difference
+    times the reciprocal cell measure, in allocating form, which the
+    leapfrog's step forms bit for bit (see
+    test_laplacian_is_bit_identical_to_the_allocating_form)."""
+    face, cell, _ = _operator(grid)
+    return np.append(np.diff(np.append(0.0, face * np.diff(u))) * (1.0 / cell[:-1]), 0.0)
 
 
 def placed(*rows):
@@ -97,9 +96,10 @@ def placed(*rows):
 def leapfrog(u, v, dt, grid, nl, n_steps):
     """Advance u and v in place by n_steps leapfrog steps of nl's flow."""
     u_placed, v_placed = placed(u), placed(v)
-    for _ in _leapfrog(u_placed, v_placed, dt, grid, flow_nonlinearity(nl), n_steps, n_steps):
+    for _, _, _, (s, sv) in _leapfrog(u_placed, v_placed, dt, grid, flow_nonlinearity(nl),
+                                      n_steps, n_steps):
         pass
-    u[...], v[...] = u_placed[0][0], v_placed[0][0]
+    u[...], v[...] = u_placed[0][0] / s, v_placed[0][0] / sv
 
 
 def test_zero_data_stays_zero(nl3):
@@ -257,6 +257,20 @@ def test_batch_rows_are_their_solo_runs(nl3):
     assert one == batch[1]
 
 
+@pytest.mark.parametrize("p", [2.0, 5.0])
+def test_batch_rows_are_their_solo_runs_in_their_units(p):
+    # s = dt^2 at p = 2 and dt^(1/2) at p = 5: each row's records divide by
+    # its units and its final u is U/s, bit for bit as the row alone (the
+    # 1e70 row is left out: |u|^6 overflows in its first record at p = 5)
+    nl = PowerKG(p)
+    u0, v0, _ = mixed_batch()
+    u0, v0 = u0[1:], v0[1:]
+    batch = evolve(u0, v0, nl, t_max=5.0)
+    assert len({traj.termination for traj in batch}) > 1
+    for u, v, traj in zip(u0, v0, batch):
+        assert traj == evolve(u, v, nl, t_max=5.0)
+
+
 def test_trajectories_compare_bit_for_bit(nl3):
     # records, termination, m_ref and final_u, each bit for bit; == on the
     # arrays themselves would raise ValueError
@@ -310,14 +324,15 @@ def test_trajectories_do_not_depend_on_the_heap(nl3):
 
 
 def recorded(monkeypatch, name):
-    """The arguments of each call to the evolution module's function name,
-    recorded as runs go."""
+    """The arguments and the result of each call to the evolution module's
+    function name, recorded as runs go."""
     calls = []
     fn = getattr(varkg.evolution, name)
 
     def record(*args):
-        calls.append(args)
-        return fn(*args)
+        out = fn(*args)
+        calls.append((args, out))
+        return out
 
     monkeypatch.setattr(varkg.evolution, name, record)
     return calls
@@ -334,18 +349,20 @@ def test_every_store_of_a_step_starts_a_line(nl3, monkeypatch, count):
     # store, so u, v, w and acc, v as the flux one node ahead, the scaled
     # faces and 1/cell start each row on a line at 1 and 8 rows and after each
     # row drop, wherever unrelated arrays allocated first leave malloc
-    rows_steps = recorded(monkeypatch, "_rows_step")  # once a run and once a row drop
-    laplacians = recorded(monkeypatch, "_laplacian_into")
+    views = recorded(monkeypatch, "_step_views")  # once a run and once a row drop
+    operators = recorded(monkeypatch, "_step_operator")  # once a run
     u0, v0, _ = mixed_batch()
     u0, v0 = u0 + u0[1:4], v0 + v0[1:4]
     held = [np.empty(201 + 3 * i) for i in range(count)]
     evolve(u0[1], v0[1], nl3, t_max=1.0)
     evolve(u0, v0, nl3, t_max=5.0)
     del held
-    assert [len(u[0]) for u, *_ in rows_steps] == [1, 8, 7, 5, 3]
-    assert len(laplacians) == len(rows_steps)
-    for (u, v, w, acc, *_), (_, face, inv_cell, out, flux) in zip(rows_steps, laplacians):
-        for x in (u[0], v[0], w[0], acc[0], out, flux[..., 1:], face, inv_cell):
+    assert [len(u[0]) for (u, *_), _ in views] == [1, 8, 7, 5, 3]
+    assert len(operators) == 2
+    for _, (face, inv_cell) in operators:
+        assert starts_lines(face) and starts_lines(inv_cell)
+    for (u, v, w, acc), (*_, flux_hi, _, _, acc_lo, _, _) in views:
+        for x in (u[0], v[0], w[0], acc[0], acc_lo, flux_hi):
             assert starts_lines(x)
         for rows, _, flat in (u, v, w, acc):
             assert flat.ctypes.data == rows.ctypes.data
@@ -372,12 +389,12 @@ def test_padding_stays_positive_zero_for_any_g(nl, monkeypatch):
     # the elementwise passes run over the padding between rows: a g(0) other
     # than 0 there would grow it step by step, and a row drop must carry no
     # old row's padding along
-    rows_steps = recorded(monkeypatch, "_rows_step")
+    calls = recorded(monkeypatch, "_step_views")
     u0, v0, _ = mixed_batch()
     u0, v0 = u0[1:] + u0[2:4], v0[1:] + v0[2:4]
     batch = evolve(u0, v0, nl, t_max=5.0)
-    assert [len(u[0]) for u, *_ in rows_steps] == [6, 4, 2]
-    for views in (views for call in rows_steps for views in call[:4]):
+    assert [len(u[0]) for (u, *_), _ in calls] == [6, 4, 2]
+    for views in (storage for args, _ in calls for storage in args):
         pad = padding(views)
         assert not pad.any() and not np.signbit(pad).any()
     for u, v, traj in zip(u0, v0, batch):
@@ -600,26 +617,30 @@ def test_laplacian_sums_by_parts(case):
     assert abs(lhs.sum() - rhs.sum()) <= 1e-12 * scale + 1e-300
 
 
-def allocating_laplacian(u, grid):
-    """The flux-difference Laplacian as written before it worked in place,
-    times the reciprocal cell measure as the in-place call multiplies it."""
-    face, cell, _ = _operator(grid)
-    return np.append(np.diff(np.append(0.0, face * np.diff(u))) * (1.0 / cell[:-1]), 0.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(case=laplacian_cases())
 @example(case=SUBNORMAL_CASE)
 def test_laplacian_is_bit_identical_to_the_allocating_form(case):
+    # the step's in-place Laplacian, read through the first drift of the
+    # linear flow from rest, U = u + A/2 with A = dt^2 lap(u) - dt^2 u: the
+    # faces times dt^2 and each pass grouped as the allocating form groups it
     dimension, outer, u, _ = case
     grid = RadialGrid(dimension, outer, u.size - 1)
-    assert np.array_equal(laplacian(u, grid), allocating_laplacian(u, grid))
+    dt = 0.4 * grid.spacing
+    dt2 = dt * dt
+    face, cell, _ = _operator(grid)
+    acc = np.diff(np.append(0.0, (dt2 * face) * np.diff(u))) * (1.0 / cell[:-1])
+    want = np.append(u[:-1] + (acc + dt2 * LINEAR_KG.g(u[:-1])) * 0.5, 0.0)
+    [(k, got, _, scale)] = _leapfrog(placed(u), placed(np.zeros_like(u)), dt, grid,
+                                     LINEAR_KG, 1, 1)
+    assert (k, scale) == (1, (1.0, 1.0))
+    assert np.array_equal(got[0], want)
 
 
 def allocating_leapfrog(u, v, dt, grid, g, n_steps):
     """The kick-drift-kick step, allocating: the reference for the position form."""
     def acceleration(values):
-        acc = allocating_laplacian(values, grid) + g(values)
+        acc = laplacian(values, grid) + g(values)
         acc[-1] = 0.0
         return acc
 
@@ -654,15 +675,26 @@ def leapfrog_case(dimension, nl, edge):
     (1, PowerKG(3.0), 0.25, None),  # the edge value starts nonzero: acc[-1] = 0 still
     (2, PowerKG(3.0), 0.0, 1e-160),  # dt^2 is subnormal
     (2, PowerKG(5.0), 0.0, None), (2, PowerKG(2.5), 0.0, None),  # |u|^4 by products, by pow
+    (2, PowerKG(2.0), 0.0, None),  # s = dt^2, and |u|^1 is |u| alone
+    (2, PowerKG(1.01), 0.0, None),  # s = dt^200 underflows
 ])
 def test_leapfrog_matches_the_kick_drift_kick_form(dimension, nl, edge, dt):
+    # a power runs in U = s u and W = s dt v, s = dt^(2/(p-1)); a general g,
+    # and a power whose s, s^(p+1) or (s dt)^2 is no normal float, keep s = 1
     grid, flow, want_u, want_v = leapfrog_case(dimension, nl, edge)
     u, v = placed(want_u), placed(want_v)
+    kept = not isinstance(nl, PowerKG) or nl.p == 1.01 or dt == 1e-160
     dt = dt or 0.4 * grid.spacing
-    assert [k for k, _, _ in _leapfrog(u, v, dt, grid, flow, 300, 1)] == list(range(1, 301))
+    yields = list(_leapfrog(u, v, dt, grid, flow, 300, 1))
+    assert [k for k, *_ in yields] == list(range(1, 301))
+    s, sv = yields[-1][3]
+    if kept:
+        assert (s, sv) == (1.0, 1.0)
+    else:
+        assert s == dt ** (2.0 / (nl.p - 1.0)) and sv == s * dt
     allocating_leapfrog(want_u, want_v, dt, grid, flow.g, 300)
-    assert_near_kick_drift_kick(u[0][0], want_u)
-    assert_near_kick_drift_kick(v[0][0], want_v)
+    assert_near_kick_drift_kick(u[0][0] / s, want_u)
+    assert_near_kick_drift_kick(v[0][0] / sv, want_v)
 
 
 @pytest.mark.parametrize("nl", [PowerKG(3.0), CUBIC_QUINTIC])
@@ -672,12 +704,12 @@ def test_leapfrog_yields_synchronized_states_at_the_stride(nl, n_steps, stride):
     grid, flow, want_u, want_v = leapfrog_case(2, nl, 0.0)
     u, v = placed(want_u), placed(want_v)
     dt, done, ks = 0.4 * grid.spacing, 0, []
-    for k, _, _ in _leapfrog(u, v, dt, grid, flow, n_steps, stride):
+    for k, _, _, (s, sv) in _leapfrog(u, v, dt, grid, flow, n_steps, stride):
         allocating_leapfrog(want_u, want_v, dt, grid, flow.g, k - done)
         done = k
         ks.append(k)
-        assert_near_kick_drift_kick(u[0][0], want_u)
-        assert_near_kick_drift_kick(v[0][0], want_v)
+        assert_near_kick_drift_kick(u[0][0] / s, want_u)
+        assert_near_kick_drift_kick(v[0][0] / sv, want_v)
     assert ks == sorted({*range(stride, n_steps + 1, stride), n_steps})
 
 
@@ -717,8 +749,8 @@ def test_operator_is_finite_and_positive_on_every_accepted_grid(dimension, manti
     assert 0.0 < kappa < math.inf
     zero = np.zeros(cells + 1)
     dt = min(0.4 * grid.spacing, 1.0)
-    k, u, _ = next(_leapfrog(placed(zero), placed(zero), dt, grid,
-                             flow_nonlinearity(LINEAR_KG), 1, 1))
+    k, u, _, _ = next(_leapfrog(placed(zero), placed(zero), dt, grid,
+                                flow_nonlinearity(LINEAR_KG), 1, 1))
     assert k == 1 and not u.any()
 
 
@@ -922,3 +954,60 @@ def test_benchmark_copies_the_evolution_constants():
               if isinstance(target, ast.Name) and target.id in ("DEFAULT_CFL", "RECORD_INTERVAL")}
     assert copies == {"DEFAULT_CFL": varkg.evolution.DEFAULT_CFL,
                       "RECORD_INTERVAL": varkg.evolution.RECORD_INTERVAL}
+
+
+class CountingNumpy:
+    """numpy as a module sees it through its global np, with every ufunc
+    call counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        obj = getattr(np, name)
+        if not isinstance(obj, np.ufunc):
+            return obj
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return obj(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("nl", [PowerKG(3.0), PowerKG(2.0)], ids=["p3", "p2"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_step_is_its_numpy_passes_alone(monkeypatch, nl, rows):
+    # in U = s u the kick's force has coefficient one: at p = 3 a step is the
+    # drift, four Laplacian passes, U * U, the mass term, the product with U,
+    # A += F and W += A, ten ufunc calls (eleven before the units, twelve at
+    # p = 2, whose |u|^1 was a pow pass); runs of 100 and 200 steps with one
+    # yield each differ by 100 steps' calls
+    counting = CountingNumpy()
+    monkeypatch.setattr(varkg.evolution, "np", counting)
+    monkeypatch.setattr(varkg.model, "np", counting)
+    grid, flow, u, v = leapfrog_case(2, nl, 0.0)
+    calls = []
+    for n_steps in (100, 200):
+        counting.calls = 0
+        for _ in _leapfrog(placed(*[u] * rows), placed(*[v] * rows), 0.4 * grid.spacing,
+                           grid, flow, n_steps, n_steps):
+            pass
+        calls.append(counting.calls)
+    assert calls[1] - calls[0] == 100 * 10
+
+
+@pytest.mark.parametrize("nl", [PowerKG(3.0), PowerKG(2.0), CUBIC_QUINTIC],
+                         ids=["p3", "p2", "cubic_quintic"])
+def test_first_record_is_the_record_of_the_inputs(nl):
+    # the t = 0 record is taken on the inputs in scale 1, before the leapfrog
+    # moves them into its units: bit for bit _record of the data, E = S at rest
+    grid = RadialGrid(2, 10.0, 200)
+    flow = flow_nonlinearity(nl)
+    u0 = GridFunction.sample(grid, lambda r: 0.8 * np.exp(-r**2))
+    zero = GridFunction.zeros(grid)
+    want, _ = _record(grid, u0.values, zero.values, 0.0, flow, 1.0, outer_zone(grid))
+    assert want.energy == want.action
+    packed = varkg.evolution._PACKED_RECORD.pack(*want)
+    for traj in (evolve(u0, zero, nl, t_max=0.5, m_ref=1.0),
+                 *evolve([u0, u0], [zero, zero], nl, t_max=0.5, m_ref=1.0)):
+        assert traj.packed_records[:len(packed)] == packed
