@@ -67,7 +67,6 @@ from .paths import (
     build_path,
     default_trial_family,
     exponent_region,
-    family_action,
     mountain_pass_estimate,
     project_to_constraint,
     rescale,

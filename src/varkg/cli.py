@@ -46,7 +46,6 @@ from .model import (
 from .paths import (
     _MadeOnRead,
     _bumped,
-    _path_through,
     build_path,
     default_trial_family,
     exponent_region,
@@ -227,8 +226,8 @@ def _cmd_path(cfg):
     v = load_profile(cfg.profile)
     nl = PowerKG(cfg.p, cfg.omega)
     se = ScalingExponents(cfg.alpha, cfg.beta)
-    lam_star, _, m = project_to_constraint(v, nl, se)
-    path = _path_through(m, se)  # on the projection's moments, exact where the grid is not
+    lam_star, _, m = project_to_constraint(moments(v, nl), se)
+    path = build_path(m, se)  # on the projection's moments, exact where the grid is not
     _write_csv(os.path.join(cfg.outdir, "path.csv"), ["t", "action"],
                zip(path.t, path.action_values))
     _write_json(os.path.join(cfg.outdir, "path.json"), {
@@ -283,7 +282,7 @@ def _cmd_verify_theorem2(cfg):
     m_ref = gs.level
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
     report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
-    path = build_path(gs.profile, gs.nonlinearity, se)
+    path = build_path(moments(gs.profile, gs.nonlinearity), se)
     path_ok = path.admissible and abs(path.max_action - m_ref) <= cfg.tol * m_ref
     passed = report.passed and path_ok
     _write_csv(os.path.join(cfg.outdir, "theorem2_members.csv"),
@@ -407,9 +406,9 @@ def _cmd_selftest(cfg):
     check("P(phi)", phi.potential(), -2.0 / 3.0, 1e-4)
     check("K(phi)", phi.nehari(), 0.0, 1e-4)
     check("pohozaev_residual(phi)", phi.pohozaev_residual(), 0.0, 1e-4)
-    path = build_path(gs.profile, nl, AMPLITUDE_RAY)
+    path = build_path(phi, AMPLITUDE_RAY)
     check("path max action", path.max_action, m, 1e-3)
-    lam_star, _, _ = project_to_constraint(gs.profile, nl, AMPLITUDE_RAY)
+    lam_star, _, _ = project_to_constraint(phi, AMPLITUDE_RAY)
     check("projection idempotence", lam_star, 1.0, 1e-6)
     passed = all(checks)
     print(f"selftest: {'PASS' if passed else 'FAIL'} ({sum(checks)}/{len(checks)})")

@@ -395,7 +395,10 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     units (see _units), so its flag is their membership in the invariant set
     of the finite level m_ref (None: no level, every flag False).  Later
     records are taken on the leapfrog's rows, U = s u and V = sv v, and
-    divide their sums by the units (see _record).
+    divide their sums by the units (see _record).  A run needs its first
+    record, so an overflow there refuses the call, alone or in a batch,
+    with NumericalOverflow naming the pair ("initial pair i: ..."); an
+    overflow in a later record ends that run NonFinite.
 
     u0 and v0 are one pair of GridFunctions, which gives one Trajectory, or
     equal-length sequences of them on one grid, which give a list with one
@@ -454,7 +457,10 @@ def evolve(u0: GridFunction | Sequence[GridFunction], v0: GridFunction | Sequenc
     with np.errstate(over="ignore", invalid="ignore"):
         h1_init, share_init = [], []
         for i in range(rows):
-            rec, share = _record(grid, u[0][i], v[0][i], 0.0, flow, m_ref, outer)
+            try:
+                rec, share = _record(grid, u[0][i], v[0][i], 0.0, flow, m_ref, outer)
+            except NumericalOverflow as err:  # nothing marched yet: refuse the call
+                raise NumericalOverflow(f"initial pair {i}: {err}") from err
             records[i] += _PACKED_RECORD.pack(*rec)
             h1_init.append(rec.h1_norm)
             share_init.append(share)

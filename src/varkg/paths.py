@@ -3,11 +3,12 @@
 The central object is the two-parameter rescaling v_lambda = lambda^alpha
 v(lambda^beta x).  Every functional is a linear form in the moments of
 model.Moments, and along a ray each moment is a power of lambda, so
-projections, sweeps and paths take v's moments once and price every
-v_lambda exactly on that algebra (Moments.scaled).  A profile is
-resampled (rescale) only to be handed out, by project_to_constraint, and
-no moments are taken of it.  The region of a pair (classify_exponents)
-picks the projection ray and the mountain-pass path.
+projections and paths take v's moments and price every v_lambda exactly
+on that algebra (Moments.scaled); the sweeps take each member's moments
+once.  No profile is resampled to be measured: rescale makes v_lambda
+for a caller who wants the profile, and the stock trial family's width
+members.  The region of a pair (classify_exponents) picks the projection
+ray and the mountain-pass path.
 """
 
 from __future__ import annotations
@@ -110,13 +111,6 @@ def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
     return GridFunction._adopt(grid, new_vals)
 
 
-def family_action(v: GridFunction, nl: PowerKG, se: ScalingExponents, lam: float) -> float:
-    """S(v_lambda) on the scaling algebra; lam = 0 gives the zero function, hence 0."""
-    if lam == 0.0:
-        return 0.0
-    return moments(v, nl).scaled(lam, se).action()
-
-
 def _sign_change(samples) -> tuple[int, int] | None:
     """Indices (i, j) of the first pair of consecutive finite nonzero
     samples with opposite signs, or None.
@@ -135,10 +129,29 @@ def _sign_change(samples) -> tuple[int, int] | None:
     return int(nonzero[flips[0]]), int(nonzero[flips[0] + 1])
 
 
-def _project(base: Moments, se: ScalingExponents, ray: ScalingExponents | None = None
-             ) -> tuple[float, ScalingExponents, Moments]:
-    """lambda*, the ray and the moments of the projection of a profile whose
-    moments are base, on the scaling algebra; see project_to_constraint."""
+def project_to_constraint(base: Moments, se: ScalingExponents,
+                          ray: ScalingExponents | None = None
+                          ) -> tuple[float, ScalingExponents, Moments]:
+    """Root lambda* of lambda -> K_{alpha,beta}(v_lambda) along a scaling
+    ray, the ray, and the moments of the projection of the profile v whose
+    moments are base.  No profile is made: rescale(v, lambda*, ray) is the
+    projected profile for a caller who wants it.
+
+    The region picks the ray: an interior pair is projected along its own
+    ray, a limit pair by amplitude (AMPLITUDE_RAY), because its own ray
+    leaves K's sign unchanged, and an invalid pair raises WrongRegion.  An
+    explicit ray overrides that choice.  The root is found on the scaling
+    algebra of base (Moments.scaled).  Along the amplitude ray it is
+    Moments.amplitude_root, whatever its magnitude; NoRoot unless positive
+    and finite.  Along any other ray a scan over SCAN_LAMBDAS (1e-4 to 1e4)
+    brackets it between two finite nodes and one Brent solve finds it;
+    exact zeros of K are never roots by themselves, so NoRoot means the
+    nonzero samples of K show no sign change.  The moments returned, base
+    scaled to lambda*, must be finite (else NumericalOverflow) and satisfy
+    |K| <= PROJECTION_TOL ||.||_H1^2 (else ConvergenceError).  K is linear
+    in (alpha, beta), so a pair below 1/2 in both components is lifted by
+    a power of two (exact) first: subnormal exponents leave K no precision.
+    """
     if ray is None:
         ray = se if exponent_region(se, base.nl, base.dimension) == INTERIOR else AMPLITUDE_RAY
     if base.h1 == 0.0:
@@ -172,38 +185,6 @@ def _project(base: Moments, se: ScalingExponents, ray: ScalingExponents | None =
         raise ConvergenceError(
             f"projection residual {residual:.3e} exceeds {PROJECTION_TOL:.0e} * its H1 norm")
     return lam_star, ray, m
-
-
-def project_to_constraint(v: GridFunction, nl: PowerKG, se: ScalingExponents,
-                          ray: ScalingExponents | None = None
-                          ) -> tuple[float, GridFunction, Moments]:
-    """Root lambda* of lambda -> K_{alpha,beta}(v_lambda) along a scaling
-    ray, the projected profile, and the moments of the projection.
-
-    The region picks the ray: an interior pair is projected along its own
-    ray, a limit pair by amplitude (AMPLITUDE_RAY), because its own ray
-    leaves K's sign unchanged, and an invalid pair raises WrongRegion.  An
-    explicit ray overrides that choice.  The root is found on the scaling
-    algebra of v's moments (Moments.scaled).  Along the amplitude ray it is
-    Moments.amplitude_root, whatever its magnitude; NoRoot unless positive
-    and finite.  Along any other ray a scan over SCAN_LAMBDAS (1e-4 to 1e4)
-    brackets it between two finite nodes and one Brent solve finds it;
-    exact zeros of K are never roots by themselves, so NoRoot means the
-    nonzero samples of K show no sign change.  The moments returned, v's
-    scaled to lambda*, must be finite (else NumericalOverflow) and satisfy
-    |K| <= PROJECTION_TOL ||.||_H1^2 (else ConvergenceError).  K is linear
-    in (alpha, beta), so a pair below 1/2 in both components is lifted by
-    a power of two (exact) first: subnormal exponents leave K no precision.
-
-    The profile is v resampled once at lambda* (rescale; TruncationOverflow
-    when it spills past R); no moments are taken of it.  By amplitude it
-    is v's values times lambda* and its moments match the returned ones to
-    roundoff; along a ray that compresses v to a few nodes per width they
-    miss them, and only the returned moments are exact for v_lambda*.  The
-    sweeps project every member here and read only lambda* and the moments.
-    """
-    lam_star, ray, m = _project(moments(v, nl), se, ray)
-    return lam_star, rescale(v, lam_star, ray), m
 
 
 # -- mountain-pass paths ------------------------------------------------------
@@ -363,20 +344,15 @@ def _glued_path(base: Moments, se: ScalingExponents):
     return evaluate, ts, (t_a, t_b) if three else (t_a,)
 
 
-def build_path(v: GridFunction, nl: PowerKG, se: ScalingExponents) -> PathSample:
-    """A mountain-pass path through v, which must lie on K_{alpha,beta} = 0.
+def build_path(base: Moments, se: ScalingExponents) -> PathSample:
+    """A mountain-pass path through the profile whose moments are base,
+    which must lie on K_{alpha,beta} = 0.
 
     The region picks the path: the ray path of an interior pair, the glued
     path of a limit pair; an invalid pair raises WrongRegion.  Every sample
-    is priced on the scaling algebra of v's moments and the samples are
-    refined around the maximum.
+    is priced on the scaling algebra of base and the samples are refined
+    around the maximum.
     """
-    return _path_through(moments(v, nl), se)
-
-
-def _path_through(base: Moments, se: ScalingExponents) -> PathSample:
-    """build_path of the profile whose moments are base; the path command
-    passes the moments of a projection."""
     region = exponent_region(se, base.nl, base.dimension)
     residual = base.constraint(se)
     if abs(residual) > CONSTRAINT_TOL * base.h1:
@@ -547,8 +523,8 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
         if region is None:
             region = exponent_region(se, nl, trial.grid.dimension)
         try:
-            lam_star, _, m = project_to_constraint(trial, nl, se)
-        except (NoRoot, TruncationOverflow, ConvergenceError, InvalidInput) as err:
+            lam_star, _, m = project_to_constraint(moments(trial, nl), se)
+        except (NoRoot, ConvergenceError, InvalidInput) as err:
             failures.append((i, type(err).__name__))
             lambdas.append(None)
             actions.append(None)
@@ -615,10 +591,10 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
             m = None
         elif p_val > band:
             try:
-                if trial.grid.dimension != 2:
+                if m.dimension != 2:
                     raise Unsupported("P = -K_{0,-1}/2 holds in dimension 2 only")
-                lam0, _, m = project_to_constraint(trial, nl, P_ZERO, ray=L2_RAY)
-            except (Unsupported, NoRoot, ConvergenceError, TruncationOverflow) as err:
+                lam0, _, m = project_to_constraint(m, P_ZERO, ray=L2_RAY)
+            except (Unsupported, NoRoot, ConvergenceError) as err:
                 failures.append((i, type(err).__name__))
                 m = None
         lambdas.append(lam0)

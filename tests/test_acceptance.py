@@ -151,7 +151,7 @@ def test_acceptance_4_limit_paths(townes, nl3):
         for alpha, beta in ((1.0, 1.0), (0.0, -1.0)):
             assert classify_exponents(alpha, beta, 3.0, 2) == "Limit"
             se = ScalingExponents(alpha, beta)
-            path = build_path(townes.profile, nl3, se)
+            path = build_path(moments(townes.profile, nl3), se)
             first = path.action_values[path.t <= path.segment_breaks[0]]
             rising = bool(np.all(np.diff(first) > 0.0))
             paths.append(path)
@@ -201,14 +201,14 @@ def test_acceptance_5_kinetic_equivalence(townes, nl3):
 def test_acceptance_6_mountain_pass_sandwich(townes, nl3):
     with Budget("mountain pass", 60.0) as budget:
         m = townes.level
+        base = moments(townes.profile, nl3)
         paths = []
         for alpha, beta in ((1.0, 0.0), (1.0, -1.0), (2.0, -1.0)):
             se = ScalingExponents(alpha, beta)
-            _, projected, _ = project_to_constraint(townes.profile, nl3, se)
-            paths.append(build_path(projected, nl3, se))
+            _, _, projected = project_to_constraint(base, se)
+            paths.append(build_path(projected, se))
         for alpha, beta in ((1.0, 1.0), (0.0, -1.0)):
-            se = ScalingExponents(alpha, beta)
-            paths.append(build_path(townes.profile, nl3, se))
+            paths.append(build_path(base, ScalingExponents(alpha, beta)))
         estimate = mountain_pass_estimate(paths)
         rel = abs(estimate - m) / m
     ok = rel <= 0.01 and budget.elapsed < 60.0

@@ -238,7 +238,7 @@ def test_path_prices_a_compressed_projection_on_its_moments(tmp_path, capsys):
                 "--outdir", str(out)]) == 0
     report = read_json(out / "path.json")
     nl, se = varkg.PowerKG(2.0), varkg.ScalingExponents(2.0, 0.9375)
-    lam_star, _, m = varkg.project_to_constraint(v, nl, se)
+    lam_star, _, m = varkg.project_to_constraint(varkg.moments(v, nl), se)
     assert report["region"] == "Interior" and report["lambda_star"] == lam_star
     assert abs(lam_star - 106.29) < 5e-3
     assert report["admissible"] is True
@@ -434,7 +434,8 @@ def test_evolve_in_steps_whose_units_underflow(tmax, tmp_path, capsys):
     ("--mu", "inf", "InvalidParameter", "mu must be positive and finite"),
     ("--mu", "1e-320", "InvalidParameter", "the grid does not resolve mu = 1e-320"),
     ("--lambda", "1e308", "NumericalOverflow", "lambda = 1e+308"),  # lambda * phi overflows
-    ("--lambda", "1e100", "NumericalOverflow", "the potential moment"),  # the first record's |u|^4 does
+    ("--lambda", "1e100", "NumericalOverflow",
+     "initial pair 0: the potential moment"),  # the first record's |u|^4 does
 ])
 def test_evolve_refuses_bad_lambda_and_mu_in_one_line(tmp_path, flag, value, error, says):
     # in a fresh process, whose stderr also shows any RuntimeWarning

@@ -271,6 +271,19 @@ def test_batch_rows_are_their_solo_runs_in_their_units(p):
         assert traj == evolve(u, v, nl, t_max=5.0)
 
 
+def test_first_record_overflow_refuses_the_batch_naming_the_pair():
+    # at p = 5 |u|^6 of the 1e70 row overflows before anything is marched:
+    # the call is refused and the message names the pair, in a batch as alone
+    u0, v0, _ = mixed_batch()
+    nl = PowerKG(5.0)
+    with pytest.raises(NumericalOverflow, match="^initial pair 0: the potential moment"):
+        evolve(u0, v0, nl, t_max=5.0)
+    with pytest.raises(NumericalOverflow, match="^initial pair 2: "):
+        evolve(u0[1:3] + u0[:1], v0[1:3] + v0[:1], nl, t_max=5.0)
+    with pytest.raises(NumericalOverflow, match="^initial pair 0: "):
+        evolve(u0[0], v0[0], nl, t_max=5.0)
+
+
 def test_trajectories_compare_bit_for_bit(nl3):
     # records, termination, m_ref and final_u, each bit for bit; == on the
     # arrays themselves would raise ValueError

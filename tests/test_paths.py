@@ -38,7 +38,6 @@ from varkg import (
     classify_exponents,
     closed_form_1d,
     default_trial_family,
-    family_action,
     moments,
     mountain_pass_estimate,
     project_to_constraint,
@@ -48,7 +47,7 @@ from varkg import (
 )
 from test_acceptance import INTERIOR_PAIRS
 from varkg.model import ray_exponents
-from varkg.paths import PROJECTION_TOL, SCAN_LAMBDAS, _project, _sign_change
+from varkg.paths import PROJECTION_TOL, SCAN_LAMBDAS, _sign_change
 from varkg.radial_core import brent
 
 WIDTH_RAY = ScalingExponents(0.0, 1.0)
@@ -91,42 +90,45 @@ def test_rescale_guards(townes):
 
 def test_action_along_amplitude_ray(phi_1d, nl3):
     # S(lambda phi) = (8/3) lambda^2 - (4/3) lambda^4 on the line
-    v = phi_1d.profile
+    base = moments(phi_1d.profile, nl3)
     expected = {0.5: 8.0 / 3.0 * 0.25 - 4.0 / 3.0 * 0.0625,
                 1.0: 4.0 / 3.0,
                 2.0: -32.0 / 3.0}
     for lam, s in expected.items():
-        assert np.isclose(family_action(v, nl3, AMPLITUDE_RAY, lam), s, rtol=0, atol=1e-4)
-    assert family_action(v, nl3, AMPLITUDE_RAY, 0.0) == 0.0
+        assert np.isclose(base.scaled(lam, AMPLITUDE_RAY).action(), s, rtol=0, atol=1e-4)
+    assert base.scaled(0.0, AMPLITUDE_RAY).action() == 0.0
 
 
 def test_action_profile_of_zero(nl3, grid_1d):
-    zero = GridFunction.zeros(grid_1d)
-    assert all(family_action(zero, nl3, AMPLITUDE_RAY, lam) == 0.0 for lam in (0.5, 1.0, 2.0))
+    zero = moments(GridFunction.zeros(grid_1d), nl3)
+    assert all(zero.scaled(lam, AMPLITUDE_RAY).action() == 0.0 for lam in (0.5, 1.0, 2.0))
 
 
 def test_flat_critical_ray(townes, nl3):
     # lambda v(lambda x) leaves S nearly constant at the 2d ground state
     m = townes.level
     se = ScalingExponents(1.0, 1.0)
+    base = moments(townes.profile, nl3)
     for lam in (0.5, 1.0, 2.0):
-        assert np.isclose(family_action(townes.profile, nl3, se, lam), m, rtol=1e-2)
+        assert np.isclose(base.scaled(lam, se).action(), m, rtol=1e-2)
 
 
 def test_projection_examples(grid_1d, phi_1d, nl3):
     sech = GridFunction(grid_1d, 1.0 / np.cosh(grid_1d.r))
-    lam, w, _ = project_to_constraint(sech, nl3, AMPLITUDE_RAY)
+    lam, ray, _ = project_to_constraint(moments(sech, nl3), AMPLITUDE_RAY)
     assert np.isclose(lam, math.sqrt(2.0), rtol=0, atol=1e-6)
+    w = rescale(sech, lam, ray)
     assert np.isclose(moments(w, nl3).action(), 4.0 / 3.0, rtol=0, atol=1e-4)
     lam3, _, _ = project_to_constraint(
-        GridFunction(grid_1d, 3.0 * phi_1d.profile.values), nl3, AMPLITUDE_RAY)
+        moments(GridFunction(grid_1d, 3.0 * phi_1d.profile.values), nl3), AMPLITUDE_RAY)
     assert np.isclose(lam3, 1.0 / 3.0, rtol=0, atol=1e-6)
 
 
 def test_projection_idempotent(grid_1d, nl3):
     sech = GridFunction(grid_1d, 1.0 / np.cosh(grid_1d.r))
-    _, w, _ = project_to_constraint(sech, nl3, AMPLITUDE_RAY)
-    lam_again, _, _ = project_to_constraint(w, nl3, AMPLITUDE_RAY)
+    lam, ray, _ = project_to_constraint(moments(sech, nl3), AMPLITUDE_RAY)
+    w = rescale(sech, lam, ray)
+    lam_again, _, _ = project_to_constraint(moments(w, nl3), AMPLITUDE_RAY)
     assert np.isclose(lam_again, 1.0, rtol=0, atol=1e-6)
 
 
@@ -137,9 +139,9 @@ def test_projection_no_root(townes, nl3):
     gauss = GridFunction(g, vals)
     se = ScalingExponents(1.0, 1.0)
     with pytest.raises(NoRoot):
-        project_to_constraint(gauss, nl3, se, ray=se)
+        project_to_constraint(moments(gauss, nl3), se, ray=se)
     with pytest.raises(InvalidInput):
-        project_to_constraint(GridFunction.zeros(g), nl3, AMPLITUDE_RAY)
+        project_to_constraint(moments(GridFunction.zeros(g), nl3), AMPLITUDE_RAY)
 
 
 def _gaussian(dimension):
@@ -172,16 +174,17 @@ def _root_shift(m, se, miss):
 @pytest.mark.parametrize("pair", [(1.0, 0.0), (2.0, 1.0)], ids=["amplitude", "interior"])
 def test_reprojection_returns_unity(dimension, pair, nl3):
     # on the algebra the projection's moments re-project to 1 to roundoff.
-    # The profile handed out is resampled, so its moments miss the
+    # The profile resampled at lambda* has moments that miss the
     # projection's by its resolution error (5e-5 to 3e-4 along (2, 1),
     # roundoff by amplitude), and its own root moves by what that miss can move
-    se = ScalingExponents(*pair)
-    _, w, m = project_to_constraint(_gaussian(dimension), nl3, se)
-    assert abs(_project(m, se)[0] - 1.0) <= _roundoff(nl3.p)
-    got = moments(w, nl3)
+    se, v = ScalingExponents(*pair), _gaussian(dimension)
+    lam, ray, m = project_to_constraint(moments(v, nl3), se)
+    assert abs(project_to_constraint(m, se)[0] - 1.0) <= _roundoff(nl3.p)
+    got = moments(rescale(v, lam, ray), nl3)
     miss = max(abs(g - e) / e for g, e in zip(got[:3], m[:3]))
     assert miss <= (1e-15 if pair == (1.0, 0.0) else 1e-3)
-    assert abs(_project(got, se)[0] - 1.0) <= 2.0 * _root_shift(m, se, miss) + _roundoff(nl3.p)
+    assert (abs(project_to_constraint(got, se)[0] - 1.0)
+            <= 2.0 * _root_shift(m, se, miss) + _roundoff(nl3.p))
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,10 +199,10 @@ def test_projection_idempotent_along_the_region_ray(case):
     assume(classify_exponents(alpha, beta, p, n) != INVALID)
     nl, se = PowerKG(p), ScalingExponents(alpha, beta)
     try:
-        _, _, m = _project(moments(_gaussian(n), nl), se)
+        _, _, m = project_to_constraint(moments(_gaussian(n), nl), se)
     except NoRoot:
         assume(False)
-    lam_again, _, again = _project(m, se)
+    lam_again, _, again = project_to_constraint(m, se)
     assert abs(lam_again - 1.0) <= _roundoff(p)
     assert abs(again.constraint(se)) <= PROJECTION_TOL * again.h1
 
@@ -213,9 +216,9 @@ def test_projection_of_a_projection_is_itself():
     v = _gaussian(1)
     report = verify_min_on_constraint([v], nl, se, 1.0)
     assert report.failures == () and abs(report.lambdas[0] - 106.29) < 5e-3
-    lam, _, m = project_to_constraint(v, nl, se)
+    lam, _, m = project_to_constraint(moments(v, nl), se)
     assert lam == report.lambdas[0] and m.action() == report.actions[0]
-    lam_again, _, m_again = _project(m, se)
+    lam_again, _, m_again = project_to_constraint(m, se)
     assert abs(lam_again - 1.0) <= _roundoff(nl.p)
     assert np.allclose(m_again[:3], m[:3], rtol=1e-13, atol=0)
 
@@ -224,9 +227,9 @@ def test_subnormal_pair_is_lifted_before_projecting():
     # K_{-0,-5e-324} is K_{0,-1} times 5e-324, and the lift to (-0, -1/2)
     # is exact: by amplitude both roots are the same float, near 9/4
     # (p = 2, N = 2); unlifted, K kept no precision
-    nl, v = PowerKG(2.0), _gaussian(2)
-    lam, _, _ = project_to_constraint(v, nl, ScalingExponents(-0.0, -5e-324))
-    lam_unit, _, _ = project_to_constraint(v, nl, ScalingExponents(0.0, -1.0))
+    base = moments(_gaussian(2), PowerKG(2.0))
+    lam, _, _ = project_to_constraint(base, ScalingExponents(-0.0, -5e-324))
+    lam_unit, _, _ = project_to_constraint(base, ScalingExponents(0.0, -1.0))
     assert lam == lam_unit
     assert np.isclose(lam, 9.0 / 4.0, rtol=1e-4, atol=0)
 
@@ -236,9 +239,9 @@ def test_amplitude_roots_beyond_the_scan_window(amp, nl3):
     # the Nehari root of amp exp(-r^2) is 1.68 / amp, outside the
     # [1e-4, 1e4] window of SCAN_LAMBDAS, which only the other rays scan
     v = GridFunction.sample(RadialGrid(1, 20.0, 4000), lambda r: amp * np.exp(-r**2))
-    lam, w, _ = project_to_constraint(v, nl3, AMPLITUDE_RAY)
+    lam, ray, _ = project_to_constraint(moments(v, nl3), AMPLITUDE_RAY)
     assert np.isclose(lam * amp, 1.6817823194445765, rtol=1e-12, atol=0)
-    m = moments(w, nl3)
+    m = moments(rescale(v, lam, ray), nl3)
     assert abs(m.nehari()) <= PROJECTION_TOL * m.h1
 
 
@@ -299,12 +302,12 @@ def test_amplitude_root_without_a_sign_change(nl3):
     with pytest.raises(NoRoot):
         moments(v, nl3).amplitude_root(se)
     with pytest.raises(NoRoot):
-        project_to_constraint(v, nl3, se, ray=AMPLITUDE_RAY)
+        project_to_constraint(moments(v, nl3), se, ray=AMPLITUDE_RAY)
 
 
-def test_amplitude_sweep_resamples_each_member_once(nl3, monkeypatch):
-    # along the amplitude ray the root is in closed form: the projection
-    # resamples once, for the projected profile, and solves nothing
+def test_amplitude_sweep_resamples_no_member_and_solves_nothing(nl3, monkeypatch):
+    # along the amplitude ray the root is in closed form, and a projection
+    # takes moments: the sweep makes no profile and solves nothing
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 25.0, 2000))
     # made before the count starts: a width member is made by rescale
     trials = list(default_trial_family(gs, count=9, seed=0))
@@ -321,7 +324,7 @@ def test_amplitude_sweep_resamples_each_member_once(nl3, monkeypatch):
     monkeypatch.setattr("varkg.paths.brent", no_brent)
     report = verify_min_on_constraint(trials, nl3, AMPLITUDE_RAY, gs.level)
     assert report.passed and report.failures == ()
-    assert resampled == [AMPLITUDE_RAY] * len(trials)
+    assert resampled == []
 
 
 def test_sign_change_skips_non_finite_samples():
@@ -335,7 +338,8 @@ def test_overflowing_scan_nodes_warn_nothing(townes, nl3):
     # far scan nodes; those nodes are skipped without a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lam, _, m = project_to_constraint(townes.profile, nl3, ScalingExponents(100.0, 1.0))
+        lam, _, m = project_to_constraint(moments(townes.profile, nl3),
+                                          ScalingExponents(100.0, 1.0))
     assert abs(m.constraint(ScalingExponents(100.0, 1.0))) <= PROJECTION_TOL * m.h1
 
 
@@ -344,7 +348,7 @@ def test_projection_whose_moments_overflow_raises_a_typed_error():
     # finite, but its square times ||grad v||^2 is past the float range
     nl, v = PowerKG(1.001), _gaussian(1)
     assert moments(v, nl).amplitude_root(AMPLITUDE_RAY) > 1e301
-    for entry in (lambda: project_to_constraint(v, nl, AMPLITUDE_RAY),
+    for entry in (lambda: project_to_constraint(moments(v, nl), AMPLITUDE_RAY),
                   lambda: verify_min_on_constraint([v], nl, AMPLITUDE_RAY, 1.0)):
         with pytest.raises(NumericalOverflow, match="float range"):
             entry()
@@ -354,34 +358,35 @@ def test_projection_residual_is_relative_to_the_projected_profile():
     # the root lies at amplitude 156^2, so |K| there is roundoff of the
     # projected profile's norm (1.5e9), not of the input's (2.5)
     nl, se = PowerKG(1.0703125), ScalingExponents(2.0, 0.0)
-    lam, w, _ = project_to_constraint(_gaussian(1), nl, se)
-    m = moments(w, nl)
+    v = _gaussian(1)
+    lam, ray, _ = project_to_constraint(moments(v, nl), se)
+    m = moments(rescale(v, lam, ray), nl)
     assert lam > 100.0
     assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
 
 
 def test_limit_pair_projects_by_amplitude(nl3):
-    v = _gaussian(2)
+    base = moments(_gaussian(2), nl3)
     se = ScalingExponents(1.0, 1.0)
-    lam, w, _ = project_to_constraint(v, nl3, se)
-    lam_amp, w_amp, _ = project_to_constraint(v, nl3, se, ray=AMPLITUDE_RAY)
-    assert lam == lam_amp
-    assert np.array_equal(w.values, w_amp.values)
+    lam, ray, m = project_to_constraint(base, se)
+    assert ray == AMPLITUDE_RAY
+    assert (lam, ray, m) == project_to_constraint(base, se, ray=AMPLITUDE_RAY)
 
 
 def test_invalid_pair_raises_wrong_region(townes, nl3):
     se = ScalingExponents(1.0, 2.0)
     with pytest.raises(WrongRegion):
-        project_to_constraint(townes.profile, nl3, se)
+        project_to_constraint(moments(townes.profile, nl3), se)
     with pytest.raises(WrongRegion):
-        build_path(townes.profile, nl3, se)
+        build_path(moments(townes.profile, nl3), se)
     with pytest.raises(WrongRegion, match="not an admissible exponent pair"):
         verify_min_on_constraint([townes.profile], nl3, se, 1.0)
 
 
 def test_build_path_picks_the_path_from_the_region(townes, nl3):
-    assert build_path(townes.profile, nl3, AMPLITUDE_RAY).segment_breaks == ()
-    assert build_path(townes.profile, nl3, ScalingExponents(1.0, 1.0)).segment_breaks != ()
+    base = moments(townes.profile, nl3)
+    assert build_path(base, AMPLITUDE_RAY).segment_breaks == ()
+    assert build_path(base, ScalingExponents(1.0, 1.0)).segment_breaks != ()
 
 
 def _general_g_profile():
@@ -393,12 +398,12 @@ def _general_g_profile():
 
 
 @pytest.mark.parametrize("entry", [
-    lambda v: project_to_constraint(v, CUBIC_QUINTIC, AMPLITUDE_RAY),
-    lambda v: project_to_constraint(v, CUBIC_QUINTIC, AMPLITUDE_RAY, ray=AMPLITUDE_RAY),
+    lambda v: project_to_constraint(moments(v, CUBIC_QUINTIC), AMPLITUDE_RAY),
+    lambda v: project_to_constraint(moments(v, CUBIC_QUINTIC), AMPLITUDE_RAY, ray=AMPLITUDE_RAY),
     lambda v: verify_min_on_constraint([v], CUBIC_QUINTIC, AMPLITUDE_RAY, 1.0),
-    lambda v: build_path(v, CUBIC_QUINTIC, AMPLITUDE_RAY),
-    lambda v: build_path(v, CUBIC_QUINTIC, ScalingExponents(1.0, 1.0)),
-    lambda v: family_action(v, CUBIC_QUINTIC, ScalingExponents(1.0, 1.0), 0.01),
+    lambda v: build_path(moments(v, CUBIC_QUINTIC), AMPLITUDE_RAY),
+    lambda v: build_path(moments(v, CUBIC_QUINTIC), ScalingExponents(1.0, 1.0)),
+    lambda v: moments(v, CUBIC_QUINTIC).scaled(0.01, ScalingExponents(1.0, 1.0)).action(),
 ], ids=["project", "project-explicit-ray", "minimization", "interior-path",
         "limit-path", "family-action-past-R"])
 def test_general_nonlinearity_is_unsupported(entry):
@@ -432,13 +437,13 @@ def test_projection_finds_the_algebra_root_beside_a_scan_node(nl3):
     base = moments(v, nl3)
     lam_alg = brentq(lambda lam: base.scaled(lam, se).constraint(se), 1e-3, 1e3,
                      xtol=1e-14, rtol=8.9e-16)
-    lam_star, w, m = project_to_constraint(v, nl3, se)
+    lam_star, ray, m = project_to_constraint(base, se)
     assert abs(lam_star - lam_alg) <= 2e-14 + 2 * 8.9e-16 * lam_alg
     nodes = np.geomspace(1e-4, 1e4, 321)
     assert abs(nodes[np.searchsorted(nodes, lam_star) - 1] - 2.2387) < 1e-4
     assert abs(m.constraint(se)) <= PROJECTION_TOL * m.h1
-    # the profile handed out is resolved: its moments miss by under 1%
-    got = moments(w, nl3)
+    # the profile resampled at lambda* is resolved: its moments miss by under 1%
+    got = moments(rescale(v, lam_star, ray), nl3)
     assert max(abs(g - e) / e for g, e in zip(got[:2], m[:2])) <= 1e-2
 
 
@@ -446,9 +451,9 @@ def test_reprojection_on_limit_ray_has_no_root(nl3):
     # along the pair's own ray K(v_lambda) = lambda^2 K(v), and K(v) is zero
     # up to roundoff: zero samples with no sign change are not a root
     se = ScalingExponents(1.0, 1.0)
-    _, w, _ = project_to_constraint(_gaussian(2), nl3, se, ray=AMPLITUDE_RAY)
+    _, _, m = project_to_constraint(moments(_gaussian(2), nl3), se, ray=AMPLITUDE_RAY)
     with pytest.raises(NoRoot):
-        project_to_constraint(w, nl3, se, ray=se)
+        project_to_constraint(m, se, ray=se)
 
 
 def test_limit_sweep_projects_members_on_the_constraint(nl3):
@@ -464,16 +469,18 @@ def test_interior_sweep_places_members_at_the_algebra_root(townes, nl3):
     # acceptance test 3's family; along (1, 0.9) members 21-22 are compressed
     # past the grid's resolution, where a root of the resampled profile's
     # moments lies far from the algebra's (at 41.7 and 50.6).  Members 1-2,
-    # widened, project to profiles that spill past R and are not placed
+    # widened, project to profiles that would spill past R; no profile is
+    # made, so they are placed too
     m = townes.level
     family = default_trial_family(townes, count=50, seed=0)
     reports = {pair: verify_min_on_constraint(family, nl3, ScalingExponents(*pair), m)
                for pair in INTERIOR_PAIRS}
     assert all(rep.min_action >= m for rep in reports.values())
-    assert {pair: rep.failures for pair, rep in reports.items() if rep.failures} == {
-        (1.0, 0.9): ((1, "TruncationOverflow"), (2, "TruncationOverflow"))}
-    lambdas = reports[(1.0, 0.9)].lambdas
-    assert abs(lambdas[21] - 104.108) < 1e-3 and abs(lambdas[22] - 190.180) < 1e-3
+    assert all(rep.failures == () for rep in reports.values())
+    report = reports[(1.0, 0.9)]
+    assert abs(report.lambdas[1] - 0.355221) < 1e-6 and abs(report.lambdas[2] - 0.363986) < 1e-6
+    assert abs(report.actions[1] - 17.3637) < 1e-4 and abs(report.actions[2] - 15.4777) < 1e-4
+    assert abs(report.lambdas[21] - 104.108) < 1e-3 and abs(report.lambdas[22] - 190.180) < 1e-3
 
 
 def test_p_zero_projection_scaling(townes, nl3):
@@ -490,7 +497,7 @@ def test_p_zero_projection_scaling(townes, nl3):
 
 
 def test_interior_path_on_the_line(phi_1d, nl3):
-    path = build_path(phi_1d.profile, nl3, AMPLITUDE_RAY)
+    path = build_path(moments(phi_1d.profile, nl3), AMPLITUDE_RAY)
     assert path.admissible
     assert np.isclose(path.max_action, 4.0 / 3.0, rtol=0, atol=1e-3)
     assert path.action_values[-1] <= -10.0
@@ -499,26 +506,26 @@ def test_interior_path_on_the_line(phi_1d, nl3):
 
 def test_interior_path_negative_beta(townes, nl3):
     m = townes.level
-    path = build_path(townes.profile, nl3, ScalingExponents(1.0, -1.0))
+    path = build_path(moments(townes.profile, nl3), ScalingExponents(1.0, -1.0))
     assert path.admissible
     assert np.isclose(path.max_action, m, rtol=0, atol=1e-2 * m)
 
 
 def test_interior_path_guards(phi_1d, townes, nl3, ground_n3):
     with pytest.raises(WrongRegion):
-        build_path(townes.profile, nl3, ScalingExponents(1.0, 2.0))
+        build_path(moments(townes.profile, nl3), ScalingExponents(1.0, 2.0))
     off = GridFunction(phi_1d.grid, 2.0 * phi_1d.profile.values)
     with pytest.raises(NotOnConstraint):
-        build_path(off, nl3, AMPLITUDE_RAY)
+        build_path(moments(off, nl3), AMPLITUDE_RAY)
     # interior pair whose ray action grows without bound
     with pytest.raises(NoNegativeEndpoint):
-        build_path(ground_n3.profile, nl3, ScalingExponents(-0.4, -1.0))
+        build_path(moments(ground_n3.profile, nl3), ScalingExponents(-0.4, -1.0))
 
 
 def test_limit_paths(townes, nl3):
     m = townes.level
     for alpha, beta in ((1.0, 1.0), (0.0, -1.0)):
-        path = build_path(townes.profile, nl3, ScalingExponents(alpha, beta))
+        path = build_path(moments(townes.profile, nl3), ScalingExponents(alpha, beta))
         assert path.admissible
         assert np.isclose(path.max_action, m, rtol=0, atol=0.05)
         assert len(path.segment_breaks) in (1, 2)
@@ -531,10 +538,10 @@ def test_glued_path_of_the_zero_function_fails(townes, nl3):
     # the zero function lies on every constraint, and its Nehari value is
     # 0 at every lambda, so no first segment rises; a nonzero v's value
     # tends to a positive moment as lambda -> 0
-    zero = GridFunction.zeros(townes.grid)
+    zero = moments(GridFunction.zeros(townes.grid), nl3)
     for pair in ((1.0, 1.0), (0.0, -1.0)):
         with pytest.raises(GluingFailed, match="40 halvings"):
-            build_path(zero, nl3, ScalingExponents(*pair))
+            build_path(zero, ScalingExponents(*pair))
 
 
 def test_path_sample_validation():
@@ -554,7 +561,8 @@ def test_path_sample_validation():
 
 
 def test_mountain_pass_estimate_on_line(phi_1d, nl3):
-    paths = [build_path(phi_1d.profile, nl3, ScalingExponents(a, b))
+    base = moments(phi_1d.profile, nl3)
+    paths = [build_path(base, ScalingExponents(a, b))
              for a, b in ((1.0, 0.0), (2.0, 0.0), (1.0, -1.0))]
     assert np.isclose(mountain_pass_estimate(paths), 4.0 / 3.0,
                       rtol=0, atol=1e-3)
@@ -643,9 +651,9 @@ def test_kinetic_minimum_records_a_later_member_of_another_dimension(townes, phi
     assert report.lambdas == (None, None) and report.kinetics[1] is None
 
 
-def test_kinetic_minimum_takes_a_members_moments_twice_before_projecting(townes, nl3,
-                                                                           monkeypatch):
-    # once for its P band in the sweep, once as the projection's base moments
+def test_kinetic_minimum_takes_a_members_moments_once_before_projecting(townes, nl3,
+                                                                          monkeypatch):
+    # for its P band in the sweep, and the projection takes those moments
     member = GridFunction(townes.grid, 1.5 * townes.profile.values)
     counts = {"member moments": 0, "project_to_constraint": 0}
     moments_of, project = varkg.paths.moments, varkg.paths.project_to_constraint
@@ -662,7 +670,7 @@ def test_kinetic_minimum_takes_a_members_moments_twice_before_projecting(townes,
     monkeypatch.setattr(varkg.paths, "project_to_constraint", counted_project)
     report = verify_T_min_over_P([member], nl3, townes.level)
     assert report.failures == () and report.lambdas[0] < 1.0
-    assert counts == {"member moments": 2, "project_to_constraint": 1}
+    assert counts == {"member moments": 1, "project_to_constraint": 1}
 
 
 def test_default_trial_family(townes):
@@ -767,8 +775,8 @@ def test_sweeps_take_a_generator_of_trials(phi_1d, townes, nl3):
 
 
 def test_a_trial_that_cannot_be_made_raises_out_of_the_sweep(nl3):
-    # widening by 2 pushes mass past R = 14; TruncationOverflow from a
-    # projection is a member failure, from making the member it is not
+    # widening by 2 pushes mass past R = 14: making the member raises
+    # TruncationOverflow, which is not a member failure
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 14.0, 4000))
     family = default_trial_family(gs, count=9, seed=0)
     with pytest.raises(TruncationOverflow, match="lambda=0.5"):
@@ -792,15 +800,15 @@ def test_trial_family_sweep_holds_one_member_at_a_time(nl3):
 
 
 def test_amplitude_projection_peaks_at_three_rows(nl3):
-    # the projected profile and the two scratch rows of its moments: the
+    # the two scratch rows of its moments and no projected profile: the
     # two-pass moments and the copying constructor peaked at four
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 80.0, 16000))
     v = GridFunction(gs.grid, 1.3 * gs.profile.values)
-    project_to_constraint(v, nl3, AMPLITUDE_RAY)  # first-call imports
+    project_to_constraint(moments(v, nl3), AMPLITUDE_RAY)  # first-call imports
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        project_to_constraint(v, nl3, AMPLITUDE_RAY)
+        project_to_constraint(moments(v, nl3), AMPLITUDE_RAY)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -823,10 +831,12 @@ def test_sweeps_refuse_a_tolerance_that_is_not_positive_and_finite(townes, nl3, 
 
 
 def test_sweep_reads_each_member_from_its_projection(phi_1d, nl3, monkeypatch):
-    # an amplitude-ray member takes its moments once, inside its one
-    # projection, which scales them: the residual check and the report
-    # share the scaled moments, and the projected profile is not measured
-    calls = {"moments": 0, "project_to_constraint": 0}
+    # an amplitude-ray member takes its moments once and projects them
+    # once: the residual check and the report share the scaled moments.
+    # Only making a width member resamples (rescale), and no projection
+    # does, so the traced benchmark's one projection span per member
+    # costs no profile
+    calls = {"moments": 0, "project_to_constraint": 0, "rescale": 0}
 
     def counted(name):
         original = getattr(varkg.paths, name)
@@ -841,9 +851,10 @@ def test_sweep_reads_each_member_from_its_projection(phi_1d, nl3, monkeypatch):
         monkeypatch.setattr(varkg.paths, name, counted(name))
     report = verify_min_on_constraint(family, nl3, AMPLITUDE_RAY, phi_1d.level)
     assert report.failures == ()
-    assert calls == {"moments": len(family), "project_to_constraint": len(family)}
+    assert calls == {"moments": 9, "project_to_constraint": 9, "rescale": 4}
     monkeypatch.undo()
     for trial, lam, action in zip(family, report.lambdas, report.actions):
-        lam_star, w, m = project_to_constraint(trial, nl3, AMPLITUDE_RAY)
+        lam_star, ray, m = project_to_constraint(moments(trial, nl3), AMPLITUDE_RAY)
         assert lam_star == lam and m.action() == action
+        w = rescale(trial, lam_star, ray)
         assert np.allclose(moments(w, nl3)[:3], m[:3], rtol=1e-14, atol=0)

@@ -15,10 +15,11 @@ def _section(heading: str) -> str:
         return fh.read().split(heading, 1)[1]
 
 
-def test_readme_library_example_imports():
-    statement = re.search(r"from varkg import \([^)]*\)", _section("## Library example"))
-    assert statement is not None
-    exec(statement.group(0), {})
+def test_readme_library_example_runs():
+    # the whole block, so an example that an API change leaves behind fails here
+    block = re.search(r"```python\n(.*?)```", _section("## Library example"), re.S)
+    assert block is not None
+    exec(block.group(1), {})
 
 
 def test_readme_call_names_are_exported():
