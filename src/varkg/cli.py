@@ -46,6 +46,7 @@ from .model import (
 from .paths import (
     _MadeOnRead,
     _bumped,
+    _scaled_in_range,
     build_path,
     default_trial_family,
     exponent_region,
@@ -257,7 +258,7 @@ def _cmd_verify_theorem1(cfg):
     gs = _ground_state(grid, nl)
     m_ref = gs.level
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
-    report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
+    report = verify_min_on_constraint(family, se, m_ref)
     _write_csv(os.path.join(cfg.outdir, "theorem1_members.csv"),
                ["index", "lambda_star", "action"],
                _member_rows(report.lambdas, report.actions))
@@ -281,8 +282,8 @@ def _cmd_verify_theorem2(cfg):
     gs = _ground_state(grid, nl)
     m_ref = gs.level
     family = default_trial_family(gs, count=cfg.family_size, seed=cfg.seed)
-    report = verify_min_on_constraint(family, gs.nonlinearity, se, m_ref)
-    path = build_path(moments(gs.profile, gs.nonlinearity), se)
+    report = verify_min_on_constraint(family, se, m_ref)
+    path = build_path(family[0], se)  # member 0 is phi's moments, taken once
     path_ok = path.admissible and abs(path.max_action - m_ref) <= cfg.tol * m_ref
     passed = report.passed and path_ok
     _write_csv(os.path.join(cfg.outdir, "theorem2_members.csv"),
@@ -302,16 +303,21 @@ def _cmd_verify_theorem2(cfg):
 
 
 def _cmd_verify_lemma_mint(cfg):
+    if not all(math.isfinite(c) for c in cfg.amplitudes):
+        raise InvalidInput(f"--amplitudes must be finite, got {cfg.amplitudes}")
     if 0.0 in cfg.amplitudes:
         raise InvalidInput("--amplitudes must be nonzero: the set is {v != 0, P >= 0}")
     gs = _ground_state(*_problem(cfg, 2))
     m_ref = gs.level
-    q = gs.profile
+    q, nl = gs.profile, gs.nonlinearity
+    base = moments(q, nl)
     rng = np.random.default_rng(cfg.seed)
-    family = [GridFunction(q.grid, c * q.values) for c in cfg.amplitudes]
+    # c phi is phi's moments scaled by |c|: every moment is even in v
+    family = [_scaled_in_range(base, abs(c), AMPLITUDE_RAY) for c in cfg.amplitudes]
     for _ in range(4):  # eps, then width
-        family.append(_bumped(q, rng.uniform(0.05, 0.2), 0.0, rng.uniform(1.0, 3.0)))
-    report = verify_T_min_over_P(family, gs.nonlinearity, m_ref)
+        family.append(moments(_bumped(q, rng.uniform(0.05, 0.2), 0.0, rng.uniform(1.0, 3.0)),
+                              nl))
+    report = verify_T_min_over_P(family, m_ref)
     amp_devs = [abs(report.kinetics[i] - m_ref) / m_ref
                 for i in range(len(cfg.amplitudes)) if report.kinetics[i] is not None]
     scaling_ok = len(amp_devs) == len(cfg.amplitudes) and max(amp_devs) <= cfg.tol

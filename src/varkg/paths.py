@@ -3,16 +3,17 @@
 The central object is the two-parameter rescaling v_lambda = lambda^alpha
 v(lambda^beta x).  Every functional is a linear form in the moments of
 model.Moments, and along a ray each moment is a power of lambda, so
-projections and paths take v's moments and price every v_lambda exactly
-on that algebra (Moments.scaled); the sweeps take each member's moments
-once.  No profile is resampled to be measured: rescale makes v_lambda
-for a caller who wants the profile, and the stock trial family's width
-members.  The region of a pair (classify_exponents) picks the projection
+projections, paths and sweeps take v's moments and price every v_lambda
+exactly on that algebra (Moments.scaled).  No profile is resampled to be
+measured: a trial member is its moments, a width member is the profile's
+moments scaled, and rescale makes v_lambda for a caller who wants the
+profile.  The region of a pair (classify_exponents) picks the projection
 ray and the mountain-pass path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Sequence
@@ -77,13 +78,40 @@ def exponent_region(se: ScalingExponents, nl: Nonlinearity, dimension: int) -> s
     return region
 
 
+def _mass_guard(v: GridFunction):
+    """check(lam, stretch), which raises TruncationOverflow when the
+    dilation v(stretch x), stretch = lambda^beta, pushes more than
+    MAX_LOST_MASS of v's relative L2 mass past r = R: the part of v beyond
+    radius stretch * R maps outside.  v's weighted mass is taken on the
+    first stretch below 1 and kept for the next, so a family of
+    dilations takes it once."""
+    grid = v.grid
+    mass = total = None
+
+    def check(lam: float, stretch: float) -> None:
+        nonlocal mass, total
+        cut = stretch * grid.outer_radius
+        if cut >= grid.outer_radius:
+            return
+        if mass is None:
+            # the weighted mass in one row; the nodes past the cut are its tail
+            mass = np.multiply(v.values, v.values)
+            total = _integral(mass, grid, mass)
+        lost = float(mass[np.searchsorted(grid.r, cut, side="right"):].sum())
+        if total > 0.0 and lost > MAX_LOST_MASS * total:
+            raise TruncationOverflow(
+                f"rescaling with lambda={lam:.6g} pushes {lost / total:.3e} of the "
+                f"L2 mass past r={grid.outer_radius:g} (limit {MAX_LOST_MASS:.1e})")
+
+    return check
+
+
 def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
     """lambda^alpha v(lambda^beta x) resampled on v's own grid.
 
-    Linear interpolation, zero extension beyond R.  When the rescaled
-    profile spills past the domain edge (the part of v beyond radius
-    lambda^beta R maps outside), the spilled relative L2 mass must stay
-    below MAX_LOST_MASS, else TruncationOverflow.
+    Linear interpolation, zero extension beyond R.  A stretch that spills
+    more than MAX_LOST_MASS of v's relative L2 mass past the domain edge
+    raises TruncationOverflow (_mass_guard).
     """
     lam = float(lam)
     if not (lam > 0.0) or not math.isfinite(lam):
@@ -93,16 +121,7 @@ def rescale(v: GridFunction, lam: float, se: ScalingExponents) -> GridFunction:
     stretch = lam**se.beta
     if stretch == 1.0:
         return GridFunction._adopt(grid, amp * v.values)
-    cut = stretch * grid.outer_radius
-    if cut < grid.outer_radius:
-        # the weighted mass in one row; the nodes past the cut are its tail
-        mass = np.multiply(v.values, v.values)
-        total = _integral(mass, grid, mass)
-        lost = float(mass[np.searchsorted(grid.r, cut, side="right"):].sum())
-        if total > 0.0 and lost > MAX_LOST_MASS * total:
-            raise TruncationOverflow(
-                f"rescaling with lambda={lam:.6g} pushes {lost / total:.3e} of the "
-                f"L2 mass past r={grid.outer_radius:g} (limit {MAX_LOST_MASS:.1e})")
+    _mass_guard(v)(lam, stretch)
     new_vals = np.interp(stretch * grid.r, grid.r, v.values, right=0.0)
     if amp != 1.0:
         new_vals *= amp
@@ -127,6 +146,19 @@ def _sign_change(samples) -> tuple[int, int] | None:
     if flips.size == 0:
         return None
     return int(nonzero[flips[0]]), int(nonzero[flips[0] + 1])
+
+
+def _scaled_in_range(base: Moments, lam: float, ray: ScalingExponents) -> Moments:
+    """base.scaled(lam, ray), or NumericalOverflow when a moment leaves the
+    float range."""
+    try:
+        m = base.scaled(lam, ray)
+        finite = math.isfinite(m.h1 + m.pot)
+    except OverflowError:  # a power of lambda past the float range
+        finite = False
+    if not finite:
+        raise NumericalOverflow(f"the moments at lambda = {lam:.6g} leave the float range")
+    return m
 
 
 def project_to_constraint(base: Moments, se: ScalingExponents,
@@ -173,13 +205,7 @@ def project_to_constraint(base: Moments, se: ScalingExponents,
         lam_star = brent(lambda lam: base.scaled(lam, ray).constraint(k_pair),
                          SCAN_LAMBDAS[bracket[0]], SCAN_LAMBDAS[bracket[1]],
                          xtol=1e-14, rtol=8.9e-16)
-    try:
-        m = base.scaled(lam_star, ray)
-        finite = math.isfinite(m.h1 + m.pot)
-    except OverflowError:  # a power of lambda* past the float range
-        finite = False
-    if not finite:
-        raise NumericalOverflow(f"the moments at lambda* = {lam_star:.6g} leave the float range")
+    m = _scaled_in_range(base, lam_star, ray)
     residual = m.constraint(k_pair)
     if abs(residual) > PROJECTION_TOL * m.h1:
         raise ConvergenceError(
@@ -412,14 +438,19 @@ def _bumped(v: GridFunction, eps: float, x0: float, width: float) -> GridFunctio
     return GridFunction._adopt(v.grid, vals)
 
 
-def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[GridFunction]:
-    """The ground state, a width family around it, and seeded bump
-    perturbations: the stock trial set for the minimization checks.
+def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[Moments]:
+    """The moments of the ground state, of a width family around it and of
+    seeded bump perturbations: the stock trial set for the minimization
+    checks.
 
-    Member 0 is the profile, members 1..n_width its width rescalings,
-    the rest bump perturbations whose (eps, x0, width) are drawn up front.
-    The members are made as they are read, so the family holds the
-    profile and its draws, not count profiles.
+    Member 0 is the profile phi, members 1..n_width its dilations
+    phi(w x), the rest bump perturbations whose (eps, x0, width) are drawn
+    up front.  A width member is phi's moments scaled along WIDTH_RAY,
+    exact on the algebra, with rescale's lost-mass guard: a dilation
+    that would push phi's mass past R raises TruncationOverflow.  Only a
+    bump member is a profile to measure.  The members are made as they
+    are read, and phi's moments are taken once, on the first read that
+    needs them.
     """
     for name, value in (("count", count), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -428,19 +459,26 @@ def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[GridFun
         raise InvalidParameter("trial family needs at least 3 members")
     if seed < 0:
         raise InvalidParameter(f"seed must be nonnegative, got {seed!r}")
-    v = gs.profile
+    v, nl = gs.profile, gs.nonlinearity
     n_width = (count - 1) // 2
     rng = np.random.default_rng(seed)
     bumps = [(rng.uniform(-0.3, 0.3), rng.uniform(0.0, v.grid.outer_radius / 8.0),
               rng.uniform(0.5, 2.0)) for _ in range(count - 1 - n_width)]
     widths = np.geomspace(0.5, 2.0, n_width)
+    spill = _mass_guard(v)
 
-    def member(i: int) -> GridFunction:
+    @functools.cache
+    def base() -> Moments:
+        return moments(v, nl)
+
+    def member(i: int) -> Moments:
         if i == 0:
-            return v
+            return base()
         if i <= n_width:
-            return rescale(v, float(widths[i - 1]), WIDTH_RAY)
-        return _bumped(v, *bumps[i - 1 - n_width])
+            w = float(widths[i - 1])
+            spill(w, w)
+            return base().scaled(w, WIDTH_RAY)
+        return moments(_bumped(v, *bumps[i - 1 - n_width]), nl)
 
     return _MadeOnRead(count, member)
 
@@ -500,9 +538,10 @@ class MinimizationReport:
         return self.min_above_reference and self.attained and self.argmax_at_unity
 
 
-def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: float,
+def verify_min_on_constraint(trials, se: ScalingExponents, m_ref: float,
                              tol: float | None = None) -> MinimizationReport:
-    """Project every trial onto the K_{alpha,beta} = 0 set and minimize S.
+    """Project every trial, given by its Moments, onto the K_{alpha,beta} = 0
+    set and minimize S.
 
     Each member is projected along the ray its region picks (see
     project_to_constraint).  For an interior pair each projected member's
@@ -511,8 +550,8 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
     critical power case, so no argmax check applies.
 
     The trials are read once, in order, and the region is taken from the
-    first one read, so any iterable serves; a trial that cannot be made
-    raises out of the sweep.
+    nonlinearity and dimension of the first one read, so any iterable
+    serves; a trial that cannot be made raises out of the sweep.
     """
     tol = _tolerance(tol, m_ref)
     unity_cell = int(np.argmin(np.abs(ARGMAX_LAM_GRID - 1.0)))
@@ -521,9 +560,9 @@ def verify_min_on_constraint(trials, nl: PowerKG, se: ScalingExponents, m_ref: f
     lambdas, actions, failures, cells_off = [], [], [], []
     for i, trial in enumerate(trials):
         if region is None:
-            region = exponent_region(se, nl, trial.grid.dimension)
+            region = exponent_region(se, trial.nl, trial.dimension)
         try:
-            lam_star, _, m = project_to_constraint(moments(trial, nl), se)
+            lam_star, _, m = project_to_constraint(trial, se)
         except (NoRoot, ConvergenceError, InvalidInput) as err:
             failures.append((i, type(err).__name__))
             lambdas.append(None)
@@ -563,9 +602,9 @@ class KineticReport:
         return self.min_kinetic >= self.m_ref - self.tol
 
 
-def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
-                        tol: float | None = None) -> KineticReport:
-    """Check m = min{T(v) : v != 0, P(v) >= 0} on a trial family.
+def verify_T_min_over_P(trials, m_ref: float, tol: float | None = None) -> KineticReport:
+    """Check m = min{T(v) : v != 0, P(v) >= 0} on a trial family given by
+    its members' Moments.
 
     Members with P > 0 are scaled down to the P = 0 boundary first (that
     only lowers T), members within P_BOUNDARY_TOL * ||v||_H1^2 of the
@@ -573,16 +612,15 @@ def verify_T_min_over_P(trials, nl: PowerKG, m_ref: float,
     the constraint set and are skipped, as is the zero function.  In
     dimension 2, P = -K_{0,-1}/2 exactly, so the boundary is the P_ZERO
     constraint, projected along the L2-invariant ray lambda v(lambda x)
-    (L2_RAY); P > 0 pins the root in (0, 1).  A later member on a grid of
-    another dimension is recorded as an Unsupported failure.  The trials
-    are read once, in order, as in verify_min_on_constraint.
+    (L2_RAY); P > 0 pins the root in (0, 1).  A later member of another
+    dimension is recorded as an Unsupported failure.  The trials are read
+    once, in order, as in verify_min_on_constraint.
     """
     tol = _tolerance(tol, m_ref)
     lambdas, kinetics, skipped, failures = [], [], [], []
-    for i, trial in enumerate(trials):
-        if i == 0 and trial.grid.dimension != 2:
+    for i, m in enumerate(trials):
+        if i == 0 and m.dimension != 2:
             raise Unsupported("the T/P equivalence is a dimension-2 statement")
-        m = moments(trial, nl)
         band = P_BOUNDARY_TOL * m.h1
         p_val = m.potential()
         lam0 = None

@@ -118,8 +118,7 @@ def test_acceptance_3_interior_minimization_sweep(townes, nl3):
         for alpha, beta in INTERIOR_PAIRS:
             assert classify_exponents(alpha, beta, 3.0, 2) == "Interior"
             se = ScalingExponents(alpha, beta)
-            reports.append(verify_min_on_constraint(
-                family, nl3, se, m, tol=1e-3 * m))
+            reports.append(verify_min_on_constraint(family, se, m, tol=1e-3 * m))
         all_pass = all(rep.passed for rep in reports)
         # members whose constraint point leaves the grid's representable
         # class are recorded, not silently dropped; require those records
@@ -170,9 +169,9 @@ def test_acceptance_5_kinetic_equivalence(townes, nl3):
     with Budget("T/P equivalence", 60.0) as budget:
         m = townes.level
         q = townes.profile
-        scaled = [GridFunction(q.grid, c * q.values)
+        scaled = [moments(GridFunction(q.grid, c * q.values), nl3)
                   for c in np.linspace(1.0, 2.0, 11)]
-        scaled_report = verify_T_min_over_P(scaled, nl3, m, tol=0.01 * m)
+        scaled_report = verify_T_min_over_P(scaled, m, tol=0.01 * m)
         every_c = all(t is not None and abs(t - m) <= 0.01 * m
                       for t in scaled_report.kinetics)
         rng = np.random.default_rng(5)
@@ -183,8 +182,8 @@ def test_acceptance_5_kinetic_equivalence(townes, nl3):
             bump = 1.0 + eps * np.exp(-((q.grid.r / width) ** 2))
             # the 1.2 amplitude margin keeps every trial strictly inside
             # P > 0, so none are skipped by the boundary band
-            perturbed.append(GridFunction(q.grid, 1.2 * q.values * bump))
-        pert_report = verify_T_min_over_P(perturbed, nl3, m, tol=1e-3 * m)
+            perturbed.append(moments(GridFunction(q.grid, 1.2 * q.values * bump), nl3))
+        pert_report = verify_T_min_over_P(perturbed, m, tol=1e-3 * m)
     ok = (every_c and scaled_report.passed and pert_report.passed
           and not pert_report.skipped and budget.elapsed < 60.0)
     report(5, "kinetic minimum over P >= 0", ok,

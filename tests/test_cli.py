@@ -565,6 +565,50 @@ def test_verify_lemma_mint_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_theorem2_width_members_sit_at_the_level(tmp_path, capsys):
+    # every width member is phi's moments scaled, and along (1, 1) its
+    # projection has the action of phi's own projection, 2.9e-9 m above
+    # m; resampled, member 9 read m (1 - 2.1e-4) and set min S
+    assert run(["verify-theorem2", "--alpha", "1", "--beta", "1",
+                "--outdir", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "theorem2.json")
+    assert payload["pass"] is True
+    assert 0.0 <= payload["min_S"] - payload["m_ref"] <= 5e-9 * payload["m_ref"]
+    rows = (tmp_path / "theorem2_members.csv").read_text().splitlines()[1:]
+    actions = [float(row.split(",")[2]) for row in rows]
+    assert all(abs(s - actions[0]) <= 1e-14 * actions[0] for s in actions[1:10])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("amplitudes", ["1,inf", "nan", "-inf,2"])
+def test_verify_lemma_mint_refuses_a_non_finite_amplitude(tmp_path, capsys, monkeypatch,
+                                                          amplitudes):
+    # inf * phi made nan nodes and a numpy RuntimeWarning before the
+    # refusal; the suite turns RuntimeWarning into an error
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the amplitudes were checked")
+
+    monkeypatch.setattr("varkg.cli.shoot_radial", no_work)
+    assert run(["verify-lemma-minT", f"--amplitudes={amplitudes}",
+                "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("varkg: InvalidInput: --amplitudes must be finite")
+    manifest = read_json(tmp_path / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == (1, "InvalidInput")
+
+
+@pytest.mark.parametrize("amplitude", ["1e200", "1e77"])
+def test_verify_lemma_mint_refuses_an_amplitude_past_the_float_range(tmp_path, capsys,
+                                                                     amplitude):
+    # |c|^4 overflows a float at 1e200 and ||c phi||_4^4 at 1e77; the
+    # measured member c phi refused both with NumericalOverflow too
+    assert run(["verify-lemma-minT", "--R", "25", "--M", "1000", "--amplitudes", amplitude,
+                "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("varkg: NumericalOverflow: the moments at "
+                                              f"lambda = {float(amplitude):.6g} leave the "
+                                              "float range")
+
+
 def test_verify_lemma_mint_rejects_zero_amplitude(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the amplitudes were checked")

@@ -214,7 +214,7 @@ def test_projection_of_a_projection_is_itself():
     # place it at the same root, and the projection projects to itself
     nl, se = PowerKG(2.0), ScalingExponents(2.0, 0.9375)
     v = _gaussian(1)
-    report = verify_min_on_constraint([v], nl, se, 1.0)
+    report = verify_min_on_constraint([moments(v, nl)], se, 1.0)
     assert report.failures == () and abs(report.lambdas[0] - 106.29) < 5e-3
     lam, _, m = project_to_constraint(moments(v, nl), se)
     assert lam == report.lambdas[0] and m.action() == report.actions[0]
@@ -309,7 +309,6 @@ def test_amplitude_sweep_resamples_no_member_and_solves_nothing(nl3, monkeypatch
     # along the amplitude ray the root is in closed form, and a projection
     # takes moments: the sweep makes no profile and solves nothing
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 25.0, 2000))
-    # made before the count starts: a width member is made by rescale
     trials = list(default_trial_family(gs, count=9, seed=0))
     resampled = []
 
@@ -322,7 +321,7 @@ def test_amplitude_sweep_resamples_no_member_and_solves_nothing(nl3, monkeypatch
 
     monkeypatch.setattr("varkg.paths.rescale", counting_rescale)
     monkeypatch.setattr("varkg.paths.brent", no_brent)
-    report = verify_min_on_constraint(trials, nl3, AMPLITUDE_RAY, gs.level)
+    report = verify_min_on_constraint(trials, AMPLITUDE_RAY, gs.level)
     assert report.passed and report.failures == ()
     assert resampled == []
 
@@ -349,7 +348,7 @@ def test_projection_whose_moments_overflow_raises_a_typed_error():
     nl, v = PowerKG(1.001), _gaussian(1)
     assert moments(v, nl).amplitude_root(AMPLITUDE_RAY) > 1e301
     for entry in (lambda: project_to_constraint(moments(v, nl), AMPLITUDE_RAY),
-                  lambda: verify_min_on_constraint([v], nl, AMPLITUDE_RAY, 1.0)):
+                  lambda: verify_min_on_constraint([moments(v, nl)], AMPLITUDE_RAY, 1.0)):
         with pytest.raises(NumericalOverflow, match="float range"):
             entry()
 
@@ -380,7 +379,7 @@ def test_invalid_pair_raises_wrong_region(townes, nl3):
     with pytest.raises(WrongRegion):
         build_path(moments(townes.profile, nl3), se)
     with pytest.raises(WrongRegion, match="not an admissible exponent pair"):
-        verify_min_on_constraint([townes.profile], nl3, se, 1.0)
+        verify_min_on_constraint([moments(townes.profile, nl3)], se, 1.0)
 
 
 def test_build_path_picks_the_path_from_the_region(townes, nl3):
@@ -400,7 +399,7 @@ def _general_g_profile():
 @pytest.mark.parametrize("entry", [
     lambda v: project_to_constraint(moments(v, CUBIC_QUINTIC), AMPLITUDE_RAY),
     lambda v: project_to_constraint(moments(v, CUBIC_QUINTIC), AMPLITUDE_RAY, ray=AMPLITUDE_RAY),
-    lambda v: verify_min_on_constraint([v], CUBIC_QUINTIC, AMPLITUDE_RAY, 1.0),
+    lambda v: verify_min_on_constraint([moments(v, CUBIC_QUINTIC)], AMPLITUDE_RAY, 1.0),
     lambda v: build_path(moments(v, CUBIC_QUINTIC), AMPLITUDE_RAY),
     lambda v: build_path(moments(v, CUBIC_QUINTIC), ScalingExponents(1.0, 1.0)),
     lambda v: moments(v, CUBIC_QUINTIC).scaled(0.01, ScalingExponents(1.0, 1.0)).action(),
@@ -421,7 +420,7 @@ def test_kinetic_minimum_records_general_nonlinearity_as_unsupported(cubic_quint
     v = _general_g_profile()
     boundary = cubic_quintic_ground.profile
     zero = GridFunction.zeros(v.grid)
-    report = verify_T_min_over_P([v, boundary, zero], CUBIC_QUINTIC, 1.0)
+    report = verify_T_min_over_P([moments(w, CUBIC_QUINTIC) for w in (v, boundary, zero)], 1.0)
     assert report.failures == ((0, "Unsupported"),)
     assert report.kinetics == (None, moments(boundary, CUBIC_QUINTIC).kinetic, None)
     assert report.skipped == (2,)
@@ -460,35 +459,36 @@ def test_limit_sweep_projects_members_on_the_constraint(nl3):
     # the ground state and the unit-width member lie on the constraint
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 80.0, 16000))
     family = default_trial_family(gs, count=200, seed=0)
-    report = verify_min_on_constraint(family, nl3, ScalingExponents(1.0, -2.0),
-                                      gs.level)
+    report = verify_min_on_constraint(family, ScalingExponents(1.0, -2.0), gs.level)
     assert report.failures == ()
 
 
 def test_interior_sweep_places_members_at_the_algebra_root(townes, nl3):
     # acceptance test 3's family; along (1, 0.9) members 21-22 are compressed
     # past the grid's resolution, where a root of the resampled profile's
-    # moments lies far from the algebra's (at 41.7 and 50.6).  Members 1-2,
+    # moments lay far from the algebra's (at 41.7 and 50.6).  Members 1-2,
     # widened, project to profiles that would spill past R; no profile is
-    # made, so they are placed too
+    # made, so they are placed too.  Every width member is phi's moments
+    # scaled, so its root is the algebra's for phi(w x) itself (104.108 and
+    # 190.180 for the resampled members 21-22)
     m = townes.level
     family = default_trial_family(townes, count=50, seed=0)
-    reports = {pair: verify_min_on_constraint(family, nl3, ScalingExponents(*pair), m)
+    reports = {pair: verify_min_on_constraint(family, ScalingExponents(*pair), m)
                for pair in INTERIOR_PAIRS}
     assert all(rep.min_action >= m for rep in reports.values())
     assert all(rep.failures == () for rep in reports.values())
     report = reports[(1.0, 0.9)]
-    assert abs(report.lambdas[1] - 0.355221) < 1e-6 and abs(report.lambdas[2] - 0.363986) < 1e-6
-    assert abs(report.actions[1] - 17.3637) < 1e-4 and abs(report.actions[2] - 15.4777) < 1e-4
-    assert abs(report.lambdas[21] - 104.108) < 1e-3 and abs(report.lambdas[22] - 190.180) < 1e-3
+    assert abs(report.lambdas[1] - 0.355210) < 1e-6 and abs(report.lambdas[2] - 0.363974) < 1e-6
+    assert abs(report.actions[1] - 17.3638) < 1e-4 and abs(report.actions[2] - 15.4778) < 1e-4
+    assert abs(report.lambdas[21] - 104.197) < 1e-3 and abs(report.lambdas[22] - 190.375) < 1e-3
 
 
 def test_p_zero_projection_scaling(townes, nl3):
     # c phi goes back to phi along lambda v(lambda x): lambda0 = 1/c
     v = townes.profile
     m = townes.level
-    trials = [GridFunction(v.grid, c * v.values) for c in (1.1, 2.0)]
-    report = verify_T_min_over_P(trials, nl3, m)
+    trials = [moments(GridFunction(v.grid, c * v.values), nl3) for c in (1.1, 2.0)]
+    report = verify_T_min_over_P(trials, m)
     assert report.failures == () and report.skipped == ()
     for lam0, lam_expected in zip(report.lambdas, (1.0 / 1.1, 0.5)):
         assert np.isclose(lam0, lam_expected, rtol=0, atol=1e-4)
@@ -571,19 +571,17 @@ def test_mountain_pass_estimate_on_line(phi_1d, nl3):
 
 
 def test_minimization_on_width_family(grid_1d, nl3):
-    trials = [GridFunction(grid_1d, 1.0 / np.cosh(a * grid_1d.r))
+    trials = [moments(GridFunction(grid_1d, 1.0 / np.cosh(a * grid_1d.r)), nl3)
               for a in (0.5, 0.75, 1.0, 1.5, 2.0)]
-    report = verify_min_on_constraint(trials, nl3, AMPLITUDE_RAY, 4.0 / 3.0,
-                                      tol=1e-3)
+    report = verify_min_on_constraint(trials, AMPLITUDE_RAY, 4.0 / 3.0, tol=1e-3)
     assert report.passed
     assert report.argmin_index == 2
     assert np.isclose(report.min_action, 4.0 / 3.0, rtol=0, atol=1e-3)
     assert report.failures == ()
     # enlarging the family never increases the minimum
-    more = trials + [GridFunction(grid_1d, 1.0 / np.cosh(a * grid_1d.r))
+    more = trials + [moments(GridFunction(grid_1d, 1.0 / np.cosh(a * grid_1d.r)), nl3)
                      for a in (0.9, 1.1)]
-    larger = verify_min_on_constraint(more, nl3, AMPLITUDE_RAY, 4.0 / 3.0,
-                                      tol=1e-3)
+    larger = verify_min_on_constraint(more, AMPLITUDE_RAY, 4.0 / 3.0, tol=1e-3)
     assert larger.min_action <= report.min_action + 1e-12
 
 
@@ -592,7 +590,7 @@ def test_minimization_perturbed_member_is_larger(townes, nl3):
     r = townes.grid.r
     bump = GridFunction(townes.grid,
                         townes.profile.values * (1.0 + 0.1 * np.exp(-r**2)))
-    report = verify_min_on_constraint([bump, townes.profile], nl3,
+    report = verify_min_on_constraint([moments(bump, nl3), moments(townes.profile, nl3)],
                                       ScalingExponents(1.0, 1.0), m, tol=0.05)
     assert report.passed
     assert report.argmin_index == 1
@@ -601,20 +599,20 @@ def test_minimization_perturbed_member_is_larger(townes, nl3):
 
 def test_minimization_guards(phi_1d, nl3):
     with pytest.raises(InvalidParameter):
-        verify_min_on_constraint([], nl3, AMPLITUDE_RAY, 1.0)
+        verify_min_on_constraint([], AMPLITUDE_RAY, 1.0)
     with pytest.raises(WrongRegion):
-        verify_min_on_constraint([phi_1d.profile], nl3,
+        verify_min_on_constraint([moments(phi_1d.profile, nl3)],
                                  ScalingExponents(1.0, 2.0), 1.0)
     zero = GridFunction.zeros(phi_1d.grid)
     with pytest.raises(EmptyConstraintSample):
-        verify_min_on_constraint([zero], nl3, AMPLITUDE_RAY, 1.0)
+        verify_min_on_constraint([moments(zero, nl3)], AMPLITUDE_RAY, 1.0)
 
 
 def test_kinetic_minimum_over_p_set(townes, nl3):
     v = townes.profile
     m = townes.level
-    trials = [GridFunction(v.grid, c * v.values) for c in (1.0, 1.1, 1.5, 2.0)]
-    report = verify_T_min_over_P(trials, nl3, m, tol=0.05)
+    trials = [moments(GridFunction(v.grid, c * v.values), nl3) for c in (1.0, 1.1, 1.5, 2.0)]
+    report = verify_T_min_over_P(trials, m, tol=0.05)
     assert report.passed
     assert report.skipped == () and report.failures == ()
     for t_val in report.kinetics:
@@ -623,7 +621,7 @@ def test_kinetic_minimum_over_p_set(townes, nl3):
     r = v.grid.r
     vals = v.values + 0.2 * np.exp(-r**2)
     vals[-1] = 0.0
-    pert = verify_T_min_over_P([GridFunction(v.grid, vals)], nl3, m, tol=1e-3)
+    pert = verify_T_min_over_P([moments(GridFunction(v.grid, vals), nl3)], m, tol=1e-3)
     assert pert.min_kinetic >= m - 1e-3
     assert pert.min_kinetic > m + 1e-4
 
@@ -631,14 +629,14 @@ def test_kinetic_minimum_over_p_set(townes, nl3):
 def test_kinetic_minimum_guards(townes, phi_1d, nl3):
     m = townes.level
     with pytest.raises(InvalidParameter):
-        verify_T_min_over_P([], nl3, m)
+        verify_T_min_over_P([], m)
     with pytest.raises(Unsupported):
-        verify_T_min_over_P([phi_1d.profile], nl3, m)
+        verify_T_min_over_P([moments(phi_1d.profile, nl3)], m)
     shrunk = GridFunction(townes.grid, 0.5 * townes.profile.values)
     zero = GridFunction.zeros(townes.grid)
-    for trials in ([shrunk], [zero]):
+    for trial in (shrunk, zero):
         with pytest.raises(EmptyConstraintSample):
-            verify_T_min_over_P(trials, nl3, m)
+            verify_T_min_over_P([moments(trial, nl3)], m)
 
 
 def test_kinetic_minimum_records_a_later_member_of_another_dimension(townes, phi_1d, nl3):
@@ -646,14 +644,16 @@ def test_kinetic_minimum_records_a_later_member_of_another_dimension(townes, phi
     # so the member is not projected
     line = GridFunction(phi_1d.grid, 2.0 * phi_1d.profile.values)
     assert moments(line, nl3).potential() > 0.0
-    report = verify_T_min_over_P([townes.profile, line], nl3, townes.level)
+    report = verify_T_min_over_P([moments(townes.profile, nl3), moments(line, nl3)],
+                                 townes.level)
     assert report.failures == ((1, "Unsupported"),)
     assert report.lambdas == (None, None) and report.kinetics[1] is None
 
 
 def test_kinetic_minimum_takes_a_members_moments_once_before_projecting(townes, nl3,
                                                                           monkeypatch):
-    # for its P band in the sweep, and the projection takes those moments
+    # the caller takes them; the sweep reads its P band from them and
+    # projects them, and takes none of its own
     member = GridFunction(townes.grid, 1.5 * townes.profile.values)
     counts = {"member moments": 0, "project_to_constraint": 0}
     moments_of, project = varkg.paths.moments, varkg.paths.project_to_constraint
@@ -668,7 +668,7 @@ def test_kinetic_minimum_takes_a_members_moments_once_before_projecting(townes, 
 
     monkeypatch.setattr(varkg.paths, "moments", counted_moments)
     monkeypatch.setattr(varkg.paths, "project_to_constraint", counted_project)
-    report = verify_T_min_over_P([member], nl3, townes.level)
+    report = verify_T_min_over_P([varkg.paths.moments(member, nl3)], townes.level)
     assert report.failures == () and report.lambdas[0] < 1.0
     assert counts == {"member moments": 1, "project_to_constraint": 1}
 
@@ -676,10 +676,9 @@ def test_kinetic_minimum_takes_a_members_moments_once_before_projecting(townes, 
 def test_default_trial_family(townes):
     fam = default_trial_family(townes, count=12, seed=7)
     assert len(fam) == 12
-    assert fam[0] is townes.profile
+    assert fam[0] == moments(townes.profile, townes.nonlinearity)
     again = default_trial_family(townes, count=12, seed=7)
-    for a, b in zip(fam, again):
-        assert np.array_equal(a.values, b.values)
+    assert list(fam) == list(again)
     with pytest.raises(InvalidParameter):
         default_trial_family(townes, count=2)
     # numpy's generator and geomspace raised a bare TypeError
@@ -690,16 +689,15 @@ def test_default_trial_family(townes):
     assert len(default_trial_family(townes, count=np.int64(5), seed=np.int64(2))) == 5
 
 
-def _eager_trial_family(gs, count, seed):
-    """The stock trial set built whole, every member up front."""
+def _eager_bumps(gs, count, seed):
+    """The stock trial set's bump members, every profile built whole and up
+    front."""
     v = gs.profile
     grid = v.grid
     rng = np.random.default_rng(seed)
-    members = [v]
-    for w in np.geomspace(0.5, 2.0, (count - 1) // 2):
-        members.append(rescale(v, float(w), WIDTH_RAY))
+    members = []
     r = grid.r
-    while len(members) < count:
+    for _ in range(count - 1 - (count - 1) // 2):
         eps = rng.uniform(-0.3, 0.3)
         x0 = rng.uniform(0.0, grid.outer_radius / 8.0)
         width = rng.uniform(0.5, 2.0)
@@ -708,20 +706,48 @@ def _eager_trial_family(gs, count, seed):
     return members
 
 
+def _stock_ground_state(case, townes):
+    return townes if case.startswith("N2") else closed_form_1d(3.0, 0.0, RadialGrid(1, 80.0, 16000))
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("case", ["N1-R80-M16000", "N2-R40-M4000"])
 def test_trial_family_members_are_the_eager_members(townes, case, seed):
-    # a bump's factor is formed only near its centre; elsewhere it is 1.0
-    gs = townes if case.startswith("N2") else closed_form_1d(3.0, 0.0, RadialGrid(1, 80.0, 16000))
+    # a bump's factor is formed only near its centre; elsewhere it is 1.0,
+    # so a bump member is the moments of the eager bumped profile bit for
+    # bit.  The width members are the profile's moments on the algebra
+    gs = _stock_ground_state(case, townes)
+    nl = gs.nonlinearity
     family = default_trial_family(gs, count=200, seed=seed)
-    eager = _eager_trial_family(gs, 200, seed)
-    assert len(family) == len(eager)
-    for i, want in enumerate(eager):
-        assert family[i].values.tobytes() == want.values.tobytes(), i
-    assert family[-1].values.tobytes() == eager[-1].values.tobytes()
-    assert [w.values.tobytes() for w in family[198:]] == [w.values.tobytes() for w in eager[198:]]
+    bumps = [moments(w, nl) for w in _eager_bumps(gs, 200, seed)]
+    assert len(family) == 200 and len(bumps) == 100
+    base = moments(gs.profile, nl)
+    assert family[0] == base
+    for i, w in enumerate(np.geomspace(0.5, 2.0, 99), start=1):
+        assert family[i] == base.scaled(float(w), WIDTH_RAY), i
+    for i, want in enumerate(bumps, start=100):
+        assert family[i] == want, i
+    assert family[-1] == bumps[-1]
+    assert family[198:] == bumps[98:]
     with pytest.raises(IndexError):
         family[200]
+
+
+@pytest.mark.parametrize("case", ["N1-R80-M16000", "N2-R40-M4000"])
+def test_width_members_are_the_resampled_members_to_second_order(townes, case):
+    # the algebra is exact on the whole space; rescale's linear
+    # interpolation and the grid's quadrature of phi(w x) miss it by
+    # O((w h)^2), which is the whole gap between the two width families.
+    # Measured: up to 0.78 (w h)^2 relative in N = 1 and 2.04 (w h)^2 in
+    # N = 2 (the potential moment at w = 0.5, where the grid's own h^2
+    # error of phi dominates)
+    gs = _stock_ground_state(case, townes)
+    nl, h = gs.nonlinearity, gs.grid.spacing
+    family = default_trial_family(gs, count=199, seed=0)
+    for i, w in enumerate(np.geomspace(0.5, 2.0, 99), start=1):
+        resampled = moments(rescale(gs.profile, float(w), WIDTH_RAY), nl)
+        miss = max(abs(got - want) / want for got, want in zip(resampled[:3], family[i][:3]))
+        assert miss <= 3.0 * (w * h) ** 2, (i, w, miss)
 
 
 _BUMP_PROFILES = [GridFunction(grid, 1.0 / np.cosh(grid.r) - 1.0 / np.cosh(grid.r[-1]))
@@ -755,7 +781,7 @@ class _CountingTrials(Sequence):
 
 def test_sweep_reads_each_trial_once_in_order(phi_1d, nl3):
     trials = _CountingTrials(list(default_trial_family(phi_1d, count=9, seed=0)))
-    report = verify_min_on_constraint(trials, nl3, ScalingExponents(1.0, -2.0), phi_1d.level)
+    report = verify_min_on_constraint(trials, ScalingExponents(1.0, -2.0), phi_1d.level)
     assert report.members_total == 9
     assert trials.reads == list(range(9))
 
@@ -763,15 +789,16 @@ def test_sweep_reads_each_trial_once_in_order(phi_1d, nl3):
 def test_sweeps_take_a_generator_of_trials(phi_1d, townes, nl3):
     family = default_trial_family(phi_1d, count=9, seed=0)
     se = ScalingExponents(1.0, -2.0)
-    from_list = verify_min_on_constraint(list(family), nl3, se, phi_1d.level)
-    assert verify_min_on_constraint((w for w in family), nl3, se, phi_1d.level) == from_list
-    trials = [GridFunction(townes.grid, c * townes.profile.values) for c in (0.5, 1.0, 1.5)]
-    assert (verify_T_min_over_P((w for w in trials), nl3, townes.level)
-            == verify_T_min_over_P(trials, nl3, townes.level))
+    from_list = verify_min_on_constraint(list(family), se, phi_1d.level)
+    assert verify_min_on_constraint((w for w in family), se, phi_1d.level) == from_list
+    trials = [moments(GridFunction(townes.grid, c * townes.profile.values), nl3)
+              for c in (0.5, 1.0, 1.5)]
+    assert (verify_T_min_over_P((w for w in trials), townes.level)
+            == verify_T_min_over_P(trials, townes.level))
     with pytest.raises(InvalidParameter, match="empty"):
-        verify_min_on_constraint(iter(()), nl3, se, phi_1d.level)
+        verify_min_on_constraint(iter(()), se, phi_1d.level)
     with pytest.raises(InvalidParameter, match="empty"):
-        verify_T_min_over_P(iter(()), nl3, townes.level)
+        verify_T_min_over_P(iter(()), townes.level)
 
 
 def test_a_trial_that_cannot_be_made_raises_out_of_the_sweep(nl3):
@@ -780,17 +807,17 @@ def test_a_trial_that_cannot_be_made_raises_out_of_the_sweep(nl3):
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 14.0, 4000))
     family = default_trial_family(gs, count=9, seed=0)
     with pytest.raises(TruncationOverflow, match="lambda=0.5"):
-        verify_min_on_constraint(family, nl3, AMPLITUDE_RAY, gs.level)
+        verify_min_on_constraint(family, AMPLITUDE_RAY, gs.level)
 
 
 def test_trial_family_sweep_holds_one_member_at_a_time(nl3):
     # the family was held whole: 6.6 MB, about 200 member sizes
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 40.0, 4000))
-    verify_min_on_constraint(default_trial_family(gs, count=3, seed=0), nl3,
+    verify_min_on_constraint(default_trial_family(gs, count=3, seed=0),
                              AMPLITUDE_RAY, gs.level)  # first-call imports
     tracemalloc.start()
     try:
-        report = verify_min_on_constraint(default_trial_family(gs, count=200, seed=0), nl3,
+        report = verify_min_on_constraint(default_trial_family(gs, count=200, seed=0),
                                           AMPLITUDE_RAY, gs.level)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -825,17 +852,19 @@ def test_default_trial_family_refuses_a_negative_seed(townes):
 def test_sweeps_refuse_a_tolerance_that_is_not_positive_and_finite(townes, nl3, tol):
     # a nan tol made every verdict a plausible False
     with pytest.raises(InvalidParameter, match="tol"):
-        verify_min_on_constraint([townes.profile], nl3, AMPLITUDE_RAY, townes.level, tol=tol)
+        verify_min_on_constraint([moments(townes.profile, nl3)], AMPLITUDE_RAY, townes.level,
+                                 tol=tol)
     with pytest.raises(InvalidParameter, match="tol"):
-        verify_T_min_over_P([townes.profile], nl3, townes.level, tol=tol)
+        verify_T_min_over_P([moments(townes.profile, nl3)], townes.level, tol=tol)
 
 
 def test_sweep_reads_each_member_from_its_projection(phi_1d, nl3, monkeypatch):
-    # an amplitude-ray member takes its moments once and projects them
-    # once: the residual check and the report share the scaled moments.
-    # Only making a width member resamples (rescale), and no projection
-    # does, so the traced benchmark's one projection span per member
-    # costs no profile
+    # an amplitude-ray member is projected once from its moments: the
+    # residual check and the report share the scaled moments.  The
+    # profile's moments are taken once, for member 0 and the four width
+    # members on the algebra, and once per bump member; nothing resamples,
+    # so the traced benchmark's one projection span per member costs no
+    # profile
     calls = {"moments": 0, "project_to_constraint": 0, "rescale": 0}
 
     def counted(name):
@@ -849,12 +878,50 @@ def test_sweep_reads_each_member_from_its_projection(phi_1d, nl3, monkeypatch):
     family = default_trial_family(phi_1d, count=9, seed=0)
     for name in calls:
         monkeypatch.setattr(varkg.paths, name, counted(name))
-    report = verify_min_on_constraint(family, nl3, AMPLITUDE_RAY, phi_1d.level)
+    report = verify_min_on_constraint(family, AMPLITUDE_RAY, phi_1d.level)
     assert report.failures == ()
-    assert calls == {"moments": 9, "project_to_constraint": 9, "rescale": 4}
+    assert calls == {"moments": 5, "project_to_constraint": 9, "rescale": 0}
     monkeypatch.undo()
-    for trial, lam, action in zip(family, report.lambdas, report.actions):
-        lam_star, ray, m = project_to_constraint(moments(trial, nl3), AMPLITUDE_RAY)
+    profiles = [phi_1d.profile] + [None] * 4 + _eager_bumps(phi_1d, 9, 0)
+    for trial, profile, lam, action in zip(family, profiles, report.lambdas, report.actions):
+        lam_star, ray, m = project_to_constraint(trial, AMPLITUDE_RAY)
         assert lam_star == lam and m.action() == action
-        w = rescale(trial, lam_star, ray)
-        assert np.allclose(moments(w, nl3)[:3], m[:3], rtol=1e-14, atol=0)
+        if profile is not None:
+            w = rescale(profile, lam_star, ray)
+            assert np.allclose(moments(w, nl3)[:3], m[:3], rtol=1e-14, atol=0)
+
+
+def test_width_members_are_priced_by_the_scaling_law(townes, nl3):
+    # along the (1, 1) limit pair in the plane the amplitude projection of
+    # phi(w x) has S = ||v||^2 ||grad v||^2 / ||v||_4^4 of phi whatever w is,
+    # so every width member prices as member 0 does.  That value sits
+    # 2.9e-9 m above m, the second-order move of projecting the shot phi
+    # itself (lambda* = 0.99995).  The resampled members read down to
+    # m (1 - 2.1e-4), below the minimum they check
+    m = townes.level
+    report = verify_min_on_constraint(default_trial_family(townes, count=20, seed=0),
+                                      ScalingExponents(1.0, 1.0), m)
+    member_0 = report.actions[0]
+    for i in range(1, 10):
+        assert abs(report.actions[i] - member_0) <= 1e-14 * member_0, i
+    assert 0.0 <= member_0 - m <= 5e-9 * m
+    assert report.min_action >= m
+    # along the (1, -2) limit pair on the line K is 2 ||v||^2 - 1.5 ||v||_4^4,
+    # whose amplitude root a dilation leaves alone: every width member
+    # projects at lambda* = 1.0 exactly (1.0000018 for a resampled one)
+    gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 80.0, 16000))
+    report = verify_min_on_constraint(default_trial_family(gs, count=200, seed=0),
+                                      ScalingExponents(1.0, -2.0), gs.level)
+    assert report.lambdas[:100] == (1.0,) * 100
+
+
+def test_an_invalid_pair_has_a_point_below_the_level(townes, nl3):
+    # the negative control: at (1, 2), K = ||grad v||^2 - ||v||^2, and in
+    # the plane at p = 3 the ground state has ||grad phi||^2 = ||phi||^2
+    # (Nehari plus Pohozaev), so (1/2) phi lies on this constraint with
+    # S = (7/16) m.  On the grid K misses zero by the O(h^2) gap
+    se = ScalingExponents(1.0, 2.0)
+    assert classify_exponents(se.alpha, se.beta, 3.0, 2) == INVALID
+    half = moments(townes.profile, nl3).scaled(0.5, AMPLITUDE_RAY)
+    assert abs(half.constraint(se)) <= 1e-4 * half.h1
+    assert abs(half.action() / townes.level - 7.0 / 16.0) <= 1e-4
