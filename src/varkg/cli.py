@@ -310,10 +310,9 @@ def _cmd_verify_lemma_mint(cfg):
     gs = _ground_state(*_problem(cfg, 2))
     m_ref = gs.level
     q, nl = gs.profile, gs.nonlinearity
-    base = moments(q, nl)
     rng = np.random.default_rng(cfg.seed)
     # c phi is phi's moments scaled by |c|: every moment is even in v
-    family = [_scaled_in_range(base, abs(c), AMPLITUDE_RAY) for c in cfg.amplitudes]
+    family = [_scaled_in_range(gs.moments, abs(c), AMPLITUDE_RAY) for c in cfg.amplitudes]
     for _ in range(4):  # eps, then width
         family.append(moments(_bumped(q, rng.uniform(0.05, 0.2), 0.0, rng.uniform(1.0, 3.0)),
                               nl))
@@ -403,11 +402,10 @@ def _cmd_selftest(cfg):
               f"{'PASS' if ok else 'FAIL'}")
 
     gs = closed_form_1d(3.0, 0.0, RadialGrid(1, 20.0, 40000))
-    nl = gs.nonlinearity
     m = gs.level
     print(f"m = {m:.6f}")
     check("S(phi)", m, 4.0 / 3.0, 1e-4)
-    phi = moments(gs.profile, nl)
+    phi = gs.moments
     check("T(phi)", phi.kinetic, 2.0 / 3.0, 1e-4)
     check("P(phi)", phi.potential(), -2.0 / 3.0, 1e-4)
     check("K(phi)", phi.nehari(), 0.0, 1e-4)

@@ -529,7 +529,7 @@ def make_initial_data(gs: GroundState, lam: float, mu: float) -> GridFunction:
                                "R/mu is past the float range")
     stretched = rescale(gs.profile, stretch, WIDTH_RAY)
     got = np.array(moments(stretched, nl)[:2])
-    exact = np.array(moments(gs.profile, nl).scaled(stretch, WIDTH_RAY)[:2])
+    exact = np.array(gs.moments.scaled(stretch, WIDTH_RAY)[:2])
     with np.errstate(divide="ignore", invalid="ignore"):
         off = float(np.max(np.abs(got - exact) / exact))
     if not off <= RESOLUTION_TOL:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, InvalidInput
-from .model import CONSTRAINT_TOL, Nonlinearity, PowerKG, check_subcritical, moments
+from .model import CONSTRAINT_TOL, Moments, Nonlinearity, PowerKG, check_subcritical, moments
 from .radial_core import GridFunction, RadialGrid, brent
 
 # invariant tolerances, relative to the natural scale of each identity
@@ -30,12 +30,14 @@ BRACKET_DOUBLINGS = 8          # times shoot_radial may move a bracket end by a 
 class GroundState:
     """A validated least-energy profile together with its diagnostics.
 
-    level is the action of the profile, the mountain-pass level m.
-    nehari_residual is None for a general nonlinearity (see _validate).
+    moments are the profile's, measured once; level is their action, the
+    mountain-pass level m.  nehari_residual is None for a general
+    nonlinearity (see _validate).
     """
 
     profile: GridFunction
     nonlinearity: Nonlinearity
+    moments: Moments
     level: float
     center_value: float
     ode_residual: float
@@ -100,6 +102,7 @@ def _validate(profile: GridFunction, nl: Nonlinearity) -> GroundState:
     return GroundState(
         profile=profile,
         nonlinearity=nl,
+        moments=m,
         level=m.action(),
         center_value=a,
         ode_residual=ode_res,
@@ -125,29 +128,39 @@ def closed_form_1d(p: float, omega: float, grid: RadialGrid) -> GroundState:
     return _validate(profile, nl)
 
 
-def _escape_radius(r: float, h: float, y: float, y_last: float) -> float:
-    """Where y, negative at r, fell through zero on the chord from r - h; r if y_last <= 0."""
-    return r - h * y / (y - y_last) if y_last > 0.0 else r
+def _signed_miss(status: str, state: tuple[float, float, float], k: float,
+                 dimension: int) -> float:
+    """The rising mode's share of a shot's linear tail, negative when the
+    shot crosses and positive otherwise, floored at the smallest normal.
 
-
-def _signed_miss(status: str, r_esc: float, decay2: float) -> float:
-    """-+exp(-decay2 r_esc): negative when the shot crosses, positive
-    otherwise, its magnitude floored at the smallest normal double."""
-    size = max(math.exp(-decay2 * r_esc), sys.float_info.min)
+    Past the nonlinear core a shot is alpha u_- + beta u_+ on the falling
+    and rising modes exp(-+kr) r^(-(N-1)/2) of u'' + (N-1)/r u' = k^2 u,
+    and beta/alpha is linear in a - a* through the critical amplitude.
+    Split at the state (r, phi, chi) of the last node the shot kept, its
+    size is |(l_- phi - chi) / (l_+ phi + chi)| exp(-2kr) with
+    l_-+ = k +- c, c = (N-1)/(2r): exact in N = 1 and 3, first order in
+    N = 2.  Where k <= c, near the origin, or the falling mode is not
+    positive, the size is exp(-2kr).
+    """
+    r, phi, chi = state
+    size = math.exp(-2.0 * k * r)
+    if k * r > 0.5 * (dimension - 1):
+        c = 0.5 * (dimension - 1) / r
+        falling = (k - c) * phi + chi
+        if falling > 0.0:
+            size *= abs((k + c) * phi - chi) / falling
+    size = max(size, sys.float_info.min)
     return -size if status == "cross" else size
 
 
 def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid):
     """March the radial ODE outward from amplitude a, one RK4 step per cell.
 
-    Returns (status, values, r_esc): status is "cross" when the solution
+    Returns (status, values, state): status is "cross" when the solution
     goes negative, "diverge" when it exceeds twice the amplitude, "turn"
     at a turning point (below), "end" at r = R; values is an array of
     doubles holding the node samples from phi(0) up to the last node
-    before the shot stopped.  r_esc is the escape radius: where the
-    linear interpolant of phi (of chi for "turn", of 2a - phi for
-    "diverge") falls through zero inside the cell where the shot
-    escapes, and R for "end".
+    before the shot stopped, and state is (r, phi, chi) at that node.
 
     The march carries (phi, chi) with chi = -phi', so each stage reads
     g(phi) - (N-1) chi / r with no negation.  A shot stops with status
@@ -201,13 +214,13 @@ def _classify_shot(a: float, nl: Nonlinearity, grid: RadialGrid):
         phi -= h * (chi + 2.0 * x2 + 2.0 * x3 + x4) / 6.0
         chi += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if phi < 0.0:
-            return "cross", vals, _escape_radius(r, h, phi, last_phi)
+            return "cross", vals, (r - h, last_phi, last_chi)
         if phi > upper:
-            return "diverge", vals, _escape_radius(r, h, upper - phi, upper - last_phi)
+            return "diverge", vals, (r - h, last_phi, last_chi)
         if chi < 0.0 and phi > 0.0 and 0.5 * chi * chi + big_g(phi) < 0.0:
-            return "turn", vals, _escape_radius(r, h, chi, last_chi)
+            return "turn", vals, (r - h, last_phi, last_chi)
         keep(phi)
-    return "end", vals, grid.outer_radius
+    return "end", vals, (r, phi, chi)
 
 
 def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
@@ -227,21 +240,23 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     In N >= 2 an amplitude with G(a) <= 0 is not marched: the ODE energy
     E = chi^2/2 + G(phi) of _classify_shot starts at G(a) and does not
     increase, so the shot never reaches phi = 0, where E >= 0.  It is
-    labelled "turn" with r_esc = 0.  The critical amplitude lies above
-    the zero of G (Berestycki & Lions 1983), so whenever the lower end
-    has G(lo) <= 0 < G(hi), before the first shot and after each move,
-    it is lifted to that zero, found by brent on G, whose shot turns
-    within a few decay lengths.  In N = 1 E is conserved and the zero of
-    G is the ground-state amplitude itself, so nothing is skipped there.
+    labelled "turn", with the miss of a shot that stops at r = 0.  The
+    critical amplitude lies above the zero of G (Berestycki & Lions
+    1983), so whenever the lower end has G(lo) <= 0 < G(hi), before the
+    first shot and after each move, it is lifted to that zero, found by
+    brent on G, whose shot turns within a few decay lengths.  In N = 1 E
+    is conserved and the zero of G is the ground-state amplitude itself,
+    so nothing is skipped there.
 
     One brent solve then finds the sign change of the signed miss
-    m(a) = -+exp(-2 sqrt(m0) r_esc(a)), negative when the shot crosses
-    zero and positive when it turns, diverges or reaches R, with r_esc
-    the escape radius of _classify_shot.  Near the critical amplitude the
-    escaping mode grows like exp(kr) on a decaying exp(-kr), k = sqrt(m0),
-    so the miss is close to linear in a there.  Its magnitude is floored
-    at the smallest normal double (_signed_miss), because exp(-2kR)
-    underflows on a wide grid and brent takes a zero value as a root.
+    (_signed_miss): the rising mode's share of the shot's linear tail,
+    split off the last node the shot kept, negative when the shot crosses
+    zero and positive when it turns, diverges or reaches R.  That share
+    is linear in a - a*, so the miss is one smooth function of a through
+    the critical amplitude a*, and brent's interpolation steps land.  Its
+    magnitude is floored at the smallest normal double, because
+    exp(-2 sqrt(m0) R) underflows on a wide grid and brent takes a zero
+    value as a root.
     The solve stops when its bracket is narrower than 1e-15 of its upper
     end, and the final shot is the largest non-crossing amplitude
     marched: the non-crossing end of that bracket, with the values of
@@ -255,12 +270,11 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     dimension = grid.dimension
     if isinstance(nl, PowerKG):
         check_subcritical(nl.p, dimension)
-    m0 = nl.mass
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi < math.inf):
         raise InvalidInput(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
 
-    decay2 = 2.0 * math.sqrt(m0)
+    k = math.sqrt(nl.mass)
     big_g = nl.G
     shots = {}  # amplitude -> (status, signed miss), at most one march per amplitude
     best = [0.0, None]  # the largest non-crossing amplitude marched, and its values
@@ -269,12 +283,12 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
         if a not in shots:
             if dimension >= 2 and big_g(a) <= 0.0:
                 # E = G(a) <= 0 at r = 0 and E falls from there: no march
-                status, r_esc = "turn", 0.0
+                status, state = "turn", (0.0, a, 0.0)
             else:
-                status, vals, r_esc = _classify_shot(a, nl, grid)
+                status, vals, state = _classify_shot(a, nl, grid)
                 if status != "cross" and a > best[0]:
                     best[:] = a, vals
-            shots[a] = status, _signed_miss(status, r_esc, decay2)
+            shots[a] = status, _signed_miss(status, state, k, dimension)
         return shots[a]
 
     def lifted(lo: float, hi: float) -> float:
@@ -310,7 +324,7 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     # by about sqrt(m0) h phi: near a turn the shot flattens and
     # r^((N-1)/2) * phi would tick upward, and a shot diving toward zero
     # before R falls faster than the decay the tail continues
-    rate = math.sqrt(m0) * grid.spacing
+    rate = k * grid.spacing
     while i_star > 1 and not (0.5 * rate * kept[i_star] <= kept[i_star - 1] - kept[i_star]
                               <= 2.0 * rate * kept[i_star]):
         i_star -= 1
@@ -319,7 +333,7 @@ def shoot_radial(nl: Nonlinearity, grid: RadialGrid,
     r_star = grid.r[i_star]
     v_star = float(kept[i_star])
     tail_r = grid.r[i_star + 1:]
-    decay = np.exp(-math.sqrt(m0) * (tail_r - r_star))
+    decay = np.exp(-k * (tail_r - r_star))
     if dimension > 1:
         decay = decay * (r_star / tail_r) ** (0.5 * (dimension - 1))
     out = np.empty(grid.cells + 1)

@@ -13,7 +13,6 @@ ray and the mountain-pass path.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections.abc import Sequence
@@ -449,8 +448,8 @@ def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[Moments
     exact on the algebra, with rescale's lost-mass guard: a dilation
     that would push phi's mass past R raises TruncationOverflow.  Only a
     bump member is a profile to measure.  The members are made as they
-    are read, and phi's moments are taken once, on the first read that
-    needs them.
+    are read; member 0 and the width members read gs.moments, so phi is
+    not measured again.
     """
     for name, value in (("count", count), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -459,7 +458,7 @@ def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[Moments
         raise InvalidParameter("trial family needs at least 3 members")
     if seed < 0:
         raise InvalidParameter(f"seed must be nonnegative, got {seed!r}")
-    v, nl = gs.profile, gs.nonlinearity
+    v, nl, base = gs.profile, gs.nonlinearity, gs.moments
     n_width = (count - 1) // 2
     rng = np.random.default_rng(seed)
     bumps = [(rng.uniform(-0.3, 0.3), rng.uniform(0.0, v.grid.outer_radius / 8.0),
@@ -467,17 +466,13 @@ def default_trial_family(gs, count: int = 50, seed: int = 0) -> Sequence[Moments
     widths = np.geomspace(0.5, 2.0, n_width)
     spill = _mass_guard(v)
 
-    @functools.cache
-    def base() -> Moments:
-        return moments(v, nl)
-
     def member(i: int) -> Moments:
         if i == 0:
-            return base()
+            return base
         if i <= n_width:
             w = float(widths[i - 1])
             spill(w, w)
-            return base().scaled(w, WIDTH_RAY)
+            return base.scaled(w, WIDTH_RAY)
         return moments(_bumped(v, *bumps[i - 1 - n_width]), nl)
 
     return _MadeOnRead(count, member)

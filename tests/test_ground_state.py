@@ -35,6 +35,14 @@ def test_closed_form_center_values(grid_1d):
                       1.5, rtol=0, atol=1e-12)
 
 
+def test_ground_state_keeps_the_moments_it_was_validated_with(phi_1d, townes):
+    # phi is measured once: the trial family, the initial data and the CLI
+    # read these moments instead of measuring phi again
+    for gs in (phi_1d, townes):
+        assert gs.moments == moments(gs.profile, gs.nonlinearity)
+        assert gs.level == gs.moments.action()
+
+
 def test_closed_form_level_scales_with_mass(grid_1d):
     gs = closed_form_1d(3.0, 0.6, grid_1d)
     assert np.isclose(gs.level, (4.0 / 3.0) * 0.64**1.5, rtol=0, atol=1e-5)
@@ -295,16 +303,18 @@ def shot_log(monkeypatch):
 @pytest.mark.parametrize("grid, bracket", SHOOT_GRIDS)
 def test_shot_count_and_final_bracket(shot_log, grid, bracket):
     a = shoot_radial(PowerKG(3.0, 0.0), grid, bracket=bracket).center_value
-    assert len(shot_log) <= 28  # bisection took 53-54
+    assert len(shot_log) <= 17  # 16 / 15 / 14 / 16; 19-23 on a two-slope miss, bisection 53-54
     assert a == max(x for x, status, _ in shot_log if status != "cross")
     crossing = min(x for x, status, _ in shot_log if status == "cross")
     assert a < crossing <= a + 1e-15 * a
 
 
-# cells marched when the G(a) <= 0 ends and the final shot's tail were
-# marched too: 24,792 / 54,969 / 25,652 / 15,338; when the final shot was
-# marched a second time: 18,004 / 32,156 / 24,471 / 9,164
-SHOOT_CELLS = (17000, 30000, 23500, 8700)
+# cells marched: 13,068 / 22,405 / 12,925 / 6,662.  When the miss read an
+# escape radius off the turn or the crossing: 16,114 / 28,387 / 22,651 /
+# 8,176; when the G(a) <= 0 ends and the final shot's tail were marched
+# too: 24,792 / 54,969 / 25,652 / 15,338; when the final shot was marched
+# a second time: 18,004 / 32,156 / 24,471 / 9,164
+SHOOT_CELLS = (13700, 23500, 13600, 7000)
 
 
 @pytest.mark.parametrize("grid, bracket, cells",
@@ -354,13 +364,76 @@ def test_miss_never_underflows_on_a_wide_grid():
 
 
 def test_signed_miss_is_floored_at_the_smallest_normal():
-    # a shot reaching r_esc = 400 at sqrt(m0) = 1 would miss by exp(-800),
-    # which is 0.0 in doubles: brent would take that for a root
+    # a shot stopping at r = 400 at sqrt(m0) = 1 would miss by exp(-800)
+    # times its mode ratio, which is 0.0 in doubles: brent would take that
+    # for a root.  So would a pure falling mode, chi = k phi in N = 1
     assert math.exp(-800.0) == 0.0
-    assert _signed_miss("end", 400.0, 2.0) == sys.float_info.min
-    assert _signed_miss("cross", 400.0, 2.0) == -sys.float_info.min
-    assert _signed_miss("turn", 3.0, 2.0) == math.exp(-6.0)
-    assert _signed_miss("cross", 3.0, 2.0) == -math.exp(-6.0)
+    assert _signed_miss("end", (400.0, 1.0, 0.5), 1.0, 1) == sys.float_info.min
+    assert _signed_miss("cross", (400.0, 1.0, 0.5), 1.0, 1) == -sys.float_info.min
+    assert _signed_miss("turn", (3.0, 1.0, 1.0), 1.0, 1) == sys.float_info.min
+    # (phi - chi) / (phi + chi) = 1/3 splits the state into its two modes
+    assert _signed_miss("turn", (3.0, 1.0, 0.5), 1.0, 1) == math.exp(-6.0) * (0.5 / 1.5)
+    assert _signed_miss("cross", (3.0, 1.0, 0.5), 1.0, 1) == -math.exp(-6.0) * (0.5 / 1.5)
+    # where k <= c = (N-1)/(2r), and for the unmarched shot at r = 0, the
+    # miss falls back to exp(-2kr)
+    assert _signed_miss("turn", (0.5, 1.0, 0.5), 1.0, 3) == math.exp(-1.0)
+    assert _signed_miss("turn", (0.0, 2.0, 0.0), 1.0, 2) == 1.0
+    # and where the falling mode is not positive, as on a shot rising
+    # steeply toward 2a: there the split means nothing, and at zero it
+    # would divide by zero
+    assert _signed_miss("diverge", (3.0, 1.0, -2.0), 1.0, 1) == math.exp(-6.0)
+    assert _signed_miss("diverge", (3.0, 1.0, -1.0), 1.0, 1) == math.exp(-6.0)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_signed_miss_is_the_rising_modes_share(n):
+    # in N = 1 and N = 3 the modes of u'' + (N-1)/r u' = k^2 u are
+    # exp(-+kr) r^(-(N-1)/2) exactly, so a state alpha u_- + beta u_+
+    # misses by beta/alpha wherever it is split
+    k, alpha, beta = 0.8, 2.0, 3e-5
+    c = 0.5 * (n - 1)
+    for r in (4.0, 9.0, 15.0):
+        down, up = math.exp(-k * r) * r**-c, math.exp(k * r) * r**-c
+        phi = alpha * down + beta * up
+        chi = alpha * (k + c / r) * down - beta * (k - c / r) * up
+        assert _signed_miss("turn", (r, phi, chi), k, n) == pytest.approx(beta / alpha, rel=1e-9)
+        assert _signed_miss("cross", (r, phi, chi), k, n) == pytest.approx(-beta / alpha, rel=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["townes", "townes_fine", "ground_n3"])
+def test_miss_has_one_slope_through_the_critical_amplitude(request, fixture):
+    # the crossing and turning shots at a*(1 -+ delta) miss by the same
+    # size: one smooth miss, so brent's interpolation steps land.  An
+    # escape radius read off the crossing or the turn gave ratios of
+    # 0.71-0.94 here
+    gs = request.getfixturevalue(fixture)
+    a, n = gs.center_value, gs.grid.dimension
+
+    def miss(x):
+        status, _, state = _classify_shot(x, gs.nonlinearity, gs.grid)
+        return _signed_miss(status, state, math.sqrt(gs.nonlinearity.mass), n)
+
+    for delta in (1e-4, 1e-6, 1e-9, 1e-12):
+        below, above = miss(a * (1.0 - delta)), miss(a * (1.0 + delta))
+        assert below > 0.0 > above
+        assert 0.99 <= below / -above <= 1.01
+
+
+@pytest.mark.parametrize("fixture", ["townes", "ground_n3"])
+def test_labels_are_monotone_at_the_final_amplitude(request, fixture):
+    # the 1e-15 stop resolves something: over 30 ulps either side of the
+    # final amplitude every shot below turns and every shot above crosses,
+    # with the switch at most 1e-15 relative above it
+    gs = request.getfixturevalue(fixture)
+    a = gs.center_value
+    below, above = [a], []
+    for _ in range(30):
+        below.insert(0, math.nextafter(below[0], 0.0))
+        above.append(math.nextafter(above[-1] if above else a, math.inf))
+    labels = [_classify_shot(x, gs.nonlinearity, gs.grid)[0] for x in below + above]
+    switch = labels.index("cross")
+    assert labels == ["turn"] * switch + ["cross"] * (len(labels) - switch)
+    assert switch >= len(below) and (below + above)[switch] <= a + 1e-15 * a
 
 
 @pytest.mark.parametrize("fixture, level, center", [
